@@ -16,6 +16,9 @@ TsbScheme::TsbScheme(const TsbConfig &config, Addr base_addr,
       baseAddr(base_addr),
       dataHierarchy(hierarchy),
       pageWalkers(walkers),
+      vmRows([this](std::uint64_t index, VmId vm) {
+          return rowHoldsVm(index, vm);
+      }),
       statGroup("scheme")
 {
     statGroup.addCounter("hits", hits);
@@ -33,9 +36,8 @@ TsbScheme::TsbScheme(const TsbConfig &config, Addr base_addr,
     stageEntries = total_entries / config.accessesPerTranslation;
     simAssert(isPowerOfTwo(stageEntries),
               "TSB stage entry count must be a power of two");
-    stages.resize(config.accessesPerTranslation);
-    for (auto &stage : stages)
-        stage.resize(stageEntries);
+    stageCount = config.accessesPerTranslation;
+    buffer = ZeroedArray<TlbEntry>(stageEntries * stageCount);
 }
 
 std::uint64_t
@@ -56,6 +58,37 @@ TsbScheme::slotAddr(unsigned stage, std::uint64_t index) const
                tsbConfig.entryBytes;
 }
 
+bool
+TsbScheme::rowHoldsVm(std::uint64_t index, VmId vm) const
+{
+    const TlbEntry &entry = buffer[index * stageCount];
+    return entry.valid && entry.vmId == vm;
+}
+
+void
+TsbScheme::fillRow(std::uint64_t index, PageNum vpn, PageSize size,
+                   VmId vm, ProcessId pid, PageNum pfn)
+{
+    TlbEntry *entries = row(index);
+    const bool replaced = entries[0].valid;
+    const VmId replaced_vm = entries[0].vmId;
+    for (unsigned stage = 0; stage < stageCount; ++stage) {
+        TlbEntry &entry = entries[stage];
+        entry.valid = true;
+        entry.vmId = vm;
+        entry.pid = pid;
+        entry.vpn = vpn;
+        entry.pfn = pfn;
+        entry.pageSize = size;
+    }
+    // A row already holding one of the VM's translations is listed.
+    if (replaced && replaced_vm == vm)
+        return;
+    if (replaced)
+        vmRows.removed(replaced_vm);
+    vmRows.added(vm, index);
+}
+
 SchemeResult
 TsbScheme::translateMiss(CoreId core, Addr vaddr, PageSize size,
                          VmId vm, ProcessId pid, Cycles now)
@@ -73,14 +106,15 @@ TsbScheme::translateMiss(CoreId core, Addr vaddr, PageSize size,
     // must match for the translation to complete.
     bool all_match = true;
     PageNum pfn = 0;
-    for (unsigned stage = 0; stage < stages.size(); ++stage) {
+    const TlbEntry *entries = row(index);
+    for (unsigned stage = 0; stage < stageCount; ++stage) {
         const HierarchyAccessResult load = dataHierarchy.accessData(
             core, slotAddr(stage, index), AccessType::Read,
             now + result.cycles);
         result.cycles += load.latency;
         ++result.probes;
 
-        const TlbEntry &entry = stages[stage][index];
+        const TlbEntry &entry = entries[stage];
         if (!entry.matches(vpn, vm, pid, size)) {
             all_match = false;
             // The handler knows after this load that the walk is
@@ -114,14 +148,8 @@ TsbScheme::translateMiss(CoreId core, Addr vaddr, PageSize size,
 
     // The handler refills the buffer (direct-mapped overwrite); the
     // stores are off the translation's critical path.
-    for (unsigned stage = 0; stage < stages.size(); ++stage) {
-        TlbEntry &entry = stages[stage][index];
-        entry.valid = true;
-        entry.vmId = vm;
-        entry.pid = pid;
-        entry.vpn = vpn;
-        entry.pfn = walk.hostPfn;
-        entry.pageSize = size;
+    fillRow(index, vpn, size, vm, pid, walk.hostPfn);
+    for (unsigned stage = 0; stage < stageCount; ++stage) {
         dataHierarchy.accessData(core, slotAddr(stage, index),
                                  AccessType::Write,
                                  now + result.cycles);
@@ -146,16 +174,7 @@ TsbScheme::prewarm(CoreId, Addr vaddr, PageSize size, VmId vm,
                    ProcessId pid, PageNum pfn)
 {
     const PageNum vpn = pageNumber(vaddr, size);
-    const std::uint64_t index = indexOf(vpn, vm, pid);
-    for (auto &stage : stages) {
-        TlbEntry &entry = stage[index];
-        entry.valid = true;
-        entry.vmId = vm;
-        entry.pid = pid;
-        entry.vpn = vpn;
-        entry.pfn = pfn;
-        entry.pageSize = size;
-    }
+    fillRow(indexOf(vpn, vm, pid), vpn, size, vm, pid, pfn);
 }
 
 void
@@ -164,20 +183,22 @@ TsbScheme::invalidatePage(Addr vaddr, PageSize size, VmId vm,
 {
     const PageNum vpn = pageNumber(vaddr, size);
     const std::uint64_t index = indexOf(vpn, vm, pid);
-    for (auto &stage : stages) {
-        TlbEntry &entry = stage[index];
-        if (entry.matches(vpn, vm, pid, size))
-            entry.valid = false;
-    }
+    TlbEntry *entries = row(index);
+    if (!entries[0].matches(vpn, vm, pid, size))
+        return;
+    for (unsigned stage = 0; stage < stageCount; ++stage)
+        entries[stage].valid = false;
+    vmRows.removed(vm);
 }
 
 void
 TsbScheme::invalidateVm(VmId vm)
 {
-    for (auto &stage : stages) {
-        for (auto &entry : stage) {
-            if (entry.valid && entry.vmId == vm)
-                entry.valid = false;
+    for (const std::uint64_t index : vmRows.release(vm)) {
+        TlbEntry *entries = row(index);
+        if (entries[0].valid && entries[0].vmId == vm) {
+            for (unsigned stage = 0; stage < stageCount; ++stage)
+                entries[stage].valid = false;
         }
     }
     for (auto &walker : pageWalkers)

@@ -10,6 +10,10 @@
  * so completing one translation takes multiple buffer accesses.
  * The handler's loads are ordinary software loads and therefore do
  * travel through the data caches.
+ *
+ * The buffer lives in lazily backed zeroed storage and a per-VM index
+ * lists the rows each VM has a translation in, so host memory and VM
+ * shootdowns cost what is resident, not the buffer's capacity.
  */
 
 #ifndef POMTLB_BASELINE_TSB_SCHEME_HH
@@ -21,6 +25,8 @@
 #include "cache/hierarchy.hh"
 #include "common/config.hh"
 #include "common/stats.hh"
+#include "common/vm_index.hh"
+#include "common/zeroed_array.hh"
 #include "pagetable/walker.hh"
 #include "sim/scheme.hh"
 #include "tlb/entry.hh"
@@ -42,6 +48,10 @@ class TsbScheme : public TranslationScheme
     TsbScheme(const TsbConfig &config, Addr base_addr,
               DataHierarchy &hierarchy,
               std::vector<std::unique_ptr<PageWalker>> &walkers);
+
+    // The per-VM index and the stats hold callbacks into the object.
+    TsbScheme(const TsbScheme &) = delete;
+    TsbScheme &operator=(const TsbScheme &) = delete;
 
     std::string name() const override { return "TSB"; }
 
@@ -71,11 +81,32 @@ class TsbScheme : public TranslationScheme
     /** Mean scheme cycles per request. */
     double avgMissCycles() const { return missCycles.mean(); }
 
+    /** Rows (direct-mapped indices) per stage. */
+    std::uint64_t rowCount() const { return stageEntries; }
+    /** Entry of @p stage in row @p index (for inspection). */
+    const TlbEntry &
+    bufferEntry(unsigned stage, std::uint64_t index) const
+    {
+        return buffer[index * stageCount + stage];
+    }
+    /** Rows listed per VM, with each VM's resident translations. */
+    const VmSlotIndex &vmIndex() const { return vmRows; }
+
   private:
     /** Index into one of the buffer's stages for @p vpn. */
     std::uint64_t indexOf(PageNum vpn, VmId vm, ProcessId pid) const;
     /** Host-physical address of a stage slot (for cache timing). */
     Addr slotAddr(unsigned stage, std::uint64_t index) const;
+    /** The stage entries of row @p index, stage 0 first. */
+    TlbEntry *row(std::uint64_t index)
+    {
+        return &buffer[index * stageCount];
+    }
+    /** Overwrite every stage of row @p index with one translation. */
+    void fillRow(std::uint64_t index, PageNum vpn, PageSize size,
+                 VmId vm, ProcessId pid, PageNum pfn);
+    /** Does row @p index hold a translation of @p vm? */
+    bool rowHoldsVm(std::uint64_t index, VmId vm) const;
 
     TsbConfig tsbConfig;
     Addr baseAddr;
@@ -84,12 +115,17 @@ class TsbScheme : public TranslationScheme
 
     /** Entries per stage (direct-mapped). */
     std::uint64_t stageEntries;
+    /** Stages per translation (accessesPerTranslation). */
+    unsigned stageCount;
     /**
-     * The buffer content, one direct-mapped array per stage; a
-     * translation completes only when every stage matches, modelling
-     * the multi-access indirect format of real TSB entries.
+     * The buffer content: one entry per stage in each direct-mapped
+     * row, a row's stages contiguous. A translation completes only
+     * when every stage matches, modelling the multi-access indirect
+     * format of real TSB entries. Every write covers a whole row, so
+     * a row's stages always agree and the per-VM index counts rows.
      */
-    std::vector<std::vector<TlbEntry>> stages;
+    ZeroedArray<TlbEntry> buffer;
+    VmSlotIndex vmRows;
 
     Counter hits;
     Counter misses;

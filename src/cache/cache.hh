@@ -11,22 +11,18 @@
  * probe (the operation every access performs) scans one contiguous
  * 64-bit array per set instead of striding through a wide per-line
  * struct, and validity is folded into the tag with a reserved
- * sentinel so the probe is a single compare per way. Under the
- * default LRU replacement the recency stamps double as the policy
- * state (the same stamps the Section 5.1 TLB-aware victim scan
- * uses), so no virtual ReplacementPolicy calls appear on the access
- * path; non-LRU policies still go through the polymorphic interface.
+ * sentinel so the probe is a single compare per way. Replacement is
+ * LRU over per-line recency stamps (the same stamps the Section 5.1
+ * TLB-aware victim scan uses).
  */
 
 #ifndef POMTLB_CACHE_CACHE_HH
 #define POMTLB_CACHE_CACHE_HH
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "cache/replacement.hh"
 #include "common/config.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
@@ -79,9 +75,8 @@ enum class TlbLinePolicy : std::uint8_t
 class SetAssocCache
 {
   public:
-    SetAssocCache(const CacheConfig &config,
-                  ReplacementKind replacement = ReplacementKind::Lru,
-                  std::uint64_t seed = 0);
+    /** @param config Geometry, latency and stat-group name. */
+    explicit SetAssocCache(const CacheConfig &config);
 
     /** Select the Section 5.1 TLB-aware victim policy. */
     void setTlbLinePolicy(TlbLinePolicy policy)
@@ -154,7 +149,7 @@ class SetAssocCache
 
     std::uint64_t setIndex(Addr addr) const;
     /** Victim way honouring the TLB-aware policy. */
-    unsigned victimWay(std::uint64_t set, LineKind incoming);
+    unsigned victimWay(std::uint64_t set) const;
     std::uint64_t tagOf(Addr addr) const;
     Addr lineAddr(std::uint64_t set, std::uint64_t tag) const;
     /** Index into the line arrays, or -1 when not resident. */
@@ -180,8 +175,6 @@ class SetAssocCache
     /** Per-line dirty/kind bits (metaDirty / metaTlb). */
     std::vector<std::uint8_t> meta;
 
-    /** Non-null only for non-LRU replacement (LRU is inlined). */
-    std::unique_ptr<ReplacementPolicy> policy;
     TlbLinePolicy tlbPolicy = TlbLinePolicy::None;
     std::uint64_t recencyClock = 0;
     std::uint64_t tlbLines = 0;

@@ -18,6 +18,9 @@ PomTlbPartition::PomTlbPartition(std::string name, std::uint64_t set_count,
       sets(set_count),
       ways(way_count),
       entries(set_count * way_count),
+      vmSets([this](std::uint64_t set, VmId vm) {
+          return holdsVm(set, vm);
+      }),
       statGroup(partitionName)
 {
     simAssert(set_count > 0 && way_count > 0,
@@ -45,6 +48,17 @@ PomTlbPartition::makeYoungest(TlbEntry *base, unsigned way)
             base[w].attr = (base[w].attr & ~lruMask) |
                            static_cast<std::uint8_t>(age + 1);
     }
+}
+
+bool
+PomTlbPartition::holdsVm(std::uint64_t set, VmId vm) const
+{
+    const TlbEntry *base = &entries[set * ways];
+    for (unsigned way = 0; way < ways; ++way) {
+        if (base[way].valid && base[way].vmId == vm)
+            return true;
+    }
+    return false;
 }
 
 PomTlbArrayResult
@@ -104,6 +118,8 @@ PomTlbPartition::insert(std::uint64_t set, PageNum vpn, VmId vm,
     }
 
     TlbEntry &entry = base[target];
+    const bool evicted = entry.valid;
+    const VmId evicted_vm = entry.vmId;
     entry.valid = true;
     entry.vmId = vm;
     entry.pid = pid;
@@ -112,6 +128,13 @@ PomTlbPartition::insert(std::uint64_t set, PageNum vpn, VmId vm,
     entry.pageSize = size;
     ++validEntries;
     makeYoungest(base, target);
+
+    // A set that held the victim, an entry of the same VM, is listed.
+    if (evicted && evicted_vm == vm)
+        return;
+    if (evicted)
+        vmSets.removed(evicted_vm);
+    vmSets.added(vm, set);
 }
 
 bool
@@ -124,6 +147,7 @@ PomTlbPartition::invalidatePage(std::uint64_t set, PageNum vpn, VmId vm,
         if (base[way].matches(vpn, vm, pid, size)) {
             base[way].valid = false;
             --validEntries;
+            vmSets.removed(vm);
             return true;
         }
     }
@@ -134,10 +158,13 @@ std::uint64_t
 PomTlbPartition::invalidateVm(VmId vm)
 {
     std::uint64_t dropped = 0;
-    for (auto &entry : entries) {
-        if (entry.valid && entry.vmId == vm) {
-            entry.valid = false;
-            ++dropped;
+    for (const std::uint64_t set : vmSets.release(vm)) {
+        TlbEntry *base = &entries[set * ways];
+        for (unsigned way = 0; way < ways; ++way) {
+            if (base[way].valid && base[way].vmId == vm) {
+                base[way].valid = false;
+                ++dropped;
+            }
         }
     }
     validEntries -= dropped;

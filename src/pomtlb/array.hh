@@ -7,17 +7,19 @@
  * victim choice costs no extra DRAM access.
  *
  * The array holds the entries themselves; DRAM timing lives in the
- * PomTlb device that wraps it.
+ * PomTlb device that wraps it. Entries live in lazily backed zeroed
+ * storage and a per-VM index lists the sets each VM has entries in,
+ * so both host memory and VM shootdowns cost what is resident, not
+ * the modelled capacity (docs/internals.md §3).
  */
 
 #ifndef POMTLB_POMTLB_ARRAY_HH
 #define POMTLB_POMTLB_ARRAY_HH
 
-#include <vector>
-
 #include "common/stats.hh"
 #include "common/types.hh"
-#include "pomtlb/addr_map.hh"
+#include "common/vm_index.hh"
+#include "common/zeroed_array.hh"
 #include "tlb/entry.hh"
 
 namespace pomtlb
@@ -37,6 +39,10 @@ class PomTlbPartition
     PomTlbPartition(std::string name, std::uint64_t sets,
                     unsigned ways);
 
+    // The per-VM index and the stats hold callbacks into the object.
+    PomTlbPartition(const PomTlbPartition &) = delete;
+    PomTlbPartition &operator=(const PomTlbPartition &) = delete;
+
     /** Associative search of set @p set; refreshes 2-bit LRU on hit. */
     PomTlbArrayResult lookup(std::uint64_t set, PageNum vpn, VmId vm,
                              ProcessId pid, PageSize size);
@@ -49,7 +55,10 @@ class PomTlbPartition
     bool invalidatePage(std::uint64_t set, PageNum vpn, VmId vm,
                         ProcessId pid, PageSize size);
 
-    /** Drop all entries of @p vm; returns the count. */
+    /**
+     * Drop all entries of @p vm; returns the count. Visits only the
+     * sets the per-VM index lists for @p vm.
+     */
     std::uint64_t invalidateVm(VmId vm);
 
     /** Lookups that matched an entry since the stats reset. */
@@ -68,14 +77,26 @@ class PomTlbPartition
     /** The partition's statistics group (named after the partition). */
     const StatGroup &stats() const { return statGroup; }
 
+    /** Entry in way @p way of set @p set (for inspection). */
+    const TlbEntry &
+    entry(std::uint64_t set, unsigned way) const
+    {
+        return entries[set * ways + way];
+    }
+    /** Sets listed per VM, with each VM's resident entry count. */
+    const VmSlotIndex &vmIndex() const { return vmSets; }
+
   private:
     /** Age every other valid entry in the set; set way's age to 0. */
     void makeYoungest(TlbEntry *base, unsigned way);
+    /** Does @p set hold a valid entry of @p vm? */
+    bool holdsVm(std::uint64_t set, VmId vm) const;
 
     std::string partitionName;
     std::uint64_t sets;
     unsigned ways;
-    std::vector<TlbEntry> entries;
+    ZeroedArray<TlbEntry> entries;
+    VmSlotIndex vmSets;
     std::uint64_t validEntries = 0;
 
     Counter hitCount;

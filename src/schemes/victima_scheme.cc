@@ -20,9 +20,17 @@ VictimaScheme::VictimaScheme(
       dataHierarchy(hierarchy),
       pageWalkers(walkers),
       numBlocks(config.regionBytes / kBlockBytes),
+      slotsPerBlock(config.entriesPerBlock),
+      vmBlocks([this](std::uint64_t block, VmId vm) {
+          return blockHoldsVm(block, vm);
+      }),
       statGroup("scheme")
 {
     victimaConfig.validate();
+    simAssert(numBlocks < (std::uint64_t{1} << 32),
+              "victima: block region too large to index");
+    poolPosition = ZeroedArray<std::uint32_t>(numBlocks);
+    pool = ZeroedArray<Slot>(numBlocks * slotsPerBlock);
     statGroup.addCounter("requests", requests);
     statGroup.addCounter("served_l2d_cache", servedL2d);
     statGroup.addCounter("served_l3d_cache", servedL3d);
@@ -36,23 +44,47 @@ VictimaScheme::VictimaScheme(
     statGroup.addHistogram("miss_cycle_hist", missCycleHist);
 }
 
-Addr
-VictimaScheme::blockAddress(PageNum vpn, PageSize size, VmId vm,
-                            ProcessId pid) const
+std::uint64_t
+VictimaScheme::blockOf(PageNum vpn, PageSize size, VmId vm,
+                       ProcessId pid) const
 {
     const std::uint64_t key =
         (vpn << 3) ^ (static_cast<std::uint64_t>(vm) << 48) ^
         (static_cast<std::uint64_t>(pid) << 32) ^
         static_cast<std::uint64_t>(size);
-    const std::uint64_t index = mix64(key) & (numBlocks - 1);
-    return victimaConfig.baseAddress + index * kBlockBytes;
+    return mix64(key) & (numBlocks - 1);
+}
+
+Addr
+VictimaScheme::blockAddress(std::uint64_t block) const
+{
+    return victimaConfig.baseAddress + block * kBlockBytes;
+}
+
+const VictimaScheme::Slot &
+VictimaScheme::slot(std::uint64_t block, unsigned index) const
+{
+    static const Slot unwritten;
+    const std::uint64_t position = poolPosition[block];
+    return position == 0
+               ? unwritten
+               : pool[(position - 1) * slotsPerBlock + index];
 }
 
 VictimaScheme::Slot *
-VictimaScheme::findSlot(Block &block, PageNum vpn, PageSize size,
+VictimaScheme::writableBlock(std::uint64_t block)
+{
+    if (poolPosition[block] == 0)
+        poolPosition[block] = ++poolBlocks;
+    return blockSlots(block);
+}
+
+VictimaScheme::Slot *
+VictimaScheme::findSlot(Slot *block, PageNum vpn, PageSize size,
                         VmId vm, ProcessId pid)
 {
-    for (Slot &slot : block.slots) {
+    for (unsigned i = 0; i < slotsPerBlock; ++i) {
+        Slot &slot = block[i];
         if (slot.valid && slot.vpn == vpn && slot.size == size &&
             slot.vm == vm && slot.pid == pid) {
             return &slot;
@@ -61,21 +93,31 @@ VictimaScheme::findSlot(Block &block, PageNum vpn, PageSize size,
     return nullptr;
 }
 
+bool
+VictimaScheme::blockHoldsVm(std::uint64_t block, VmId vm) const
+{
+    for (unsigned i = 0; i < slotsPerBlock; ++i) {
+        const Slot &entry = slot(block, i);
+        if (entry.valid && entry.vm == vm)
+            return true;
+    }
+    return false;
+}
+
 void
-VictimaScheme::installSlot(Addr block_addr, PageNum vpn,
+VictimaScheme::installSlot(std::uint64_t block, PageNum vpn,
                            PageSize size, VmId vm, ProcessId pid,
                            PageNum pfn)
 {
-    Block &block = shadow[block_addr];
-    if (block.slots.empty())
-        block.slots.resize(victimaConfig.entriesPerBlock);
-    if (Slot *slot = findSlot(block, vpn, size, vm, pid)) {
+    Slot *base = writableBlock(block);
+    if (Slot *slot = findSlot(base, vpn, size, vm, pid)) {
         slot->pfn = pfn;
         slot->stamp = ++tick;
         return;
     }
-    Slot *victim = &block.slots.front();
-    for (Slot &slot : block.slots) {
+    Slot *victim = base;
+    for (unsigned i = 0; i < slotsPerBlock; ++i) {
+        Slot &slot = base[i];
         if (!slot.valid) {
             victim = &slot;
             break;
@@ -83,6 +125,8 @@ VictimaScheme::installSlot(Addr block_addr, PageNum vpn,
         if (slot.stamp < victim->stamp)
             victim = &slot;
     }
+    const bool evicted = victim->valid;
+    const VmId evicted_vm = victim->vm;
     victim->valid = true;
     victim->vm = vm;
     victim->pid = pid;
@@ -90,6 +134,14 @@ VictimaScheme::installSlot(Addr block_addr, PageNum vpn,
     victim->vpn = vpn;
     victim->pfn = pfn;
     victim->stamp = ++tick;
+
+    // A block that held the victim, an entry of the same VM, is
+    // listed.
+    if (evicted && evicted_vm == vm)
+        return;
+    if (evicted)
+        vmBlocks.removed(evicted_vm);
+    vmBlocks.added(vm, block);
 }
 
 SchemeResult
@@ -101,16 +153,14 @@ VictimaScheme::translateMiss(CoreId core, Addr vaddr, PageSize size,
     ++requests;
 
     const PageNum vpn = pageNumber(vaddr, size);
-    const Addr block_addr = blockAddress(vpn, size, vm, pid);
+    const std::uint64_t block = blockOf(vpn, size, vm, pid);
+    const Addr block_addr = blockAddress(block);
     const CacheProbeResult probe =
         dataHierarchy.probeTlbLine(core, block_addr, now);
     result.cycles += probe.latency;
-    if (probe.hit) {
-        auto it = shadow.find(block_addr);
-        Slot *slot = it == shadow.end()
-                         ? nullptr
-                         : findSlot(it->second, vpn, size, vm, pid);
-        if (slot != nullptr) {
+    Slot *base = blockSlots(block);
+    if (probe.hit && base != nullptr) {
+        if (Slot *slot = findSlot(base, vpn, size, vm, pid)) {
             slot->stamp = ++tick;
             result.pfn = slot->pfn;
             result.probes = 1;
@@ -141,7 +191,7 @@ VictimaScheme::translateMiss(CoreId core, Addr vaddr, PageSize size,
     ++servedWalks;
     walkPathCycles += result.cycles;
 
-    installSlot(block_addr, vpn, size, vm, pid, walk.hostPfn);
+    installSlot(block, vpn, size, vm, pid, walk.hostPfn);
     dataHierarchy.fillTlbLine(core, block_addr);
     missCycles.sample(static_cast<double>(result.cycles));
     if (StatsRegistry::detail())
@@ -154,9 +204,9 @@ VictimaScheme::prewarm(CoreId core, Addr vaddr, PageSize size,
                        VmId vm, ProcessId pid, PageNum pfn)
 {
     const PageNum vpn = pageNumber(vaddr, size);
-    const Addr block_addr = blockAddress(vpn, size, vm, pid);
-    installSlot(block_addr, vpn, size, vm, pid, pfn);
-    dataHierarchy.fillTlbLine(core, block_addr);
+    const std::uint64_t block = blockOf(vpn, size, vm, pid);
+    installSlot(block, vpn, size, vm, pid, pfn);
+    dataHierarchy.fillTlbLine(core, blockAddress(block));
 }
 
 std::vector<std::pair<ServicePoint, std::uint64_t>>
@@ -172,29 +222,35 @@ VictimaScheme::invalidatePage(Addr vaddr, PageSize size, VmId vm,
                               ProcessId pid)
 {
     const PageNum vpn = pageNumber(vaddr, size);
-    const Addr block_addr = blockAddress(vpn, size, vm, pid);
-    auto it = shadow.find(block_addr);
-    if (it == shadow.end())
+    const std::uint64_t block = blockOf(vpn, size, vm, pid);
+    Slot *base = blockSlots(block);
+    // A block never written was never cached either.
+    if (base == nullptr)
         return;
-    if (Slot *slot = findSlot(it->second, vpn, size, vm, pid))
+    if (Slot *slot = findSlot(base, vpn, size, vm, pid)) {
         slot->valid = false;
+        vmBlocks.removed(vm);
+    }
     // Drop the cached copy too: the block's payload changed.
-    dataHierarchy.invalidateTlbLine(block_addr);
+    dataHierarchy.invalidateTlbLine(blockAddress(block));
 }
 
 void
 VictimaScheme::invalidateVm(VmId vm)
 {
-    for (auto &[block_addr, block] : shadow) {
+    // Each listed block is a distinct cache line, so the order of the
+    // invalidateTlbLine calls cannot change any cache state.
+    for (const std::uint64_t block : vmBlocks.release(vm)) {
+        Slot *base = blockSlots(block);
         bool touched = false;
-        for (Slot &slot : block.slots) {
-            if (slot.valid && slot.vm == vm) {
-                slot.valid = false;
+        for (unsigned i = 0; i < slotsPerBlock; ++i) {
+            if (base[i].valid && base[i].vm == vm) {
+                base[i].valid = false;
                 touched = true;
             }
         }
         if (touched)
-            dataHierarchy.invalidateTlbLine(block_addr);
+            dataHierarchy.invalidateTlbLine(blockAddress(block));
     }
     for (auto &walker : pageWalkers)
         walker->invalidateVm(vm);

@@ -12,8 +12,12 @@
  * a block cached in the L2D/L3D serves at that cache's latency, and
  * a block absent from the hierarchy falls through to a page walk,
  * after which the block is (re)filled. Entry payloads live in a
- * shadow table keyed by block address — the caches model *where* the
- * block is, the shadow models *what* is in it.
+ * shadow store indexed by block — the caches model *where* the block
+ * is, the shadow models *what* is in it. The shadow is a lazily
+ * backed zeroed array whose blocks are packed in the order they are
+ * first written, plus a per-VM index of the blocks each VM has
+ * entries in, so host memory and VM shootdowns cost what is
+ * resident, not the block region's size.
  *
  * Registered with the scheme registry as "Victima"; constructed only
  * through SchemeRegistry (sim/scheme_registry.hh).
@@ -24,12 +28,13 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "cache/hierarchy.hh"
 #include "common/config.hh"
 #include "common/stats.hh"
+#include "common/vm_index.hh"
+#include "common/zeroed_array.hh"
 #include "pagetable/walker.hh"
 #include "sim/scheme.hh"
 
@@ -49,6 +54,10 @@ class VictimaScheme : public TranslationScheme
     VictimaScheme(const VictimaConfig &config,
                   DataHierarchy &hierarchy,
                   std::vector<std::unique_ptr<PageWalker>> &walkers);
+
+    // The per-VM index and the stats hold callbacks into the object.
+    VictimaScheme(const VictimaScheme &) = delete;
+    VictimaScheme &operator=(const VictimaScheme &) = delete;
 
     std::string name() const override { return "Victima"; }
 
@@ -78,7 +87,6 @@ class VictimaScheme : public TranslationScheme
     /** Fraction of requests served from a cached block. */
     double cachedLineHitRate() const;
 
-  private:
     /** One packed translation entry inside a block. */
     struct Slot
     {
@@ -91,24 +99,53 @@ class VictimaScheme : public TranslationScheme
         std::uint64_t stamp = 0; /**< LRU stamp within the block. */
     };
 
-    /** The payload of one 64-byte translation block. */
-    struct Block
-    {
-        std::vector<Slot> slots;
-    };
+    /** Translation blocks in the shadow store. */
+    std::uint64_t blockCount() const { return numBlocks; }
+    /** Slot @p index of block @p block (for inspection). */
+    const Slot &slot(std::uint64_t block, unsigned index) const;
+    /** Blocks listed per VM, with each VM's resident entries. */
+    const VmSlotIndex &vmIndex() const { return vmBlocks; }
+    /** Address naming block @p block in the data caches. */
+    Addr blockAddress(std::uint64_t block) const;
 
-    Addr blockAddress(PageNum vpn, PageSize size, VmId vm,
-                      ProcessId pid) const;
-    Slot *findSlot(Block &block, PageNum vpn, PageSize size, VmId vm,
+  private:
+    /** Block a translation hashes to. */
+    std::uint64_t blockOf(PageNum vpn, PageSize size, VmId vm,
+                          ProcessId pid) const;
+    /** The slots of block @p block; nullptr if never written. */
+    Slot *
+    blockSlots(std::uint64_t block)
+    {
+        const std::uint64_t position = poolPosition[block];
+        return position == 0 ? nullptr
+                             : &pool[(position - 1) * slotsPerBlock];
+    }
+    /** The slots of block @p block, placed in the pool if new. */
+    Slot *writableBlock(std::uint64_t block);
+    Slot *findSlot(Slot *block, PageNum vpn, PageSize size, VmId vm,
                    ProcessId pid);
-    void installSlot(Addr block_addr, PageNum vpn, PageSize size,
+    void installSlot(std::uint64_t block, PageNum vpn, PageSize size,
                      VmId vm, ProcessId pid, PageNum pfn);
+    /** Does block @p block hold a valid entry of @p vm? */
+    bool blockHoldsVm(std::uint64_t block, VmId vm) const;
 
     VictimaConfig victimaConfig;
     DataHierarchy &dataHierarchy;
     std::vector<std::unique_ptr<PageWalker>> &pageWalkers;
     std::uint64_t numBlocks;
-    std::unordered_map<Addr, Block> shadow;
+    unsigned slotsPerBlock;
+    /**
+     * Per block, 1 + its position in the pool; 0 = never written.
+     * Block indices are hashes, so placing blocks in first-write
+     * order keeps the pool's touched pages proportional to the
+     * blocks in use rather than spread over the whole region.
+     */
+    ZeroedArray<std::uint32_t> poolPosition;
+    /** Slot payloads, slotsPerBlock per block, in first-write order. */
+    ZeroedArray<Slot> pool;
+    /** Blocks placed in the pool so far. */
+    std::uint32_t poolBlocks = 0;
+    VmSlotIndex vmBlocks;
     std::uint64_t tick = 0;
 
     Counter requests;

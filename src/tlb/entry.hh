@@ -2,9 +2,13 @@
  * @file
  * The logical TLB entry shared by SRAM TLBs and the POM-TLB.
  *
- * Matches the 16-byte format of Figure 5: valid bit, VM ID, process
- * ID, virtual and physical page numbers, and an attribute field whose
- * low two bits the POM-TLB uses as its in-DRAM LRU state.
+ * Carries the fields of Figure 5's entry format: valid bit, VM ID,
+ * process ID, virtual and physical page numbers, and an attribute
+ * field whose low two bits the POM-TLB uses as its in-DRAM LRU state.
+ * Figure 5's 16-byte packing is the *modelled* DRAM format (the
+ * configured entryBytes decides set addresses and sizes); this host
+ * struct keeps the fields at natural widths in 24 bytes, widest
+ * first so there is no interior padding.
  */
 
 #ifndef POMTLB_TLB_ENTRY_HH
@@ -18,11 +22,11 @@ namespace pomtlb
 /** A guest-virtual to host-physical translation record. */
 struct TlbEntry
 {
-    bool valid = false;
-    VmId vmId = 0;
-    ProcessId pid = 0;
     PageNum vpn = 0;
     PageNum pfn = 0;
+    VmId vmId = 0;
+    ProcessId pid = 0;
+    bool valid = false;
     PageSize pageSize = PageSize::Small4K;
     /** Replacement/protection attribute bits (Figure 5 "Attr"). */
     std::uint8_t attr = 0;
@@ -44,6 +48,9 @@ struct TlbEntry
                pageOffset(virt_addr, pageSize);
     }
 };
+
+static_assert(sizeof(TlbEntry) == 24,
+              "TlbEntry is packed widest-field first into 24 bytes");
 
 } // namespace pomtlb
 

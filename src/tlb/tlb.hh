@@ -9,11 +9,9 @@
 #ifndef POMTLB_TLB_TLB_HH
 #define POMTLB_TLB_TLB_HH
 
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "cache/replacement.hh"
 #include "common/bitutil.hh"
 #include "common/config.hh"
 #include "common/stats.hh"
@@ -35,8 +33,8 @@ struct TlbLookupResult
 class SetAssocTlb
 {
   public:
-    SetAssocTlb(const TlbConfig &config,
-                ReplacementKind replacement = ReplacementKind::Lru);
+    /** @param config Geometry, latency and stat-group name. */
+    explicit SetAssocTlb(const TlbConfig &config);
 
     /** Look up (vpn, vm, pid) at @p size; updates LRU on hit. */
     TlbLookupResult lookup(PageNum vpn, PageSize size, VmId vm,
@@ -99,44 +97,18 @@ class SetAssocTlb
     unsigned matchWay(std::uint64_t set, PageNum vpn, PageSize size,
                       VmId vm, ProcessId pid) const;
 
-    /** Note a use of [set, way] in the replacement state. */
+    /** Note a use of [set, way] in the LRU state. */
     void
     touchWay(std::uint64_t set, unsigned way)
     {
-        if (policy)
-            policy->touch(set, way);
-        else
-            stamps[set * ways + way] = ++lruClock;
+        stamps[set * ways + way] = ++lruClock;
     }
 
     /** Forget a way's use history after an invalidation. */
     void
     forgetWay(std::uint64_t set, unsigned way)
     {
-        if (policy)
-            policy->invalidate(set, way);
-        else
-            stamps[set * ways + way] = 0;
-    }
-
-    /** Pick the eviction victim in @p set. */
-    unsigned
-    victimWay(std::uint64_t set)
-    {
-        if (policy)
-            return policy->victim(set);
-        // Inline LRU: oldest stamp, lowest way on ties — identical
-        // to LruPolicy::victim (the stamps follow the same updates).
-        const std::uint64_t base = set * ways;
-        unsigned best = 0;
-        std::uint64_t best_stamp = stamps[base];
-        for (unsigned way = 1; way < ways; ++way) {
-            if (stamps[base + way] < best_stamp) {
-                best_stamp = stamps[base + way];
-                best = way;
-            }
-        }
-        return best;
+        stamps[set * ways + way] = 0;
     }
 
     TlbConfig tlbConfig;
@@ -146,14 +118,11 @@ class SetAssocTlb
     /** Per-way packed match keys (entryKey(); 0 = invalid way). */
     std::vector<std::uint64_t> keys;
     /**
-     * Per-way recency stamps for the inlined default-LRU policy
-     * (kept outside TlbEntry, which keeps the paper's 16-byte
-     * Figure 5 layout). Unused when a polymorphic policy is set.
+     * Per-way LRU recency stamps: 0 means never used or invalidated,
+     * so the victim is the oldest stamp, lowest way on ties.
      */
     std::vector<std::uint64_t> stamps;
     std::uint64_t lruClock = 0;
-    /** Non-null only for non-LRU replacement (LRU is inlined). */
-    std::unique_ptr<ReplacementPolicy> policy;
     std::uint64_t validEntries = 0;
 
     Counter hitCount;

@@ -1,6 +1,6 @@
 /**
  * @file
- * Set-associative cache tests: hit/miss behaviour, eviction,
+ * Set-associative cache tests: hit/miss behaviour, LRU eviction,
  * dirty-line writeback accounting, and TLB-line occupancy tracking.
  */
 
@@ -171,6 +171,47 @@ TEST(Cache, LruOrderRespectsLookups)
     const CacheFillResult fill =
         cache.fill(addrFor(0, 77), LineKind::Data);
     EXPECT_EQ(fill.victimAddr, addrFor(0, 1));
+}
+
+// LRU replacement (the only policy): oldest stamp loses, freed ways
+// are reused first, and each set keeps its own order.
+
+TEST(Lru, EvictsLeastRecentlyUsed)
+{
+    SetAssocCache cache(tinyCache());
+    for (std::uint64_t tag = 0; tag < 4; ++tag)
+        cache.fill(addrFor(0, tag), LineKind::Data);
+    // Tag 0 is oldest.
+    EXPECT_EQ(cache.fill(addrFor(0, 4), LineKind::Data).victimAddr,
+              addrFor(0, 0));
+    cache.lookup(addrFor(0, 1), AccessType::Read, LineKind::Data);
+    // Tag 1 was refreshed, so tag 2 is now oldest.
+    EXPECT_EQ(cache.fill(addrFor(0, 5), LineKind::Data).victimAddr,
+              addrFor(0, 2));
+}
+
+TEST(Lru, InvalidatedWayPreferred)
+{
+    SetAssocCache cache(tinyCache());
+    for (std::uint64_t tag = 0; tag < 4; ++tag)
+        cache.fill(addrFor(0, tag), LineKind::Data);
+    ASSERT_TRUE(cache.invalidate(addrFor(0, 2)));
+    EXPECT_FALSE(cache.fill(addrFor(0, 9), LineKind::Data).evicted);
+    for (std::uint64_t tag : {0, 1, 3, 9})
+        EXPECT_TRUE(cache.contains(addrFor(0, tag))) << tag;
+}
+
+TEST(Lru, SetsAreIndependent)
+{
+    SetAssocCache cache(tinyCache());
+    for (std::uint64_t tag = 0; tag < 4; ++tag) {
+        cache.fill(addrFor(0, tag), LineKind::Data);
+        cache.fill(addrFor(1, 3 - tag), LineKind::Data);
+    }
+    EXPECT_EQ(cache.fill(addrFor(0, 8), LineKind::Data).victimAddr,
+              addrFor(0, 0));
+    EXPECT_EQ(cache.fill(addrFor(1, 8), LineKind::Data).victimAddr,
+              addrFor(1, 3));
 }
 
 } // namespace

@@ -12,6 +12,7 @@
 #include "trace/source.hh"
 #include "trace/trace_file.hh"
 #include "trace/tracepack.hh"
+#include "test_paths.hh"
 
 namespace pomtlb
 {
@@ -143,7 +144,7 @@ TEST(Engine, FileSourcesDriveTheMachine)
     // Record a short synthetic trace, then replay it through the
     // engine via FileSource; the run must behave like a normal run.
     const std::string path =
-        ::testing::TempDir() + "engine_replay_test.pomt";
+        testTempPath("engine_replay_test", ".pomt");
     const auto &profile = ProfileRegistry::byName("gups");
     {
         TraceGenerator generator(profile, 0, 123);
@@ -180,7 +181,7 @@ TEST(Engine, PackReplayMatchesTheGeneratorRunExactly)
     // Capture the exact streams that run consumed — same combined
     // seed, one stream per core, warmup + measured records...
     const std::string path =
-        ::testing::TempDir() + "engine_pack_replay.pack";
+        testTempPath("engine_pack_replay", ".pack");
     {
         TracePackWriter writer(path, {"core0", "core1"});
         const std::uint64_t per_core =

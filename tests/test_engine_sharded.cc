@@ -41,6 +41,7 @@
 #include "trace/profile.hh"
 #include "trace/source.hh"
 #include "trace/tracepack.hh"
+#include "test_paths.hh"
 
 namespace pomtlb
 {
@@ -181,7 +182,7 @@ TEST(ShardedPackReplay, ReplayIsByteIdenticalToSerial)
     const unsigned cores = 4;
 
     const std::string path =
-        ::testing::TempDir() + "sharded_replay.pack";
+        testTempPath("sharded_replay", ".pack");
     {
         TracePackWriter writer(
             path, {"core0", "core1", "core2", "core3"});

@@ -14,6 +14,7 @@
 #include "sim/perf_model.hh"
 #include "trace/source.hh"
 #include "trace/trace_file.hh"
+#include "test_paths.hh"
 
 namespace pomtlb
 {
@@ -89,7 +90,7 @@ TEST(PipelineSmoke, RecordReplayFlow)
 {
     // tools/pomtlb_cli.cc record-trace + replay-trace in miniature.
     const std::string path =
-        ::testing::TempDir() + "pipeline_smoke.pomt";
+        testTempPath("pipeline_smoke", ".pomt");
     {
         TraceGenerator generator(
             ProfileRegistry::byName("canneal"), 0, 42);

@@ -22,6 +22,7 @@
 #include "sim/machine.hh"
 #include "sim/scenario.hh"
 #include "sim/stats_export.hh"
+#include "test_paths.hh"
 
 namespace pomtlb
 {
@@ -344,7 +345,7 @@ TEST(Scenario, PackReplayReproducesTheScenarioExactly)
     spec.migrationPagesPerArrival = 8;
 
     const std::string path =
-        ::testing::TempDir() + "scenario_replay_test.pack";
+        testTempPath("scenario_replay_test", ".pack");
     Machine machine_a(spec.system, spec.scheme);
     ScenarioEngine engine_a(machine_a, spec);
     engine_a.recordPack(path);

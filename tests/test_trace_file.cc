@@ -14,6 +14,7 @@
 #include "trace/error.hh"
 #include "trace/generator.hh"
 #include "trace/trace_file.hh"
+#include "test_paths.hh"
 
 namespace pomtlb
 {
@@ -26,7 +27,7 @@ class TraceFileTest : public ::testing::Test
     void
     SetUp() override
     {
-        path = ::testing::TempDir() + "pomtlb_trace_test.pomt";
+        path = testTempPath("pomtlb_trace_test", ".pomt");
     }
 
     void TearDown() override { std::remove(path.c_str()); }

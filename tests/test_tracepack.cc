@@ -22,6 +22,7 @@
 #include "trace/generator.hh"
 #include "trace/trace_file.hh"
 #include "trace/tracepack.hh"
+#include "test_paths.hh"
 
 namespace pomtlb
 {
@@ -60,7 +61,7 @@ class TracePackTest : public ::testing::Test
     void
     SetUp() override
     {
-        path = ::testing::TempDir() + "pomtlb_tracepack_test.pack";
+        path = testTempPath("pomtlb_tracepack_test", ".pack");
     }
 
     void TearDown() override { std::remove(path.c_str()); }
@@ -387,7 +388,7 @@ TEST_F(TracePackTest, FuzzRandomTruncationNeverCrashes)
 TEST_F(TracePackTest, LegacyScanStreamsEveryRecordOnce)
 {
     const std::string legacy =
-        ::testing::TempDir() + "pomtlb_tracepack_legacy.pomt";
+        testTempPath("pomtlb_tracepack_legacy", ".pomt");
     const auto records = syntheticRecords(2500, 19);
     {
         TraceFileWriter writer(legacy);
@@ -430,7 +431,7 @@ TEST_F(TracePackTest, LegacyScanStreamsEveryRecordOnce)
 TEST_F(TracePackTest, TextFormRoundTripsAndNamesBadLines)
 {
     const std::string text =
-        ::testing::TempDir() + "pomtlb_tracepack_text.csv";
+        testTempPath("pomtlb_tracepack_text", ".csv");
     {
         std::ofstream out(text);
         out << "# pomtlb-tracetext-v1\n"
