@@ -45,13 +45,6 @@
  *             the speedup in an extra `trace` document section
  *             (temporary trace files are created next to --out and
  *             removed afterwards).
- *   --run-threads  opt-in: re-measure a reduced cell set ({mcf,
- *             gups} x {Baseline, POM-TLB}) with the sharded engine
- *             at N worker threads (EngineConfig::runThreads) and
- *             record it in an extra `run_threads` document section.
- *             check_bench.py compares these cells against the
- *             baseline like any others, so a regression in the
- *             epoch-barrier executor trips the same gate.
  *
  * Each cell is measured reps times and the best (lowest-wall) run is
  * reported: minimum-of-N is the standard estimator for "time with
@@ -132,7 +125,6 @@ struct Options
     std::string schemesList; // empty = the default (legacy) cells
     std::string cacheDir;    // empty = skip the warm-cache section
     bool trace = false;      // measure trace-replay ingest
-    unsigned runThreads = 0; // >0 = add the sharded-engine section
 };
 
 /**
@@ -195,15 +187,11 @@ main(int argc, char **argv)
             opt.cacheDir = argv[++i];
         } else if (arg == "--trace") {
             opt.trace = true;
-        } else if (arg == "--run-threads" && i + 1 < argc) {
-            opt.runThreads =
-                static_cast<unsigned>(std::atoi(argv[++i]));
         } else {
             std::fprintf(stderr,
                          "usage: %s [--quick] [--out FILE] "
                          "[--reps N] [--jobs N] [--schemes a,b,c] "
-                         "[--cache DIR] [--trace] "
-                         "[--run-threads N]\n",
+                         "[--cache DIR] [--trace]\n",
                          argv[0]);
             return 1;
         }
@@ -280,60 +268,6 @@ main(int argc, char **argv)
         }
     }
     doc.set("throughput", std::move(throughput));
-
-    // -- sharded-engine refs/sec (--run-threads) ------------------
-    if (opt.runThreads > 0) {
-        JsonValue sharded = JsonValue::object();
-        sharded.set("threads",
-                    static_cast<std::uint64_t>(opt.runThreads));
-        JsonValue rows = JsonValue::array();
-        for (const std::string bench : {"mcf", "gups"}) {
-            const BenchmarkProfile &profile =
-                ProfileRegistry::byName(bench);
-            for (const std::string scheme :
-                 {"Baseline", "POM-TLB"}) {
-                double best_wall = 0.0;
-                for (unsigned rep = 0; rep < reps; ++rep) {
-                    SystemConfig system = SystemConfig::table1();
-                    system.numCores = cores;
-                    EngineConfig engine_config;
-                    engine_config.refsPerCore = refs;
-                    engine_config.warmupRefsPerCore = warmup;
-                    engine_config.seed = 42;
-                    engine_config.runThreads = opt.runThreads;
-
-                    Machine machine(system, scheme);
-                    SimulationEngine engine(machine, profile,
-                                            engine_config);
-                    const auto start = Clock::now();
-                    const RunResult result = engine.run();
-                    const double wall = secondsSince(start);
-                    if (result.totals().refs != refs * cores)
-                        std::fprintf(stderr,
-                                     "unexpected ref count\n");
-                    if (rep == 0 || wall < best_wall)
-                        best_wall = wall;
-                }
-                const double refs_per_sec =
-                    static_cast<double>((refs + warmup) * cores) /
-                    best_wall;
-                std::printf("%-10s %-10s %12.0f refs/s "
-                            "(%.3f s, %u threads)\n",
-                            bench.c_str(), scheme.c_str(),
-                            refs_per_sec, best_wall,
-                            opt.runThreads);
-
-                JsonValue row = JsonValue::object();
-                row.set("benchmark", bench);
-                row.set("scheme", scheme);
-                row.set("refs_per_sec", refs_per_sec);
-                row.set("wall_sec", best_wall);
-                rows.push(std::move(row));
-            }
-        }
-        sharded.set("rows", std::move(rows));
-        doc.set("run_threads", std::move(sharded));
-    }
 
     // -- sweep experiments/sec ------------------------------------
     const unsigned hw = std::thread::hardware_concurrency();

@@ -145,26 +145,6 @@ def compare(baseline, current, use_calibration=True):
             rows.append((label, base_rate, cur_rate,
                          cur_rate / base_rate * scale))
 
-    # Sharded-engine cells (bench_throughput --run-threads): labeled
-    # "bench/scheme@tN" so a serial baseline never pairs with a
-    # sharded candidate, and only thread counts measured on both
-    # sides gate. A regression in the epoch-barrier executor drags
-    # these cells down without touching the serial ones.
-    base_sharded = baseline.get("run_threads", {})
-    cur_sharded = current.get("run_threads", {})
-    if base_sharded.get("threads") == cur_sharded.get("threads"):
-        threads = base_sharded.get("threads")
-        base_rows = {(r["benchmark"], r["scheme"]): r["refs_per_sec"]
-                     for r in base_sharded.get("rows", [])}
-        cur_rows = {(r["benchmark"], r["scheme"]): r["refs_per_sec"]
-                    for r in cur_sharded.get("rows", [])}
-        for key in sorted(base_rows):
-            if key not in cur_rows:
-                continue
-            label = f"{key[0]}/{key[1]}@t{threads}"
-            rows.append((label, base_rows[key], cur_rows[key],
-                         cur_rows[key] / base_rows[key] * scale))
-
     if rows:
         geomean = math.exp(
             sum(math.log(r[3]) for r in rows) / len(rows))
@@ -247,27 +227,6 @@ def selftest():
     assert abs(rows[-1][3] - 0.5) < 1e-9, rows
     rows, _ = compare(base, doc(1e6, 100, 4.0))
     assert all(not r[0].startswith("trace") for r in rows), rows
-
-    # The opt-in run_threads section (bench_throughput
-    # --run-threads) adds "@tN"-labeled cells when both documents
-    # measured the same thread count — and none when either side
-    # lacks the section or the counts differ.
-    def sharded(rate, threads=2):
-        out = doc(1e6, 100, 4.0)
-        out["run_threads"] = {
-            "threads": threads,
-            "rows": [{"benchmark": "mcf", "scheme": "POM-TLB",
-                      "refs_per_sec": rate}],
-        }
-        return out
-
-    rows, _ = compare(sharded(2e6), sharded(1e6))
-    assert rows[-1][0] == "mcf/POM-TLB@t2", rows
-    assert abs(rows[-1][3] - 0.5) < 1e-9, rows
-    rows, _ = compare(sharded(2e6), doc(1e6, 100, 4.0))
-    assert all("@t" not in r[0] for r in rows), rows
-    rows, _ = compare(sharded(2e6, 2), sharded(2e6, 4))
-    assert all("@t" not in r[0] for r in rows), rows
 
     # Wrong-schema documents are rejected by load(); emulate via the
     # calibration check, the other format error compare() raises.

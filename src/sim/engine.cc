@@ -6,74 +6,10 @@
 #include "common/hash_set.hh"
 #include "common/log.hh"
 #include "sim/clock_heap.hh"
-#include "sim/shard.hh"
 #include "trace/tracepack.hh"
 
 namespace pomtlb
 {
-
-namespace
-{
-
-/**
- * Records fetched per TraceSource::fill() when streaming directly
- * from a source (16 KB of records per core — small enough to stay
- * cache-resident, large enough to amortise the virtual call).
- */
-constexpr std::uint64_t streamBlockRecords = 1024;
-
-/**
- * Pre-population captures the trace for replay unless a core's
- * stream exceeds this many records (4 Mi records = 64 MB per core);
- * longer runs fall back to re-generating the stream, trading
- * generator time for bounded memory.
- */
-constexpr std::uint64_t replayCapRecords = std::uint64_t{1} << 22;
-
-/**
- * Default simulated-cycle length of one sharded-execution epoch
- * (EngineConfig::epochCycles == 0). Long enough that a barrier's
- * synchronization cost is amortized over hundreds of references per
- * core, short enough that the prefill buffers stay a small multiple
- * of the per-core working block.
- */
-constexpr Cycles defaultEpochCycles = 8192;
-
-/**
- * One first-touch page emitted by a sharded pre-population scan:
- * everything the serial install loop needs, in the order the owning
- * stream first touched it.
- */
-struct PrepopPage
-{
-    std::uint64_t key = 0;
-    Addr vaddr = 0;
-    PageSize pageSize = PageSize::Small4K;
-};
-
-} // namespace
-
-/**
- * Sharded-execution state: the worker pool plus each core's
- * prefilled next trace block (streaming mode only — capture mode
- * replays zero-copy slices and needs no prefill).
- */
-struct SimulationEngine::Shard
-{
-    explicit Shard(unsigned threads) : pool(threads) {}
-
-    ShardPool pool;
-    /** Per-core prefilled next block, swapped in by refill(). */
-    std::vector<std::vector<TraceRecord>> next;
-    /** Valid records in next[core]; 0 = drained (refill-eligible). */
-    std::vector<std::size_t> nextLen;
-    /** Sources that returned short on prefill — stop asking. */
-    std::vector<std::uint8_t> exhausted;
-    /** Scratch list of cores to prefill this barrier (no allocs). */
-    std::vector<std::uint32_t> batch;
-    /** Barriers taken across all phases (diagnostics only). */
-    std::uint64_t epochs = 0;
-};
 
 const RunTotals &
 RunResult::totals() const
@@ -115,20 +51,16 @@ RunResult::totals() const
 SimulationEngine::SimulationEngine(Machine &machine_ref,
                                    const BenchmarkProfile &bench,
                                    const EngineConfig &config)
-    : machine(machine_ref), profile(bench), engineConfig(config)
+    : machine(machine_ref), engineConfig(config)
 {
     const unsigned cores = machine.numCores();
+    std::vector<std::unique_ptr<TraceSource>> sources;
     sources.reserve(cores);
     if (!config.tracePackPath.empty()) {
         // Replay a recorded pack instead of generating: one shared
         // mmap-ed reader, core c on stream c % stream_count.
         auto pack = std::make_shared<TracePackReader>(
             config.tracePackPath);
-        // A sharded run fans the shared reader out to worker
-        // threads, so retire the lazy per-chunk verification (which
-        // writes a mutable flag cache) up front.
-        if (config.runThreads > 0)
-            pack->verifyAllChunks();
         for (unsigned core = 0; core < cores; ++core) {
             sources.push_back(std::make_unique<PackStreamSource>(
                 pack, core % pack->streamCount()));
@@ -138,115 +70,45 @@ SimulationEngine::SimulationEngine(Machine &machine_ref,
             config.seed ^ machine.config().seed;
         for (unsigned core = 0; core < cores; ++core) {
             sources.push_back(std::make_unique<GeneratorSource>(
-                profile, core, seed));
+                bench, core, seed));
         }
     }
-    initCores();
+    buildStreams(bench, std::move(sources));
 }
 
 SimulationEngine::SimulationEngine(
     Machine &machine_ref, const BenchmarkProfile &bench,
     const EngineConfig &config,
     std::vector<std::unique_ptr<TraceSource>> trace_sources)
-    : machine(machine_ref), profile(bench), engineConfig(config),
-      sources(std::move(trace_sources))
+    : machine(machine_ref), engineConfig(config)
 {
-    simAssert(sources.size() == machine.numCores(),
+    simAssert(trace_sources.size() == machine.numCores(),
               "need exactly one trace source per core");
-    initCores();
+    buildStreams(bench, std::move(trace_sources));
 }
 
-SimulationEngine::~SimulationEngine() = default;
-
 void
-SimulationEngine::initCores()
+SimulationEngine::buildStreams(
+    const BenchmarkProfile &profile,
+    std::vector<std::unique_ptr<TraceSource>> sources)
 {
     const unsigned cores = machine.numCores();
-    if (engineConfig.runThreads > 0) {
-        shard = std::make_unique<Shard>(engineConfig.runThreads);
-        shard->next.resize(cores);
-        for (std::vector<TraceRecord> &block : shard->next)
-            block.resize(streamBlockRecords);
-        shard->nextLen.assign(cores, 0);
-        shard->exhausted.assign(cores, 0);
-    }
-    coreVm = engineConfig.coreVm;
-    coreVm.resize(cores, coreVm.empty() ? VmId{1} : coreVm.back());
-    // Multithreaded workloads share one address space (one pid);
-    // rate-mode copies each run as their own process.
-    corePid.resize(cores);
+    std::vector<VmId> core_vm = engineConfig.coreVm;
+    core_vm.resize(cores, core_vm.empty() ? VmId{1} : core_vm.back());
     for (unsigned core = 0; core < cores; ++core) {
-        corePid[core] = static_cast<ProcessId>(
+        TenantStream stream;
+        stream.source = std::move(sources[core]);
+        stream.homeCore = core;
+        stream.vm = core_vm[core];
+        // Multithreaded workloads share one address space (one
+        // pid); rate-mode copies each run as their own process.
+        stream.pid = static_cast<ProcessId>(
             profile.multithreaded ? engineConfig.pidBase
                                   : engineConfig.pidBase + core);
+        stream.totalRefs =
+            engineConfig.warmupRefsPerCore + engineConfig.refsPerCore;
+        streams.add(std::move(stream));
     }
-}
-
-void
-SimulationEngine::refill(Lane &lane, unsigned core)
-{
-    if (!replay.empty()) {
-        // Replay mode: the block is a zero-copy slice of the captured
-        // stream, extended to everything not yet consumed — a lane
-        // refills at most once per phase.
-        const std::vector<TraceRecord> &records = replay[core];
-        simAssert(lane.consumed < records.size(),
-                  "captured trace exhausted");
-        lane.block = records.data() + lane.consumed;
-        lane.blockPos = 0;
-        lane.blockLen = records.size() - lane.consumed;
-        return;
-    }
-    if (shard && shard->nextLen[core] > 0) {
-        // Sharded streaming: swap in the block the workers prefilled
-        // at the last epoch barrier. The records are the very ones a
-        // synchronous fill() would have produced (each source is
-        // only ever advanced in stream order, by exactly one
-        // thread at a time), so consumption is unchanged.
-        lane.scratch.swap(shard->next[core]);
-        lane.block = lane.scratch.data();
-        lane.blockPos = 0;
-        lane.blockLen = shard->nextLen[core];
-        shard->nextLen[core] = 0;
-        return;
-    }
-    // Serial mode — or a sharded lane that outran its prefill before
-    // the next barrier. The pool is idle outside barriers, so the
-    // coordinator may touch the source directly.
-    const std::size_t got = sources[core]->fill(
-        lane.scratch.data(), lane.scratch.size());
-    simAssert(got > 0, "trace source exhausted");
-    lane.block = lane.scratch.data();
-    lane.blockPos = 0;
-    lane.blockLen = got;
-}
-
-void
-SimulationEngine::prefillBlocks()
-{
-    // Collect every drained prefill slot, then fill them in one
-    // parallel batch; each job touches only its own core's source
-    // and buffer. Slots still holding records are left alone — a
-    // lane's live block may alias its previously swapped buffer.
-    std::vector<std::uint32_t> &batch = shard->batch;
-    batch.clear();
-    for (std::uint32_t core = 0; core < shard->next.size(); ++core) {
-        if (shard->nextLen[core] == 0 && !shard->exhausted[core])
-            batch.push_back(core);
-    }
-    shard->pool.forEach(batch.size(), [this](std::size_t i) {
-        const std::uint32_t core = shard->batch[i];
-        std::vector<TraceRecord> &block = shard->next[core];
-        const std::size_t got =
-            sources[core]->fill(block.data(), block.size());
-        shard->nextLen[core] = got;
-        if (got == 0) {
-            // Finite source ran dry while reading ahead: not an
-            // error unless a lane actually demands more records,
-            // which the synchronous refill() path diagnoses.
-            shard->exhausted[core] = 1;
-        }
-    });
 }
 
 void
@@ -270,47 +132,23 @@ SimulationEngine::runPhase(std::vector<Lane> &lanes,
         heap.push(lanes[core].clock, core);
     }
 
-    // Sharded streaming mode chops the run into epochs of simulated
-    // cycles. The heap already drains references in global (clock,
-    // core) order, so when the earliest lane crosses the horizon,
-    // every cross-core effect below it has been applied — that point
-    // is the epoch barrier, where the workers prefill the next round
-    // of trace blocks in parallel. The barrier changes *when* pure
-    // work happens, never what the simulation computes, so results
-    // are independent of the epoch length (and of thread count);
-    // tests/test_shard_stress.cc hammers exactly that invariant.
-    // Capture-replay lanes stream zero-copy slices and need no
-    // barriers at all.
-    const bool stream_shard = shard != nullptr && replay.empty();
-    const Cycles epoch_len = engineConfig.epochCycles
-                                 ? engineConfig.epochCycles
-                                 : defaultEpochCycles;
-    Cycles epoch_end = 0;
-    if (stream_shard) {
-        prefillBlocks();
-        epoch_end = heap.topKey() + epoch_len;
-    }
-
     while (!heap.empty()) {
-        if (stream_shard && heap.topKey() >= epoch_end) {
-            prefillBlocks();
-            ++shard->epochs;
-            epoch_end = heap.topKey() + epoch_len;
-        }
         const std::uint32_t core = heap.topId();
         Lane &lane = lanes[core];
+        TenantStream &stream = streams.at(core);
         Mmu &mmu = *lane.mmu;
-        const VmId vm = lane.vm;
-        const ProcessId pid = lane.pid;
+        const VmId vm = stream.vm;
+        const ProcessId pid = stream.pid;
         Cycles clock = lane.clock;
 
         // Run this lane until it either finishes the phase or stops
         // being globally earliest; only then touch the heap.
         for (;;) {
-            if (lane.blockPos == lane.blockLen)
-                refill(lane, core);
-            const TraceRecord &record = lane.block[lane.blockPos++];
-            ++lane.consumed;
+            if (stream.blockPos == stream.blockLen)
+                streams.refill(stream);
+            const TraceRecord &record =
+                stream.block[stream.blockPos++];
+            ++stream.consumed;
 
             // Non-memory instructions retire at one per cycle.
             clock += record.instGap;
@@ -349,57 +187,49 @@ SimulationEngine::runPhase(std::vector<Lane> &lanes,
     }
 }
 
-void
-SimulationEngine::prepopulate()
+bool
+prepopulateStreams(Machine &machine, TenantStreamSet &streams)
 {
-    if (shard) {
-        prepopulateSharded();
-        return;
-    }
-    const unsigned cores = machine.numCores();
-    const std::uint64_t per_core =
-        engineConfig.warmupRefsPerCore + engineConfig.refsPerCore;
-
-    // Capture the stream while enumerating it so the timed run can
-    // replay the records instead of re-generating them.
-    const bool capture = per_core <= replayCapRecords;
-    replay.clear();
-    if (capture)
-        replay.resize(cores);
-
+    // Capture the streams while enumerating them so the timed run
+    // can replay the records instead of re-generating them.
+    const bool capture = streams.captureEligible();
     MemoryMap &map = machine.memoryMap();
     U64Set seen(std::size_t{1} << 16);
     std::vector<TraceRecord> chunk;
-    if (!capture)
-        chunk.resize(streamBlockRecords);
+    if (!capture) {
+        chunk.resize(static_cast<std::size_t>(
+            TenantStreamSet::streamBlockRecords));
+    }
 
-    for (unsigned core = 0; core < cores; ++core) {
-        // Replay exactly the stream the timed run will issue.
-        TraceSource &dry = *sources[core];
+    for (std::size_t s = 0; s < streams.size(); ++s) {
+        TenantStream &stream = streams.at(s);
+        const std::uint64_t total = stream.totalRefs;
+        // Replay exactly the records the timed run will issue.
+        TraceSource &dry = *stream.source;
         dry.rewind();
-        const VmId vm = coreVm[core];
-        const ProcessId pid = corePid[core];
+        const VmId vm = stream.vm;
+        const ProcessId pid = stream.pid;
         // Dedup key covers (page, pid, vm): the same page may need
         // separate entries per process and per VM.
         const std::uint64_t space_key =
             mix64((static_cast<std::uint64_t>(pid) << 16) | vm);
 
         if (capture)
-            replay[core].resize(per_core);
+            stream.replay.resize(total);
 
         std::uint64_t done = 0;
         std::uint64_t last_key = ~std::uint64_t{0};
-        while (done < per_core) {
+        while (done < total) {
             TraceRecord *block;
             std::size_t want;
             if (capture) {
-                block = replay[core].data() + done;
-                want = static_cast<std::size_t>(per_core - done);
+                block = stream.replay.data() + done;
+                want = static_cast<std::size_t>(total - done);
             } else {
                 block = chunk.data();
                 want = static_cast<std::size_t>(
                     std::min<std::uint64_t>(chunk.size(),
-                                            per_core - done));
+                                            total - done));
             }
             const std::size_t got = dry.fill(block, want);
             simAssert(got == want, "trace source exhausted during "
@@ -419,8 +249,8 @@ SimulationEngine::prepopulate()
                 const TranslationInfo info = map.ensureMapped(
                     vm, pid, record.vaddr, record.pageSize);
                 machine.scheme().prewarm(
-                    core, record.vaddr, record.pageSize, vm, pid,
-                    info.hpa >> pageShift(record.pageSize));
+                    stream.homeCore, record.vaddr, record.pageSize,
+                    vm, pid, info.hpa >> pageShift(record.pageSize));
             }
             done += got;
         }
@@ -428,105 +258,7 @@ SimulationEngine::prepopulate()
         // replay the capture instead of re-reading it.
         dry.rewind();
     }
-}
-
-void
-SimulationEngine::prepopulateSharded()
-{
-    const unsigned cores = machine.numCores();
-    const std::uint64_t per_core =
-        engineConfig.warmupRefsPerCore + engineConfig.refsPerCore;
-    const bool capture = per_core <= replayCapRecords;
-    replay.clear();
-    if (capture)
-        replay.resize(cores);
-
-    // Any prefilled blocks left over from an earlier run() were read
-    // past the rewind below — drop them.
-    std::fill(shard->nextLen.begin(), shard->nextLen.end(), 0);
-    std::fill(shard->exhausted.begin(), shard->exhausted.end(), 0);
-
-    // Stage 1 (parallel, order-free): each worker enumerates one
-    // core's stream — capturing it for the timed run's replay when
-    // it fits the cap — and emits the stream's first-touch pages in
-    // stream order. This is the bulk of pre-population (generator
-    // work, hashing, in-stream dedup) and touches no shared machine
-    // state: per-core sources, captures, and candidate lists are
-    // disjoint.
-    std::vector<std::vector<PrepopPage>> first_touch(cores);
-    shard->pool.forEach(cores, [&](std::size_t core) {
-        TraceSource &dry = *sources[core];
-        dry.rewind();
-        const VmId vm = coreVm[core];
-        const ProcessId pid = corePid[core];
-        const std::uint64_t space_key =
-            mix64((static_cast<std::uint64_t>(pid) << 16) | vm);
-        std::vector<PrepopPage> &pages = first_touch[core];
-        U64Set stream_seen(std::size_t{1} << 14);
-        std::vector<TraceRecord> chunk;
-        if (capture)
-            replay[core].resize(per_core);
-        else
-            chunk.resize(streamBlockRecords);
-
-        std::uint64_t done = 0;
-        std::uint64_t last_key = ~std::uint64_t{0};
-        while (done < per_core) {
-            TraceRecord *block;
-            std::size_t want;
-            if (capture) {
-                block = replay[core].data() + done;
-                want = static_cast<std::size_t>(per_core - done);
-            } else {
-                block = chunk.data();
-                want = static_cast<std::size_t>(
-                    std::min<std::uint64_t>(chunk.size(),
-                                            per_core - done));
-            }
-            const std::size_t got = dry.fill(block, want);
-            simAssert(got == want, "trace source exhausted during "
-                                   "steady-state pre-population");
-            for (std::size_t i = 0; i < got; ++i) {
-                const TraceRecord &record = block[i];
-                const Addr page =
-                    pageBase(record.vaddr, record.pageSize);
-                const std::uint64_t key = mix64(page) ^ space_key;
-                if (key == last_key)
-                    continue;
-                last_key = key;
-                if (stream_seen.insert(key))
-                    pages.push_back(
-                        {key, record.vaddr, record.pageSize});
-            }
-            done += got;
-        }
-        dry.rewind();
-    });
-
-    // Stage 2 (serial, deterministic): install the globally novel
-    // pages in core order. The serial prepopulate() processes cores
-    // sequentially against one global seen-set, so its install
-    // sequence is "core 0's in-stream first touches, then core 1's
-    // not already seen, ...". Filtering each core's ordered
-    // first-touch list through the same global set reproduces that
-    // ensureMapped()/prewarm() call sequence exactly — page tables,
-    // frame-allocation order, and scheme stores come out
-    // bit-identical.
-    MemoryMap &map = machine.memoryMap();
-    U64Set seen(std::size_t{1} << 16);
-    for (unsigned core = 0; core < cores; ++core) {
-        const VmId vm = coreVm[core];
-        const ProcessId pid = corePid[core];
-        for (const PrepopPage &page : first_touch[core]) {
-            if (!seen.insert(page.key))
-                continue;
-            const TranslationInfo info = map.ensureMapped(
-                vm, pid, page.vaddr, page.pageSize);
-            machine.scheme().prewarm(
-                core, page.vaddr, page.pageSize, vm, pid,
-                info.hpa >> pageShift(page.pageSize));
-        }
-    }
+    return capture;
 }
 
 RunResult
@@ -534,20 +266,13 @@ SimulationEngine::run()
 {
     const unsigned cores = machine.numCores();
 
-    if (engineConfig.prepopulate)
-        prepopulate();
-    else
-        replay.clear();
+    const bool captured = engineConfig.prepopulate &&
+                          prepopulateStreams(machine, streams);
+    streams.beginRun(captured);
 
     std::vector<Lane> lanes(cores);
-    for (unsigned core = 0; core < cores; ++core) {
-        Lane &lane = lanes[core];
-        lane.mmu = &machine.mmu(core);
-        lane.vm = coreVm[core];
-        lane.pid = corePid[core];
-        if (replay.empty())
-            lane.scratch.resize(streamBlockRecords);
-    }
+    for (unsigned core = 0; core < cores; ++core)
+        lanes[core].mmu = &machine.mmu(core);
 
     // Warmup: populate TLBs, caches, page tables, POM-TLB.
     const std::uint64_t warmup = engineConfig.warmupRefsPerCore;
@@ -587,8 +312,7 @@ SimulationEngine::run()
 
     // The capture can be tens of megabytes; do not hold it between
     // runs (a later run() re-captures during its pre-population).
-    replay.clear();
-    replay.shrink_to_fit();
+    streams.releaseCaptures();
     return result;
 }
 

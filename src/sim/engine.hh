@@ -21,15 +21,13 @@
  * A warmup phase runs before statistics are reset, so reported rates
  * are steady-state.
  *
- * Sharded execution (EngineConfig::runThreads) adds worker threads
- * without giving up one bit of that determinism: workers only run
- * the order-independent half of the work (trace generation, capture,
- * pre-population scans, block prefill, handed over at epoch
- * barriers), while the coordinating thread applies every cross-core
- * effect through the same heap loop in the same (clock, core) order.
- * Serial and sharded runs of any thread count, shard partition, or
- * epoch length therefore produce byte-identical statistics
- * (docs/internals.md §14).
+ * Each core's trace is one stream of a TenantStreamSet
+ * (trace/interleave.hh), homed on that core, and pre-population is
+ * prepopulateStreams() below: the same stream cursor and the same
+ * install loop the scenario engine uses, which is what keeps a
+ * one-tenant scenario byte-identical to a classic run. A run is
+ * single-threaded; independent runs parallelise through the sweep
+ * worker pool (`--jobs`, docs/internals.md §14).
  */
 
 #ifndef POMTLB_SIM_ENGINE_HH
@@ -41,6 +39,7 @@
 
 #include "common/types.hh"
 #include "sim/machine.hh"
+#include "trace/interleave.hh"
 #include "trace/profile.hh"
 #include "trace/source.hh"
 
@@ -92,28 +91,6 @@ struct EngineConfig
      * up normally during the warmup phase.
      */
     bool prepopulate = true;
-    /**
-     * Intra-run sharding: worker threads that run the order-
-     * independent half of a run — trace generation, stream capture,
-     * pre-population page scanning, block prefill — while the
-     * coordinating thread applies every cross-core effect (cache and
-     * DRAM-cache state, POM-TLB fills, shootdown broadcasts, stat
-     * deltas) in exact (clock, core) order at epoch barriers. 0 runs
-     * everything on the calling thread. Results are bit-identical
-     * for every value (docs/internals.md §14; enforced by
-     * tests/test_engine_sharded.cc), which is why this field — like
-     * epochCycles — is deliberately excluded from the sweep-cache
-     * job identity (engineConfigJson() in sim/sweep_cache.cc).
-     */
-    unsigned runThreads = 0;
-    /**
-     * Simulated-cycle length of one sharded-execution epoch: the
-     * horizon at which the coordinator takes a barrier and issues
-     * the next batch of parallel block prefills. 0 picks the default
-     * (8192 cycles). Affects only synchronization cadence, never
-     * results, and is excluded from job identity with runThreads.
-     */
-    Cycles epochCycles = 0;
 };
 
 /** Per-core results of a run. */
@@ -196,91 +173,60 @@ class SimulationEngine
                      const EngineConfig &config,
                      std::vector<std::unique_ptr<TraceSource>> sources);
 
-    ~SimulationEngine();
-
     /** Run warmup + measured phases; returns measured-phase stats. */
     RunResult run();
 
   private:
     /**
-     * Per-core execution lane: the core's clock, its current trace
-     * block, and the stats deltas it accumulates locally (flushed
-     * into the RunResult at phase boundaries). Sized once per run —
-     * nothing here allocates on the per-reference path.
+     * Per-core execution lane: the core's clock and the stats deltas
+     * it accumulates locally (flushed into the RunResult at phase
+     * boundaries). The core's trace cursor is its stream in
+     * @c streams. Nothing here allocates on the per-reference path.
      */
     struct Lane
     {
         Cycles clock = 0;
-        /** Records consumed from the source this run. */
-        std::uint64_t consumed = 0;
         /** References issued in the current phase. */
         std::uint64_t phaseDone = 0;
-        /** Current trace block (replay slice or scratch buffer). */
-        const TraceRecord *block = nullptr;
-        std::uint64_t blockPos = 0;
-        std::uint64_t blockLen = 0;
-        /** Scratch block when streaming straight from the source. */
-        std::vector<TraceRecord> scratch;
         Mmu *mmu = nullptr;
-        VmId vm = 1;
-        ProcessId pid = 1;
         InstCount instructions = 0;
         std::uint64_t pageWalks = 0;
         std::uint64_t shootdowns = 0;
     };
 
-    /** Common constructor tail (VM map, per-core state, sharding). */
-    void initCores();
-
-    /** Refill @p lane's block from its replay slice or source. */
-    void refill(Lane &lane, unsigned core);
+    /**
+     * Common constructor tail: stream c wraps @p sources[c], homed
+     * on core c, in the core's VM and process (@p profile decides
+     * whether the cores share one pid).
+     */
+    void buildStreams(
+        const BenchmarkProfile &profile,
+        std::vector<std::unique_ptr<TraceSource>> sources);
 
     /** Issue references until every lane has done @p target refs. */
     void runPhase(std::vector<Lane> &lanes, std::uint64_t target);
 
-    /** Dry-run the whole trace to pre-install steady-state pages. */
-    void prepopulate();
-
-    /**
-     * Sharded pre-population (runThreads > 0): worker threads scan
-     * and capture every core's stream in parallel, each emitting its
-     * stream's first-touch pages in order; the coordinator then
-     * installs the globally novel ones serially in core order —
-     * exactly the serial prepopulate()'s ensureMapped()/prewarm()
-     * call sequence, so the page tables and scheme stores end up
-     * bit-identical.
-     */
-    void prepopulateSharded();
-
-    /**
-     * Epoch barrier of a sharded streaming run: top up every drained
-     * core's prefill buffer with one parallel batch of
-     * TraceSource::fill() calls.
-     */
-    void prefillBlocks();
-
     Machine &machine;
-    BenchmarkProfile profile;
     EngineConfig engineConfig;
-    std::vector<std::unique_ptr<TraceSource>> sources;
-    std::vector<VmId> coreVm;
-    std::vector<ProcessId> corePid;
-    /**
-     * When pre-population captured the trace, the timed run replays
-     * these per-core record vectors instead of re-generating the
-     * stream (one capture, two uses).
-     */
-    std::vector<std::vector<TraceRecord>> replay;
+    /** One stream per core (stream id = core = home core). */
+    TenantStreamSet streams;
     std::uint64_t refsSinceShootdown = 0;
-    /**
-     * Sharded-execution state (worker pool and per-core prefill
-     * buffers); non-null only when engineConfig.runThreads > 0. The
-     * type lives in engine.cc — nothing about sharding leaks into
-     * the public surface beyond the two EngineConfig knobs.
-     */
-    struct Shard;
-    std::unique_ptr<Shard> shard;
 };
+
+/**
+ * Steady-state pre-population, shared by SimulationEngine and
+ * ScenarioEngine. Enumerates every stream of @p streams in stream
+ * order — exactly the TenantStream::totalRefs records its timed run
+ * will issue — and installs each first-touched (page, pid, VM) in
+ * the page tables and the scheme's persistent translation store,
+ * deduplicated through one set across all streams. When every
+ * stream fits TenantStreamSet::replayCapRecords the records are
+ * captured for the timed run's replay. Leaves every source rewound.
+ *
+ * @return whether the streams were captured (the argument of
+ *         TenantStreamSet::beginRun()).
+ */
+bool prepopulateStreams(Machine &machine, TenantStreamSet &streams);
 
 } // namespace pomtlb
 

@@ -12,12 +12,10 @@
 
 #include "common/bitutil.hh"
 #include "common/content_hash.hh"
-#include "common/hash_set.hh"
 #include "common/log.hh"
 #include "sim/clock_heap.hh"
 #include "sim/machine.hh"
 #include "sim/scheme_registry.hh"
-#include "sim/shard.hh"
 #include "sim/stats_export.hh"
 #include "tlb/core_tlbs.hh"
 #include "trace/profile.hh"
@@ -41,17 +39,6 @@ canonicalScheme(const std::string &scheme)
         SchemeRegistry::global().find(scheme);
     return info ? info->name : scheme;
 }
-
-/**
- * One stream-order first-touch candidate from the parallel
- * pre-population scan (the scenario twin of engine.cc's PrepopPage).
- */
-struct PrepopPage
-{
-    std::uint64_t key;
-    Addr vaddr;
-    PageSize pageSize;
-};
 
 } // namespace
 
@@ -207,14 +194,10 @@ ScenarioEngine::ScenarioEngine(Machine &machine_ref,
     totalPerCore =
         engineConfig.warmupRefsPerCore + engineConfig.refsPerCore;
     tenants = spec.resolvedTenants();
-    if (engineConfig.runThreads > 0)
-        pool = std::make_unique<ShardPool>(engineConfig.runThreads);
     buildStreams();
     buildSchedule();
     buildRegistry();
 }
-
-ScenarioEngine::~ScenarioEngine() = default;
 
 void
 ScenarioEngine::buildStreams()
@@ -239,12 +222,6 @@ ScenarioEngine::buildStreams()
             if (!slot) {
                 slot = std::make_shared<TracePackReader>(
                     tenant.tracePack);
-                // Sharded pre-population reads shared packs from
-                // several workers at once; verify every chunk up
-                // front so the lazy per-chunk verification cache
-                // never races (trace/tracepack.hh).
-                if (pool)
-                    slot->verifyAllChunks();
             }
             pack = slot;
         }
@@ -484,169 +461,6 @@ ScenarioEngine::recordPack(const std::string &path)
 }
 
 void
-ScenarioEngine::prepopulate()
-{
-    captured = streams.captureEligible();
-    if (pool) {
-        prepopulateSharded();
-        return;
-    }
-    MemoryMap &map = machine.memoryMap();
-    U64Set seen(std::size_t{1} << 16);
-    std::vector<TraceRecord> chunk;
-    if (!captured) {
-        chunk.resize(static_cast<std::size_t>(
-            TenantStreamSet::streamBlockRecords));
-    }
-
-    for (std::size_t s = 0; s < streams.size(); ++s) {
-        TenantStream &stream = streams.at(s);
-        const std::uint64_t per_stream = stream.totalRefs;
-        // Replay exactly the records the timed run will issue.
-        TraceSource &dry = *stream.source;
-        dry.rewind();
-        const VmId vm = stream.vm;
-        const ProcessId pid = stream.pid;
-        // Dedup key covers (page, pid, vm): the same page may need
-        // separate entries per process and per VM.
-        const std::uint64_t space_key =
-            mix64((static_cast<std::uint64_t>(pid) << 16) | vm);
-
-        if (captured)
-            stream.replay.resize(per_stream);
-
-        std::uint64_t done = 0;
-        std::uint64_t last_key = ~std::uint64_t{0};
-        while (done < per_stream) {
-            TraceRecord *block;
-            std::size_t want;
-            if (captured) {
-                block = stream.replay.data() + done;
-                want = static_cast<std::size_t>(per_stream - done);
-            } else {
-                block = chunk.data();
-                want = static_cast<std::size_t>(
-                    std::min<std::uint64_t>(chunk.size(),
-                                            per_stream - done));
-            }
-            const std::size_t got = dry.fill(block, want);
-            simAssert(got == want, "trace source exhausted during "
-                                   "steady-state pre-population");
-            for (std::size_t i = 0; i < got; ++i) {
-                const TraceRecord &record = block[i];
-                const Addr page =
-                    pageBase(record.vaddr, record.pageSize);
-                const std::uint64_t key = mix64(page) ^ space_key;
-                // Page-local runs dominate the streams: skip the set
-                // probe when the key repeats back-to-back.
-                if (key == last_key)
-                    continue;
-                last_key = key;
-                if (!seen.insert(key))
-                    continue;
-                const TranslationInfo info = map.ensureMapped(
-                    vm, pid, record.vaddr, record.pageSize);
-                machine.scheme().prewarm(
-                    stream.homeCore, record.vaddr, record.pageSize,
-                    vm, pid,
-                    info.hpa >> pageShift(record.pageSize));
-            }
-            done += got;
-        }
-        // Leave the source rewound whether or not the timed run will
-        // replay the capture instead of re-reading it.
-        dry.rewind();
-    }
-}
-
-void
-ScenarioEngine::prepopulateSharded()
-{
-    // Stage 1 (parallel, order-free): each worker enumerates one
-    // tenant stream — capturing it for the timed run's replay when
-    // captures are eligible — and emits the stream's first-touch
-    // pages in stream order. Streams' sources, captures, and
-    // candidate lists are disjoint; shared pack readers are
-    // pre-verified in buildStreams(), so their reads are const.
-    std::vector<std::vector<PrepopPage>> first_touch(streams.size());
-    pool->forEach(streams.size(), [&](std::size_t s) {
-        TenantStream &stream = streams.at(s);
-        const std::uint64_t per_stream = stream.totalRefs;
-        TraceSource &dry = *stream.source;
-        dry.rewind();
-        const VmId vm = stream.vm;
-        const ProcessId pid = stream.pid;
-        const std::uint64_t space_key =
-            mix64((static_cast<std::uint64_t>(pid) << 16) | vm);
-        std::vector<PrepopPage> &pages = first_touch[s];
-        U64Set stream_seen(std::size_t{1} << 14);
-        std::vector<TraceRecord> chunk;
-        if (captured)
-            stream.replay.resize(per_stream);
-        else
-            chunk.resize(static_cast<std::size_t>(
-                TenantStreamSet::streamBlockRecords));
-
-        std::uint64_t done = 0;
-        std::uint64_t last_key = ~std::uint64_t{0};
-        while (done < per_stream) {
-            TraceRecord *block;
-            std::size_t want;
-            if (captured) {
-                block = stream.replay.data() + done;
-                want = static_cast<std::size_t>(per_stream - done);
-            } else {
-                block = chunk.data();
-                want = static_cast<std::size_t>(
-                    std::min<std::uint64_t>(chunk.size(),
-                                            per_stream - done));
-            }
-            const std::size_t got = dry.fill(block, want);
-            simAssert(got == want, "trace source exhausted during "
-                                   "steady-state pre-population");
-            for (std::size_t i = 0; i < got; ++i) {
-                const TraceRecord &record = block[i];
-                const Addr page =
-                    pageBase(record.vaddr, record.pageSize);
-                const std::uint64_t key = mix64(page) ^ space_key;
-                if (key == last_key)
-                    continue;
-                last_key = key;
-                if (stream_seen.insert(key))
-                    pages.push_back(
-                        {key, record.vaddr, record.pageSize});
-            }
-            done += got;
-        }
-        dry.rewind();
-    });
-
-    // Stage 2 (serial, deterministic): install the globally novel
-    // pages in stream order. The serial prepopulate() walks streams
-    // sequentially against one global seen-set; filtering each
-    // stream's ordered first-touch list through the same global set
-    // reproduces its ensureMapped()/prewarm() call sequence exactly,
-    // so page tables, frame-allocation order, and scheme stores come
-    // out bit-identical.
-    MemoryMap &map = machine.memoryMap();
-    U64Set seen(std::size_t{1} << 16);
-    for (std::size_t s = 0; s < streams.size(); ++s) {
-        TenantStream &stream = streams.at(s);
-        const VmId vm = stream.vm;
-        const ProcessId pid = stream.pid;
-        for (const PrepopPage &page : first_touch[s]) {
-            if (!seen.insert(page.key))
-                continue;
-            const TranslationInfo info = map.ensureMapped(
-                vm, pid, page.vaddr, page.pageSize);
-            machine.scheme().prewarm(
-                stream.homeCore, page.vaddr, page.pageSize, vm, pid,
-                info.hpa >> pageShift(page.pageSize));
-        }
-    }
-}
-
-void
 ScenarioEngine::migratePages(unsigned tenant_index, Lane &lane,
                              Cycles &clock)
 {
@@ -851,12 +665,8 @@ ScenarioEngine::run()
         ++runtimes[streams.at(s).tenant].activeStreams;
     departures = migrations = stormShootdowns = 0;
 
-    if (engineConfig.prepopulate) {
-        prepopulate();
-    } else {
-        captured = false;
-        streams.releaseCaptures();
-    }
+    const bool captured = engineConfig.prepopulate &&
+                          prepopulateStreams(machine, streams);
     streams.beginRun(captured);
 
     lanes.assign(cores, Lane{});

@@ -21,11 +21,14 @@
  *    tenant arrival/departure boundaries into segments, and each
  *    segment is round-robin time-sliced (`timeSliceRefs` references
  *    per quantum) among the streams resident in it;
+ *  - pre-population and the stream cursor are shared with the
+ *    classic engine, not mirrored: both call prepopulateStreams()
+ *    (sim/engine.hh) and refill through TenantStreamSet;
  *  - the per-reference execution loop is operation-for-operation the
  *    one in SimulationEngine::runPhase, so a scenario with a single
  *    always-resident tenant whose vCPUs cover every core reproduces
- *    the classic engine **byte-identically** (golden-checked in
- *    tests/test_scenario.cc);
+ *    the classic engine **byte-identically**, captured or streamed
+ *    (checked in tests/test_scenario.cc);
  *  - tenant lifecycle events are modeled OS work: an arrival migrates
  *    pages (unmap + shootdown + remap), a mid-run departure broadcasts
  *    a VM-wide shootdown, and an optional storm schedule shoots down
@@ -53,7 +56,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -69,7 +71,6 @@ namespace pomtlb
 {
 
 class Machine;
-class ShardPool;
 
 /** Schema identifier of the scenario export document. */
 inline constexpr const char *kScenarioSchemaV1 = "pomtlb-scenario-v1";
@@ -316,8 +317,6 @@ class ScenarioEngine
      */
     ScenarioEngine(Machine &machine, const ScenarioSpec &spec);
 
-    ~ScenarioEngine();
-
     /** Run warmup + measured phases; returns measured-phase stats. */
     ScenarioResult run();
 
@@ -407,18 +406,6 @@ class ScenarioEngine
     void buildStreams();
     void buildSchedule();
     void buildRegistry();
-    void prepopulate();
-    /**
-     * Sharded pre-population (engine.runThreads > 0): worker threads
-     * scan and capture every tenant stream in parallel, each
-     * emitting its stream's first-touch pages in order; the
-     * coordinator installs the globally novel ones serially in
-     * stream order — the serial prepopulate()'s exact
-     * ensureMapped()/prewarm() sequence, so sharded scenarios stay
-     * byte-identical (the scenario twin of
-     * SimulationEngine::prepopulateSharded()).
-     */
-    void prepopulateSharded();
     void runPhase(std::uint64_t target);
     /** Switch @p lane to its next slice (lifecycle events fire). */
     void advanceSlice(Lane &lane, unsigned core, Cycles &clock);
@@ -439,15 +426,6 @@ class ScenarioEngine
     StatGroup tenantsGroup{"tenants"};
     StatsRegistry scenarioRegistry;
     std::vector<Lane> lanes;
-    /**
-     * Worker pool for the order-free half of pre-population;
-     * non-null only when engineConfig.runThreads > 0. The timed
-     * scenario loop itself stays on the coordinating thread — it is
-     * exactly the cross-core effect application that sharding must
-     * serialize anyway (docs/internals.md §14).
-     */
-    std::unique_ptr<ShardPool> pool;
-    bool captured = false;
     std::uint64_t refsSinceShootdown = 0;
     std::uint64_t refsSinceStorm = 0;
     std::uint64_t departures = 0;

@@ -198,11 +198,9 @@ engineConfigJson(const EngineConfig &config)
     if (!config.tracePackPath.empty())
         object.set("trace_pack_hash",
                    tracePackContentHash(config.tracePackPath));
-    // runThreads and epochCycles are deliberately NOT part of the
-    // identity: they choose an execution strategy, not a simulated
-    // configuration, and sharded runs are bit-identical to serial
-    // ones (docs/internals.md §14, tests/test_engine_sharded.cc) —
-    // so a cache entry computed at any thread count serves them all.
+    // Every EngineConfig field is part of the identity; the one
+    // execution knob left out of a job's identity is
+    // ExperimentConfig::sweepJobs (sim/sweep_cache.hh).
     return object;
 }
 

@@ -47,7 +47,7 @@ TenantStreamSet::refill(TenantStream &stream)
         // a stream refills at most once per run.
         const std::vector<TraceRecord> &records = stream.replay;
         simAssert(stream.consumed < records.size(),
-                  "captured tenant stream exhausted");
+                  "captured trace stream exhausted");
         stream.block = records.data() + stream.consumed;
         stream.blockPos = 0;
         stream.blockLen = records.size() - stream.consumed;
@@ -55,7 +55,7 @@ TenantStreamSet::refill(TenantStream &stream)
     }
     const std::size_t got = stream.source->fill(
         stream.scratch.data(), stream.scratch.size());
-    simAssert(got > 0, "tenant trace source exhausted");
+    simAssert(got > 0, "trace source exhausted");
     stream.block = stream.scratch.data();
     stream.blockPos = 0;
     stream.blockLen = got;

@@ -1,21 +1,23 @@
 /**
  * @file
- * Per-tenant interleaved trace streams for the scenario engine.
+ * Buffered trace-stream cursors, the one stream cursor of both
+ * simulation engines.
  *
- * A consolidation scenario time-shares each simulated core between
- * many tenant vCPU streams. Every stream keeps its own buffered
- * cursor into its TraceSource — current block, position, consumed
- * count — so the scenario engine can park a stream mid-block at a
- * time-slice boundary and resume it later without disturbing the
- * stream's content. The buffering discipline (block size, capture
- * cap, replay slices) mirrors sim/engine.cc exactly, which is what
- * makes a degenerate single-tenant scenario reproduce the classic
- * engine byte-for-byte.
+ * Every stream keeps its own buffered cursor into its TraceSource —
+ * current block, position, consumed count — so an engine can park a
+ * stream mid-block and resume it later without disturbing the
+ * stream's content. The scenario engine time-shares each simulated
+ * core between many tenant vCPU streams; the classic engine
+ * (sim/engine.hh) holds one stream per core, homed on that core.
+ * Because both refill through the same TenantStreamSet, a
+ * degenerate single-tenant scenario reproduces the classic engine
+ * byte-for-byte.
  *
- * A stream's records are captured during pre-population (when every
- * stream fits the per-stream cap) and replayed by the timed run, or
- * re-generated through a per-stream scratch block when any stream is
- * too long — the same two regimes as SimulationEngine.
+ * A stream's records are captured during pre-population
+ * (prepopulateStreams() in sim/engine.hh, when every stream fits
+ * the per-stream cap) and replayed by the timed run, or
+ * re-generated through a per-stream scratch block when any stream
+ * is too long.
  */
 
 #ifndef POMTLB_TRACE_INTERLEAVE_HH
@@ -33,15 +35,16 @@ namespace pomtlb
 {
 
 /**
- * One tenant vCPU's trace stream plus its buffered cursor. A stream
- * is pinned to one home core and one (VM, process) address space;
- * the scenario compiler decides when the home core runs it.
+ * One trace stream (a tenant vCPU, or one core of a classic run)
+ * plus its buffered cursor. A stream is pinned to one home core and
+ * one (VM, process) address space; the engine decides when the home
+ * core runs it.
  */
 struct TenantStream
 {
     /** The underlying rewindable record stream. */
     std::unique_ptr<TraceSource> source;
-    /** Index of the owning tenant in the resolved-tenant list. */
+    /** Index of the owning tenant (0 in a classic run). */
     unsigned tenant = 0;
     /** Core this stream executes on. */
     CoreId homeCore = 0;
@@ -68,19 +71,24 @@ struct TenantStream
 };
 
 /**
- * The set of tenant streams of one scenario: storage, the
- * capture-or-stream decision, and the block refill discipline —
- * the multi-tenant twin of SimulationEngine's per-core lanes.
+ * The streams of one run: storage, the capture-or-stream decision,
+ * and the block refill discipline.
  */
 class TenantStreamSet
 {
   public:
-    /** Records fetched per TraceSource::fill() when streaming. */
+    /**
+     * Records fetched per TraceSource::fill() when streaming (16 KB
+     * of records per stream — small enough to stay cache-resident,
+     * large enough to amortise the virtual call).
+     */
     static constexpr std::uint64_t streamBlockRecords = 1024;
 
     /**
-     * Pre-population captures a stream for replay unless it exceeds
-     * this many records (the cap sim/engine.cc applies per core).
+     * Pre-population captures the streams for replay unless one
+     * exceeds this many records (4 Mi records = 64 MB per stream);
+     * longer runs fall back to re-generating the streams, trading
+     * generator time for bounded memory.
      */
     static constexpr std::uint64_t replayCapRecords =
         std::uint64_t{1} << 22;
@@ -119,7 +127,7 @@ class TenantStreamSet
      * Refill @p stream's exhausted block: a zero-copy slice of the
      * capture (everything not yet consumed — one refill per run), or
      * one fill() of the scratch block. Fatal if the stream is
-     * exhausted, exactly like SimulationEngine::refill.
+     * exhausted.
      */
     void refill(TenantStream &stream);
 

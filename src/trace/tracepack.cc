@@ -749,17 +749,6 @@ TracePackReader::verifyChunk(std::size_t stream,
     chunkVerified[ref.fileIndex] = 1;
 }
 
-void
-TracePackReader::verifyAllChunks() const
-{
-    for (std::size_t stream = 0; stream < streamChunks.size();
-         ++stream) {
-        for (std::size_t chunk = 0;
-             chunk < streamChunks[stream].size(); ++chunk)
-            verifyChunk(stream, chunk);
-    }
-}
-
 std::size_t
 TracePackReader::read(std::size_t stream, std::uint64_t pos,
                       TraceRecord *out, std::size_t n) const

@@ -236,20 +236,11 @@ class TracePackReader
      * record @p pos into @p out; returns the number decoded (short
      * when the stream ends). Verifies each chunk's checksum on first
      * touch; a mismatch throws a TraceError naming path and chunk.
+     * That first touch writes a flag cache, so a reader must not be
+     * read from two threads at once.
      */
     std::size_t read(std::size_t stream, std::uint64_t pos,
                      TraceRecord *out, std::size_t n) const;
-
-    /**
-     * Eagerly verify every retained chunk's checksum (a mismatch
-     * throws the same path-and-chunk-named TraceError a lazy first
-     * touch would). Sharded runs (EngineConfig::runThreads) call
-     * this before fanning a shared reader out to worker threads:
-     * lazy verification writes the mutable verified-flag cache, so
-     * pre-verifying is what makes concurrent read()s of disjoint
-     * streams data-race-free.
-     */
-    void verifyAllChunks() const;
 
   private:
     struct ChunkRef

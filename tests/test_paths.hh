@@ -3,7 +3,7 @@
  * Temporary file paths unique to the running test.
  *
  * ctest runs every gtest case as its own process, several at a time,
- * and pomtlb_shard_tests compiles some suites a second time, so a
+ * and pomtlb_focused_tests compiles some suites a second time, so a
  * fixed name under ::testing::TempDir() would be shared by cases that
  * run concurrently and truncate each other's files.
  */

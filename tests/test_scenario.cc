@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -63,12 +64,13 @@ degenerateSpec(const std::string &benchmark, unsigned cores = 2)
 }
 
 std::string
-legacyStatsDump(const std::string &benchmark, unsigned cores = 2)
+legacyStatsDump(const std::string &benchmark, unsigned cores,
+                const EngineConfig &config)
 {
     Machine machine(smallSystem(cores), std::string("POM-TLB"));
     SimulationEngine engine(machine,
                             ProfileRegistry::byName(benchmark),
-                            quickEngine());
+                            config);
     const RunResult result = engine.run();
     return buildStatsDocument(machine, result, benchmark).dump(2);
 }
@@ -85,28 +87,50 @@ scenarioStatsDump(const ScenarioSpec &spec)
 
 // ---------------------------------------------------------------
 // The golden guarantee: one always-resident tenant covering every
-// core IS the classic run, byte for byte.
+// core IS the classic run, byte for byte — replaying the
+// pre-population capture or, with pre-population off, streaming
+// records straight from the sources, with and without periodic
+// shootdowns.
 // ---------------------------------------------------------------
 
-TEST(Scenario, SingleTenantMatchesLegacyRunByteForByte)
+/** ((benchmark, cores), prepopulate, shootdown interval in refs). */
+using LegacyCase =
+    std::tuple<std::tuple<std::string, unsigned>, bool, std::uint64_t>;
+
+class SingleTenantLegacy : public ::testing::TestWithParam<LegacyCase>
 {
-    const ScenarioSpec spec = degenerateSpec("mcf");
-    EXPECT_EQ(scenarioStatsDump(spec), legacyStatsDump("mcf"));
+};
+
+TEST_P(SingleTenantLegacy, MatchesClassicRunByteForByte)
+{
+    const auto &[workload, prepopulate, interval] = GetParam();
+    const auto &[benchmark, cores] = workload;
+    EngineConfig config = quickEngine();
+    config.prepopulate = prepopulate;
+    config.shootdownIntervalRefs = interval;
+    ScenarioSpec spec = degenerateSpec(benchmark, cores);
+    spec.engine = config;
+    EXPECT_EQ(scenarioStatsDump(spec),
+              legacyStatsDump(benchmark, cores, config));
 }
 
-TEST(Scenario, SingleTenantMatchesLegacyForMultithreadedWorkload)
-{
-    // canneal is multithreaded: every vCPU shares one ASID, the
-    // other pid-assignment branch of both engines.
-    const ScenarioSpec spec = degenerateSpec("canneal");
-    EXPECT_EQ(scenarioStatsDump(spec), legacyStatsDump("canneal"));
-}
-
-TEST(Scenario, SingleTenantMatchesLegacyOnFourCores)
-{
-    const ScenarioSpec spec = degenerateSpec("gups", 4);
-    EXPECT_EQ(scenarioStatsDump(spec), legacyStatsDump("gups", 4));
-}
+// canneal is multithreaded: every vCPU shares one ASID, the other
+// pid-assignment branch of both engines.
+INSTANTIATE_TEST_SUITE_P(
+    Scenario, SingleTenantLegacy,
+    ::testing::Combine(
+        ::testing::Values(std::make_tuple(std::string("mcf"), 2u),
+                          std::make_tuple(std::string("canneal"), 2u),
+                          std::make_tuple(std::string("gups"), 4u)),
+        ::testing::Bool(),
+        ::testing::Values(std::uint64_t{0}, std::uint64_t{500})),
+    [](const ::testing::TestParamInfo<LegacyCase> &info) {
+        const auto &workload = std::get<0>(info.param);
+        return std::get<0>(workload) + "_c" +
+               std::to_string(std::get<1>(workload)) +
+               (std::get<1>(info.param) ? "_captured" : "_streamed") +
+               "_sd" + std::to_string(std::get<2>(info.param));
+    });
 
 // ---------------------------------------------------------------
 // Spec resolution

@@ -121,21 +121,6 @@ TEST(JobHash, SweepJobsDoesNotSplitTheCache)
     EXPECT_EQ(jobHash(serial), jobHash(parallel));
 }
 
-TEST(JobHash, RunThreadsAndEpochCyclesDoNotSplitTheCache)
-{
-    // Intra-run sharding is an execution strategy with bit-identical
-    // results (tests/test_engine_sharded.cc), so a cache entry
-    // computed serially must be served to sharded requests and vice
-    // versa — runThreads and epochCycles are excluded from the
-    // identity (engineConfigJson in sim/sweep_cache.cc).
-    const ExperimentRequest serial =
-        ExperimentRequest::of("mcf", "pom");
-    ExperimentRequest sharded = serial;
-    sharded.config.engine.runThreads = 8;
-    sharded.config.engine.epochCycles = 4096;
-    EXPECT_EQ(jobHash(serial), jobHash(sharded));
-}
-
 TEST(JobHash, EveryRelevantKnobChangesTheHash)
 {
     const ExperimentRequest base =

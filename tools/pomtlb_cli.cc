@@ -198,11 +198,6 @@ struct CliOptions
     bool prefetch = false;
     bool tlbAware = false;
     std::uint64_t shootdownInterval = 0;
-    // Intra-run sharding (run / scenario / sweep / serve). Thread
-    // count and epoch length never change results — only wall-clock
-    // (docs/internals.md §14).
-    unsigned runThreads = 0;
-    std::uint64_t epochCycles = 0;
     bool dumpStats = false;
     std::string statsOutPath;
     std::string traceOutPath;
@@ -328,11 +323,6 @@ parseOptions(int argc, char **argv, int first)
             options.tlbAware = true;
         else if (arg == "--shootdown-interval")
             options.shootdownInterval = parseNumber(next());
-        else if (arg == "--run-threads")
-            options.runThreads =
-                static_cast<unsigned>(parseNumber(next()));
-        else if (arg == "--epoch-cycles")
-            options.epochCycles = parseNumber(next());
         else if (arg == "--stats")
             options.dumpStats = true;
         else if (arg == "--stats-out")
@@ -391,8 +381,11 @@ parseOptions(int argc, char **argv, int first)
             options.maxAgeSeconds = parseNumber(next());
         else if (arg == "--dry-run")
             options.dryRun = true;
-        else
+        else {
+            std::fprintf(stderr, "pomtlb: unknown option '%s'\n",
+                         arg.c_str());
             usage();
+        }
     }
     return options;
 }
@@ -456,9 +449,6 @@ configFrom(const CliOptions &options)
     config.system.pomTlb.prefetchNextSet = options.prefetch;
     config.system.tlbAwareCaching = options.tlbAware;
     config.engine.shootdownIntervalRefs = options.shootdownInterval;
-    config.engine.runThreads = options.runThreads;
-    if (options.epochCycles)
-        config.engine.epochCycles = options.epochCycles;
     if (options.jobs)
         config.sweepJobs = options.jobs;
     return config;
