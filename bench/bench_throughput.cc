@@ -38,13 +38,11 @@
  *             `sweep_cache` document section is absent without the
  *             flag, which is safe: check_bench.py skips cells
  *             missing from either document.
- *   --trace   opt-in: time trace-replay ingest — the same record
- *             stream read through the legacy POMT FileSource
- *             (whole-file buffering) and through the mmap-ed
- *             pomtlb-tracepack-v1 PackStreamSource — and record
- *             the speedup in an extra `trace` document section
- *             (temporary trace files are created next to --out and
- *             removed afterwards).
+ *   --trace   opt-in: time trace-replay ingest — one record stream
+ *             read through the mmap-ed pomtlb-tracepack-v1
+ *             PackStreamSource — in an extra `trace` document
+ *             section (a temporary pack is created next to --out
+ *             and removed afterwards).
  *
  * Each cell is measured reps times and the best (lowest-wall) run is
  * reported: minimum-of-N is the standard estimator for "time with
@@ -69,7 +67,6 @@
 #include "sim/sweep_cache.hh"
 #include "trace/profile.hh"
 #include "trace/source.hh"
-#include "trace/trace_file.hh"
 #include "trace/tracepack.hh"
 
 namespace
@@ -357,11 +354,8 @@ main(int argc, char **argv)
     if (opt.trace) {
         const std::uint64_t trace_records =
             opt.quick ? 200'000ULL : 1'000'000ULL;
-        const std::string legacy_path = opt.outPath + ".legacy.pomt";
         const std::string pack_path = opt.outPath + ".trace.pack";
 
-        // One record stream, written to both containers, so the two
-        // ingest paths decode byte-for-byte the same content.
         std::vector<TraceRecord> records(
             static_cast<std::size_t>(trace_records));
         GeneratorSource generator(ProfileRegistry::byName("mcf"), 0,
@@ -372,23 +366,21 @@ main(int argc, char **argv)
                                      records.size() - filled);
         }
         {
-            TraceFileWriter writer(legacy_path);
-            for (const TraceRecord &record : records)
-                writer.append(record);
-            writer.close();
-        }
-        {
             TracePackWriter writer(pack_path, {"core0"});
             writer.append(0, records.data(), records.size());
             writer.close();
         }
 
-        // Each timed pass opens the container cold and streams every
+        // Each timed pass opens the pack cold and streams every
         // record through the TraceSource block API — the exact work
-        // `pomtlb replay-trace` / `run --trace-in` do per run.
+        // `run --trace-in` does per run.
         std::vector<TraceRecord> block(1024);
         std::uint64_t checksum = 0;
-        const auto drain = [&](TraceSource &source) {
+        double pack_best = 0.0;
+        for (unsigned rep = 0; rep < reps; ++rep) {
+            const auto start = Clock::now();
+            auto reader = std::make_shared<TracePackReader>(pack_path);
+            PackStreamSource source(reader, 0);
             std::uint64_t done = 0;
             while (done < trace_records) {
                 const std::size_t got = source.fill(
@@ -400,52 +392,24 @@ main(int argc, char **argv)
                     checksum ^= block[i].vaddr;
                 done += got;
             }
-        };
-        double legacy_best = 0.0;
-        double pack_best = 0.0;
-        for (unsigned rep = 0; rep < reps; ++rep) {
-            {
-                const auto start = Clock::now();
-                FileSource source(legacy_path);
-                drain(source);
-                const double wall = secondsSince(start);
-                if (rep == 0 || wall < legacy_best)
-                    legacy_best = wall;
-            }
-            {
-                const auto start = Clock::now();
-                auto reader =
-                    std::make_shared<TracePackReader>(pack_path);
-                PackStreamSource source(reader, 0);
-                drain(source);
-                const double wall = secondsSince(start);
-                if (rep == 0 || wall < pack_best)
-                    pack_best = wall;
-            }
+            const double wall = secondsSince(start);
+            if (rep == 0 || wall < pack_best)
+                pack_best = wall;
         }
         volatile std::uint64_t sink = checksum;
         (void)sink;
-        std::remove(legacy_path.c_str());
         std::remove(pack_path.c_str());
 
-        const double legacy_rate =
-            static_cast<double>(trace_records) / legacy_best;
         const double pack_rate =
             static_cast<double>(trace_records) / pack_best;
-        std::printf("trace: %llu records, legacy %.0f refs/s, "
-                    "pack %.0f refs/s (x%.1f)\n",
+        std::printf("trace: %llu records, pack %.0f refs/s\n",
                     static_cast<unsigned long long>(trace_records),
-                    legacy_rate, pack_rate,
-                    legacy_rate > 0.0 ? pack_rate / legacy_rate
-                                      : 0.0);
+                    pack_rate);
 
         JsonValue trace = JsonValue::object();
         trace.set("records", trace_records);
-        trace.set("legacy_wall_sec", legacy_best);
         trace.set("pack_wall_sec", pack_best);
-        trace.set("legacy_refs_per_sec", legacy_rate);
         trace.set("pack_refs_per_sec", pack_rate);
-        trace.set("speedup", pack_rate / legacy_rate);
         doc.set("trace", std::move(trace));
     }
 

@@ -133,17 +133,13 @@ def compare(baseline, current, use_calibration=True):
         ratio = cur_sweep / base_sweep * scale
         rows.append(("sweep", base_sweep, cur_sweep, ratio))
 
-    # Trace-replay ingest (bench_throughput --trace): both container
-    # rates gate like any other cell when present in both documents.
-    base_trace = baseline.get("trace", {})
-    cur_trace = current.get("trace", {})
-    for field, label in (("legacy_refs_per_sec", "trace-legacy"),
-                         ("pack_refs_per_sec", "trace-pack")):
-        base_rate = base_trace.get(field)
-        cur_rate = cur_trace.get(field)
-        if base_rate and cur_rate:
-            rows.append((label, base_rate, cur_rate,
-                         cur_rate / base_rate * scale))
+    # Trace-replay ingest (bench_throughput --trace): the pack rate
+    # gates like any other cell when present in both documents.
+    base_rate = baseline.get("trace", {}).get("pack_refs_per_sec")
+    cur_rate = current.get("trace", {}).get("pack_refs_per_sec")
+    if base_rate and cur_rate:
+        rows.append(("trace-pack", base_rate, cur_rate,
+                     cur_rate / base_rate * scale))
 
     if rows:
         geomean = math.exp(
@@ -208,22 +204,17 @@ def selftest():
     rows, geomean = compare(doc(1e6, 100, 4.0), current)
     assert len(rows) == 1 and abs(geomean - 1.0) < 1e-9, rows
 
-    # The opt-in trace section (bench_throughput --trace) adds two
-    # gated cells when both documents carry it — and none when
+    # The opt-in trace section (bench_throughput --trace) adds one
+    # gated cell when both documents carry it — and none when
     # either side lacks it.
     base = doc(1e6, 100, 4.0)
-    base["trace"] = {"records": 1000,
-                     "legacy_refs_per_sec": 2e7,
-                     "pack_refs_per_sec": 8e7,
-                     "speedup": 4.0}
+    base["trace"] = {"records": 1000, "pack_refs_per_sec": 8e7}
     current = doc(1e6, 100, 4.0)
-    current["trace"] = {"records": 1000,
-                        "legacy_refs_per_sec": 2e7,
-                        "pack_refs_per_sec": 4e7,
-                        "speedup": 2.0}
+    current["trace"] = {"records": 1000, "pack_refs_per_sec": 4e7}
     rows, geomean = compare(base, current)
     labels = [r[0] for r in rows]
-    assert labels[-2:] == ["trace-legacy", "trace-pack"], labels
+    assert labels[-1] == "trace-pack", labels
+    assert not any(label == "trace-legacy" for label in labels), labels
     assert abs(rows[-1][3] - 0.5) < 1e-9, rows
     rows, _ = compare(base, doc(1e6, 100, 4.0))
     assert all(not r[0].startswith("trace") for r in rows), rows

@@ -71,7 +71,6 @@ POMTLB_REGISTER_SCHEME(registerNestedWalk, {
                    "structure caches",
     .aliases = {"baseline", "nested"},
     .rank = 0,
-    .legacy = SchemeKind::NestedWalk,
     .factory = [](const SystemConfig &, Machine &machine)
         -> std::unique_ptr<TranslationScheme> {
         return std::make_unique<NestedWalkScheme>(machine.walkerPool());

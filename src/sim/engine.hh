@@ -1,31 +1,26 @@
 /**
  * @file
- * The trace-driven simulation engine.
+ * The classic run API: one benchmark profile on every core of one
+ * machine.
  *
- * Each core runs its own generator stream; the engine always advances
- * the core with the smallest local clock, so the cores' memory
- * traffic interleaves at the shared L3/DRAM the way a multicore's
- * would (the Ramulator-style cadence of Section 3.2). Non-memory
- * instructions advance a core's clock at one instruction per cycle;
- * memory references charge translation plus data-path latency.
+ * A classic run is the degenerate consolidation scenario — one
+ * single-vCPU tenant per core, none arriving or departing — so
+ * SimulationEngine compiles its arguments into exactly that
+ * ScenarioSpec (sim/scenario.hh) and runs it on the scenario
+ * engine, whose per-reference loop is the simulator's only one.
+ * Tenant c runs the profile on core c, in VM coreVm[c] as process
+ * pidBase (multithreaded profiles: every core shares one address
+ * space) or pidBase + c (rate mode). A trace pack replaces the
+ * generators through the scenario-wide pack rule: core c replays
+ * pack stream c mod stream_count.
  *
- * The hot path is batched: a ClockHeap picks the earliest core in
- * O(log cores) (with an O(1) fast path while that core stays
- * earliest), trace records arrive in caller-owned blocks via
- * TraceSource::fill() rather than one virtual call each, and the
- * steady state allocates nothing — all scratch buffers are sized
- * once per run. The scheduling order is exactly the old per-step
- * linear scan's (lowest clock, ties to the lowest core index), so
- * results are bit-identical to the pre-batching engine.
- *
- * A warmup phase runs before statistics are reset, so reported rates
- * are steady-state.
- *
- * Each core's trace is one stream of a TenantStreamSet
- * (trace/interleave.hh), homed on that core, and pre-population is
- * prepopulateStreams() below: the same stream cursor and the same
- * install loop the scenario engine uses, which is what keeps a
- * one-tenant scenario byte-identical to a classic run. A run is
+ * The engine always advances the core with the smallest local
+ * clock, so the cores' memory traffic interleaves at the shared
+ * L3/DRAM the way a multicore's would (the Ramulator-style cadence
+ * of Section 3.2). Non-memory instructions advance a core's clock at
+ * one instruction per cycle; memory references charge translation
+ * plus data-path latency. A warmup phase runs before statistics are
+ * reset, so reported rates are steady-state. A run is
  * single-threaded; independent runs parallelise through the sweep
  * worker pool (`--jobs`, docs/internals.md §14).
  */
@@ -39,7 +34,6 @@
 
 #include "common/types.hh"
 #include "sim/machine.hh"
-#include "trace/interleave.hh"
 #include "trace/profile.hh"
 #include "trace/source.hh"
 
@@ -53,9 +47,16 @@ struct EngineConfig
     std::uint64_t refsPerCore = 150000;
     /** Warmup references per core (stats reset afterwards). */
     std::uint64_t warmupRefsPerCore = 120000;
-    /** VM each core's workload runs in (resized to core count). */
+    /**
+     * VM each core's workload runs in (filled out to the core count
+     * with its last entry; empty means every core in VM 1). VM ids
+     * must be non-zero.
+     */
     std::vector<VmId> coreVm;
-    /** Process id base: core c runs as pid base + c. */
+    /**
+     * Process id base: core c runs as pid base + c (multithreaded
+     * profiles: every core as pid base). Must be non-zero.
+     */
     ProcessId pidBase = 1;
     /** Trace seed (combined with the system seed). */
     std::uint64_t seed = 42;
@@ -70,14 +71,14 @@ struct EngineConfig
     std::uint64_t shootdownIntervalRefs = 0;
     Cycles shootdownCycles = 500;
     /**
-     * When non-empty, the primary constructor drives every core from
-     * this pomtlb-tracepack-v1 file instead of the synthetic
-     * generators: core @c c replays pack stream <tt>c %
-     * stream_count</tt>, wrapping, straight out of the mapping
-     * (trace/tracepack.hh). The pack's content hash joins the
-     * sweep-cache job identity (sim/sweep_cache.hh) so memoized
-     * campaigns re-execute when the trace changes. Opening throws a
-     * path-named TraceError on corrupt input.
+     * When non-empty, every core replays this pomtlb-tracepack-v1
+     * file instead of the synthetic generators: core @c c replays
+     * pack stream <tt>c % stream_count</tt>, wrapping, straight out
+     * of the mapping (trace/tracepack.hh). The pack's content hash
+     * joins the sweep-cache job identity (sim/sweep_cache.hh) so
+     * memoized campaigns re-execute when the trace changes. Opening
+     * throws a path-named TraceError on corrupt input or on a
+     * stream with no records.
      */
     std::string tracePackPath;
     /**
@@ -149,84 +150,41 @@ struct RunResult
     mutable bool cachedValid = false;
 };
 
-/** Drives one benchmark through one machine. */
+class ScenarioEngine;
+
+/**
+ * Drives one benchmark through one machine: the classic-run facade
+ * over ScenarioEngine (see the file comment).
+ */
 class SimulationEngine
 {
   public:
     /**
+     * Compile the run into its one-tenant-per-core scenario.
+     *
      * @param machine  The machine to drive (state persists between
      *                 run() calls; construct fresh machines for
      *                 independent experiments).
-     * @param profile  Benchmark to generate traces for.
+     * @param profile  Benchmark to generate traces for: a registered
+     *                 profile (ProfileRegistry), which the scenario
+     *                 resolves by name.
      * @param config   Run length, warmup, VM placement, seed.
+     *
+     * Throws std::invalid_argument when @p profile is not the
+     * registered profile of its name, or on a zero pidBase or
+     * coreVm entry (0 would mean "auto-assign" to the scenario);
+     * throws a path-named TraceError on an unusable trace pack.
      */
     SimulationEngine(Machine &machine, const BenchmarkProfile &profile,
                      const EngineConfig &config);
-
-    /**
-     * Drive the machine from externally supplied trace sources (one
-     * per core — e.g. recorded trace files). @p profile supplies the
-     * workload metadata (multithreaded/pid policy and the Table 2
-     * constants used by the performance model).
-     */
-    SimulationEngine(Machine &machine, const BenchmarkProfile &profile,
-                     const EngineConfig &config,
-                     std::vector<std::unique_ptr<TraceSource>> sources);
+    ~SimulationEngine();
 
     /** Run warmup + measured phases; returns measured-phase stats. */
     RunResult run();
 
   private:
-    /**
-     * Per-core execution lane: the core's clock and the stats deltas
-     * it accumulates locally (flushed into the RunResult at phase
-     * boundaries). The core's trace cursor is its stream in
-     * @c streams. Nothing here allocates on the per-reference path.
-     */
-    struct Lane
-    {
-        Cycles clock = 0;
-        /** References issued in the current phase. */
-        std::uint64_t phaseDone = 0;
-        Mmu *mmu = nullptr;
-        InstCount instructions = 0;
-        std::uint64_t pageWalks = 0;
-        std::uint64_t shootdowns = 0;
-    };
-
-    /**
-     * Common constructor tail: stream c wraps @p sources[c], homed
-     * on core c, in the core's VM and process (@p profile decides
-     * whether the cores share one pid).
-     */
-    void buildStreams(
-        const BenchmarkProfile &profile,
-        std::vector<std::unique_ptr<TraceSource>> sources);
-
-    /** Issue references until every lane has done @p target refs. */
-    void runPhase(std::vector<Lane> &lanes, std::uint64_t target);
-
-    Machine &machine;
-    EngineConfig engineConfig;
-    /** One stream per core (stream id = core = home core). */
-    TenantStreamSet streams;
-    std::uint64_t refsSinceShootdown = 0;
+    std::unique_ptr<ScenarioEngine> scenario;
 };
-
-/**
- * Steady-state pre-population, shared by SimulationEngine and
- * ScenarioEngine. Enumerates every stream of @p streams in stream
- * order — exactly the TenantStream::totalRefs records its timed run
- * will issue — and installs each first-touched (page, pid, VM) in
- * the page tables and the scheme's persistent translation store,
- * deduplicated through one set across all streams. When every
- * stream fits TenantStreamSet::replayCapRecords the records are
- * captured for the timed run's replay. Leaves every source rewound.
- *
- * @return whether the streams were captured (the argument of
- *         TenantStreamSet::beginRun()).
- */
-bool prepopulateStreams(Machine &machine, TenantStreamSet &streams);
 
 } // namespace pomtlb
 

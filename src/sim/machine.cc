@@ -61,11 +61,6 @@ servicePointFromName(const std::string &name)
     return std::nullopt;
 }
 
-Machine::Machine(const SystemConfig &config, SchemeKind scheme_kind)
-    : Machine(config, std::string(schemeKindName(scheme_kind)))
-{
-}
-
 Machine::Machine(const SystemConfig &config, const std::string &scheme)
     : systemConfig(config)
 {
@@ -105,7 +100,6 @@ Machine::Machine(const SystemConfig &config, const std::string &scheme)
                                     scheme + "'");
     }
     schemeKey = info->name;
-    legacyKind = info->legacy;
     translationScheme = info->factory(systemConfig, *this);
 
     mmus.reserve(systemConfig.numCores);

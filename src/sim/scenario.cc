@@ -12,6 +12,7 @@
 
 #include "common/bitutil.hh"
 #include "common/content_hash.hh"
+#include "common/hash_set.hh"
 #include "common/log.hh"
 #include "sim/clock_heap.hh"
 #include "sim/machine.hh"
@@ -38,6 +39,92 @@ canonicalScheme(const std::string &scheme)
     const SchemeRegistry::Info *info =
         SchemeRegistry::global().find(scheme);
     return info ? info->name : scheme;
+}
+
+/**
+ * Steady-state pre-population. Enumerates every stream of @p streams
+ * in stream order — exactly the TenantStream::totalRefs records its
+ * timed run will issue — and installs each first-touched (page, pid,
+ * VM) in the page tables and the scheme's persistent translation
+ * store, deduplicated through one set across all streams. When every
+ * stream fits TenantStreamSet::replayCapRecords the records are
+ * captured for the timed run's replay. Leaves every source rewound.
+ *
+ * @return whether the streams were captured (the argument of
+ *         TenantStreamSet::beginRun()).
+ */
+bool
+prepopulateStreams(Machine &machine, TenantStreamSet &streams)
+{
+    // Capture the streams while enumerating them so the timed run
+    // can replay the records instead of re-generating them.
+    const bool capture = streams.captureEligible();
+    MemoryMap &map = machine.memoryMap();
+    U64Set seen(std::size_t{1} << 16);
+    std::vector<TraceRecord> chunk;
+    if (!capture) {
+        chunk.resize(static_cast<std::size_t>(
+            TenantStreamSet::streamBlockRecords));
+    }
+
+    for (std::size_t s = 0; s < streams.size(); ++s) {
+        TenantStream &stream = streams.at(s);
+        const std::uint64_t total = stream.totalRefs;
+        // Replay exactly the records the timed run will issue.
+        TraceSource &dry = *stream.source;
+        dry.rewind();
+        const VmId vm = stream.vm;
+        const ProcessId pid = stream.pid;
+        // Dedup key covers (page, pid, vm): the same page may need
+        // separate entries per process and per VM.
+        const std::uint64_t space_key =
+            mix64((static_cast<std::uint64_t>(pid) << 16) | vm);
+
+        if (capture)
+            stream.replay.resize(total);
+
+        std::uint64_t done = 0;
+        std::uint64_t last_key = ~std::uint64_t{0};
+        while (done < total) {
+            TraceRecord *block;
+            std::size_t want;
+            if (capture) {
+                block = stream.replay.data() + done;
+                want = static_cast<std::size_t>(total - done);
+            } else {
+                block = chunk.data();
+                want = static_cast<std::size_t>(
+                    std::min<std::uint64_t>(chunk.size(),
+                                            total - done));
+            }
+            const std::size_t got = dry.fill(block, want);
+            simAssert(got == want, "trace source exhausted during "
+                                   "steady-state pre-population");
+            for (std::size_t i = 0; i < got; ++i) {
+                const TraceRecord &record = block[i];
+                const Addr page =
+                    pageBase(record.vaddr, record.pageSize);
+                const std::uint64_t key = mix64(page) ^ space_key;
+                // Page-local runs dominate the streams: skip the set
+                // probe when the key repeats back-to-back.
+                if (key == last_key)
+                    continue;
+                last_key = key;
+                if (!seen.insert(key))
+                    continue;
+                const TranslationInfo info = map.ensureMapped(
+                    vm, pid, record.vaddr, record.pageSize);
+                machine.scheme().prewarm(
+                    stream.homeCore, record.vaddr, record.pageSize,
+                    vm, pid, info.hpa >> pageShift(record.pageSize));
+            }
+            done += got;
+        }
+        // Leave the source rewound whether or not the timed run will
+        // replay the capture instead of re-reading it.
+        dry.rewind();
+    }
+    return capture;
 }
 
 } // namespace
@@ -225,14 +312,31 @@ ScenarioEngine::buildStreams()
             }
             pack = slot;
         }
+        // Streams of the scenario-wide pack wrap onto the pack's
+        // streams (vCPU stream i replays pack stream i mod
+        // stream_count); a tenant's own TenantSpec::traceStream is
+        // range-checked by PackStreamSource instead.
+        const bool own_pack = spec.tenantCount == 0 &&
+                              !spec.tenants[t].tracePack.empty();
         for (unsigned v = 0; v < tenant.vcpus; ++v, ++stream_id) {
             TenantStream stream;
-            if (pack)
-                stream.source = std::make_unique<PackStreamSource>(
-                    pack, tenant.traceStreamBase + v);
-            else
+            if (pack) {
+                std::size_t index = tenant.traceStreamBase + v;
+                if (!own_pack)
+                    index %= pack->streamCount();
+                auto source =
+                    std::make_unique<PackStreamSource>(pack, index);
+                if (source->recordCount() == 0) {
+                    throw TraceError(
+                        "trace pack '" + tenant.tracePack +
+                        "': stream '" + pack->stream(index).name +
+                        "' has no records to replay");
+                }
+                stream.source = std::move(source);
+            } else {
                 stream.source = std::make_unique<GeneratorSource>(
                     profile, CoreId(stream_id), seed);
+            }
             stream.tenant = t;
             stream.homeCore = stream_id % cores;
             stream.vm = tenant.vm;
@@ -545,8 +649,9 @@ ScenarioEngine::runPhase(std::uint64_t target)
     const unsigned storm_pages =
         std::max(1u, spec.storm.pagesPerBurst);
 
-    // Seed the scheduler with every lane's current clock — the same
-    // (clock, core) lexicographic order the classic engine uses.
+    // Seed the scheduler with every lane's current clock. The heap
+    // root is always the lexicographic minimum of (clock, core):
+    // the lowest clock runs next, ties to the lowest core index.
     ClockHeap heap;
     heap.reset(lanes.size());
     for (std::uint32_t core = 0; core < lanes.size(); ++core) {

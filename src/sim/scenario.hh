@@ -3,12 +3,10 @@
  * The declarative tenant-scenario API and the cloud-consolidation
  * engine built on it.
  *
- * The classic run API (sim/engine.hh) expresses "N homogeneous cores
- * running one workload profile". A consolidation study needs the
- * datacenter shape instead: many tenants with their own workloads,
- * footprints, and VM/ASID bindings, arriving and departing over the
- * run, overcommitting memory, migrating pages, and broadcasting TLB
- * shootdowns. ScenarioSpec describes that world declaratively —
+ * A consolidation study needs the datacenter shape: many tenants
+ * with their own workloads, footprints, and VM/ASID bindings,
+ * arriving and departing over the run, overcommitting memory,
+ * migrating pages, and broadcasting TLB shootdowns. ScenarioSpec describes that world declaratively —
  * either as an explicit TenantSpec list or through a churn generator
  * — and ScenarioEngine compiles it down to the existing machine via
  * the VM-ID/ASID tagging the SRAM TLBs already carry.
@@ -21,14 +19,14 @@
  *    tenant arrival/departure boundaries into segments, and each
  *    segment is round-robin time-sliced (`timeSliceRefs` references
  *    per quantum) among the streams resident in it;
- *  - pre-population and the stream cursor are shared with the
- *    classic engine, not mirrored: both call prepopulateStreams()
- *    (sim/engine.hh) and refill through TenantStreamSet;
- *  - the per-reference execution loop is operation-for-operation the
- *    one in SimulationEngine::runPhase, so a scenario with a single
- *    always-resident tenant whose vCPUs cover every core reproduces
- *    the classic engine **byte-identically**, captured or streamed
- *    (checked in tests/test_scenario.cc);
+ *  - ScenarioEngine's per-reference loop is the simulator's only
+ *    one: the classic run API (SimulationEngine, sim/engine.hh)
+ *    compiles "one profile on every core" into one single-vCPU
+ *    tenant per core, none arriving or departing, and runs it here.
+ *    A single always-resident tenant whose vCPUs cover every core
+ *    compiles to the same streams, so it reproduces a classic run
+ *    byte-identically, captured or streamed (checked in
+ *    tests/test_scenario.cc);
  *  - tenant lifecycle events are modeled OS work: an arrival migrates
  *    pages (unmap + shootdown + remap), a mid-run departure broadcasts
  *    a VM-wide shootdown, and an optional storm schedule shoots down
@@ -176,7 +174,7 @@ struct ScenarioSpec
     SystemConfig system = SystemConfig::table1();
     /**
      * Run length, warmup, seed, shootdown costs, prepopulate — all
-     * honoured as in the classic engine. @c coreVm and @c pidBase
+     * honoured as in a classic run. @c coreVm and @c pidBase
      * placement is superseded by the tenants' VM/ASID bindings
      * (pidBase seeds the sequential auto-assignment).
      */
@@ -213,11 +211,14 @@ struct ScenarioSpec
     std::uint64_t timeSliceRefs = 2000;
     /**
      * Scenario-wide trace pack: every tenant without its own
-     * TenantSpec::tracePack replays this file, taking one pack
-     * stream per vCPU in resolved-tenant order — exactly the
-     * layout ScenarioEngine::recordPack() writes, so a recorded
-     * scenario replays its generator-driven twin byte-identically
-     * (`pomtlb scenario --trace-in`).
+     * TenantSpec::tracePack replays this file. Counting vCPUs in
+     * resolved-tenant order, vCPU stream @c i replays pack stream
+     * <tt>i % stream_count</tt> — the layout ScenarioEngine::recordPack()
+     * writes (one stream per vCPU), so a recorded scenario replays
+     * its generator-driven twin byte-identically (`pomtlb scenario
+     * --trace-in`), and the rule `pomtlb run --trace-in` applies to
+     * cores. A stream with no records is a TraceError naming the
+     * pack and the stream.
      */
     std::string tracePack;
 
@@ -290,7 +291,7 @@ struct TenantResult
 /** Whole-scenario results. */
 struct ScenarioResult
 {
-    /** Per-core stats, exactly as the classic engine reports them. */
+    /** Per-core stats (the RunResult a classic run returns). */
     RunResult run;
     /** Per-tenant results, in resolved-tenant order. */
     std::vector<TenantResult> tenants;
@@ -304,8 +305,8 @@ struct ScenarioResult
 
 /**
  * Drives one scenario through one machine. Construction compiles
- * the spec (streams + per-core slice schedules); run() executes
- * warmup and measured phases exactly like SimulationEngine::run.
+ * the spec (streams + per-core slice schedules); run() executes the
+ * warmup and measured phases.
  */
 class ScenarioEngine
 {
@@ -314,6 +315,9 @@ class ScenarioEngine
      * @param machine The machine to drive — must have been built
      *                with spec.system and spec.scheme.
      * @param spec    The scenario to compile and run.
+     *
+     * Opening a trace pack throws a path-named TraceError on
+     * corrupt input or on a stream with no records.
      */
     ScenarioEngine(Machine &machine, const ScenarioSpec &spec);
 
@@ -387,7 +391,11 @@ class ScenarioEngine
         StatGroup group;
     };
 
-    /** Per-core execution lane (mirrors SimulationEngine::Lane). */
+    /**
+     * Per-core execution lane: the core's clock, its slice cursor,
+     * and the stats deltas it accumulates. Nothing here allocates on
+     * the per-reference path.
+     */
     struct Lane
     {
         Cycles clock = 0;

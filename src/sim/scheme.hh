@@ -8,8 +8,7 @@
  * baseline nested walk, POM-TLB, Shared_L2, TSB, plus the contender
  * zoo in src/schemes/ — implements that step, so experiments swap a
  * single object. Schemes are constructed by name through the
- * string-keyed factory in sim/scheme_registry.hh; SchemeKind survives
- * only as a compatibility shim over the registry's canonical names.
+ * string-keyed factory in sim/scheme_registry.hh.
  */
 
 #ifndef POMTLB_SIM_SCHEME_HH
@@ -26,63 +25,6 @@ namespace pomtlb
 {
 
 class StatGroup;
-
-/**
- * Legacy identifier for the paper's four schemes. New code should
- * select schemes by registry name (sim/scheme_registry.hh); this enum
- * remains for the original four so existing call sites keep
- * compiling, and maps 1:1 onto registry entries that declare a
- * `legacy` kind.
- *
- * @deprecated Select schemes by registry name. The enum and every
- *             overload taking it are a compatibility shim for
- *             out-of-tree callers; in-tree code must not use them
- *             (enforced by tests/test_scheme_api_migration.cc), and
- *             the shim will be removed in a future major version.
- */
-enum class SchemeKind : std::uint8_t
-{
-    /** Conventional 2D nested page walk with PSCs (baseline). */
-    NestedWalk = 0,
-    /** The paper's part-of-memory L3 TLB. */
-    PomTlb = 1,
-    /** Shared SRAM L2 TLB (Bhattacharjee et al.). */
-    SharedL2 = 2,
-    /** SPARC-style software-managed translation storage buffer. */
-    Tsb = 3,
-};
-
-/**
- * Human-readable scheme name — identical to the scheme's canonical
- * registry name, so JSON documents written through either path match.
- *
- * @deprecated Part of the SchemeKind compatibility shim; use the
- *             registry name directly.
- */
-const char *schemeKindName(SchemeKind kind);
-
-/**
- * The four schemes the paper evaluates, in Figure 8 order. Registry
- * contenders are NOT included; iterate SchemeRegistry::global()
- * names() for the full zoo.
- *
- * @deprecated Part of the SchemeKind compatibility shim; iterate
- *             registry names (or name the four schemes explicitly).
- */
-const std::vector<SchemeKind> &allSchemeKinds();
-
-/**
- * Parse a scheme name as the CLI and sweep specs accept it:
- * "baseline"/"nested", "pom"/"pom-tlb", "shared"/"shared-l2", "tsb",
- * or the display names schemeKindName() produces. Resolution goes
- * through the scheme registry (canonical names + aliases); the empty
- * optional means the name is unknown *or* names a registry scheme
- * with no legacy SchemeKind.
- *
- * @deprecated Part of the SchemeKind compatibility shim; resolve
- *             names through SchemeRegistry::global().find() instead.
- */
-std::optional<SchemeKind> schemeKindFromName(const std::string &name);
 
 /**
  * Where one translation was finally served from, across every scheme

@@ -21,7 +21,6 @@
 
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -64,8 +63,6 @@ class SchemeRegistry
          * ranks so they append after the originals.
          */
         int rank = 0;
-        /** The legacy SchemeKind this scheme shims, if any. */
-        std::optional<SchemeKind> legacy;
         /** Scheme constructor. */
         Factory factory;
     };

@@ -1,23 +1,18 @@
 /**
  * @file
- * Buffered trace-stream cursors, the one stream cursor of both
- * simulation engines.
+ * Buffered trace-stream cursors, the simulator's one stream cursor.
  *
  * Every stream keeps its own buffered cursor into its TraceSource —
- * current block, position, consumed count — so an engine can park a
+ * current block, position, consumed count — so the engine can park a
  * stream mid-block and resume it later without disturbing the
- * stream's content. The scenario engine time-shares each simulated
- * core between many tenant vCPU streams; the classic engine
- * (sim/engine.hh) holds one stream per core, homed on that core.
- * Because both refill through the same TenantStreamSet, a
- * degenerate single-tenant scenario reproduces the classic engine
- * byte-for-byte.
+ * stream's content. The scenario engine (sim/scenario.hh) time-shares
+ * each simulated core between the tenant vCPU streams homed on it; a
+ * classic run (sim/engine.hh) compiles to one stream per core.
  *
- * A stream's records are captured during pre-population
- * (prepopulateStreams() in sim/engine.hh, when every stream fits
- * the per-stream cap) and replayed by the timed run, or
- * re-generated through a per-stream scratch block when any stream
- * is too long.
+ * A stream's records are captured during the scenario engine's
+ * steady-state pre-population (when every stream fits the
+ * per-stream cap) and replayed by the timed run, or re-generated
+ * through a per-stream scratch block when any stream is too long.
  */
 
 #ifndef POMTLB_TRACE_INTERLEAVE_HH
@@ -35,8 +30,7 @@ namespace pomtlb
 {
 
 /**
- * One trace stream (a tenant vCPU, or one core of a classic run)
- * plus its buffered cursor. A stream is pinned to one home core and
+ * One trace stream (a tenant vCPU) plus its buffered cursor. A stream is pinned to one home core and
  * one (VM, process) address space; the engine decides when the home
  * core runs it.
  */
@@ -44,7 +38,7 @@ struct TenantStream
 {
     /** The underlying rewindable record stream. */
     std::unique_ptr<TraceSource> source;
-    /** Index of the owning tenant (0 in a classic run). */
+    /** Index of the owning tenant. */
     unsigned tenant = 0;
     /** Core this stream executes on. */
     CoreId homeCore = 0;

@@ -121,6 +121,9 @@ struct BenchmarkProfile
     {
         return fracLargePagesPct / 100.0;
     }
+
+    /** Field-wise equality. */
+    bool operator==(const BenchmarkProfile &) const = default;
 };
 
 /** The registry of the paper's fifteen workloads. */

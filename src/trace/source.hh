@@ -3,10 +3,10 @@
  * The trace-source abstraction the simulation engine consumes.
  *
  * Two implementations ship: GeneratorSource wraps the synthetic
- * per-benchmark generators, FileSource replays recorded trace files
- * (trace/trace_file.hh). Sources must be rewindable so the engine's
- * steady-state pre-population pass can replay the exact stream the
- * timed run will issue.
+ * per-benchmark generators, PackStreamSource (trace/tracepack.hh)
+ * replays one stream of a recorded pomtlb-tracepack-v1 file. Sources
+ * must be rewindable so the engine's steady-state pre-population
+ * pass can replay the exact stream the timed run will issue.
  *
  * The primitive operation is the batched fill(): the caller owns a
  * TraceRecord block and the source writes up to @c n records into it
@@ -26,7 +26,6 @@
 #include "common/log.hh"
 #include "trace/generator.hh"
 #include "trace/record.hh"
-#include "trace/trace_file.hh"
 
 namespace pomtlb
 {
@@ -41,7 +40,7 @@ class TraceSource
      * Produce up to @p n records into the caller-owned block @p out.
      *
      * Returns the number of records written. Endless sources (the
-     * synthetic generators, wrapping file replays) always return
+     * synthetic generators, wrapping pack replays) always return
      * @p n; a finite source returns fewer — possibly zero — once
      * exhausted (a short read). Records are written in stream order
      * and the stream position advances by exactly the returned count,
@@ -107,35 +106,6 @@ class GeneratorSource : public TraceSource
     CoreId coreId;
     std::uint64_t rngSeed;
     TraceGenerator generator;
-};
-
-/** Recorded-trace source (wraps TraceFileReader, always wrapping). */
-class FileSource : public TraceSource
-{
-  public:
-    explicit FileSource(const std::string &path)
-        : reader(path, /*wrap=*/true)
-    {
-    }
-
-    std::size_t
-    fill(TraceRecord *out, std::size_t n) override
-    {
-        return reader.fill(out, n);
-    }
-
-    void rewind() override { reader.rewind(); }
-
-    std::string
-    describe() const override
-    {
-        return "file:" + reader.path();
-    }
-
-    std::uint64_t recordCount() const { return reader.recordCount(); }
-
-  private:
-    TraceFileReader reader;
 };
 
 } // namespace pomtlb

@@ -1,10 +1,6 @@
 #include "trace/trace_file.hh"
 
-#include <algorithm>
-#include <cstring>
-
 #include "common/log.hh"
-#include "trace/error.hh"
 
 namespace pomtlb
 {
@@ -34,28 +30,6 @@ putU64(std::ofstream &out, std::uint64_t value)
     for (int i = 0; i < 8; ++i)
         bytes[i] = static_cast<char>((value >> (8 * i)) & 0xff);
     out.write(bytes, 8);
-}
-
-std::uint32_t
-getU32(std::ifstream &in)
-{
-    unsigned char bytes[4];
-    in.read(reinterpret_cast<char *>(bytes), 4);
-    std::uint32_t value = 0;
-    for (int i = 0; i < 4; ++i)
-        value |= static_cast<std::uint32_t>(bytes[i]) << (8 * i);
-    return value;
-}
-
-std::uint64_t
-getU64(std::ifstream &in)
-{
-    unsigned char bytes[8];
-    in.read(reinterpret_cast<char *>(bytes), 8);
-    std::uint64_t value = 0;
-    for (int i = 0; i < 8; ++i)
-        value |= static_cast<std::uint64_t>(bytes[i]) << (8 * i);
-    return value;
 }
 
 } // namespace
@@ -109,105 +83,6 @@ TraceFileWriter::close()
         fatal("error writing trace file '", filePath, "'");
     out.close();
     closed = true;
-}
-
-TraceFileReader::TraceFileReader(const std::string &path, bool wrap)
-    : filePath(path), wrapAround(wrap)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        throw TraceError("cannot open trace file '" + path + "'");
-    in.seekg(0, std::ios::end);
-    const std::uint64_t fileBytes =
-        static_cast<std::uint64_t>(in.tellg());
-    in.seekg(0);
-
-    constexpr std::uint64_t headerBytes = 16;
-    constexpr std::uint64_t recordBytes = 13;
-    if (fileBytes < headerBytes)
-        throw TraceError(
-            "trace file '" + path + "' is too short: " +
-            std::to_string(fileBytes) + " bytes, but the header "
-            "alone is " + std::to_string(headerBytes) + " bytes");
-
-    char magic[4];
-    in.read(magic, 4);
-    if (!in || std::memcmp(magic, traceMagic, 4) != 0)
-        throw TraceError("'" + path +
-                         "' is not a POM-TLB trace file");
-    const std::uint32_t version = getU32(in);
-    if (version != traceVersion)
-        throw TraceError("trace file '" + path +
-                         "' has unsupported version " +
-                         std::to_string(version));
-    count = getU64(in);
-    const std::uint64_t needed = headerBytes + count * recordBytes;
-    if (fileBytes < needed)
-        throw TraceError(
-            "trace file '" + path + "' truncated: header claims " +
-            std::to_string(count) + " records (" +
-            std::to_string(needed) + " bytes) but the file holds "
-            "only " + std::to_string(fileBytes) + " bytes");
-    if (count == 0)
-        throw TraceError("trace file '" + path +
-                         "' contains no records");
-
-    records.reserve(count);
-    for (std::uint64_t i = 0; i < count; ++i) {
-        TraceRecord record;
-        record.vaddr = getU64(in);
-        record.instGap = getU32(in);
-        std::uint8_t flags = 0;
-        in.read(reinterpret_cast<char *>(&flags), 1);
-        record.type = (flags & flagWrite) ? AccessType::Write
-                                          : AccessType::Read;
-        record.pageSize = (flags & flagLargePage)
-                              ? PageSize::Large2M
-                              : PageSize::Small4K;
-        if (!in)
-            throw TraceError("error reading trace file '" + path +
-                             "' at record " + std::to_string(i));
-        records.push_back(record);
-    }
-}
-
-TraceRecord
-TraceFileReader::next()
-{
-    if (index >= count) {
-        if (!wrapAround)
-            fatal("trace file '", filePath, "' exhausted");
-        index = 0;
-    }
-    return records[index++];
-}
-
-std::size_t
-TraceFileReader::fill(TraceRecord *out, std::size_t n)
-{
-    std::size_t produced = 0;
-    while (produced < n) {
-        if (index >= count) {
-            if (!wrapAround)
-                break; // short read: the caller sees EOF as < n
-            index = 0;
-        }
-        const std::uint64_t available = count - index;
-        const std::size_t chunk = static_cast<std::size_t>(
-            std::min<std::uint64_t>(n - produced, available));
-        std::copy_n(records.begin() +
-                        static_cast<std::ptrdiff_t>(index),
-                    chunk, out + produced);
-        produced += chunk;
-        index += chunk;
-    }
-    return produced;
-}
-
-void
-TraceFileReader::rewind()
-{
-    index = 0;
 }
 
 } // namespace pomtlb

@@ -1,29 +1,26 @@
 /**
  * @file
- * Binary trace-file serialisation.
+ * The legacy POMT trace format's reference encoder.
  *
- * The paper's methodology collects PIN + pagemap traces; this module
- * lets users bring real traces (or archive synthetic ones) instead of
- * the built-in generators. The format is a fixed little-endian
- * layout:
+ * POMT is a fixed little-endian layout holding one unnamed stream:
  *
  *   header:  magic "POMT" | u32 version | u64 record count
  *   record:  u64 vaddr | u32 instGap | u8 flags
  *            flags bit 0: write, bit 1: 2 MB page
  *
- * A TraceFileWriter streams records out; a TraceFileReader replays
- * them (with optional wrap-around so short files can drive long
- * simulations).
+ * The simulator does not replay POMT files: `pomtlb trace pack --in`
+ * converts them (scanLegacyTrace() in trace/tracepack.hh, the one
+ * POMT decoder) into a pomtlb-tracepack-v1 pack, the one replay
+ * format. TraceFileWriter produces POMT files, for that converter's
+ * tests and for tools that archive traces in the legacy layout.
  */
 
 #ifndef POMTLB_TRACE_TRACE_FILE_HH
 #define POMTLB_TRACE_TRACE_FILE_HH
 
-#include <cstddef>
 #include <cstdint>
 #include <fstream>
 #include <string>
-#include <vector>
 
 #include "trace/record.hh"
 
@@ -57,66 +54,6 @@ class TraceFileWriter
     std::uint64_t count = 0;
     bool closed = false;
 };
-
-/** Replays trace records from a binary file. */
-class TraceFileReader
-{
-  public:
-    /**
-     * Open and validate @p path. Malformed input — missing file,
-     * bad magic or version, a header that claims more records than
-     * the file holds — throws a path-named, size-reporting
-     * TraceError (trace/error.hh) instead of terminating the
-     * process, so batch converters and the CLI can report and
-     * continue.
-     *
-     * @param wrap When true, next() restarts from the first record
-     *             after the last one (short traces can then drive
-     *             arbitrarily long simulations).
-     */
-    explicit TraceFileReader(const std::string &path,
-                             bool wrap = true);
-
-    /** Read the next record (fatal at EOF when wrap is off). */
-    TraceRecord next();
-
-    /**
-     * Copy up to @p n records into the caller-owned block @p out and
-     * return the count copied. With wrap on, exactly @p n records are
-     * produced (the stream restarts as often as needed); with wrap
-     * off, a short read — fewer than @p n, possibly zero — signals
-     * the end of the file without the fatal error next() raises.
-     */
-    std::size_t fill(TraceRecord *out, std::size_t n);
-
-    /** Restart from the first record. */
-    void rewind();
-
-    std::uint64_t recordCount() const { return count; }
-    std::uint64_t position() const { return index; }
-    const std::string &path() const { return filePath; }
-
-  private:
-    // The whole trace is held in memory: records are 13 bytes packed
-    // and even hundred-million-record traces fit comfortably.
-    std::vector<TraceRecord> records;
-    std::string filePath;
-    std::uint64_t count = 0;
-    std::uint64_t index = 0;
-    bool wrapAround;
-};
-
-/** Convenience: dump @p n records from a generator-like source. */
-template <typename Source>
-std::uint64_t
-recordTrace(Source &source, const std::string &path, std::uint64_t n)
-{
-    TraceFileWriter writer(path);
-    for (std::uint64_t i = 0; i < n; ++i)
-        writer.append(source.next());
-    writer.close();
-    return writer.recordCount();
-}
 
 } // namespace pomtlb
 

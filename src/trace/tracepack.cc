@@ -874,9 +874,8 @@ scanLegacyTrace(const std::string &path,
             std::to_string(needed) + " bytes) but the file holds "
             "only " + std::to_string(fileBytes) + " bytes");
 
-    // One bounded buffer, each record read exactly once — unlike
-    // TraceFileReader, which materialises the whole trace to replay
-    // it. A converter never needs that second copy.
+    // One bounded buffer, each record read exactly once: a
+    // converter never needs the whole trace in memory.
     constexpr std::size_t blockRecords = 1024;
     std::vector<unsigned char> raw(blockRecords * legacyRecordBytes);
     std::vector<TraceRecord> block(blockRecords);

@@ -3,14 +3,14 @@
  * The pomtlb-tracepack-v1 container: mmap-able, chunked, multi-stream
  * trace storage.
  *
- * The legacy POMT format (trace/trace_file.hh) stores one unnamed
- * stream of 13-byte packed records and is replayed by slurping the
- * whole file into a std::vector. A trace pack instead holds one or
- * more *named* streams (one per core or per tenant vCPU) in
- * 64-byte-aligned chunks that a reader maps read-only and decodes
- * straight out of the mapping — no up-front copy, O(1) seek and
- * rewind, and per-chunk checksums so corruption is detected instead
- * of silently simulated.
+ * The one replay format of the simulator. The legacy POMT format
+ * (trace/trace_file.hh) stores one unnamed stream of 13-byte packed
+ * records; `pomtlb trace pack --in` converts it (scanLegacyTrace()).
+ * A trace pack instead holds one or more *named* streams (one per
+ * core or per tenant vCPU) in 64-byte-aligned chunks that a reader
+ * maps read-only and decodes straight out of the mapping — no
+ * up-front copy, O(1) seek and rewind, and per-chunk checksums so
+ * corruption is detected instead of silently simulated.
  *
  * On-disk layout (all integers little-endian):
  *
@@ -284,11 +284,11 @@ class TracePackReader
  * TraceSource view of one stream of a shared TracePackReader.
  *
  * fill() decodes records directly from the pack mapping into the
- * caller's block. With wrap on (the default, matching FileSource)
- * the stream restarts after its last record so short traces can
- * drive arbitrarily long simulations; an *empty* stream returns 0
- * regardless, so a mis-wired scenario fails loudly instead of
- * spinning.
+ * caller's block. With wrap on (the default) the stream restarts
+ * after its last record so short traces can drive arbitrarily long
+ * simulations; an *empty* stream returns 0 regardless, so it never
+ * spins (the scenario engine rejects such streams up front with a
+ * named TraceError).
  */
 class PackStreamSource : public TraceSource
 {
@@ -312,10 +312,11 @@ class PackStreamSource : public TraceSource
 
 /**
  * Stream the records of a legacy POMT trace file through @p sink in
- * fixed-size blocks without buffering the whole file (unlike
- * TraceFileReader's in-memory replay vector — the converter reads
- * each record exactly once). Returns the record count. Throws a
- * path-named, size-reporting TraceError on malformed input.
+ * fixed-size blocks without buffering the whole file (each record is
+ * read exactly once) — the one POMT decoder. Returns the record
+ * count. Throws a path-named, size-reporting TraceError on malformed
+ * input: a missing file, a short header, bad magic, an unsupported
+ * version, or a body shorter than the header's record count.
  */
 std::uint64_t
 scanLegacyTrace(const std::string &path,

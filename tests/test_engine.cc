@@ -1,12 +1,15 @@
 /**
  * @file
  * Simulation-engine tests: determinism, warmup/stat-reset semantics,
- * pre-population, multi-VM placement, and result aggregation.
+ * pre-population, multi-VM placement, trace-pack replay, the
+ * classic-run facade's input checks, and result aggregation.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <stdexcept>
+#include <string>
 
 #include "sim/engine.hh"
 #include "trace/source.hh"
@@ -139,32 +142,83 @@ TEST(Engine, BaselineWalksEveryMiss)
     EXPECT_GT(result.totals().avgPenaltyPerMiss, 0.0);
 }
 
-TEST(Engine, FileSourcesDriveTheMachine)
+TEST(Engine, LegacyTraceReplaysThroughAPack)
 {
-    // Record a short synthetic trace, then replay it through the
-    // engine via FileSource; the run must behave like a normal run.
-    const std::string path =
+    // Record a short synthetic POMT trace, convert it the way
+    // `pomtlb trace pack --in` does (scanLegacyTrace into a
+    // one-stream pack), and replay the pack on two cores: both wrap
+    // onto stream 0, and the run behaves like a normal run.
+    const std::string legacy =
         testTempPath("engine_replay_test", ".pomt");
+    const std::string pack =
+        testTempPath("engine_replay_test", ".pack");
     const auto &profile = ProfileRegistry::byName("gups");
     {
         TraceGenerator generator(profile, 0, 123);
-        recordTrace(generator, path, 5000);
+        TraceFileWriter writer(legacy);
+        for (int i = 0; i < 5000; ++i)
+            writer.append(generator.next());
+    }
+    {
+        TracePackWriter writer(pack, {"core0"});
+        scanLegacyTrace(legacy,
+                        [&](const TraceRecord *block, std::size_t n) {
+                            writer.append(0, block, n);
+                        });
+        writer.close();
     }
 
     EngineConfig config = quickEngine();
     config.refsPerCore = 2000;
     config.warmupRefsPerCore = 1000;
+    config.tracePackPath = pack;
     Machine machine(twoCores(), "POM-TLB");
-    std::vector<std::unique_ptr<TraceSource>> sources;
-    sources.push_back(std::make_unique<FileSource>(path));
-    sources.push_back(std::make_unique<FileSource>(path));
-    SimulationEngine engine(machine, profile, config,
-                            std::move(sources));
+    SimulationEngine engine(machine, profile, config);
     const RunResult result = engine.run();
     EXPECT_EQ(result.totals().refs, 4000u);
     // Pre-population still covers every page: no walks.
     EXPECT_LT(result.totals().walkFraction, 0.01);
-    std::remove(path.c_str());
+    std::remove(legacy.c_str());
+    std::remove(pack.c_str());
+}
+
+TEST(Engine, ZeroPidOrVmIsANamedError)
+{
+    // To the scenario a classic run compiles to, 0 means
+    // "auto-assign"; a classic run refuses it rather than renumber.
+    const auto &profile = ProfileRegistry::byName("canneal");
+    Machine machine(twoCores(), "POM-TLB");
+    EngineConfig zero_pid = quickEngine();
+    zero_pid.pidBase = 0;
+    try {
+        SimulationEngine engine(machine, profile, zero_pid);
+        FAIL() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument &error) {
+        EXPECT_NE(std::string(error.what()).find("pidBase"),
+                  std::string::npos)
+            << error.what();
+    }
+    EngineConfig zero_vm = quickEngine();
+    zero_vm.coreVm = {1, 0};
+    try {
+        SimulationEngine engine(machine, profile, zero_vm);
+        FAIL() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument &error) {
+        EXPECT_NE(std::string(error.what()).find("core 1 VM 0"),
+                  std::string::npos)
+            << error.what();
+    }
+}
+
+TEST(Engine, ModifiedProfileIsANamedError)
+{
+    // Workloads resolve by name, so a profile edited after lookup
+    // would silently run as the registered one; it is refused.
+    BenchmarkProfile profile = ProfileRegistry::byName("mcf");
+    profile.footprintBytes /= 2;
+    Machine machine(twoCores(), "POM-TLB");
+    EXPECT_THROW(SimulationEngine(machine, profile, quickEngine()),
+                 std::invalid_argument);
 }
 
 TEST(Engine, PackReplayMatchesTheGeneratorRunExactly)

@@ -7,14 +7,10 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-
-#include "sim/engine.hh"
 #include "sim/experiment.hh"
+#include "sim/machine.hh"
 #include "sim/perf_model.hh"
-#include "trace/source.hh"
-#include "trace/trace_file.hh"
-#include "test_paths.hh"
+#include "sim/scenario.hh"
 
 namespace pomtlb
 {
@@ -67,46 +63,29 @@ TEST(PipelineSmoke, CapacityExplorerFlow)
 
 TEST(PipelineSmoke, MixedTenantsFlow)
 {
-    // examples/mixed_tenants.cpp in miniature: heterogeneous
-    // per-core sources in different VMs on one machine.
-    ExperimentConfig config = smokeConfig();
-    config.engine.coreVm = {1, 2};
-    Machine machine(config.system, "POM-TLB");
-    std::vector<std::unique_ptr<TraceSource>> sources;
-    sources.push_back(std::make_unique<GeneratorSource>(
-        ProfileRegistry::byName("mcf"), 0, 42));
-    sources.push_back(std::make_unique<GeneratorSource>(
-        ProfileRegistry::byName("gups"), 1, 42));
-    SimulationEngine engine(machine,
-                            ProfileRegistry::byName("mcf"),
-                            config.engine, std::move(sources));
-    const RunResult result = engine.run();
-    EXPECT_EQ(result.cores.size(), 2u);
-    EXPECT_LT(result.totals().walkFraction, 0.05);
+    // examples/mixed_tenants.cpp in miniature: mcf and gups as two
+    // 2-vCPU tenants in different VMs on one 4-core machine.
+    ScenarioSpec spec;
+    spec.name = "mixed-tenants";
+    spec.system.numCores = 4;
+    spec.engine.refsPerCore = 5000;
+    spec.engine.warmupRefsPerCore = 5000;
+    spec.withTenant(TenantSpec{}
+                        .withName("mcf-tenant")
+                        .withBenchmark("mcf")
+                        .withVcpus(2))
+        .withTenant(TenantSpec{}
+                        .withName("gups-tenant")
+                        .withBenchmark("gups")
+                        .withVcpus(2));
+    Machine machine(spec.system, spec.scheme);
+    const ScenarioResult result = runScenario(machine, spec);
+    EXPECT_EQ(result.run.cores.size(), 4u);
+    ASSERT_EQ(result.tenants.size(), 2u);
+    EXPECT_EQ(result.tenants[0].refs, 10000u);
+    EXPECT_EQ(result.tenants[1].refs, 10000u);
+    EXPECT_LT(result.run.totals().walkFraction, 0.05);
     EXPECT_EQ(machine.memoryMap().vmCount(), 2u);
-}
-
-TEST(PipelineSmoke, RecordReplayFlow)
-{
-    // tools/pomtlb_cli.cc record-trace + replay-trace in miniature.
-    const std::string path =
-        testTempPath("pipeline_smoke", ".pomt");
-    {
-        TraceGenerator generator(
-            ProfileRegistry::byName("canneal"), 0, 42);
-        recordTrace(generator, path, 12000);
-    }
-    ExperimentConfig config = smokeConfig();
-    Machine machine(config.system, "POM-TLB");
-    std::vector<std::unique_ptr<TraceSource>> sources;
-    sources.push_back(std::make_unique<FileSource>(path));
-    sources.push_back(std::make_unique<FileSource>(path));
-    SimulationEngine engine(machine,
-                            ProfileRegistry::byName("canneal"),
-                            config.engine, std::move(sources));
-    const RunResult result = engine.run();
-    EXPECT_EQ(result.totals().refs, 10000u);
-    std::remove(path.c_str());
 }
 
 TEST(PipelineSmoke, CompareFlowOrdering)

@@ -1,11 +1,12 @@
 /**
  * @file
- * Scenario-engine tests: the single-tenant golden equivalence (a
- * degenerate scenario reproduces the classic engine byte-for-byte),
+ * Scenario-engine tests: the single-tenant golden equivalence (one
+ * tenant whose vCPUs cover every core reproduces a classic run —
+ * one tenant per core — byte-for-byte),
  * spec resolution (generator expansion, churn schedules, overcommit,
  * VM/ASID auto-binding), lifecycle events (arrivals, departures,
- * migrations, storms), per-tenant QoS accounting, and the
- * `pomtlb-scenario-v1` export.
+ * migrations, storms), per-tenant QoS accounting, the pack-replay
+ * rule, and the `pomtlb-scenario-v1` export.
  */
 
 #include <sys/wait.h>
@@ -13,6 +14,7 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <functional>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -23,6 +25,8 @@
 #include "sim/machine.hh"
 #include "sim/scenario.hh"
 #include "sim/stats_export.hh"
+#include "trace/error.hh"
+#include "trace/tracepack.hh"
 #include "test_paths.hh"
 
 namespace pomtlb
@@ -115,7 +119,7 @@ TEST_P(SingleTenantLegacy, MatchesClassicRunByteForByte)
 }
 
 // canneal is multithreaded: every vCPU shares one ASID, the other
-// pid-assignment branch of both engines.
+// pid-assignment branch of both the scenario and the classic run.
 INSTANTIATE_TEST_SUITE_P(
     Scenario, SingleTenantLegacy,
     ::testing::Combine(
@@ -390,6 +394,116 @@ TEST(Scenario, PackReplayReproducesTheScenarioExactly)
     // The identities differ on purpose: the replay folds the pack's
     // content hash into the scenario hash.
     EXPECT_NE(scenarioHash(spec), scenarioHash(replay));
+    std::filesystem::remove(path);
+}
+
+// ---------------------------------------------------------------
+// The one pack-replay rule: vCPU stream i replays pack stream
+// i mod stream_count, in scenarios and classic runs alike; an
+// empty pack stream is a named error at engine construction.
+// ---------------------------------------------------------------
+
+/**
+ * Write a pack at @p path with one stream per entry of @p names,
+ * each holding @p records mcf generator records — except stream
+ * @p empty_stream, when given, which holds none.
+ */
+void
+writeGeneratorPack(const std::string &path,
+                   const std::vector<std::string> &names,
+                   std::uint64_t records, int empty_stream = -1)
+{
+    TracePackWriter writer(path, names);
+    std::vector<TraceRecord> block(static_cast<std::size_t>(records));
+    for (std::size_t s = 0; s < names.size(); ++s) {
+        if (static_cast<int>(s) == empty_stream)
+            continue;
+        GeneratorSource source(ProfileRegistry::byName("mcf"),
+                               static_cast<CoreId>(s), 7 + s);
+        source.fill(block.data(), block.size());
+        writer.append(static_cast<std::uint32_t>(s), block.data(),
+                      block.size());
+    }
+    writer.close();
+}
+
+TEST(Scenario, ScenarioPackWrapsOntoVcpusLikeRun)
+{
+    // Three pack streams, four vCPUs: vCPU 3 wraps onto stream 0,
+    // exactly as core 3 of `pomtlb run --trace-in` does.
+    const std::string path =
+        testTempPath("scenario_wrap_test", ".pack");
+    writeGeneratorPack(path, {"a", "b", "c"}, 1500);
+    EngineConfig config = quickEngine();
+    config.tracePackPath = path;
+    ScenarioSpec spec = degenerateSpec("mcf", 4);
+    spec.withTracePack(path);
+    EXPECT_EQ(scenarioStatsDump(spec),
+              legacyStatsDump("mcf", 4, config));
+    std::filesystem::remove(path);
+}
+
+TEST(Scenario, TenantTraceStreamStaysRangeChecked)
+{
+    // An explicit TenantSpec::traceStream names one stream; it does
+    // not wrap.
+    const std::string path =
+        testTempPath("scenario_range_test", ".pack");
+    writeGeneratorPack(path, {"a", "b"}, 100);
+    ScenarioSpec spec;
+    spec.system = smallSystem(2);
+    spec.engine = quickEngine();
+    spec.withTenant(
+        TenantSpec{}.withVcpus(2).withTracePack(path, 1));
+    Machine machine(spec.system, spec.scheme);
+    try {
+        ScenarioEngine engine(machine, spec);
+        FAIL() << "expected TraceError";
+    } catch (const TraceError &error) {
+        EXPECT_NE(std::string(error.what()).find("out of range"),
+                  std::string::npos)
+            << error.what();
+    }
+    std::filesystem::remove(path);
+}
+
+TEST(Scenario, EmptyPackStreamIsANamedError)
+{
+    // Stream 'core1' holds no records: replaying it would exhaust
+    // during pre-population (or the first refill). Both the classic
+    // facade and a scenario-wide pack refuse it up front, naming
+    // the pack and the stream.
+    const std::string path =
+        testTempPath("scenario_empty_test", ".pack");
+    writeGeneratorPack(path, {"core0", "core1"}, 2,
+                       /*empty_stream=*/1);
+    const auto expect_named = [&](const std::function<void()> &build) {
+        try {
+            build();
+            FAIL() << "expected TraceError";
+        } catch (const TraceError &error) {
+            const std::string what = error.what();
+            EXPECT_NE(what.find(path), std::string::npos) << what;
+            EXPECT_NE(what.find("'core1'"), std::string::npos) << what;
+        }
+    };
+
+    for (const bool prepopulate : {true, false}) {
+        EngineConfig config = quickEngine();
+        config.prepopulate = prepopulate;
+        config.tracePackPath = path;
+        Machine classic(smallSystem(2), std::string("POM-TLB"));
+        expect_named([&] {
+            SimulationEngine engine(
+                classic, ProfileRegistry::byName("mcf"), config);
+        });
+
+        ScenarioSpec spec = degenerateSpec("mcf", 2);
+        spec.engine.prepopulate = prepopulate;
+        spec.withTracePack(path);
+        Machine scenario(spec.system, spec.scheme);
+        expect_named([&] { ScenarioEngine engine(scenario, spec); });
+    }
     std::filesystem::remove(path);
 }
 

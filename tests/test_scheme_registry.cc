@@ -1,9 +1,9 @@
 /**
  * @file
  * Tests for the scheme plug-in registry (sim/scheme_registry.hh):
- * deterministic ordering, alias and legacy-enum round trips,
- * duplicate rejection, factory isolation across machines, and
- * string-keyed construction of every registered scheme.
+ * deterministic ordering, alias round trips, duplicate rejection,
+ * factory isolation across machines, and string-keyed construction
+ * of every registered scheme.
  */
 
 #include <gtest/gtest.h>
@@ -38,10 +38,10 @@ TEST(SchemeRegistry, PaperSchemesComeFirstInRegistrationRankOrder)
     // Figure-8 order is pinned: the paper's four schemes first (the
     // exact strings plot_results.py and the golden fixtures rely on),
     // then the contenders in rank order.
-    const std::vector<SchemeKind> kinds = allSchemeKinds();
-    ASSERT_EQ(kinds.size(), 4u);
-    for (std::size_t i = 0; i < kinds.size(); ++i)
-        EXPECT_EQ(names[i], schemeKindName(kinds[i]));
+    const std::vector<std::string> paper = {"Baseline", "POM-TLB",
+                                            "Shared_L2", "TSB"};
+    for (std::size_t i = 0; i < paper.size(); ++i)
+        EXPECT_EQ(names[i], paper[i]);
     EXPECT_EQ(names[4], "Coalesced");
     EXPECT_EQ(names[5], "Victima");
 
@@ -76,48 +76,6 @@ TEST(SchemeRegistry, EveryNameRoundTripsThroughParseAndEmit)
     }
     EXPECT_EQ(SchemeRegistry::global().find("no-such-scheme"),
               nullptr);
-}
-
-TEST(SchemeRegistry, LegacySchemeKindShimsResolveThroughRegistry)
-{
-    for (const SchemeKind kind : allSchemeKinds()) {
-        const auto round = schemeKindFromName(schemeKindName(kind));
-        ASSERT_TRUE(round.has_value());
-        EXPECT_EQ(*round, kind);
-        const SchemeRegistry::Info *info =
-            SchemeRegistry::global().find(schemeKindName(kind));
-        ASSERT_NE(info, nullptr);
-        ASSERT_TRUE(info->legacy.has_value());
-        EXPECT_EQ(*info->legacy, kind);
-    }
-    // The historical CLI spellings still parse.
-    EXPECT_EQ(schemeKindFromName("pom"), SchemeKind::PomTlb);
-    EXPECT_EQ(schemeKindFromName("shared"), SchemeKind::SharedL2);
-    // Contenders exist outside the legacy enum.
-    const SchemeRegistry::Info *coalesced =
-        SchemeRegistry::global().find("Coalesced");
-    ASSERT_NE(coalesced, nullptr);
-    EXPECT_FALSE(coalesced->legacy.has_value());
-    EXPECT_FALSE(schemeKindFromName("Victima").has_value());
-}
-
-TEST(SchemeRegistry, LegacyMachineCtorStillBuildsEveryKind)
-{
-    // The deprecated Machine(SystemConfig, SchemeKind) overload and
-    // the schemeKind() accessor must keep working until the shim is
-    // removed; they resolve through the same registry entries as
-    // the canonical string names.
-    const SystemConfig config = smallConfig();
-    for (const SchemeKind kind : allSchemeKinds()) {
-        Machine machine(config, kind);
-        ASSERT_TRUE(machine.schemeKind().has_value());
-        EXPECT_EQ(*machine.schemeKind(), kind);
-        EXPECT_EQ(machine.schemeName(), schemeKindName(kind));
-    }
-    EXPECT_STREQ(schemeKindName(SchemeKind::NestedWalk), "Baseline");
-    EXPECT_STREQ(schemeKindName(SchemeKind::PomTlb), "POM-TLB");
-    EXPECT_STREQ(schemeKindName(SchemeKind::SharedL2), "Shared_L2");
-    EXPECT_STREQ(schemeKindName(SchemeKind::Tsb), "TSB");
 }
 
 TEST(SchemeRegistry, RejectsDuplicateAndMalformedRegistrations)

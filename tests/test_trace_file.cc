@@ -1,7 +1,9 @@
 /**
  * @file
- * Trace-file serialisation tests: round trips, wrap-around, format
- * validation.
+ * Legacy POMT format tests: TraceFileWriter, the format's reference
+ * encoder, round-trips through scanLegacyTrace(), the one POMT
+ * decoder (behind `pomtlb trace pack --in`), and the decoder rejects
+ * malformed input with path-named, size-reporting errors.
  */
 
 #include <gtest/gtest.h>
@@ -14,12 +16,39 @@
 #include "trace/error.hh"
 #include "trace/generator.hh"
 #include "trace/trace_file.hh"
+#include "trace/tracepack.hh"
 #include "test_paths.hh"
 
 namespace pomtlb
 {
 namespace
 {
+
+/** Decode every record of the POMT file at @p path. */
+std::vector<TraceRecord>
+decode(const std::string &path)
+{
+    std::vector<TraceRecord> records;
+    const std::uint64_t count = scanLegacyTrace(
+        path, [&](const TraceRecord *block, std::size_t n) {
+            records.insert(records.end(), block, block + n);
+        });
+    EXPECT_EQ(count, records.size());
+    return records;
+}
+
+/** The TraceError message decoding @p path raises ("" if none). */
+std::string
+decodeError(const std::string &path)
+{
+    try {
+        scanLegacyTrace(path, [](const TraceRecord *, std::size_t) {});
+    } catch (const TraceError &error) {
+        return error.what();
+    }
+    ADD_FAILURE() << "expected TraceError for " << path;
+    return "";
+}
 
 class TraceFileTest : public ::testing::Test
 {
@@ -50,59 +79,14 @@ TEST_F(TraceFileTest, RoundTripPreservesRecords)
         }
     } // destructor finalises the header
 
-    TraceFileReader reader(path, /*wrap=*/false);
-    EXPECT_EQ(reader.recordCount(), 1000u);
-    for (const TraceRecord &expected : original) {
-        const TraceRecord actual = reader.next();
-        EXPECT_EQ(actual.vaddr, expected.vaddr);
-        EXPECT_EQ(actual.instGap, expected.instGap);
-        EXPECT_EQ(actual.type, expected.type);
-        EXPECT_EQ(actual.pageSize, expected.pageSize);
+    const std::vector<TraceRecord> decoded = decode(path);
+    ASSERT_EQ(decoded.size(), original.size());
+    for (std::size_t i = 0; i < original.size(); ++i) {
+        EXPECT_EQ(decoded[i].vaddr, original[i].vaddr) << i;
+        EXPECT_EQ(decoded[i].instGap, original[i].instGap) << i;
+        EXPECT_EQ(decoded[i].type, original[i].type) << i;
+        EXPECT_EQ(decoded[i].pageSize, original[i].pageSize) << i;
     }
-}
-
-TEST_F(TraceFileTest, WrapAroundRestarts)
-{
-    {
-        TraceFileWriter writer(path);
-        TraceRecord record;
-        record.vaddr = 0x1000;
-        writer.append(record);
-        record.vaddr = 0x2000;
-        writer.append(record);
-    }
-    TraceFileReader reader(path, /*wrap=*/true);
-    EXPECT_EQ(reader.next().vaddr, 0x1000u);
-    EXPECT_EQ(reader.next().vaddr, 0x2000u);
-    EXPECT_EQ(reader.next().vaddr, 0x1000u); // wrapped
-    EXPECT_EQ(reader.position(), 1u);
-}
-
-TEST_F(TraceFileTest, ExhaustionIsFatalWithoutWrap)
-{
-    {
-        TraceFileWriter writer(path);
-        writer.append(TraceRecord{});
-    }
-    TraceFileReader reader(path, /*wrap=*/false);
-    reader.next();
-    EXPECT_DEATH_IF_SUPPORTED({ reader.next(); }, "");
-}
-
-TEST_F(TraceFileTest, RewindRestarts)
-{
-    {
-        TraceFileWriter writer(path);
-        TraceRecord record;
-        record.vaddr = 0xabc000;
-        writer.append(record);
-        record.vaddr = 0xdef000;
-        writer.append(record);
-    }
-    TraceFileReader reader(path);
-    reader.next();
-    reader.rewind();
-    EXPECT_EQ(reader.next().vaddr, 0xabc000u);
 }
 
 TEST_F(TraceFileTest, RejectsGarbageFileNamingThePath)
@@ -112,20 +96,17 @@ TEST_F(TraceFileTest, RejectsGarbageFileNamingThePath)
         out << "this is not a trace, but it is long enough that the"
                " 16-byte header check passes and the magic fails";
     }
-    try {
-        TraceFileReader reader(path);
-        FAIL() << "expected TraceError";
-    } catch (const TraceError &error) {
-        EXPECT_NE(std::string(error.what()).find(path),
-                  std::string::npos)
-            << error.what();
-    }
+    const std::string what = decodeError(path);
+    EXPECT_NE(what.find(path), std::string::npos) << what;
+    EXPECT_NE(what.find("not a POM-TLB trace"), std::string::npos)
+        << what;
 }
 
 TEST_F(TraceFileTest, RejectsMissingFile)
 {
-    EXPECT_THROW(TraceFileReader reader("/nonexistent/trace.pomt"),
-                 TraceError);
+    const std::string missing = "/nonexistent/trace.pomt";
+    const std::string what = decodeError(missing);
+    EXPECT_NE(what.find(missing), std::string::npos) << what;
 }
 
 TEST_F(TraceFileTest, RejectsShortFileReportingSizes)
@@ -134,14 +115,9 @@ TEST_F(TraceFileTest, RejectsShortFileReportingSizes)
         std::ofstream out(path, std::ios::binary);
         out << "POMT"; // magic only, header cut short
     }
-    try {
-        TraceFileReader reader(path);
-        FAIL() << "expected TraceError";
-    } catch (const TraceError &error) {
-        const std::string what = error.what();
-        EXPECT_NE(what.find(path), std::string::npos) << what;
-        EXPECT_NE(what.find("4 bytes"), std::string::npos) << what;
-    }
+    const std::string what = decodeError(path);
+    EXPECT_NE(what.find(path), std::string::npos) << what;
+    EXPECT_NE(what.find("4 bytes"), std::string::npos) << what;
 }
 
 TEST_F(TraceFileTest, RejectsTruncatedBodyReportingSizes)
@@ -160,31 +136,31 @@ TEST_F(TraceFileTest, RejectsTruncatedBodyReportingSizes)
     std::ofstream(path, std::ios::binary | std::ios::trunc)
         << bytes;
 
-    try {
-        TraceFileReader reader(path);
-        FAIL() << "expected TraceError";
-    } catch (const TraceError &error) {
-        const std::string what = error.what();
-        EXPECT_NE(what.find(path), std::string::npos) << what;
-        EXPECT_NE(what.find("8 records"), std::string::npos) << what;
-        EXPECT_NE(what.find(std::to_string(bytes.size())),
-                  std::string::npos)
-            << what;
-    }
+    const std::string what = decodeError(path);
+    EXPECT_NE(what.find(path), std::string::npos) << what;
+    EXPECT_NE(what.find("8 records"), std::string::npos) << what;
+    EXPECT_NE(what.find(std::to_string(bytes.size())),
+              std::string::npos)
+        << what;
 }
 
-TEST_F(TraceFileTest, RecordTraceHelper)
+TEST_F(TraceFileTest, RejectsUnsupportedVersion)
 {
-    const auto &profile = ProfileRegistry::byName("gups");
-    TraceGenerator generator(profile, 1, 7);
-    EXPECT_EQ(recordTrace(generator, path, 500), 500u);
-    TraceFileReader reader(path);
-    EXPECT_EQ(reader.recordCount(), 500u);
-
-    // The file replays the exact generator stream.
-    TraceGenerator fresh(profile, 1, 7);
-    for (int i = 0; i < 500; ++i)
-        EXPECT_EQ(reader.next().vaddr, fresh.next().vaddr);
+    {
+        TraceFileWriter writer(path);
+        writer.append(TraceRecord{});
+    }
+    // Bump the u32 version that follows the magic to 2.
+    {
+        std::fstream file(path, std::ios::binary | std::ios::in |
+                                    std::ios::out);
+        file.seekp(4);
+        file.put(2);
+    }
+    const std::string what = decodeError(path);
+    EXPECT_NE(what.find(path), std::string::npos) << what;
+    EXPECT_NE(what.find("unsupported version 2"), std::string::npos)
+        << what;
 }
 
 TEST_F(TraceFileTest, FlagsEncodeBothDimensions)
@@ -197,100 +173,18 @@ TEST_F(TraceFileTest, FlagsEncodeBothDimensions)
         record.pageSize = PageSize::Large2M;
         record.instGap = 77;
         writer.append(record);
+        record.vaddr = 0x40001000;
+        record.type = AccessType::Read;
+        record.pageSize = PageSize::Small4K;
+        writer.append(record);
     }
-    TraceFileReader reader(path);
-    const TraceRecord record = reader.next();
-    EXPECT_EQ(record.type, AccessType::Write);
-    EXPECT_EQ(record.pageSize, PageSize::Large2M);
-    EXPECT_EQ(record.instGap, 77u);
-}
-
-// -- fill() batched-read edges ------------------------------------
-
-TEST_F(TraceFileTest, FillShortReadSignalsEndWithoutWrap)
-{
-    const auto &profile = ProfileRegistry::byName("mcf");
-    TraceGenerator generator(profile, 0, 42);
-    EXPECT_EQ(recordTrace(generator, path, 10), 10u);
-
-    TraceFileReader reader(path, /*wrap=*/false);
-    std::vector<TraceRecord> block(16);
-
-    // Over-asking yields only what remains...
-    EXPECT_EQ(reader.fill(block.data(), 16), 10u);
-    // ...and an exhausted reader short-reads zero, repeatedly,
-    // instead of raising next()'s fatal error.
-    EXPECT_EQ(reader.fill(block.data(), 16), 0u);
-    EXPECT_EQ(reader.fill(block.data(), 1), 0u);
-}
-
-TEST_F(TraceFileTest, FillAfterRewindReplaysIdentically)
-{
-    const auto &profile = ProfileRegistry::byName("gups");
-    TraceGenerator generator(profile, 0, 7);
-    EXPECT_EQ(recordTrace(generator, path, 64), 64u);
-
-    TraceFileReader reader(path, /*wrap=*/false);
-    std::vector<TraceRecord> first(64), second(64);
-    EXPECT_EQ(reader.fill(first.data(), 64), 64u);
-
-    reader.rewind();
-    EXPECT_EQ(reader.position(), 0u);
-    EXPECT_EQ(reader.fill(second.data(), 64), 64u);
-    for (int i = 0; i < 64; ++i)
-        EXPECT_EQ(first[i].vaddr, second[i].vaddr) << "record " << i;
-}
-
-TEST_F(TraceFileTest, FillWrapsExactlyLikeRepeatedNext)
-{
-    const auto &profile = ProfileRegistry::byName("mcf");
-    TraceGenerator generator(profile, 0, 3);
-    EXPECT_EQ(recordTrace(generator, path, 5), 5u);
-
-    // A wrapping fill() crossing the file boundary several times
-    // must equal the same count of wrapping next() calls.
-    TraceFileReader batched(path, /*wrap=*/true);
-    TraceFileReader scalar(path, /*wrap=*/true);
-    std::vector<TraceRecord> block(13);
-    EXPECT_EQ(batched.fill(block.data(), 13), 13u);
-    for (int i = 0; i < 13; ++i) {
-        const TraceRecord expected = scalar.next();
-        EXPECT_EQ(block[i].vaddr, expected.vaddr) << "record " << i;
-        EXPECT_EQ(block[i].instGap, expected.instGap);
-    }
-    // Both cursors agree on where the wrapped stream stands.
-    EXPECT_EQ(batched.position(), scalar.position());
-}
-
-TEST_F(TraceFileTest, FillAndNextInterleaveOnOneCursor)
-{
-    const auto &profile = ProfileRegistry::byName("mcf");
-    TraceGenerator generator(profile, 0, 11);
-    EXPECT_EQ(recordTrace(generator, path, 20), 20u);
-
-    TraceFileReader reader(path, /*wrap=*/false);
-    TraceFileReader reference(path, /*wrap=*/false);
-
-    const TraceRecord one = reader.next();
-    std::vector<TraceRecord> block(8);
-    EXPECT_EQ(reader.fill(block.data(), 8), 8u);
-    const TraceRecord after = reader.next();
-
-    EXPECT_EQ(one.vaddr, reference.next().vaddr);
-    for (int i = 0; i < 8; ++i)
-        EXPECT_EQ(block[i].vaddr, reference.next().vaddr);
-    EXPECT_EQ(after.vaddr, reference.next().vaddr);
-}
-
-TEST_F(TraceFileTest, FillZeroIsANoOp)
-{
-    const auto &profile = ProfileRegistry::byName("mcf");
-    TraceGenerator generator(profile, 0, 42);
-    EXPECT_EQ(recordTrace(generator, path, 4), 4u);
-
-    TraceFileReader reader(path, /*wrap=*/false);
-    EXPECT_EQ(reader.fill(nullptr, 0), 0u);
-    EXPECT_EQ(reader.position(), 0u);
+    const std::vector<TraceRecord> decoded = decode(path);
+    ASSERT_EQ(decoded.size(), 2u);
+    EXPECT_EQ(decoded[0].type, AccessType::Write);
+    EXPECT_EQ(decoded[0].pageSize, PageSize::Large2M);
+    EXPECT_EQ(decoded[0].instGap, 77u);
+    EXPECT_EQ(decoded[1].type, AccessType::Read);
+    EXPECT_EQ(decoded[1].pageSize, PageSize::Small4K);
 }
 
 } // namespace

@@ -155,7 +155,7 @@ TEST_F(TracePackTest, MultiStreamPackKeepsStreamsApart)
         ASSERT_EQ(got[i].vaddr, second[i].vaddr) << "record " << i;
 }
 
-TEST_F(TracePackTest, PackStreamSourceWrapsLikeFileSource)
+TEST_F(TracePackTest, PackStreamSourceWrapsAndRewinds)
 {
     const auto records = syntheticRecords(5, 3);
     {

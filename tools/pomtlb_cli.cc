@@ -26,8 +26,6 @@
  *                              describes one, `trace cat` dumps
  *                              records as pomtlb-tracetext-v1
  *                              (docs/trace-format.md)
- *   record-trace               dump a synthetic trace to a file
- *   replay-trace               drive a machine from trace files
  *
  * sweep options:
  *   --jobs N                   worker threads (0 = all hardware
@@ -132,19 +130,11 @@
  *                              the 1-in-N interval, default 64)
  *   --trace-in PACK            replay a pomtlb-tracepack-v1 file
  *                              instead of the synthetic generator:
- *                              core c takes stream c mod
- *                              stream_count (run and scenario)
+ *                              core c (run) or vCPU c (scenario)
+ *                              takes stream c mod stream_count
  *   --trace-record PACK        scenario only: record the compiled
  *                              tenant streams to PACK (one stream
  *                              per vCPU) before running
- *
- * record-trace options:
- *   --benchmark NAME --core N --count N --out FILE
- *
- * replay-trace options:
- *   --trace FILE (repeatable; one per core, reused cyclically)
- *   plus the run options above (--benchmark supplies the workload
- *   metadata the performance model needs)
  */
 
 #include <algorithm>
@@ -154,6 +144,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -171,9 +162,7 @@
 #include "sim/sweep_serve.hh"
 #include "sim/translation_trace.hh"
 #include "trace/error.hh"
-#include "trace/generator.hh"
 #include "trace/source.hh"
-#include "trace/trace_file.hh"
 #include "trace/tracepack.hh"
 
 namespace
@@ -202,14 +191,9 @@ struct CliOptions
     std::string statsOutPath;
     std::string traceOutPath;
 
-    // record-trace
-    unsigned core = 0;
-    std::uint64_t count = 100000;
-    std::string outPath = "trace.pomt";
+    // --out (sweep / scenario JSON)
+    std::string outPath;
     bool outPathSet = false;
-
-    // replay-trace
-    std::vector<std::string> tracePaths;
 
     // trace-pack replay and recording (run / scenario)
     std::string tracePackIn;
@@ -249,9 +233,9 @@ usage()
     std::fprintf(
         stderr,
         "usage: pomtlb <list|list-schemes|show-config|run|compare|"
-        "sweep|scenario|serve|cache-gc|trace|record-trace|"
-        "replay-trace> [options]\n  see the header of "
-        "tools/pomtlb_cli.cc or the README for the option list\n");
+        "sweep|scenario|serve|cache-gc|trace> [options]\n  see the "
+        "header of tools/pomtlb_cli.cc or the README for the option "
+        "list\n");
     std::exit(2);
 }
 
@@ -329,16 +313,10 @@ parseOptions(int argc, char **argv, int first)
             options.statsOutPath = next();
         else if (arg == "--trace-out")
             options.traceOutPath = next();
-        else if (arg == "--core")
-            options.core = static_cast<unsigned>(parseNumber(next()));
-        else if (arg == "--count")
-            options.count = parseNumber(next());
         else if (arg == "--out") {
             options.outPath = next();
             options.outPathSet = true;
         }
-        else if (arg == "--trace")
-            options.tracePaths.push_back(next());
         else if (arg == "--trace-in")
             options.tracePackIn = next();
         else if (arg == "--trace-record")
@@ -983,62 +961,6 @@ commandServe(const CliOptions &options)
     return 0;
 }
 
-int
-commandReplayTrace(const CliOptions &options)
-{
-    if (options.tracePaths.empty()) {
-        std::fprintf(stderr,
-                     "replay-trace needs at least one --trace FILE\n");
-        return 2;
-    }
-    const BenchmarkProfile &profile =
-        ProfileRegistry::byName(options.benchmark);
-    const ExperimentConfig config = configFrom(options);
-    const std::string &scheme = schemeFromName(options.scheme);
-
-    std::vector<std::unique_ptr<TraceSource>> sources;
-    for (unsigned core = 0; core < options.cores; ++core) {
-        const std::string &path =
-            options.tracePaths[core % options.tracePaths.size()];
-        sources.push_back(std::make_unique<FileSource>(path));
-    }
-
-    Machine machine(config.system, scheme);
-    SimulationEngine engine(machine, profile, config.engine,
-                            std::move(sources));
-    const RunResult result = engine.run();
-
-    const RunTotals &totals = result.totals();
-    std::printf("replayed %llu refs from %zu trace file(s) under "
-                "%s\n",
-                static_cast<unsigned long long>(totals.refs),
-                options.tracePaths.size(), scheme.c_str());
-    std::printf("L2 TLB misses         : %llu\n",
-                static_cast<unsigned long long>(
-                    totals.lastLevelMisses));
-    std::printf("avg penalty per miss  : %.2f cycles\n",
-                totals.avgPenaltyPerMiss);
-    std::printf("page walks            : %.2f%% of misses\n",
-                100.0 * totals.walkFraction);
-    return 0;
-}
-
-int
-commandRecordTrace(const CliOptions &options)
-{
-    const BenchmarkProfile &profile =
-        ProfileRegistry::byName(options.benchmark);
-    TraceGenerator generator(profile, options.core,
-                             options.seed ? options.seed : 42);
-    const std::uint64_t written =
-        recordTrace(generator, options.outPath, options.count);
-    std::printf("wrote %llu records of '%s' (core %u) to %s\n",
-                static_cast<unsigned long long>(written),
-                profile.name.c_str(), options.core,
-                options.outPath.c_str());
-    return 0;
-}
-
 /** True when @p path starts with the legacy `POMT` trace magic. */
 bool
 hasLegacyTraceMagic(const std::string &path)
@@ -1335,39 +1257,35 @@ main(int argc, char **argv)
     if (argc < 2)
         usage();
     const std::string command = argv[1];
+    using Command = int (*)(const CliOptions &);
+    static const std::map<std::string, Command> commands = {
+        {"list", [](const CliOptions &) { return commandList(); }},
+        {"list-schemes",
+         [](const CliOptions &) { return commandListSchemes(); }},
+        {"show-config",
+         [](const CliOptions &) { return commandShowConfig(); }},
+        {"run", commandRun},
+        {"compare", commandCompare},
+        {"sweep", commandSweep},
+        {"scenario", commandScenario},
+        {"serve", commandServe},
+        {"cache-gc", commandCacheGc},
+    };
     // Malformed trace input (bad pack, torn file, bad text line) is
     // an expected operator error, not a bug: report the path-named
     // message and exit 1 instead of crashing.
     try {
         if (command == "trace")
             return commandTrace(argc, argv);
-        const CliOptions options = parseOptions(argc, argv, 2);
-
-        if (command == "list")
-            return commandList();
-        if (command == "list-schemes")
-            return commandListSchemes();
-        if (command == "show-config")
-            return commandShowConfig();
-        if (command == "run")
-            return commandRun(options);
-        if (command == "compare")
-            return commandCompare(options);
-        if (command == "sweep")
-            return commandSweep(options);
-        if (command == "scenario")
-            return commandScenario(options);
-        if (command == "serve")
-            return commandServe(options);
-        if (command == "cache-gc")
-            return commandCacheGc(options);
-        if (command == "record-trace")
-            return commandRecordTrace(options);
-        if (command == "replay-trace")
-            return commandReplayTrace(options);
+        const auto entry = commands.find(command);
+        if (entry == commands.end()) {
+            std::fprintf(stderr, "pomtlb: unknown command '%s'\n",
+                         command.c_str());
+            usage();
+        }
+        return entry->second(parseOptions(argc, argv, 2));
     } catch (const TraceError &error) {
         std::fprintf(stderr, "pomtlb: %s\n", error.what());
         return 1;
     }
-    usage();
 }
