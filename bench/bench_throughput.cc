@@ -2,7 +2,7 @@
  * @file
  * Host-throughput benchmark for the simulation engine itself.
  *
- * Unlike the figure benches (which report *simulated* metrics), this
+ * Unlike `pomtlb figures` (which reports *simulated* metrics), this
  * binary measures how fast the simulator runs on the host: wall-clock
  * references per second of SimulationEngine::run() for every
  * (benchmark, scheme) pair, plus experiments per second through the

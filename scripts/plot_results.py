@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""Plot the figure benches' CSV output or the simulator's JSON output.
+"""Plot a table ``pomtlb figures`` prints or the simulator's JSON output.
 
 Usage:
-    POMTLB_CSV=1 build/bench/bench_fig08_performance > fig08.txt
+    build/tools/pomtlb figures --only fig8 > fig08.txt
     scripts/plot_results.py fig08.txt -o fig08.png
 
     build/tools/pomtlb sweep --jobs 8 --out sweep.json
@@ -15,8 +15,9 @@ Usage:
 
 Three input formats are accepted and auto-detected:
 
-* the ``[csv]`` block a bench emits under POMTLB_CSV=1 (the aligned
-  table is for humans; the CSV block is for this script);
+* the aligned table ``pomtlb figures`` prints (the first one in the
+  file; cells are separated by two or more spaces, and no cell
+  contains two), ending at the blank line before its verdict lines;
 * the ``pomtlb-sweep-v1`` JSON document ``SweepResultWriter`` emits
   (``pomtlb sweep --out``), from which ``--metric`` picks one summary
   field per run; and
@@ -61,9 +62,8 @@ repo, nor for --selftest).
 """
 
 import argparse
-import csv
-import io
 import json
+import re
 import sys
 
 SWEEP_SCHEMA = "pomtlb-sweep-v1"
@@ -445,19 +445,28 @@ def breakdown_rows(document):
     return labels, series
 
 
-def extract_csv(text):
-    """Return the rows of the first [csv] block in *text*."""
-    marker = "[csv]"
-    start = text.find(marker)
-    if start < 0:
-        raise SystemExit(
-            "no [csv] block found — run the bench with POMTLB_CSV=1"
-        )
-    block = text[start + len(marker):].lstrip("\n")
-    # The block ends at the first blank line or EOF.
-    body = block.split("\n\n", 1)[0]
-    reader = csv.DictReader(io.StringIO(body))
-    return list(reader)
+def extract_table(text):
+    """Rows (dicts keyed by header) of the first aligned table in *text*:
+    the header line above the first line of dashes, then rows up to the
+    blank line before a ``pomtlb figures`` block's verdict lines."""
+    lines = text.splitlines()
+    for index, line in enumerate(lines):
+        if index == 0 or not line or set(line) != {"-"}:
+            continue
+        headers = re.split(r" {2,}", lines[index - 1].strip())
+        rows = []
+        for row in lines[index + 1:]:
+            if not row.strip():
+                break
+            cells = re.split(r" {2,}", row.strip())
+            if len(cells) != len(headers):
+                raise ParseError(
+                    f"table row has {len(cells)} cells for "
+                    f"{len(headers)} headers: {row.strip()!r}"
+                )
+            rows.append(dict(zip(headers, cells)))
+        return rows
+    raise ParseError("no aligned table found (`pomtlb figures` output)")
 
 
 def _load_pyplot():
@@ -539,9 +548,38 @@ def plot_breakdown(labels, series, args):
     print(f"wrote {args.output}")
 
 
+#: A captured ``pomtlb figures --only fig8`` block, verdict lines included
+#: (default size, 4 workers); trailing spaces are part of the table.
+_FIG8_CAPTURE = """
+=== Figure 8: Performance Improvement of POM-TLB (8 core), % over the measured baseline ===
+benchmark      POM-TLB (%)  Shared_L2 (%)  TSB (%)  Coalesced (%)  Victima (%)  pom_cost_ratio
+----------------------------------------------------------------------------------------------
+astar          8.96         4.90           -1.24    2.44           4.60         0.49          
+bwaves         1.96         2.47           -0.29    2.33           1.59         0.75          
+canneal        3.07         3.46           0.49     0.16           2.86         0.53          
+ccomponent     4.34         0.64           2.46     -0.28          1.64         0.44          
+gcc            6.48         3.60           -0.79    1.85           3.45         0.50          
+GemsFDTD       4.42         0.92           -2.79    0.19           0.60         0.74          
+graph500       3.39         3.76           0.47     0.88           2.79         0.57          
+gups           10.10        4.53           3.00     0.54           9.62         0.47          
+lbm            3.01         4.31           -1.99    4.24           4.71         0.76          
+libquantum     1.27         1.66           -0.70    1.66           1.29         0.83          
+mcf            9.08         4.84           -1.28    -4.55          4.43         0.56          
+pagerank       2.53         1.66           -0.77    -2.48          1.18         0.65          
+soplex         6.05         5.29           -1.14    4.81           3.69         0.67          
+streamcluster  0.58         1.42           -0.05    1.31           -0.18        0.73          
+zeusmp         1.79         -0.77          -2.48    -1.65          0.68         0.83          
+average        4.47         2.85           -0.47    0.76           2.86         0.63          
+
+verdict PASS [fig8] POM-TLB improves every workload (improvement > 0%): min 0.58 (streamcluster)
+verdict PASS [fig8] on average POM-TLB > Shared_L2 > TSB: means 4.47, 2.85, -0.47
+"""
+
+
 def selftest():
     """Built-in parser tests (run by ctest; no matplotlib needed)."""
     import contextlib
+    import io
     import unittest
 
     def sweep_doc(**summary_overrides):
@@ -567,6 +605,22 @@ def selftest():
         }
 
     class ParserTests(unittest.TestCase):
+        def test_figures_table_parses_without_verdict_lines(self):
+            rows = extract_table(_FIG8_CAPTURE)
+            self.assertEqual(len(rows), 16)
+            self.assertEqual(list(rows[0])[-1], "pom_cost_ratio")
+            self.assertEqual(rows[0]["benchmark"], "astar")
+            self.assertEqual(rows[0]["POM-TLB (%)"], "8.96")
+            self.assertEqual(rows[-2]["TSB (%)"], "-2.48")
+            self.assertEqual(rows[-1]["benchmark"], "average")
+            self.assertEqual(rows[-1]["pom_cost_ratio"], "0.63")
+
+        def test_text_without_a_table_errors(self):
+            with self.assertRaisesRegex(ParseError, "no aligned table"):
+                extract_table("verdict PASS [fig8] nothing here\n")
+            with self.assertRaisesRegex(ParseError, "3 cells for 2"):
+                extract_table("a  b\n----\n1  2  3\n")
+
         def test_missing_schema_errors(self):
             with self.assertRaisesRegex(ParseError, "schema"):
                 parse_document({"runs": []})
@@ -894,7 +948,7 @@ def main():
     parser.add_argument(
         "input",
         nargs="?",
-        help="bench output file (with [csv]) or simulator JSON",
+        help="`pomtlb figures` output or simulator JSON",
     )
     parser.add_argument("-o", "--output", default="figure.png")
     parser.add_argument("--title", default=None)
@@ -954,7 +1008,7 @@ def main():
             else:
                 rows = sweep_rows(document, args.metric)
         else:
-            rows = extract_csv(text)
+            rows = extract_table(text)
     except ParseError as error:
         raise SystemExit(f"error: {args.input}: {error}")
     if not rows:

@@ -1,34 +1,25 @@
-#!/usr/bin/env sh
-# Regenerate every table and figure of the paper, tee-ing the output
-# the way EXPERIMENTS.md records it.
+#!/usr/bin/env bash
+# Regenerate every table and figure of the paper, with its verdict
+# lines, as one memoized campaign (`pomtlb figures`), tee-ing the
+# tables the way EXPERIMENTS.md records them.
 #
 #   scripts/run_all_experiments.sh [build-dir] [output-file] [jobs]
 #
-# Environment: POMTLB_QUICK=1 for a fast smoke pass, POMTLB_CSV=1 for
-# CSV blocks, POMTLB_CORES=n to override the core count,
-# POMTLB_SWEEP_JOBS=n to run each figure's experiments on n worker
-# threads (the third positional argument sets it for you; results
-# are bit-identical at every job count).
+# jobs is the worker-thread count (default 0 = all hardware threads;
+# results are bit-identical at every count). Progress and the
+# campaign accounting go to stderr. The script exits with the verb's
+# status: 1 when a verdict fails.
 
-set -eu
+set -euo pipefail
 
 BUILD_DIR="${1:-build}"
-OUTPUT="${2:-bench_output.txt}"
-JOBS="${3:-${POMTLB_SWEEP_JOBS:-}}"
-if [ -n "$JOBS" ]; then
-    export POMTLB_SWEEP_JOBS="$JOBS"
-    echo "running with POMTLB_SWEEP_JOBS=$JOBS"
-fi
+OUTPUT="${2:-figures_output.txt}"
+JOBS="${3:-0}"
+POMTLB="$BUILD_DIR/tools/pomtlb"
 
-if [ ! -d "$BUILD_DIR/bench" ]; then
-    echo "error: $BUILD_DIR/bench not found — build the project first" >&2
+if [ ! -x "$POMTLB" ]; then
+    echo "error: $POMTLB not found — build the project first" >&2
     exit 1
 fi
 
-: > "$OUTPUT"
-for b in "$BUILD_DIR"/bench/*; do
-    [ -f "$b" ] && [ -x "$b" ] || continue
-    echo "===== $b =====" | tee -a "$OUTPUT"
-    "$b" 2>&1 | tee -a "$OUTPUT"
-done
-echo "wrote $OUTPUT"
+"$POMTLB" figures --jobs "$JOBS" | tee "$OUTPUT"

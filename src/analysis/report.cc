@@ -61,19 +61,6 @@ ResultTable::print(std::ostream &os) const
 }
 
 void
-ResultTable::printCsv(std::ostream &os) const
-{
-    auto emit = [&](const std::vector<std::string> &cells) {
-        for (std::size_t c = 0; c < cells.size(); ++c)
-            os << (c == 0 ? "" : ",") << cells[c];
-        os << "\n";
-    };
-    emit(headers);
-    for (const auto &row : rows)
-        emit(row);
-}
-
-void
 printExperimentHeader(std::ostream &os, const std::string &id,
                       const std::string &description)
 {

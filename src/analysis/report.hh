@@ -1,8 +1,9 @@
 /**
  * @file
- * Result-table formatting for the bench binaries: aligned console
- * tables (the rows/series the paper's figures report) and CSV
- * emission for external plotting.
+ * Result-table formatting: the aligned console tables the CLI and
+ * `pomtlb figures` (sim/figures.hh) print. Cells are separated by at
+ * least two spaces and no cell contains two, which is how
+ * scripts/plot_results.py splits a printed table back into cells.
  */
 
 #ifndef POMTLB_ANALYSIS_REPORT_HH
@@ -29,9 +30,6 @@ class ResultTable
 
     /** Print the aligned table. */
     void print(std::ostream &os) const;
-
-    /** Emit as CSV (headers first). */
-    void printCsv(std::ostream &os) const;
 
     std::size_t rowCount() const { return rows.size(); }
 

@@ -283,7 +283,7 @@ struct SystemConfig
      * 16 MB die-stacked L4 *data* cache between the L3D$ and main
      * memory (its own channel). Mutually comparable with the
      * POM-TLB — the paper argues the TLB use wins; the
-     * bench_abl_l4_cache ablation measures it.
+     * `abl-l4-cache` table of `pomtlb figures` measures it.
      */
     bool dieStackedL4Cache = false;
     std::uint64_t l4CacheBytes = 16 * 1024 * 1024; /**< L4 size. */

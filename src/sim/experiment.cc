@@ -35,6 +35,18 @@ costRatio(const SchemeRunSummary &scheme,
 
 } // namespace
 
+SchemeDelta
+schemeDelta(const SchemeRunSummary &scheme,
+            const SchemeRunSummary &baseline)
+{
+    SchemeDelta delta;
+    delta.costRatio = costRatio(scheme, baseline);
+    delta.improvementPct = PerfModel::improvementPct(
+        ProfileRegistry::byName(baseline.benchmark), baseline.mode,
+        delta.costRatio);
+    return delta;
+}
+
 const SchemeRunSummary &
 BenchmarkComparison::summary(const std::string &scheme) const
 {
@@ -74,54 +86,16 @@ compareSchemes(const BenchmarkProfile &profile,
                                      result.summary);
 
     const SchemeRunSummary &baseline = comparison.baseline();
-    const ExecMode mode = config.system.mode;
-    for (const auto &[scheme, summary] : comparison.runs) {
-        SchemeDelta delta;
-        delta.costRatio = costRatio(summary, baseline);
-        delta.improvementPct = PerfModel::improvementPct(
-            profile, mode, delta.costRatio);
-        comparison.deltas.emplace(scheme, delta);
-    }
+    for (const auto &[scheme, summary] : comparison.runs)
+        comparison.deltas.emplace(scheme,
+                                  schemeDelta(summary, baseline));
     return comparison;
-}
-
-double
-pomImprovementOnly(const BenchmarkProfile &profile,
-                   const ExperimentConfig &config)
-{
-    return pomImprovementOnly(profile, config, config.system);
-}
-
-double
-pomImprovementOnly(const BenchmarkProfile &profile,
-                   const ExperimentConfig &config,
-                   const SystemConfig &pom_system)
-{
-    ExperimentConfig pom_config = config;
-    pom_config.system = pom_system;
-
-    const std::vector<ExperimentResult> results =
-        SweepRunner(config.sweepJobs)
-            .run({ExperimentRequest::of(profile.name, "Baseline",
-                                        config),
-                  ExperimentRequest::of(profile.name, "POM-TLB",
-                                        pom_config)});
-
-    return PerfModel::improvementPct(
-        profile, config.system.mode,
-        costRatio(results[1].summary, results[0].summary));
 }
 
 ExperimentConfig
 defaultExperimentConfig()
 {
     ExperimentConfig config;
-    // POMTLB_QUICK trims run lengths for smoke testing; the default
-    // lengths are what the benches use to regenerate the figures.
-    if (std::getenv("POMTLB_QUICK") != nullptr) {
-        config.engine.refsPerCore = 20000;
-        config.engine.warmupRefsPerCore = 5000;
-    }
     // POMTLB_SWEEP_JOBS presets the fan-out of the multi-run
     // helpers (CI throttles with =1; workstations raise it).
     if (const char *jobs = std::getenv("POMTLB_SWEEP_JOBS")) {

@@ -1,14 +1,14 @@
 /**
  * @file
- * High-level experiment runners shared by the bench binaries, the
- * examples, and the integration tests: build a machine for a scheme,
- * drive a benchmark through it, and summarise the statistics every
- * figure of the paper needs.
+ * High-level experiment runners shared by the paper's figures
+ * (sim/figures.hh), the examples, and the integration tests: build a
+ * machine for a scheme, drive a benchmark through it, and summarise
+ * the statistics every figure of the paper needs.
  *
- * The multi-run entry points (compareSchemes, pomImprovementOnly,
- * and everything in sim/sweep.hh) execute their independent runs
- * through the SweepRunner worker pool; ExperimentConfig::sweepJobs
- * bounds the fan-out (1 = strictly serial, the default).
+ * The multi-run entry points (compareSchemes and everything in
+ * sim/sweep.hh) execute their independent runs through the
+ * SweepRunner worker pool; ExperimentConfig::sweepJobs bounds the
+ * fan-out (1 = strictly serial, the default).
  */
 
 #ifndef POMTLB_SIM_EXPERIMENT_HH
@@ -34,10 +34,10 @@ struct ExperimentConfig
     EngineConfig engine;
     /**
      * Worker threads for the multi-run helpers (compareSchemes,
-     * pomImprovementOnly, SweepRunner when constructed from this
-     * config). 1 runs serially; 0 resolves to the host's hardware
-     * concurrency. defaultExperimentConfig() honours the
-     * POMTLB_SWEEP_JOBS environment variable so CI can throttle.
+     * SweepRunner when constructed from this config). 1 runs
+     * serially; 0 resolves to the host's hardware concurrency.
+     * defaultExperimentConfig() honours the POMTLB_SWEEP_JOBS
+     * environment variable so CI can throttle.
      */
     unsigned sweepJobs = 1;
 };
@@ -99,11 +99,19 @@ struct SchemeDelta
 };
 
 /**
+ * The delta of @p scheme over @p baseline, two runs of one benchmark
+ * that may differ in any knob: their translation-cycle ratio and its
+ * Eqs. 2-5 improvement at the baseline mode's Table 2 overhead.
+ */
+SchemeDelta schemeDelta(const SchemeRunSummary &scheme,
+                        const SchemeRunSummary &baseline);
+
+/**
  * One benchmark across every scheme, with Eq. 4-5 improvements.
  *
  * Runs and deltas are keyed by canonical registry scheme name, so
- * figure benches iterate instead of naming each scheme; adding a
- * contender means one registration, not editing every bench.
+ * callers iterate instead of naming each scheme; adding a contender
+ * means one registration, not editing every caller.
  */
 struct BenchmarkComparison
 {
@@ -134,26 +142,9 @@ BenchmarkComparison compareSchemes(const BenchmarkProfile &profile,
                                    const ExperimentConfig &config);
 
 /**
- * POM-TLB-vs-baseline-only comparison (faster; used by sensitivity
- * and ablation benches). Both machines are built from @p config.
- */
-double pomImprovementOnly(const BenchmarkProfile &profile,
-                          const ExperimentConfig &config);
-
-/**
- * Overload for ablations that vary only the POM-TLB machine:
- * the baseline runs under @p config.system while the POM-TLB side
- * runs under @p pom_system (same engine settings). This is what the
- * capacity/caching benches hand-rolled before the sweep API existed.
- */
-double pomImprovementOnly(const BenchmarkProfile &profile,
-                          const ExperimentConfig &config,
-                          const SystemConfig &pom_system);
-
-/**
- * Default experiment configuration, honouring the environment:
- * POMTLB_QUICK trims run lengths for smoke runs, POMTLB_SWEEP_JOBS
- * presets the sweep fan-out.
+ * Default experiment configuration: the Table 1 machine at the run
+ * length the paper's figures are reproduced at (`--refs`/`--warmup`
+ * shorten it), with POMTLB_SWEEP_JOBS presetting the sweep fan-out.
  */
 ExperimentConfig defaultExperimentConfig();
 

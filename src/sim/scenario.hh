@@ -31,7 +31,7 @@
  *    pages (unmap + shootdown + remap), a mid-run departure broadcasts
  *    a VM-wide shootdown, and an optional storm schedule shoots down
  *    bursts of pages at a fixed reference interval (extending the
- *    bench_abl_shootdown path). Overcommit shrinks every tenant's
+ *    periodic shootdowns of EngineConfig::shootdownIntervalRefs). Overcommit shrinks every tenant's
  *    resident footprint by the overcommit factor — the hot working
  *    set that stays mapped when guests' combined footprints exceed
  *    physical memory.

@@ -404,6 +404,8 @@ summaryToJson(const SchemeRunSummary &summary)
     object.set("walk_fraction", summary.walkFraction);
     const RunTotals &totals = summary.run.totals();
     object.set("refs", totals.refs);
+    object.set("instructions", totals.instructions);
+    object.set("cycles", totals.cycles);
     object.set("last_level_misses", totals.lastLevelMisses);
     object.set("page_walks", totals.pageWalks);
     object.set("shootdowns", totals.shootdowns);
@@ -536,6 +538,8 @@ SweepResultWriter::entryFromJson(const JsonValue &entry)
     // the written values.
     CoreRunStats aggregate;
     aggregate.refs = summary.at("refs").asUint();
+    aggregate.instructions = summary.at("instructions").asUint();
+    aggregate.cycles = summary.at("cycles").asUint();
     aggregate.translationCycles = out.translationCycles;
     aggregate.lastLevelTlbMisses =
         summary.at("last_level_misses").asUint();

@@ -497,7 +497,9 @@ SweepJournal::open(const std::string &sweep_hash_value,
                 }
                 header_ok = true;
             } else {
-                completed.emplace(
+                // A later record of a job supersedes an earlier
+                // one (a stale entry that was re-executed).
+                completed.insert_or_assign(
                     record.at("job_hash").asString(),
                     record.at("run"));
             }
@@ -642,20 +644,33 @@ SweepService::run(const std::vector<ExperimentRequest> &requests,
         drain();
     };
 
+    // An entry the current reader rejects, such as one written
+    // before a summary field became required, is a miss: it
+    // re-executes (and is overwritten) instead of being served.
+    const auto servable = [](const JsonValue &entry) {
+        try {
+            SweepResultWriter::entryFromJson(entry);
+            return true;
+        } catch (const std::exception &) {
+            return false;
+        }
+    };
+
     // Pass 1: satisfy whatever the journal and cache already hold.
     std::vector<std::size_t> pending_owner;
     std::vector<ExperimentRequest> pending_requests;
     for (const auto &[hash, indices] : by_hash) {
         const std::size_t owner = indices.front();
         if (const auto hit = replayed.find(hash);
-            hit != replayed.end()) {
+            hit != replayed.end() && servable(hit->second)) {
             lastStats.journalHits += indices.size();
             resolve(hash, hit->second, JobSource::Journal, 0.0);
             continue;
         }
         if (cache) {
             if (std::optional<JsonValue> entry =
-                    cache->lookup(hash)) {
+                    cache->lookup(hash);
+                entry && servable(*entry)) {
                 lastStats.cacheHits += indices.size();
                 if (journal) {
                     journal->append(hash, requests[owner].key(),

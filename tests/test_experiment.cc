@@ -80,45 +80,52 @@ TEST(Experiment, CompareSchemesProducesImprovements)
               comparison.delta("TSB").improvementPct + 1.0);
 }
 
-TEST(Experiment, PomImprovementOnlyMatchesComparison)
+TEST(Experiment, SchemeDeltaMatchesComparison)
 {
+    // The figures compute every improvement from two runs through
+    // schemeDelta(); it must agree with compareSchemes' deltas.
     const ExperimentConfig config = quickConfig();
+    const BenchmarkProfile &profile = ProfileRegistry::byName("gups");
     const BenchmarkComparison comparison =
-        compareSchemes(ProfileRegistry::byName("gups"), config);
-    const double only = pomImprovementOnly(
-        ProfileRegistry::byName("gups"), config);
-    EXPECT_NEAR(only,
-                comparison.delta("POM-TLB").improvementPct,
-                1e-9);
+        compareSchemes(profile, config);
+    const SchemeDelta delta =
+        schemeDelta(runScheme(profile, "POM-TLB", config),
+                    runScheme(profile, "Baseline", config));
+    EXPECT_NEAR(delta.improvementPct,
+                comparison.delta("POM-TLB").improvementPct, 1e-9);
+    EXPECT_EQ(delta.costRatio, comparison.delta("POM-TLB").costRatio);
 }
 
-TEST(Experiment, PomImprovementOverloadVariesOnlyPomSide)
+TEST(Experiment, SchemeDeltaSeesAChangeOnTheSchemeSideOnly)
 {
-    // The overload with an independent POM-side SystemConfig must
-    // agree with the two-argument form when given the same system,
-    // and actually apply the override when given a different one.
+    // The scheme run may differ from the baseline in one knob (the
+    // sensitivity tables and ablations vary only the POM-TLB
+    // machine); the delta must reflect that change.
     const ExperimentConfig config = quickConfig();
-    const BenchmarkProfile &profile =
-        ProfileRegistry::byName("gups");
+    const BenchmarkProfile &profile = ProfileRegistry::byName("gups");
+    const SchemeRunSummary baseline =
+        runScheme(profile, "Baseline", config);
+    const double cached =
+        schemeDelta(runScheme(profile, "POM-TLB", config), baseline)
+            .improvementPct;
 
-    const double same =
-        pomImprovementOnly(profile, config, config.system);
-    EXPECT_NEAR(same, pomImprovementOnly(profile, config), 1e-12);
-
-    SystemConfig uncached = config.system;
-    uncached.pomTlb.cacheable = false;
+    ExperimentConfig uncached = config;
+    uncached.system.pomTlb.cacheable = false;
     const double without_caching =
-        pomImprovementOnly(profile, config, uncached);
+        schemeDelta(runScheme(profile, "POM-TLB", uncached), baseline)
+            .improvementPct;
     // gups relies on cached POM entries; disabling data caching
     // must change (lower) the improvement.
-    EXPECT_NE(without_caching, same);
+    EXPECT_NE(without_caching, cached);
 }
 
-TEST(Experiment, DefaultConfigRespectsQuickEnv)
+TEST(Experiment, DefaultConfigIsTheFullRunLength)
 {
-    // Without the env var the defaults hold.
+    // The paper's tables are reproduced at the engine defaults;
+    // shorter runs are an explicit --refs/--warmup.
     const ExperimentConfig config = defaultExperimentConfig();
-    EXPECT_GE(config.engine.refsPerCore, 20000u);
+    EXPECT_EQ(config.engine.refsPerCore, 150000u);
+    EXPECT_EQ(config.engine.warmupRefsPerCore, 120000u);
 }
 
 TEST(Experiment, NativeModeRuns)

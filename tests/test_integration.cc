@@ -137,12 +137,19 @@ TEST(Integration, CapacityInsensitivity)
 {
     // Section 4.6: halving/doubling the 16 MB capacity changes the
     // improvement by under ~1 percentage point.
-    ExperimentConfig config = integrationConfig();
-    const double at16 = pomImprovementOnly(
-        ProfileRegistry::byName("mcf"), config);
-    config.system.pomTlb.capacityBytes = 8 * 1024 * 1024;
-    const double at8 = pomImprovementOnly(
-        ProfileRegistry::byName("mcf"), config);
+    // Only the POM-TLB machine changes capacity.
+    const ExperimentConfig config = integrationConfig();
+    const BenchmarkProfile &profile = ProfileRegistry::byName("mcf");
+    const SchemeRunSummary baseline =
+        runScheme(profile, "Baseline", config);
+    ExperimentConfig small = config;
+    small.system.pomTlb.capacityBytes = 8 * 1024 * 1024;
+    const double at16 =
+        schemeDelta(runScheme(profile, "POM-TLB", config), baseline)
+            .improvementPct;
+    const double at8 =
+        schemeDelta(runScheme(profile, "POM-TLB", small), baseline)
+            .improvementPct;
     EXPECT_NEAR(at16, at8, 1.5);
 }
 

@@ -31,16 +31,6 @@ TEST(Report, AlignedTable)
     EXPECT_NE(out.find("---"), std::string::npos);
 }
 
-TEST(Report, CsvOutput)
-{
-    ResultTable table({"a", "b"});
-    table.addRow({"1", "2"});
-    table.addRow({"3", "4"});
-    std::ostringstream oss;
-    table.printCsv(oss);
-    EXPECT_EQ(oss.str(), "a,b\n1,2\n3,4\n");
-}
-
 TEST(Report, NumFormatting)
 {
     EXPECT_EQ(ResultTable::num(3.14159, 2), "3.14");

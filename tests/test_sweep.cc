@@ -343,6 +343,12 @@ TEST(Sweep, JsonRoundTrip)
         }
         EXPECT_EQ(a.summary.avgPenaltyPerMiss,
                   b.summary.avgPenaltyPerMiss);
+        // Run totals the figures reduce (Table 2's MPKI, the L4
+        // ablation's total cycles) survive too.
+        EXPECT_EQ(a.summary.run.totals().instructions,
+                  b.summary.run.totals().instructions);
+        EXPECT_EQ(a.summary.run.totals().cycles,
+                  b.summary.run.totals().cycles);
         EXPECT_EQ(a.summary.walkFraction, b.summary.walkFraction);
         EXPECT_EQ(a.summary.sizePredictorAccuracy,
                   b.summary.sizePredictorAccuracy);

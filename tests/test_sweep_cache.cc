@@ -486,6 +486,70 @@ TEST(SweepService, DuplicateJobsExecuteOnce)
               document.at("runs").at(std::size_t{2}).dump(0));
 }
 
+TEST(SweepService, EntryWithoutRunTotalsIsReExecuted)
+{
+    // A cache written before summary.instructions and
+    // summary.cycles existed has the same job hashes. Such an entry
+    // must re-execute, never reach a reader as partial data.
+    ScratchDir scratch("service-stale");
+    const std::vector<ExperimentRequest> requests = quickRequests();
+    SweepServiceOptions options;
+    options.cacheDir = scratch.sub("cache");
+    SweepService cold(options);
+    const JsonValue first = cold.run(requests);
+
+    SweepCache cache(options.cacheDir);
+    const std::string hash = jobHash(requests[0]);
+    const JsonValue current = *cache.lookup(hash);
+    std::string text = current.dump(0);
+    for (const char *key : {"\"instructions\":", "\"cycles\":"}) {
+        const std::size_t at = text.find(key);
+        ASSERT_NE(at, std::string::npos) << key;
+        text.erase(at, text.find(',', at) + 1 - at);
+    }
+    const JsonValue stale = JsonValue::parse(text);
+    cache.store(hash, requests[0].key(), stale);
+    EXPECT_THROW(SweepResultWriter::entryFromJson(stale),
+                 std::out_of_range);
+
+    SweepService warm(options);
+    const JsonValue second = warm.run(requests);
+    EXPECT_EQ(warm.stats().executed, 1u);
+    EXPECT_EQ(warm.stats().cacheHits, requests.size() - 1);
+    EXPECT_EQ(first.dump(2), second.dump(2));
+    // The re-executed result replaced the stale entry.
+    EXPECT_EQ(*cache.lookup(hash), current);
+
+    // The same for a journal record: the stale record re-executes
+    // once, and the fresh record appended after it wins every later
+    // replay.
+    SweepServiceOptions journaled;
+    journaled.journalPath = scratch.sub("sweep.journal");
+    SweepService(journaled).run(requests);
+    std::string journal_text;
+    {
+        std::ifstream in(journaled.journalPath);
+        std::string line;
+        while (std::getline(in, line)) {
+            JsonValue record = JsonValue::parse(line);
+            if (record.has("job_hash") &&
+                record.at("job_hash").asString() == hash)
+                record.set("run", stale);
+            journal_text += record.dump(0) + "\n";
+        }
+    }
+    std::ofstream(journaled.journalPath) << journal_text;
+
+    SweepService resumed(journaled);
+    EXPECT_EQ(resumed.run(requests).dump(2), first.dump(2));
+    EXPECT_EQ(resumed.stats().executed, 1u);
+    EXPECT_EQ(resumed.stats().journalHits, requests.size() - 1);
+    SweepService replayed(journaled);
+    EXPECT_EQ(replayed.run(requests).dump(2), first.dump(2));
+    EXPECT_EQ(replayed.stats().executed, 0u);
+    EXPECT_EQ(replayed.stats().journalHits, requests.size());
+}
+
 TEST(SweepService, EmitsEveryJobInRequestOrder)
 {
     ScratchDir scratch("service-emit");

@@ -11,6 +11,10 @@
  *   compare                    run every registered scheme (a
  *                              Figure 8 row)
  *   sweep                      parallel benchmark x scheme sweep
+ *   figures                    regenerate the paper's tables as one
+ *                              memoized campaign, each followed by
+ *                              its verdict lines; exits 1 when a
+ *                              verdict fails (sim/figures.hh)
  *   scenario                   multi-tenant consolidation scenario
  *                              (churn, overcommit, shootdown
  *                              storms); emits pomtlb-scenario-v1
@@ -42,6 +46,16 @@
  *   --journal FILE             checkpoint completed jobs to FILE;
  *                              a killed sweep resumes from it
  *   plus the run/compare configuration options below
+ *
+ * figures options (tables + verdicts on stdout, progress and
+ * campaign accounting on stderr; any other option is an error):
+ *   --only ID[,ID...]          print only these tables (default: all;
+ *                              an unknown ID lists the valid ones)
+ *   --jobs / --cache-dir       as for sweep
+ *   --cores / --refs / --warmup
+ *                              the base configuration every table
+ *                              derives its runs from (the rest is
+ *                              the Table 1 machine)
  *
  * scenario options:
  *   --tenants N[,M,...]        tenant counts; one scenario per
@@ -152,6 +166,7 @@
 #include "common/json.hh"
 #include "sim/experiment.hh"
 #include "sim/engine.hh"
+#include "sim/figures.hh"
 #include "sim/machine.hh"
 #include "sim/perf_model.hh"
 #include "sim/scenario.hh"
@@ -206,6 +221,9 @@ struct CliOptions
     std::string cacheDir;
     std::string journalPath;
 
+    // figures
+    std::string onlyList;
+
     // serve
     std::string journalDir;
     std::string inPath;
@@ -225,6 +243,9 @@ struct CliOptions
     std::uint64_t maxBytes = 0;
     std::uint64_t maxAgeSeconds = 0;
     bool dryRun = false;
+
+    // every option named on the command line, in order
+    std::vector<std::string> given;
 };
 
 [[noreturn]] void
@@ -233,9 +254,9 @@ usage()
     std::fprintf(
         stderr,
         "usage: pomtlb <list|list-schemes|show-config|run|compare|"
-        "sweep|scenario|serve|cache-gc|trace> [options]\n  see the "
-        "header of tools/pomtlb_cli.cc or the README for the option "
-        "list\n");
+        "sweep|figures|scenario|serve|cache-gc|trace> [options]\n"
+        "  see the header of tools/pomtlb_cli.cc or the README for "
+        "the option list\n");
     std::exit(2);
 }
 
@@ -269,6 +290,7 @@ parseOptions(int argc, char **argv, int first)
     CliOptions options;
     for (int i = first; i < argc; ++i) {
         const std::string arg = argv[i];
+        options.given.push_back(arg);
         auto next = [&]() -> const char * {
             if (i + 1 >= argc) {
                 std::fprintf(stderr, "%s needs a value\n",
@@ -331,6 +353,8 @@ parseOptions(int argc, char **argv, int first)
             options.cacheDir = next();
         else if (arg == "--journal")
             options.journalPath = next();
+        else if (arg == "--only")
+            options.onlyList = next();
         else if (arg == "--journal-dir")
             options.journalDir = next();
         else if (arg == "--in")
@@ -405,8 +429,22 @@ splitList(const std::string &text)
     return parts;
 }
 
+/** One line of SweepService accounting, after @p label. */
+void
+printServiceStats(std::FILE *out, const char *label,
+                  const SweepServiceStats &stats)
+{
+    std::fprintf(out,
+                 "%s: jobs=%zu executed=%zu cache_hits=%zu "
+                 "journal_hits=%zu deduplicated=%zu quarantined=%zu\n",
+                 label, stats.jobs, stats.executed, stats.cacheHits,
+                 stats.journalHits, stats.deduplicated,
+                 stats.quarantined);
+}
+
+/** The default configuration at the CLI's core count and length. */
 ExperimentConfig
-configFrom(const CliOptions &options)
+runLengthFrom(const CliOptions &options)
 {
     ExperimentConfig config = defaultExperimentConfig();
     config.system.numCores = options.cores;
@@ -414,6 +452,13 @@ configFrom(const CliOptions &options)
         config.engine.refsPerCore = options.refs;
     if (options.warmup)
         config.engine.warmupRefsPerCore = options.warmup;
+    return config;
+}
+
+ExperimentConfig
+configFrom(const CliOptions &options)
+{
+    ExperimentConfig config = runLengthFrom(options);
     if (options.capacityMb)
         config.system.pomTlb.capacityBytes = options.capacityMb << 20;
     if (options.seed)
@@ -715,16 +760,8 @@ commandSweep(const CliOptions &options)
     table.print(std::cout);
     std::printf("\n%zu experiments in %.2f s wall (%u workers)\n",
                 results.size(), wall, runner.jobs());
-    if (service_mode) {
-        std::printf("sweep-cache: jobs=%zu executed=%zu "
-                    "cache_hits=%zu journal_hits=%zu "
-                    "deduplicated=%zu quarantined=%zu\n",
-                    service_stats.jobs, service_stats.executed,
-                    service_stats.cacheHits,
-                    service_stats.journalHits,
-                    service_stats.deduplicated,
-                    service_stats.quarantined);
-    }
+    if (service_mode)
+        printServiceStats(stdout, "sweep-cache", service_stats);
 
     if (options.outPathSet) {
         std::ofstream out(options.outPath);
@@ -739,6 +776,67 @@ commandSweep(const CliOptions &options)
                     options.outPath.c_str());
     }
     return 0;
+}
+
+int
+commandFigures(const CliOptions &options)
+{
+    // Each table fixes its own machine, so a run option would only
+    // mislabel the tables it changed.
+    static const std::vector<std::string> accepted = {
+        "--only", "--jobs", "--cache-dir", "--cores", "--refs",
+        "--warmup"};
+    for (const std::string &flag : options.given) {
+        if (std::find(accepted.begin(), accepted.end(), flag) !=
+            accepted.end())
+            continue;
+        std::fprintf(stderr, "pomtlb: figures does not take '%s' (it takes:",
+                     flag.c_str());
+        for (const std::string &known : accepted)
+            std::fprintf(stderr, " %s", known.c_str());
+        std::fprintf(stderr, ")\n");
+        return 2;
+    }
+
+    std::vector<const FigureEntry *> entries;
+    if (options.onlyList.empty()) {
+        for (const FigureEntry &entry : figureEntries())
+            entries.push_back(&entry);
+    }
+    for (const std::string &id : splitList(options.onlyList)) {
+        const FigureEntry *entry = findFigure(id);
+        if (entry == nullptr) {
+            std::fprintf(stderr, "pomtlb: unknown figure '%s' (known:",
+                         id.c_str());
+            for (const FigureEntry &known : figureEntries())
+                std::fprintf(stderr, " %s", known.id.c_str());
+            std::fprintf(stderr, ")\n");
+            return 2;
+        }
+        entries.push_back(entry);
+    }
+
+    SweepServiceOptions service;
+    service.cacheDir = options.cacheDir;
+    service.jobs = options.jobs;
+    const auto start = std::chrono::steady_clock::now();
+    const FiguresReport report = runFigures(
+        entries, runLengthFrom(options), service, std::cout,
+        [](const SweepJobReport &job, const JsonValue &) {
+            std::fprintf(stderr, "  [%zu] %s (%s)\n", job.index + 1,
+                         job.key.c_str(), jobSourceName(job.source));
+        });
+    const double wall =
+        std::chrono::duration<double>(
+            std::chrono::steady_clock::now() - start)
+            .count();
+    printServiceStats(stderr, "figures", report.campaign);
+    std::fprintf(stderr,
+                 "figures: %zu table(s), %zu verdict(s), %zu failed, "
+                 "%.1f s wall on %u worker thread(s)\n",
+                 entries.size(), report.verdicts, report.failed, wall,
+                 SweepRunner::resolveJobs(options.jobs));
+    return report.failed == 0 ? 0 : 1;
 }
 
 /** Build one ScenarioSpec for @p tenants tenants from the CLI. */
@@ -858,16 +956,8 @@ commandScenario(const CliOptions &options)
     std::printf("\n%zu scenario(s) in %.2f s wall\n", total, wall);
     const bool service_mode =
         !options.cacheDir.empty() || !options.journalPath.empty();
-    if (service_mode) {
-        std::printf("scenario-cache: jobs=%zu executed=%zu "
-                    "cache_hits=%zu journal_hits=%zu "
-                    "deduplicated=%zu quarantined=%zu\n",
-                    service_stats.jobs, service_stats.executed,
-                    service_stats.cacheHits,
-                    service_stats.journalHits,
-                    service_stats.deduplicated,
-                    service_stats.quarantined);
-    }
+    if (service_mode)
+        printServiceStats(stdout, "scenario-cache", service_stats);
 
     if (options.outPathSet) {
         std::ofstream out(options.outPath);
@@ -1267,6 +1357,7 @@ main(int argc, char **argv)
         {"run", commandRun},
         {"compare", commandCompare},
         {"sweep", commandSweep},
+        {"figures", commandFigures},
         {"scenario", commandScenario},
         {"serve", commandServe},
         {"cache-gc", commandCacheGc},
