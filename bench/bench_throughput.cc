@@ -5,8 +5,8 @@
  * Unlike `pomtlb figures` (which reports *simulated* metrics), this
  * binary measures how fast the simulator runs on the host: wall-clock
  * references per second of SimulationEngine::run() for every
- * (benchmark, scheme) pair, plus experiments per second through the
- * SweepRunner worker pool. The result is written as a
+ * (benchmark, scheme) pair, plus experiments per second of a
+ * cache-less SweepService campaign. The result is written as a
  * `pomtlb-bench-v1` JSON document (see docs/metrics.md) that
  * scripts/check_bench.py compares against a checked-in baseline to
  * catch performance regressions in CI.
@@ -280,12 +280,14 @@ main(int argc, char **argv)
                               opt.quick ? 2500 : 10000));
         }
     }
-    const SweepRunner runner(jobs);
+    SweepServiceOptions sweep_options;
+    sweep_options.jobs = jobs;
+    const unsigned workers = campaignWorkers(jobs, requests.size());
     double sweep_best = 0.0;
     const unsigned sweep_reps = opt.quick ? 1 : 2;
     for (unsigned rep = 0; rep < sweep_reps; ++rep) {
         const auto start = Clock::now();
-        runner.run(requests);
+        SweepService(sweep_options).run(requests);
         const double wall = secondsSince(start);
         if (rep == 0 || wall < sweep_best)
             sweep_best = wall;
@@ -293,10 +295,10 @@ main(int argc, char **argv)
     const double experiments_per_sec =
         static_cast<double>(requests.size()) / sweep_best;
     std::printf("sweep: %zu experiments, %u jobs -> %.2f exp/s\n",
-                requests.size(), runner.jobs(), experiments_per_sec);
+                requests.size(), workers, experiments_per_sec);
 
     JsonValue sweep = JsonValue::object();
-    sweep.set("jobs", static_cast<std::uint64_t>(runner.jobs()));
+    sweep.set("jobs", static_cast<std::uint64_t>(workers));
     sweep.set("experiments",
               static_cast<std::uint64_t>(requests.size()));
     sweep.set("experiments_per_sec", experiments_per_sec);

@@ -269,10 +269,11 @@ def assemble_serve_stream(lines):
     truncated mid-campaign). The ``run`` object of every ``job``
     event becomes one sweep run; the service streams job events in
     request order, so the assembled document matches what
-    ``pomtlb sweep --out`` would have written for the same campaign
-    (identity form: wall_seconds is 0; the real per-job wall time is
-    the event's own ``wall_seconds``, plottable via ``--metric
-    wall_seconds`` only from sweep documents).
+    ``pomtlb sweep --out`` would have written for the same campaign,
+    except for ``wall_seconds``: a sweep document always stores it as
+    0 (the identity form), while each run assembled here takes the
+    real per-job wall time its event carried. Per-job wall time is
+    therefore plotted (``--metric wall_seconds``) from serve streams.
     """
     runs = []
     for number, line in enumerate(lines, 1):
@@ -962,7 +963,8 @@ def main():
         default="translation_cycles",
         help="summary field to plot from sweep JSON input "
         "(default: translation_cycles; 'wall_seconds' plots the "
-        "per-run wall clock)",
+        "per-job wall clock, which only a serve event stream "
+        "carries: sweep documents store 0)",
     )
     parser.add_argument(
         "--breakdown",

@@ -1,11 +1,8 @@
 #include "sim/experiment.hh"
 
-#include <cstdlib>
-
 #include "common/log.hh"
-#include "sim/machine.hh"
 #include "sim/perf_model.hh"
-#include "sim/sweep.hh"
+#include "sim/sweep_cache.hh"
 
 namespace pomtlb
 {
@@ -70,40 +67,30 @@ BenchmarkComparison::delta(const std::string &scheme) const
 
 BenchmarkComparison
 compareSchemes(const BenchmarkProfile &profile,
-               const ExperimentConfig &config)
+               const ExperimentConfig &config, unsigned jobs)
 {
-    const std::vector<ExperimentResult> results =
-        SweepRunner(config.sweepJobs)
-            .run(SweepSpec()
-                     .withBase(config)
-                     .withBenchmarks({profile.name})
-                     .withAllSchemes());
+    SweepServiceOptions options;
+    options.jobs = jobs;
+    const JsonValue document = SweepService(options).run(
+        SweepSpec()
+            .withBase(config)
+            .withBenchmarks({profile.name})
+            .withAllSchemes());
 
     BenchmarkComparison comparison;
     comparison.benchmark = profile.name;
-    for (const ExperimentResult &result : results)
+    for (const JsonValue &entry : document.at("runs").elements()) {
+        const ExperimentResult result =
+            SweepResultWriter::entryFromJson(entry);
         comparison.runs.emplace_back(result.request.scheme,
                                      result.summary);
+    }
 
     const SchemeRunSummary &baseline = comparison.baseline();
     for (const auto &[scheme, summary] : comparison.runs)
         comparison.deltas.emplace(scheme,
                                   schemeDelta(summary, baseline));
     return comparison;
-}
-
-ExperimentConfig
-defaultExperimentConfig()
-{
-    ExperimentConfig config;
-    // POMTLB_SWEEP_JOBS presets the fan-out of the multi-run
-    // helpers (CI throttles with =1; workstations raise it).
-    if (const char *jobs = std::getenv("POMTLB_SWEEP_JOBS")) {
-        const long value = std::strtol(jobs, nullptr, 10);
-        if (value > 0)
-            config.sweepJobs = static_cast<unsigned>(value);
-    }
-    return config;
 }
 
 } // namespace pomtlb

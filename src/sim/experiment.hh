@@ -5,10 +5,10 @@
  * machine for a scheme, drive a benchmark through it, and summarise
  * the statistics every figure of the paper needs.
  *
- * The multi-run entry points (compareSchemes and everything in
- * sim/sweep.hh) execute their independent runs through the
- * SweepRunner worker pool; ExperimentConfig::sweepJobs bounds the
- * fan-out (1 = strictly serial, the default).
+ * The multi-run entry points (compareSchemes, and every campaign of
+ * sim/sweep.hh requests) execute their independent runs as a
+ * SweepService campaign (sim/sweep_cache.hh), whose worker count is
+ * a parameter of the call, never part of the configuration.
  */
 
 #ifndef POMTLB_SIM_EXPERIMENT_HH
@@ -30,16 +30,14 @@ namespace pomtlb
 /** Everything configurable about one experiment. */
 struct ExperimentConfig
 {
+    /** The Table 1 machine unless overridden. */
     SystemConfig system = SystemConfig::table1();
-    EngineConfig engine;
     /**
-     * Worker threads for the multi-run helpers (compareSchemes,
-     * SweepRunner when constructed from this config). 1 runs
-     * serially; 0 resolves to the host's hardware concurrency.
-     * defaultExperimentConfig() honours the POMTLB_SWEEP_JOBS
-     * environment variable so CI can throttle.
+     * Run length, seed and shootdowns; the defaults are the length
+     * the paper's figures are reproduced at (`--refs`/`--warmup`
+     * shorten it).
      */
-    unsigned sweepJobs = 1;
+    EngineConfig engine;
 };
 
 /** Flattened summary of one (benchmark, scheme) run. */
@@ -134,19 +132,14 @@ struct BenchmarkComparison
 
 /**
  * Run every registered scheme for @p profile and compute Figure 8's
- * improvement percentages from the paper's additive model. Fans the
- * independent runs out over @p config.sweepJobs workers (thin
- * wrapper over SweepRunner).
+ * improvement percentages from the paper's additive model. The runs
+ * are one cache-less SweepService campaign on @p jobs workers
+ * (0 = hardware concurrency); summaries are read back from the
+ * campaign's entries, exactly as `pomtlb figures` reads them.
  */
 BenchmarkComparison compareSchemes(const BenchmarkProfile &profile,
-                                   const ExperimentConfig &config);
-
-/**
- * Default experiment configuration: the Table 1 machine at the run
- * length the paper's figures are reproduced at (`--refs`/`--warmup`
- * shorten it), with POMTLB_SWEEP_JOBS presetting the sweep fan-out.
- */
-ExperimentConfig defaultExperimentConfig();
+                                   const ExperimentConfig &config,
+                                   unsigned jobs = 1);
 
 } // namespace pomtlb
 

@@ -1,13 +1,7 @@
 #include "sim/scenario.hh"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <cstdlib>
 #include <map>
-#include <mutex>
-#include <optional>
-#include <thread>
 #include <utility>
 
 #include "common/bitutil.hh"
@@ -1019,224 +1013,40 @@ buildScenarioDocument(Machine &machine, const ScenarioSpec &spec,
 }
 
 // ---------------------------------------------------------------
-// Campaigns: memoized, checkpointed scenario batches
+// Campaigns: scenario jobs for SweepService
 // ---------------------------------------------------------------
 
-namespace
+std::vector<CampaignJob>
+scenarioJobs(const std::vector<ScenarioSpec> &specs)
 {
-
-/** Journal/cache key of a scenario: "name/scheme". */
-std::string
-scenarioKey(const ScenarioSpec &spec)
-{
-    return spec.name + "/" + canonicalScheme(spec.scheme);
-}
-
-/** Build the machine, run the scenario, return its document. */
-JsonValue
-executeScenario(const ScenarioSpec &spec)
-{
-    Machine machine(spec.system, spec.scheme);
-    ScenarioEngine engine(machine, spec);
-    const ScenarioResult result = engine.run();
-    return buildScenarioDocument(machine, spec, result);
-}
-
-} // namespace
-
-JsonValue
-runScenarioCampaign(
-    const std::vector<ScenarioSpec> &specs,
-    const ScenarioCampaignOptions &options,
-    SweepServiceStats *stats,
-    const std::function<void(const ScenarioJobReport &,
-                             const JsonValue &)> &emit)
-{
-    const std::size_t count = specs.size();
-    SweepServiceStats accounting;
-    accounting.jobs = count;
-
-    std::vector<std::string> hashes(count);
-    for (std::size_t i = 0; i < count; ++i)
-        hashes[i] = scenarioHash(specs[i]);
-
-    // Owner = the first index of each distinct hash; duplicates
-    // reuse the owner's document (identical identity implies an
-    // identical result).
-    std::map<std::string, std::vector<std::size_t>> by_hash;
-    for (std::size_t i = 0; i < count; ++i)
-        by_hash[hashes[i]].push_back(i);
-
-    std::unique_ptr<SweepCache> cache;
-    if (!options.cacheDir.empty())
-        cache = std::make_unique<SweepCache>(options.cacheDir);
-
-    std::unique_ptr<SweepJournal> journal;
-    std::map<std::string, JsonValue> replayed;
-    if (!options.journalPath.empty()) {
-        journal =
-            std::make_unique<SweepJournal>(options.journalPath);
-        replayed = journal->open(sweepHash(hashes), count);
-    }
-
-    std::vector<JsonValue> entries(count);
-    std::vector<char> ready(count, 0);
-    std::vector<JobSource> origins(count, JobSource::Executed);
-    std::vector<double> walls(count, 0.0);
-
-    // Emission frontier: emit() fires for index i only once every
-    // j <= i is ready, so consumers see a strictly growing prefix.
-    std::size_t frontier = 0;
-    const auto drain = [&] {
-        while (frontier < count && ready[frontier]) {
-            if (emit) {
-                ScenarioJobReport report;
-                report.index = frontier;
-                report.name = specs[frontier].name;
-                report.hash = hashes[frontier];
-                report.source = origins[frontier];
-                report.wallSeconds = walls[frontier];
-                emit(report, entries[frontier]);
-            }
-            ++frontier;
-        }
-    };
-
-    const auto resolve = [&](const std::string &hash,
-                             JsonValue document, JobSource source,
-                             double wall) {
-        const std::vector<std::size_t> &indices = by_hash[hash];
-        for (const std::size_t index : indices) {
-            entries[index] = document;
-            origins[index] = source;
-            walls[index] = index == indices.front() ? wall : 0.0;
-            ready[index] = 1;
-        }
-        accounting.deduplicated += indices.size() - 1;
-        drain();
-    };
-
-    // Pass 1: satisfy whatever the journal and cache already hold.
-    std::vector<std::size_t> pending_owner;
-    for (const auto &[hash, indices] : by_hash) {
-        const std::size_t owner = indices.front();
-        if (const auto hit = replayed.find(hash);
-            hit != replayed.end()) {
-            accounting.journalHits += indices.size();
-            resolve(hash, hit->second, JobSource::Journal, 0.0);
-            continue;
-        }
-        if (cache) {
-            if (std::optional<JsonValue> entry =
-                    cache->lookup(hash)) {
-                accounting.cacheHits += indices.size();
-                if (journal) {
-                    journal->append(hash, scenarioKey(specs[owner]),
-                                    "cache", 0.0, *entry);
-                }
-                resolve(hash, std::move(*entry), JobSource::Cache,
-                        0.0);
-                continue;
-            }
-        }
-        pending_owner.push_back(owner);
-    }
-
-    // Pass 2: execute only the delta on a worker pool. Completions
-    // serialise on one mutex (cache/journal/frontier state), and the
-    // documents carry no wall time, so the assembled output is
-    // byte-identical at any worker count and any source mix.
-    if (!pending_owner.empty()) {
-        unsigned workers =
-            options.jobs ? options.jobs
-                         : std::thread::hardware_concurrency();
-        if (workers == 0)
-            workers = 1;
-        workers = static_cast<unsigned>(std::min<std::size_t>(
-            workers, pending_owner.size()));
-
-        std::atomic<std::size_t> next{0};
-        std::mutex mutex;
-        std::vector<std::exception_ptr> errors(
-            pending_owner.size());
-
-        const auto worker = [&] {
-            for (;;) {
-                const std::size_t pending =
-                    next.fetch_add(1, std::memory_order_relaxed);
-                if (pending >= pending_owner.size())
-                    return;
-                const std::size_t owner = pending_owner[pending];
-                JsonValue document;
-                const auto start =
-                    std::chrono::steady_clock::now();
-                try {
-                    document = executeScenario(specs[owner]);
-                } catch (...) {
-                    errors[pending] = std::current_exception();
-                    continue;
-                }
-                const double wall =
-                    std::chrono::duration<double>(
-                        std::chrono::steady_clock::now() - start)
-                        .count();
-
-                std::lock_guard<std::mutex> lock(mutex);
-                if (cache) {
-                    cache->store(hashes[owner],
-                                 scenarioKey(specs[owner]),
-                                 document);
-                }
-                if (journal) {
-                    journal->append(hashes[owner],
-                                    scenarioKey(specs[owner]),
-                                    "executed", wall, document);
-                }
-                ++accounting.executed;
-                resolve(hashes[owner], std::move(document),
-                        JobSource::Executed, wall);
-                if (options.crashAfterAppends != 0 && journal &&
-                    journal->appended() >=
-                        options.crashAfterAppends) {
-                    // Fault injection: vanish mid-campaign with no
-                    // cleanup, exactly like a SIGKILL would.
-                    std::_Exit(137);
-                }
+    std::vector<CampaignJob> jobs;
+    jobs.reserve(specs.size());
+    for (const ScenarioSpec &spec : specs) {
+        CampaignJob job;
+        job.hash = scenarioHash(spec);
+        job.key = spec.name + "/" + canonicalScheme(spec.scheme);
+        job.produce = [spec] {
+            Machine machine(spec.system, spec.scheme);
+            ScenarioEngine engine(machine, spec);
+            const ScenarioResult result = engine.run();
+            return buildScenarioDocument(machine, spec, result);
+        };
+        // Serve only what `pomtlb scenario` and serve clients read.
+        job.servable = [hash = job.hash](const JsonValue &entry) {
+            try {
+                return entry.at("schema").asString() ==
+                           kScenarioSchemaV1 &&
+                       entry.at("scenario_hash").asString() == hash &&
+                       entry.at("tenants").isArray() &&
+                       entry.at("events").isObject() &&
+                       entry.at("stats").isObject();
+            } catch (const std::exception &) {
+                return false;
             }
         };
-
-        if (workers == 1) {
-            worker();
-        } else {
-            std::vector<std::thread> pool;
-            pool.reserve(workers);
-            for (unsigned w = 0; w < workers; ++w)
-                pool.emplace_back(worker);
-            for (std::thread &thread : pool)
-                thread.join();
-        }
-
-        // Deterministic failure: the lowest pending index wins, the
-        // way SweepRunner reports (completed work is journaled, so
-        // a failed campaign resumes past everything that worked).
-        for (const std::exception_ptr &error : errors) {
-            if (error)
-                std::rethrow_exception(error);
-        }
+        jobs.push_back(std::move(job));
     }
-
-    if (cache)
-        accounting.quarantined = cache->quarantined();
-    if (stats)
-        *stats = accounting;
-
-    JsonValue runs = JsonValue::array();
-    for (std::size_t i = 0; i < count; ++i)
-        runs.push(std::move(entries[i]));
-    JsonValue document = JsonValue::object();
-    document.set("schema", kScenarioSchemaV1);
-    document.set("runs", std::move(runs));
-    return document;
+    return jobs;
 }
 
 } // namespace pomtlb

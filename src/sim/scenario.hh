@@ -44,8 +44,8 @@
  * Results export as the versioned `pomtlb-scenario-v1` document
  * (per-tenant hit ratios and translation-cycle p50/p95/p99 QoS
  * percentiles; docs/metrics.md), and scenario jobs are
- * content-hashed (scenarioHash) and memoized/journaled through the
- * same cache machinery as sweeps (runScenarioCampaign).
+ * content-hashed (scenarioHash) and run as SweepService campaigns,
+ * memoized and journaled exactly like sweeps (scenarioJobs).
  */
 
 #ifndef POMTLB_SIM_SCENARIO_HH
@@ -53,7 +53,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -483,50 +482,17 @@ JsonValue buildScenarioDocument(Machine &machine,
                                 const ScenarioSpec &spec,
                                 const ScenarioResult &result);
 
-/** Per-scenario completion report of a campaign run. */
-struct ScenarioJobReport
-{
-    std::size_t index = 0;      /**< Position in the spec vector. */
-    std::string name;           /**< ScenarioSpec::name. */
-    std::string hash;           /**< The scenario's content hash. */
-    JobSource source = JobSource::Executed; /**< Result origin. */
-    /** Host wall seconds actually spent (0 for cache/journal). */
-    double wallSeconds = 0.0;
-};
-
-/** Knobs of one scenario campaign (mirrors SweepServiceOptions). */
-struct ScenarioCampaignOptions
-{
-    /** Result-cache directory; empty disables memoization. */
-    std::string cacheDir;
-    /** Checkpoint-journal path; empty disables checkpointing. */
-    std::string journalPath;
-    /** Worker threads (0 = all hardware threads). */
-    unsigned jobs = 1;
-    /** Fault injection: _Exit(137) after this many journal appends. */
-    unsigned crashAfterAppends = 0;
-};
-
 /**
- * Run a list of scenarios as a memoized, checkpointed campaign:
- * every spec is content-hashed, satisfied from the journal or the
- * result cache when possible, and only the delta executes (on a
- * small worker pool). Results emit strictly in request order and
- * the returned document — `{"schema": "pomtlb-scenario-v1",
- * "runs": [...]}`  — is byte-identical at any worker count and any
- * cache/journal/execution mix.
- *
- * @param specs   The campaign, in emission order.
- * @param options Cache/journal/worker knobs.
- * @param stats   Optional out-param for the campaign accounting.
- * @param emit    Optional per-scenario callback (request order).
+ * The campaign jobs of @p specs, for SweepService::run() with
+ * kScenarioSchemaV1: scenarioHash(), the key "name/scheme", a
+ * producer that builds the machine, runs the scenario and returns
+ * its buildScenarioDocument(), and a servability check that accepts
+ * a stored `pomtlb-scenario-v1` document only when its
+ * `scenario_hash` is the job's and it carries the `tenants`,
+ * `events` and `stats` members its readers use.
  */
-JsonValue runScenarioCampaign(
-    const std::vector<ScenarioSpec> &specs,
-    const ScenarioCampaignOptions &options,
-    SweepServiceStats *stats = nullptr,
-    const std::function<void(const ScenarioJobReport &,
-                             const JsonValue &)> &emit = {});
+std::vector<CampaignJob>
+scenarioJobs(const std::vector<ScenarioSpec> &specs);
 
 } // namespace pomtlb
 

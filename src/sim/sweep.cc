@@ -1,12 +1,7 @@
 #include "sim/sweep.hh"
 
-#include <atomic>
 #include <chrono>
-#include <cstdlib>
-#include <exception>
-#include <mutex>
 #include <stdexcept>
-#include <thread>
 
 #include "sim/engine.hh"
 #include "sim/machine.hh"
@@ -291,95 +286,6 @@ SweepSpec::expand() const
         }
     }
     return requests;
-}
-
-// ---------------------------------------------------------------
-// SweepRunner
-// ---------------------------------------------------------------
-
-unsigned
-SweepRunner::resolveJobs(unsigned requested)
-{
-    if (requested != 0)
-        return requested;
-    if (const char *env = std::getenv("POMTLB_SWEEP_JOBS")) {
-        const long value = std::strtol(env, nullptr, 10);
-        if (value > 0)
-            return static_cast<unsigned>(value);
-    }
-    const unsigned hardware = std::thread::hardware_concurrency();
-    return hardware != 0 ? hardware : 1;
-}
-
-SweepRunner::SweepRunner(unsigned jobs)
-    : workerCount(resolveJobs(jobs))
-{
-}
-
-std::vector<ExperimentResult>
-SweepRunner::run(const std::vector<ExperimentRequest> &requests,
-                 const JobCallback &on_result) const
-{
-    std::vector<ExperimentResult> results(requests.size());
-    if (requests.empty())
-        return results;
-
-    const unsigned workers = static_cast<unsigned>(
-        std::min<std::size_t>(workerCount, requests.size()));
-
-    if (workers <= 1) {
-        // Serial reference path: identical job code, no threads.
-        for (std::size_t i = 0; i < requests.size(); ++i) {
-            results[i] = runExperiment(requests[i]);
-            if (on_result)
-                on_result(i, results[i]);
-        }
-        return results;
-    }
-
-    // Work-stealing by atomic index: each worker claims the next
-    // unclaimed request. results[i] is written only by the claimant
-    // of i, so no locks are needed; the join is the only
-    // synchronisation point the results are read across. Callback
-    // invocations alone are serialised, so checkpoint/stream
-    // consumers need no lock of their own.
-    std::atomic<std::size_t> next{0};
-    std::vector<std::exception_ptr> errors(requests.size());
-    std::mutex callback_mutex;
-
-    auto worker = [&] {
-        while (true) {
-            const std::size_t index =
-                next.fetch_add(1, std::memory_order_relaxed);
-            if (index >= requests.size())
-                return;
-            try {
-                results[index] = runExperiment(requests[index]);
-                if (on_result) {
-                    const std::lock_guard<std::mutex> lock(
-                        callback_mutex);
-                    on_result(index, results[index]);
-                }
-            } catch (...) {
-                errors[index] = std::current_exception();
-            }
-        }
-    };
-
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (unsigned i = 0; i < workers; ++i)
-        pool.emplace_back(worker);
-    for (std::thread &thread : pool)
-        thread.join();
-
-    // Deterministic error reporting: rethrow the failure of the
-    // lowest-indexed request, regardless of completion order.
-    for (const std::exception_ptr &error : errors)
-        if (error)
-            std::rethrow_exception(error);
-
-    return results;
 }
 
 // ---------------------------------------------------------------

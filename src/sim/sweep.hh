@@ -4,18 +4,19 @@
  *
  * A sweep is a declarative cross product — benchmarks × schemes ×
  * config variants — expanded into ExperimentRequest jobs and executed
- * on a bounded worker pool. Each job constructs its own Machine +
- * SimulationEngine, so the simulator core stays single-threaded by
- * design: no lock ever guards simulation state, the isolation unit is
- * the whole machine. Results always come back in spec order,
- * bit-identical to a serial run (tests/test_sweep.cc enforces this).
+ * as a SweepService campaign (sim/sweep_cache.hh) on a bounded worker
+ * pool. Each job constructs its own Machine + SimulationEngine, so
+ * the simulator core stays single-threaded by design: no lock ever
+ * guards simulation state, the isolation unit is the whole machine.
+ * Results always come back in spec order, bit-identical to a serial
+ * run (tests/test_sweep.cc enforces this).
  *
  * Layers:
  *  - ExperimentRequest / ExperimentResult — value types describing
  *    one run and its outcome, with a fluent builder for overrides;
+ *  - runExperiment — one request on the calling thread;
  *  - SweepSpec — the declarative cross product, expand()ed to
  *    requests;
- *  - SweepRunner — the worker pool;
  *  - SweepResultWriter — JSON serialisation for
  *    scripts/plot_results.py, round-trippable through
  *    SweepResultWriter::fromJson.
@@ -123,7 +124,7 @@ ExperimentResult runExperiment(const ExperimentRequest &request);
  * A declarative sweep: benchmarks × schemes × config variants.
  * expand() produces the cross product in benchmark-major order
  * (benchmark, then scheme, then variant), which is also the order
- * SweepRunner returns results in.
+ * of the runs in a SweepService document.
  */
 class SweepSpec
 {
@@ -185,72 +186,6 @@ class SweepSpec
     std::vector<std::string> schemeNames;
     std::vector<Variant> configVariants;
     bool componentStats = false;
-};
-
-/**
- * Executes ExperimentRequests on a bounded pool of worker threads.
- *
- * Guarantees:
- *  - results[i] always corresponds to requests[i] (completion order
- *    never leaks into the output);
- *  - every summary is bit-identical to what a serial run produces
- *    (jobs share no mutable state — one Machine per job);
- *  - if jobs throw, the workers drain and the exception of the
- *    lowest-indexed failing request is rethrown, so error reporting
- *    is deterministic too.
- */
-class SweepRunner
-{
-  public:
-    /**
-     * @param jobs  Worker threads. 1 = run serially on the calling
-     *              thread; 0 = hardware concurrency (capped by the
-     *              number of requests either way).
-     */
-    explicit SweepRunner(unsigned jobs = 1);
-
-    /** The resolved worker count (never 0). */
-    unsigned jobs() const { return workerCount; }
-
-    /**
-     * Invoked as each job finishes, in *completion* order (the
-     * result vector stays in request order regardless). Calls are
-     * serialised by the runner, so the callback may touch shared
-     * state (journals, sockets) without its own lock; it must not
-     * throw. This is the hook the sweep-at-scale service
-     * (sim/sweep_cache.hh) uses to checkpoint and stream results.
-     */
-    using JobCallback =
-        std::function<void(std::size_t index,
-                           const ExperimentResult &result)>;
-
-    /** Run every request; results land in request order. */
-    std::vector<ExperimentResult>
-    run(const std::vector<ExperimentRequest> &requests) const
-    {
-        return run(requests, JobCallback());
-    }
-
-    /** run() with a serialised per-completion callback. */
-    std::vector<ExperimentResult>
-    run(const std::vector<ExperimentRequest> &requests,
-        const JobCallback &on_result) const;
-
-    /** Expand a spec and run it. */
-    std::vector<ExperimentResult> run(const SweepSpec &spec) const
-    {
-        return run(spec.expand());
-    }
-
-    /**
-     * Resolve a requested job count: 0 consults POMTLB_SWEEP_JOBS,
-     * then std::thread::hardware_concurrency(), then falls back
-     * to 1.
-     */
-    static unsigned resolveJobs(unsigned requested);
-
-  private:
-    unsigned workerCount;
 };
 
 /**

@@ -1,11 +1,15 @@
 #include "sim/sweep_cache.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <exception>
 #include <filesystem>
+#include <mutex>
 #include <sstream>
 #include <system_error>
+#include <thread>
 #include <unistd.h>
 
 #include "common/content_hash.hh"
@@ -198,9 +202,6 @@ engineConfigJson(const EngineConfig &config)
     if (!config.tracePackPath.empty())
         object.set("trace_pack_hash",
                    tracePackContentHash(config.tracePackPath));
-    // Every EngineConfig field is part of the identity; the one
-    // execution knob left out of a job's identity is
-    // ExperimentConfig::sweepJobs (sim/sweep_cache.hh).
     return object;
 }
 
@@ -571,29 +572,69 @@ jobSourceName(JobSource source)
     return "unknown";
 }
 
+std::vector<CampaignJob>
+experimentJobs(const std::vector<ExperimentRequest> &requests)
+{
+    std::vector<CampaignJob> jobs;
+    jobs.reserve(requests.size());
+    for (const ExperimentRequest &request : requests) {
+        CampaignJob job;
+        job.hash = jobHash(request);
+        job.key = request.key();
+        job.produce = [request] {
+            // Identity form: wall_seconds is host noise, and cached
+            // bytes must not depend on which run produced them.
+            ExperimentResult result = runExperiment(request);
+            result.wallSeconds = 0.0;
+            return SweepResultWriter::entryToJson(result);
+        };
+        // An entry the current reader rejects, such as one written
+        // before a summary field became required, is stale.
+        job.servable = [](const JsonValue &entry) {
+            try {
+                SweepResultWriter::entryFromJson(entry);
+                return true;
+            } catch (const std::exception &) {
+                return false;
+            }
+        };
+        jobs.push_back(std::move(job));
+    }
+    return jobs;
+}
+
+unsigned
+campaignWorkers(unsigned requested, std::size_t pending)
+{
+    const unsigned wanted =
+        requested != 0 ? requested : std::thread::hardware_concurrency();
+    return static_cast<unsigned>(
+        std::max<std::size_t>(1, std::min<std::size_t>(wanted, pending)));
+}
+
 SweepService::SweepService(SweepServiceOptions service_options)
     : serviceOptions(std::move(service_options))
 {
 }
 
 JsonValue
-SweepService::run(const std::vector<ExperimentRequest> &requests,
+SweepService::run(const char *schema,
+                  const std::vector<CampaignJob> &jobs,
                   const Emit &emit)
 {
-    const std::size_t count = requests.size();
+    const std::size_t count = jobs.size();
     lastStats = SweepServiceStats{};
     lastStats.jobs = count;
-
-    std::vector<std::string> hashes(count);
-    for (std::size_t i = 0; i < count; ++i)
-        hashes[i] = jobHash(requests[i]);
 
     // Owner = the first index of each distinct hash; duplicates
     // reuse the owner's entry (identical identity implies an
     // identical result).
+    std::vector<std::string> hashes(count);
     std::map<std::string, std::vector<std::size_t>> by_hash;
-    for (std::size_t i = 0; i < count; ++i)
+    for (std::size_t i = 0; i < count; ++i) {
+        hashes[i] = jobs[i].hash;
         by_hash[hashes[i]].push_back(i);
+    }
 
     std::unique_ptr<SweepCache> cache;
     if (!serviceOptions.cacheDir.empty())
@@ -616,12 +657,12 @@ SweepService::run(const std::vector<ExperimentRequest> &requests,
     // Emission frontier: emit() fires for index i only once every
     // j <= i is ready, so consumers see a strictly growing prefix.
     std::size_t frontier = 0;
-    auto drain = [&] {
+    const auto drain = [&] {
         while (frontier < count && ready[frontier]) {
             if (emit) {
                 SweepJobReport report;
                 report.index = frontier;
-                report.key = requests[frontier].key();
+                report.key = jobs[frontier].key;
                 report.hash = hashes[frontier];
                 report.source = sources[frontier];
                 report.wallSeconds = walls[frontier];
@@ -631,8 +672,8 @@ SweepService::run(const std::vector<ExperimentRequest> &requests,
         }
     };
 
-    auto resolve = [&](const std::string &hash, JsonValue entry,
-                       JobSource source, double wall) {
+    const auto resolve = [&](const std::string &hash, JsonValue entry,
+                             JobSource source, double wall) {
         const std::vector<std::size_t> &indices = by_hash[hash];
         for (const std::size_t index : indices) {
             entries[index] = entry;
@@ -644,98 +685,106 @@ SweepService::run(const std::vector<ExperimentRequest> &requests,
         drain();
     };
 
-    // An entry the current reader rejects, such as one written
-    // before a summary field became required, is a miss: it
-    // re-executes (and is overwritten) instead of being served.
-    const auto servable = [](const JsonValue &entry) {
-        try {
-            SweepResultWriter::entryFromJson(entry);
-            return true;
-        } catch (const std::exception &) {
-            return false;
-        }
-    };
-
     // Pass 1: satisfy whatever the journal and cache already hold.
-    std::vector<std::size_t> pending_owner;
-    std::vector<ExperimentRequest> pending_requests;
+    // An entry the job does not accept is a miss: it re-executes
+    // and is overwritten instead of being served.
+    std::vector<std::size_t> pending;
     for (const auto &[hash, indices] : by_hash) {
-        const std::size_t owner = indices.front();
+        const CampaignJob &job = jobs[indices.front()];
         if (const auto hit = replayed.find(hash);
-            hit != replayed.end() && servable(hit->second)) {
+            hit != replayed.end() && job.servable(hit->second)) {
             lastStats.journalHits += indices.size();
             resolve(hash, hit->second, JobSource::Journal, 0.0);
             continue;
         }
         if (cache) {
-            if (std::optional<JsonValue> entry =
-                    cache->lookup(hash);
-                entry && servable(*entry)) {
+            if (std::optional<JsonValue> entry = cache->lookup(hash);
+                entry && job.servable(*entry)) {
                 lastStats.cacheHits += indices.size();
-                if (journal) {
-                    journal->append(hash, requests[owner].key(),
-                                    "cache", 0.0, *entry);
-                }
+                if (journal)
+                    journal->append(hash, job.key, "cache", 0.0,
+                                    *entry);
                 resolve(hash, std::move(*entry), JobSource::Cache,
                         0.0);
                 continue;
             }
         }
-        pending_owner.push_back(owner);
-        pending_requests.push_back(requests[owner]);
+        pending.push_back(indices.front());
     }
 
-    // Pass 2: execute only the delta, checkpointing and streaming
-    // as each job completes. The callback runs serialised by the
-    // runner, so cache/journal/frontier state needs no extra lock.
-    if (!pending_requests.empty()) {
-        const SweepRunner runner(serviceOptions.jobs);
-        runner.run(
-            pending_requests,
-            [&](std::size_t pending_index,
-                const ExperimentResult &result) {
-                const std::size_t owner =
-                    pending_owner[pending_index];
-                const std::string &hash = hashes[owner];
-                // Identity form: wall_seconds is host noise, and
-                // cached bytes must be independent of which run
-                // produced them. Real wall time travels in the
-                // journal record and the job report instead.
-                ExperimentResult identity = result;
-                identity.wallSeconds = 0.0;
-                const JsonValue entry =
-                    SweepResultWriter::entryToJson(identity);
-                if (cache) {
-                    cache->store(hash, requests[owner].key(),
-                                 entry);
-                }
-                if (journal) {
-                    journal->append(hash, requests[owner].key(),
-                                    "executed", result.wallSeconds,
-                                    entry);
-                }
+    // Pass 2: execute only the delta, in hash order. Each worker
+    // claims the next pending job; completions serialise on one
+    // mutex, so cache, journal and frontier state need no other
+    // lock. emit() runs under it too, which keeps reports in request
+    // order and never concurrent.
+    std::atomic<std::size_t> next{0};
+    std::mutex completion;
+    std::vector<std::exception_ptr> errors(pending.size());
+    const auto worker = [&] {
+        for (;;) {
+            const std::size_t claimed =
+                next.fetch_add(1, std::memory_order_relaxed);
+            if (claimed >= pending.size())
+                return;
+            const CampaignJob &job = jobs[pending[claimed]];
+            try {
+                const auto start = std::chrono::steady_clock::now();
+                JsonValue entry = job.produce();
+                const double wall =
+                    std::chrono::duration<double>(
+                        std::chrono::steady_clock::now() - start)
+                        .count();
+
+                const std::lock_guard<std::mutex> lock(completion);
+                if (cache)
+                    cache->store(job.hash, job.key, entry);
+                if (journal)
+                    journal->append(job.hash, job.key, "executed",
+                                    wall, entry);
                 ++lastStats.executed;
-                resolve(hash, entry, JobSource::Executed,
-                        result.wallSeconds);
-                if (serviceOptions.crashAfterAppends != 0 &&
-                    journal &&
+                resolve(job.hash, std::move(entry),
+                        JobSource::Executed, wall);
+                if (serviceOptions.crashAfterAppends != 0 && journal &&
                     journal->appended() >=
                         serviceOptions.crashAfterAppends) {
                     // Fault injection: vanish mid-campaign with no
                     // cleanup, exactly like a SIGKILL would.
                     std::_Exit(137);
                 }
-            });
+            } catch (...) {
+                // Kept for the rethrow below: an exception must not
+                // leave a worker thread.
+                errors[claimed] = std::current_exception();
+            }
+        }
+    };
+    const unsigned workers =
+        campaignWorkers(serviceOptions.jobs, pending.size());
+    if (workers == 1) {
+        worker();
+    } else {
+        // A jthread joins when destroyed, on the exception path too.
+        std::vector<std::jthread> pool;
+        pool.reserve(workers);
+        for (unsigned w = 0; w < workers; ++w)
+            pool.emplace_back(worker);
     }
 
     if (cache)
         lastStats.quarantined = cache->quarantined();
 
+    // Deterministic failure: the lowest pending index wins,
+    // whatever order the workers finished in.
+    for (const std::exception_ptr &error : errors) {
+        if (error)
+            std::rethrow_exception(error);
+    }
+
     JsonValue runs = JsonValue::array();
     for (std::size_t i = 0; i < count; ++i)
         runs.push(std::move(entries[i]));
     JsonValue document = JsonValue::object();
-    document.set("schema", kSweepSchemaV1);
+    document.set("schema", schema);
     document.set("runs", std::move(runs));
     return document;
 }

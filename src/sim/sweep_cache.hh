@@ -29,9 +29,14 @@
  *    are served from it, a torn trailing record (the crash write)
  *    is truncated away, and only the remainder executes.
  *
- * SweepService orchestrates the three around SweepRunner and emits
- * results *incrementally in request order*, which is what the
+ * SweepService orchestrates the three around its worker pool and
+ * emits results *incrementally in request order*, which is what the
  * `pomtlb serve` protocol (sim/sweep_serve.hh) streams to clients.
+ * It is the only code that runs a batch of simulations: a campaign
+ * is a list of CampaignJob (content hash, key, a function producing
+ * the job's entry, a servability check), built by a short adapter
+ * per job kind — experimentJobs() here for sweeps, scenarioJobs()
+ * in sim/scenario.hh for consolidation scenarios.
  *
  * Determinism contract: a service-built document is byte-identical
  * whether every job executed, came from the cache, came from the
@@ -85,9 +90,6 @@ JsonValue engineConfigJson(const EngineConfig &config);
  * version, benchmark, canonical scheme name, variant label, the
  * component-stats flag, and the complete configuration (every
  * SystemConfig and EngineConfig field that can influence a result).
- * ExperimentConfig::sweepJobs is deliberately excluded — results
- * are bit-identical at any worker count, so it must not split the
- * cache.
  *
  * Growing the configuration structs means extending this serialiser
  * (and bumping the cache schema version when semantics change);
@@ -239,14 +241,60 @@ enum class JobSource
 /** Human-readable name of a JobSource ("executed", ...). */
 const char *jobSourceName(JobSource source);
 
+/**
+ * One job of a campaign, as SweepService runs it. A job kind (sweep
+ * request, consolidation scenario) only says how to identify, run
+ * and validate its jobs; hashing order, deduplication, the cache,
+ * the journal, the worker pool and the emission order are the
+ * service's.
+ */
+struct CampaignJob
+{
+    /** Content hash: the cache and journal key of the job. */
+    std::string hash;
+    /** Human-readable key recorded beside the entry. */
+    std::string key;
+    /**
+     * Run the job on the calling thread and return its entry in
+     * identity form (no host-dependent field). May throw; the
+     * service reports the lowest pending failure.
+     */
+    std::function<JsonValue()> produce;
+    /**
+     * Whether a stored cache or journal entry of this job can be
+     * served. A rejected entry is stale, not corrupt: the job
+     * re-executes and overwrites it.
+     */
+    std::function<bool(const JsonValue &entry)> servable;
+};
+
+/**
+ * The campaign jobs of sweep @p requests: jobHash() and key() of
+ * each request, runExperiment() in the identity form
+ * (`wall_seconds` 0), and servable when
+ * SweepResultWriter::entryFromJson() reads the entry back.
+ */
+std::vector<CampaignJob>
+experimentJobs(const std::vector<ExperimentRequest> &requests);
+
+/**
+ * The worker count that runs @p pending jobs: @p requested, or the
+ * host's hardware concurrency when @p requested is 0, capped by
+ * @p pending and never 0.
+ */
+unsigned campaignWorkers(unsigned requested, std::size_t pending);
+
 /** Per-job completion report handed to the emit callback. */
 struct SweepJobReport
 {
-    std::size_t index = 0;  /**< Position in the request vector. */
-    std::string key;        /**< "benchmark/scheme[/label]". */
+    std::size_t index = 0;  /**< Position in the job list. */
+    std::string key;        /**< The job's CampaignJob::key. */
     std::string hash;       /**< The job's content hash. */
     JobSource source = JobSource::Executed; /**< Result origin. */
-    /** Host wall seconds actually spent (0 for cache/journal). */
+    /**
+     * Host wall seconds the job took to produce, Machine
+     * construction included (0 for cache/journal).
+     */
     double wallSeconds = 0.0;
 };
 
@@ -268,7 +316,11 @@ struct SweepServiceOptions
     std::string cacheDir;
     /** Checkpoint-journal path; empty disables checkpointing. */
     std::string journalPath;
-    /** Worker threads (SweepRunner semantics: 0 = hardware). */
+    /**
+     * Worker threads (0 = hardware concurrency), resolved by
+     * campaignWorkers() against the jobs left to execute. With one
+     * worker no thread starts: jobs run on the calling thread.
+     */
     unsigned jobs = 1;
     /**
      * Fault injection for the crash/resume tests (and the
@@ -280,10 +332,10 @@ struct SweepServiceOptions
 };
 
 /**
- * Orchestrates a campaign: hash every request, satisfy what the
- * journal and cache already hold, execute only the delta on a
- * SweepRunner pool, checkpoint every completion, and emit results
- * incrementally in request order.
+ * Runs campaigns: dedupe the jobs by hash, satisfy what the journal
+ * and cache already hold, execute only the delta on a worker pool,
+ * checkpoint every completion, and emit results incrementally in
+ * request order.
  */
 class SweepService
 {
@@ -294,21 +346,32 @@ class SweepService
      * Called for every job, strictly in request order, as the
      * completed prefix of the campaign extends — cached prefixes
      * stream out before (and while) later jobs execute. @p run is
-     * the job's `pomtlb-sweep-v1` entry in identity form.
+     * the job's entry in identity form. Calls never overlap.
      */
     using Emit = std::function<void(const SweepJobReport &report,
                                     const JsonValue &run)>;
 
     /**
-     * Run the campaign; returns the complete `pomtlb-sweep-v1`
-     * document (byte-identical for any cache/journal/execution
-     * mix of the same requests). Propagates the deterministic
-     * lowest-index exception of SweepRunner on job failure;
-     * completed jobs are already journaled at that point, so a
-     * failed campaign resumes past everything that succeeded.
+     * Run @p jobs as one campaign; returns the document
+     * `{"schema": schema, "runs": [entry per job]}`, byte-identical
+     * for any cache/journal/execution mix and any worker count.
+     * Jobs left to execute run in hash order; with one worker they
+     * run on the calling thread, with emit() firing between them.
+     * On failure every pending job still runs, then the exception
+     * of the lowest pending index is rethrown; completed jobs are
+     * journaled by then, so a failed campaign resumes past
+     * everything that succeeded.
      */
-    JsonValue run(const std::vector<ExperimentRequest> &requests,
+    JsonValue run(const char *schema,
+                  const std::vector<CampaignJob> &jobs,
                   const Emit &emit = Emit());
+
+    /** Run sweep @p requests: the `pomtlb-sweep-v1` document. */
+    JsonValue run(const std::vector<ExperimentRequest> &requests,
+                  const Emit &emit = Emit())
+    {
+        return run(kSweepSchemaV1, experimentJobs(requests), emit);
+    }
 
     /** Expand a spec and run it. */
     JsonValue run(const SweepSpec &spec, const Emit &emit = Emit())
@@ -318,12 +381,6 @@ class SweepService
 
     /** Accounting of the most recent run(). */
     const SweepServiceStats &stats() const { return lastStats; }
-
-    /** The options this service was built with. */
-    const SweepServiceOptions &options() const
-    {
-        return serviceOptions;
-    }
 
   private:
     SweepServiceOptions serviceOptions;

@@ -66,7 +66,7 @@ axisField(const JsonValue &request, const std::string &field,
 ExperimentConfig
 configFromRequest(const JsonValue &request)
 {
-    ExperimentConfig config = defaultExperimentConfig();
+    ExperimentConfig config;
     if (request.has("cores")) {
         config.system.numCores = static_cast<unsigned>(
             request.at("cores").asUint());
@@ -178,45 +178,12 @@ ServeSession::handleSweep(const JsonValue &request)
         }
     }
 
-    SweepServiceOptions options;
-    options.cacheDir = serveOptions.cacheDir;
-    options.jobs = serveOptions.jobs;
-    if (request.has("jobs")) {
-        options.jobs = static_cast<unsigned>(
-            request.at("jobs").asUint());
-    }
-    options.crashAfterAppends = serveOptions.crashAfterAppends;
-
-    std::vector<std::string> hashes;
-    for (const ExperimentRequest &job : requests)
-        hashes.push_back(jobHash(job));
-    const std::string campaign = sweepHash(hashes);
-    if (!serveOptions.journalDir.empty()) {
-        std::error_code error;
-        std::filesystem::create_directories(serveOptions.journalDir,
-                                            error);
-        options.journalPath =
-            (std::filesystem::path(serveOptions.journalDir) /
-             (campaign + ".jsonl"))
-                .string();
-    }
-
-    const std::size_t total = requests.size();
-    SweepService service(options);
-    service.run(requests, [&](const SweepJobReport &report,
-                              const JsonValue &run) {
-        JsonValue event = JsonValue::object();
-        event.set("event", "job");
-        event.set("index", std::uint64_t(report.index));
-        event.set("jobs", std::uint64_t(total));
-        event.set("key", report.key);
-        event.set("job_hash", report.hash);
-        event.set("source", jobSourceName(report.source));
-        event.set("wall_seconds", report.wallSeconds);
-        event.set("run", run);
-        emitEvent(std::move(event));
-    });
-    campaignStats = service.stats();
+    const std::string campaign = runCampaign(
+        request, kSweepSchemaV1, experimentJobs(requests), "job",
+        [](JsonValue &event, const SweepJobReport &report) {
+            event.set("key", report.key);
+            event.set("job_hash", report.hash);
+        });
 
     JsonValue end = JsonValue::object();
     end.set("event", "sweep-end");
@@ -296,7 +263,35 @@ ServeSession::handleScenario(const JsonValue &request)
         specs.push_back(std::move(spec));
     }
 
-    ScenarioCampaignOptions options;
+    const std::string campaign = runCampaign(
+        request, kScenarioSchemaV1, scenarioJobs(specs),
+        "scenario-job",
+        [&](JsonValue &event, const SweepJobReport &report) {
+            event.set("name", specs[report.index].name);
+            event.set("scenario_hash", report.hash);
+        });
+
+    JsonValue end = JsonValue::object();
+    end.set("event", "scenario-end");
+    end.set("campaign_hash", campaign);
+    end.set("stats", statsJson());
+    emitEvent(std::move(end));
+}
+
+/**
+ * Run @p jobs as one campaign for @p request: this session's cache,
+ * the request's `jobs` override, and a journal named after the
+ * campaign hash. Streams one @p job_event per job, whose identity
+ * members @p identify adds, and returns the campaign hash.
+ */
+std::string
+ServeSession::runCampaign(
+    const JsonValue &request, const char *schema,
+    const std::vector<CampaignJob> &jobs, const char *job_event,
+    const std::function<void(JsonValue &, const SweepJobReport &)>
+        &identify)
+{
+    SweepServiceOptions options;
     options.cacheDir = serveOptions.cacheDir;
     options.jobs = serveOptions.jobs;
     if (request.has("jobs")) {
@@ -306,8 +301,8 @@ ServeSession::handleScenario(const JsonValue &request)
     options.crashAfterAppends = serveOptions.crashAfterAppends;
 
     std::vector<std::string> hashes;
-    for (const ScenarioSpec &spec : specs)
-        hashes.push_back(scenarioHash(spec));
+    for (const CampaignJob &job : jobs)
+        hashes.push_back(job.hash);
     const std::string campaign = sweepHash(hashes);
     if (!serveOptions.journalDir.empty()) {
         std::error_code error;
@@ -319,29 +314,21 @@ ServeSession::handleScenario(const JsonValue &request)
                 .string();
     }
 
-    const std::size_t total = specs.size();
-    SweepServiceStats stats;
-    runScenarioCampaign(
-        specs, options, &stats,
-        [&](const ScenarioJobReport &report, const JsonValue &run) {
-            JsonValue event = JsonValue::object();
-            event.set("event", "scenario-job");
-            event.set("index", std::uint64_t(report.index));
-            event.set("jobs", std::uint64_t(total));
-            event.set("name", report.name);
-            event.set("scenario_hash", report.hash);
-            event.set("source", jobSourceName(report.source));
-            event.set("wall_seconds", report.wallSeconds);
-            event.set("run", run);
-            emitEvent(std::move(event));
-        });
-    campaignStats = stats;
-
-    JsonValue end = JsonValue::object();
-    end.set("event", "scenario-end");
-    end.set("campaign_hash", campaign);
-    end.set("stats", statsJson());
-    emitEvent(std::move(end));
+    SweepService service(options);
+    service.run(schema, jobs,
+                [&](const SweepJobReport &report, const JsonValue &run) {
+                    JsonValue event = JsonValue::object();
+                    event.set("event", job_event);
+                    event.set("index", std::uint64_t(report.index));
+                    event.set("jobs", std::uint64_t(jobs.size()));
+                    identify(event, report);
+                    event.set("source", jobSourceName(report.source));
+                    event.set("wall_seconds", report.wallSeconds);
+                    event.set("run", run);
+                    emitEvent(std::move(event));
+                });
+    campaignStats = service.stats();
+    return campaign;
 }
 
 void

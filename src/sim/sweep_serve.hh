@@ -21,8 +21,10 @@
 #define POMTLB_SIM_SWEEP_SERVE_HH
 
 #include <cstddef>
+#include <functional>
 #include <iosfwd>
 #include <string>
+#include <vector>
 
 #include "common/json.hh"
 #include "sim/sweep_cache.hh"
@@ -43,7 +45,10 @@ struct ServeOptions
      * (`<dir>/<sweep-hash>.jsonl`); empty disables checkpointing.
      */
     std::string journalDir;
-    /** Worker threads per campaign (SweepRunner semantics). */
+    /**
+     * Worker threads per campaign, as SweepServiceOptions::jobs
+     * (0 = hardware concurrency); a request's `jobs` overrides it.
+     */
     unsigned jobs = 1;
     /** Fault injection forwarded to every campaign (tests/CLI). */
     unsigned crashAfterAppends = 0;
@@ -93,6 +98,13 @@ class ServeSession
     void handleRequest(const JsonValue &request);
     void handleSweep(const JsonValue &request);
     void handleScenario(const JsonValue &request);
+    std::string
+    runCampaign(const JsonValue &request, const char *schema,
+                const std::vector<CampaignJob> &jobs,
+                const char *job_event,
+                const std::function<void(JsonValue &event,
+                                         const SweepJobReport &report)>
+                    &identify);
 
     std::istream &input;
     std::ostream &output;

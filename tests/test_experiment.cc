@@ -123,7 +123,7 @@ TEST(Experiment, DefaultConfigIsTheFullRunLength)
 {
     // The paper's tables are reproduced at the engine defaults;
     // shorter runs are an explicit --refs/--warmup.
-    const ExperimentConfig config = defaultExperimentConfig();
+    const ExperimentConfig config;
     EXPECT_EQ(config.engine.refsPerCore, 150000u);
     EXPECT_EQ(config.engine.warmupRefsPerCore, 120000u);
 }

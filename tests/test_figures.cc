@@ -35,7 +35,7 @@ TEST(Figures, OneCampaignRunsEachSharedCellOnce)
     // Most tables reuse Figure 8's Baseline and POM-TLB cells, and
     // fig8-breakdown repeats all of Figure 8: 562 requests at the
     // default configuration are 226 distinct jobs.
-    const ExperimentConfig base = defaultExperimentConfig();
+    const ExperimentConfig base;
     std::size_t requests = 0;
     std::set<std::string> jobs;
     for (const FigureEntry &entry : figureEntries()) {
@@ -73,7 +73,7 @@ syntheticFig8Runs(const FigureEntry &fig8, const std::string &loser)
 {
     std::vector<SchemeRunSummary> runs;
     for (const ExperimentRequest &request :
-         fig8.requests(defaultExperimentConfig())) {
+         fig8.requests(ExperimentConfig{})) {
         SchemeRunSummary summary;
         summary.benchmark = request.benchmark;
         summary.scheme = request.scheme;
@@ -91,7 +91,7 @@ syntheticFig8Runs(const FigureEntry &fig8, const std::string &loser)
 TEST(Figures, Fig8VerdictFailsAndNamesTheWorkloadPomTlbLoses)
 {
     const FigureEntry &fig8 = *findFigure("fig8");
-    const ExperimentConfig base = defaultExperimentConfig();
+    const ExperimentConfig base;
     std::ostringstream good;
     EXPECT_EQ(printFigure(good, fig8,
                           fig8.reduce(base, syntheticFig8Runs(fig8, ""))),

@@ -9,9 +9,6 @@
  * rule, and the `pomtlb-scenario-v1` export.
  */
 
-#include <sys/wait.h>
-#include <unistd.h>
-
 #include <cstdint>
 #include <filesystem>
 #include <functional>
@@ -21,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include "campaign_fixtures.hh"
 #include "sim/engine.hh"
 #include "sim/machine.hh"
 #include "sim/scenario.hh"
@@ -607,122 +605,20 @@ TEST(Scenario, SustainsHundredsOfTenantsWithPerTenantQos)
 
 // ---------------------------------------------------------------
 // Campaigns: memoized, checkpointed, parallel, crash-resumable.
+// Scenario jobs run through the same SweepService as sweep jobs;
+// these are the runner's guarantees checked for scenarios (the
+// sweep-job counterparts are in test_sweep.cc and
+// test_sweep_cache.cc).
 // ---------------------------------------------------------------
-
-namespace fs = std::filesystem;
-
-/** A unique scratch directory, recursively removed on destruction. */
-struct ScratchDir
-{
-    explicit ScratchDir(const std::string &tag)
-    {
-        path = (fs::temp_directory_path() /
-                ("pomtlb-" + tag + "-" + std::to_string(::getpid())))
-                   .string();
-        fs::remove_all(path);
-        fs::create_directories(path);
-    }
-    ~ScratchDir() { fs::remove_all(path); }
-
-    std::string sub(const std::string &name) const
-    {
-        return (fs::path(path) / name).string();
-    }
-
-    std::string path;
-};
-
-/** A small churn+storm scenario with @p tenants tenants. */
-ScenarioSpec
-churnSpec(unsigned tenants)
-{
-    ScenarioSpec spec;
-    spec.name = "churn-" + std::to_string(tenants) + "t";
-    spec.scheme = "POM-TLB";
-    spec.system = smallSystem(2);
-    spec.engine = quickEngine();
-    spec.tenantCount = tenants;
-    spec.tenantBenchmarks = {"mcf", "gups"};
-    spec.migrationPagesPerArrival = 2;
-    spec.storm.intervalRefs = 800;
-    spec.storm.pagesPerBurst = 4;
-    return spec;
-}
 
 TEST(ScenarioCampaign, RerunByteIdenticalAcrossCacheAndJobs)
 {
-    ScratchDir scratch("scenario-campaign");
-    const std::vector<ScenarioSpec> specs = {churnSpec(4),
-                                             churnSpec(8)};
-
-    ScenarioCampaignOptions options;
-    options.cacheDir = scratch.sub("cache");
-    options.jobs = 1;
-    SweepServiceStats stats;
-    const JsonValue cold =
-        runScenarioCampaign(specs, options, &stats);
-    EXPECT_EQ(cold.at("schema").asString(), kScenarioSchemaV1);
-    EXPECT_EQ(stats.executed, 2u);
-
-    // The warm rerun executes nothing and is byte-identical.
-    const JsonValue warm =
-        runScenarioCampaign(specs, options, &stats);
-    EXPECT_EQ(stats.executed, 0u);
-    EXPECT_EQ(stats.cacheHits, 2u);
-    EXPECT_EQ(cold.dump(2), warm.dump(2));
-
-    // A different worker count in a pristine cache changes nothing.
-    ScenarioCampaignOptions wide;
-    wide.cacheDir = scratch.sub("cache-wide");
-    wide.jobs = 4;
-    const JsonValue parallel =
-        runScenarioCampaign(specs, wide, &stats);
-    EXPECT_EQ(stats.executed, 2u);
-    EXPECT_EQ(cold.dump(2), parallel.dump(2));
+    expectParallelAndWarmRunsMatchSerial(scenarioCampaign());
 }
 
 TEST(ScenarioCampaign, KilledCampaignResumesByteIdentical)
 {
-    ScratchDir scratch("scenario-crash");
-    const std::vector<ScenarioSpec> specs = {churnSpec(4),
-                                             churnSpec(8)};
-
-    ScenarioCampaignOptions options;
-    options.cacheDir = scratch.sub("cache");
-    options.journalPath = scratch.sub("scenario.journal");
-    options.jobs = 1;
-
-    // Child: the crash hook vanishes the process (status 137, no
-    // flushes, no destructors) right after the first journal
-    // append, like a SIGKILL landing mid-campaign.
-    const pid_t child = fork();
-    ASSERT_GE(child, 0);
-    if (child == 0) {
-        ScenarioCampaignOptions crashing = options;
-        crashing.crashAfterAppends = 1;
-        runScenarioCampaign(specs, crashing);
-        std::_Exit(0); // not reached: the hook fires first
-    }
-    int status = 0;
-    ASSERT_EQ(::waitpid(child, &status, 0), child);
-    ASSERT_TRUE(WIFEXITED(status));
-    ASSERT_EQ(WEXITSTATUS(status), 137);
-
-    // Parent: resume. The journaled scenario replays, only the
-    // remainder executes.
-    SweepServiceStats stats;
-    const JsonValue resumed =
-        runScenarioCampaign(specs, options, &stats);
-    EXPECT_EQ(stats.journalHits, 1u);
-    EXPECT_EQ(stats.executed, 1u);
-
-    // The resumed document is byte-identical to an uninterrupted
-    // campaign in a pristine cache.
-    ScenarioCampaignOptions pristine;
-    pristine.cacheDir = scratch.sub("cache-reference");
-    pristine.jobs = 1;
-    const JsonValue reference = runScenarioCampaign(specs, pristine);
-    EXPECT_EQ(resumed.dump(2), reference.dump(2));
+    expectKilledCampaignResumesByteIdentical(scenarioCampaign());
 }
 
 } // namespace

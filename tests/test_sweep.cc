@@ -1,17 +1,20 @@
 /**
  * @file
- * Tests for the parallel sweep subsystem (sim/sweep.hh): request
- * builder semantics, spec expansion, determinism of the worker pool
- * against the serial path, ordering under different worker counts,
- * exception propagation, and the JSON result round trip.
+ * Tests for the parallel sweep subsystem (sim/sweep.hh) and the one
+ * campaign runner it executes on (SweepService, sim/sweep_cache.hh):
+ * request builder semantics, spec expansion, determinism of the
+ * worker pool against the serial path and ordering under different
+ * worker counts for both job kinds (sweep requests and scenarios),
+ * exception propagation, and the JSON result round trip. Compiled
+ * into pomtlb_focused_tests too, so the pool runs under TSan.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <sstream>
 #include <stdexcept>
 
+#include "campaign_fixtures.hh"
 #include "sim/sweep.hh"
 
 namespace pomtlb
@@ -45,48 +48,6 @@ tinySpec()
         .withVariant("8MB", [](ExperimentConfig &c) {
             c.system.pomTlb.capacityBytes = 8u << 20;
         });
-}
-
-/** Field-by-field bit-identity of two run summaries. */
-void
-expectIdentical(const SchemeRunSummary &a, const SchemeRunSummary &b)
-{
-    EXPECT_EQ(a.benchmark, b.benchmark);
-    EXPECT_EQ(a.scheme, b.scheme);
-    EXPECT_EQ(a.mode, b.mode);
-    EXPECT_EQ(a.translationCycles, b.translationCycles);
-    EXPECT_EQ(a.sramCycles, b.sramCycles);
-    EXPECT_EQ(a.schemeCycles, b.schemeCycles);
-    ASSERT_EQ(a.cycleBreakdown.size(), b.cycleBreakdown.size());
-    for (std::size_t i = 0; i < a.cycleBreakdown.size(); ++i) {
-        EXPECT_EQ(a.cycleBreakdown[i].first,
-                  b.cycleBreakdown[i].first);
-        EXPECT_EQ(a.cycleBreakdown[i].second,
-                  b.cycleBreakdown[i].second);
-    }
-    // Doubles compared with EXPECT_EQ on purpose: parallel execution
-    // must be *bit-identical* to serial, not merely close.
-    EXPECT_EQ(a.avgPenaltyPerMiss, b.avgPenaltyPerMiss);
-    EXPECT_EQ(a.walkFraction, b.walkFraction);
-    EXPECT_EQ(a.pomL2CacheServiceRate, b.pomL2CacheServiceRate);
-    EXPECT_EQ(a.pomL3CacheServiceRate, b.pomL3CacheServiceRate);
-    EXPECT_EQ(a.pomDramServiceRate, b.pomDramServiceRate);
-    EXPECT_EQ(a.sizePredictorAccuracy, b.sizePredictorAccuracy);
-    EXPECT_EQ(a.bypassPredictorAccuracy, b.bypassPredictorAccuracy);
-    EXPECT_EQ(a.dieStackedRowBufferHitRate,
-              b.dieStackedRowBufferHitRate);
-    EXPECT_EQ(a.l3DataHitRate, b.l3DataHitRate);
-    ASSERT_EQ(a.run.cores.size(), b.run.cores.size());
-    for (std::size_t c = 0; c < a.run.cores.size(); ++c) {
-        EXPECT_EQ(a.run.cores[c].refs, b.run.cores[c].refs);
-        EXPECT_EQ(a.run.cores[c].cycles, b.run.cores[c].cycles);
-        EXPECT_EQ(a.run.cores[c].translationCycles,
-                  b.run.cores[c].translationCycles);
-        EXPECT_EQ(a.run.cores[c].lastLevelTlbMisses,
-                  b.run.cores[c].lastLevelTlbMisses);
-        EXPECT_EQ(a.run.cores[c].pageWalks,
-                  b.run.cores[c].pageWalks);
-    }
 }
 
 TEST(Sweep, RequestBuilderAppliesOverrides)
@@ -136,116 +97,141 @@ TEST(Sweep, SpecExpandsInDeterministicOrder)
 
 TEST(Sweep, EmptySpecYieldsEmptyResults)
 {
-    EXPECT_TRUE(SweepRunner(4).run(SweepSpec()).empty());
-    EXPECT_TRUE(
-        SweepRunner(4).run(std::vector<ExperimentRequest>{}).empty());
+    SweepServiceOptions options;
+    options.jobs = 4;
+    SweepService service(options);
+    EXPECT_TRUE(service.run(SweepSpec()).at("runs").elements().empty());
+    EXPECT_TRUE(service.run(std::vector<ExperimentRequest>{})
+                    .at("runs")
+                    .elements()
+                    .empty());
+    EXPECT_EQ(service.stats().executed, 0u);
 }
 
 TEST(Sweep, ParallelIsBitIdenticalToSerial)
 {
-    const std::vector<ExperimentRequest> requests =
-        tinySpec().expand();
-    const std::vector<ExperimentResult> serial =
-        SweepRunner(1).run(requests);
-    const std::vector<ExperimentResult> parallel =
-        SweepRunner(4).run(requests);
-
-    ASSERT_EQ(serial.size(), requests.size());
-    ASSERT_EQ(parallel.size(), requests.size());
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-        EXPECT_EQ(parallel[i].request.key(), requests[i].key());
-        expectIdentical(parallel[i].summary, serial[i].summary);
-    }
+    // ScenarioCampaign.RerunByteIdenticalAcrossCacheAndJobs checks
+    // the same guarantee for scenario jobs.
+    expectParallelAndWarmRunsMatchSerial(sweepCampaign());
 }
 
 TEST(Sweep, OrderingHoldsForAnyWorkerCount)
 {
-    const std::vector<ExperimentRequest> requests =
-        tinySpec().expand();
-    for (const unsigned jobs : {1u, 2u, 8u}) {
-        const std::vector<ExperimentResult> results =
-            SweepRunner(jobs).run(requests);
-        ASSERT_EQ(results.size(), requests.size());
-        for (std::size_t i = 0; i < requests.size(); ++i)
-            EXPECT_EQ(results[i].request.key(), requests[i].key())
-                << "jobs=" << jobs << " index=" << i;
+    // Jobs finish in any order, but reports, emitted entries and
+    // document runs always come in request order.
+    for (const TestCampaign &campaign : campaignsOfEveryKind()) {
+        for (const unsigned jobs : {1u, 2u, 8u}) {
+            SCOPED_TRACE(campaign.kind + " jobs=" +
+                         std::to_string(jobs));
+            SweepServiceOptions options;
+            options.jobs = jobs;
+            std::vector<std::string> emitted;
+            const JsonValue document =
+                SweepService(options).run(
+                    campaign.schema, campaign.jobs,
+                    [&](const SweepJobReport &report,
+                        const JsonValue &run) {
+                        ASSERT_EQ(report.index, emitted.size());
+                        EXPECT_EQ(report.key,
+                                  campaign.jobs[report.index].key);
+                        EXPECT_EQ(report.hash,
+                                  campaign.jobs[report.index].hash);
+                        emitted.push_back(run.dump(0));
+                    });
+            EXPECT_EQ(document.at("schema").asString(),
+                      campaign.schema);
+            const JsonValue &runs = document.at("runs");
+            ASSERT_EQ(runs.size(), campaign.jobs.size());
+            ASSERT_EQ(emitted.size(), campaign.jobs.size());
+            for (std::size_t i = 0; i < campaign.jobs.size(); ++i) {
+                EXPECT_EQ(entryKey(runs.at(i)), campaign.jobs[i].key)
+                    << "index=" << i;
+                EXPECT_EQ(runs.at(i).dump(0), emitted[i]);
+            }
+        }
     }
 }
 
 TEST(Sweep, WorkerCountIsCappedButNeverZero)
 {
-    EXPECT_EQ(SweepRunner(1).jobs(), 1u);
-    EXPECT_EQ(SweepRunner(7).jobs(), 7u);
-    EXPECT_GE(SweepRunner(0).jobs(), 1u);
-}
-
-TEST(Sweep, ResolveJobsHonoursEnvOverride)
-{
-    ::setenv("POMTLB_SWEEP_JOBS", "3", 1);
-    EXPECT_EQ(SweepRunner::resolveJobs(0), 3u);
-    // Explicit request wins over the environment.
-    EXPECT_EQ(SweepRunner::resolveJobs(5), 5u);
-    ::unsetenv("POMTLB_SWEEP_JOBS");
-    EXPECT_GE(SweepRunner::resolveJobs(0), 1u);
-
-    ::setenv("POMTLB_SWEEP_JOBS", "6", 1);
-    EXPECT_EQ(defaultExperimentConfig().sweepJobs, 6u);
-    ::unsetenv("POMTLB_SWEEP_JOBS");
-    EXPECT_EQ(defaultExperimentConfig().sweepJobs, 1u);
+    EXPECT_EQ(campaignWorkers(1, 8), 1u);
+    EXPECT_EQ(campaignWorkers(7, 8), 7u);
+    EXPECT_EQ(campaignWorkers(7, 3), 3u);
+    EXPECT_GE(campaignWorkers(0, 8), 1u);
+    EXPECT_LE(campaignWorkers(0, 8), 8u);
+    EXPECT_EQ(campaignWorkers(4, 0), 1u);
 }
 
 TEST(Sweep, FailingJobPropagatesDeterministically)
 {
-    // A bad benchmark name in the middle of the batch: the workers
-    // must drain, join, and rethrow the lowest-indexed failure.
-    std::vector<ExperimentRequest> requests = {
-        ExperimentRequest::of("gups", "Baseline",
-                              tinyConfig()),
-        ExperimentRequest::of("no-such-benchmark",
-                              "POM-TLB", tinyConfig()),
-        ExperimentRequest::of("also-missing", "TSB",
-                              tinyConfig()),
-        ExperimentRequest::of("mcf", "Baseline",
-                              tinyConfig()),
+    // Two bad jobs in the middle of each batch: every pending job
+    // still runs, and the failure of the lowest pending index (jobs
+    // run in hash order) is rethrown at any worker count.
+    const ExperimentConfig config = campaignConfig();
+    const std::vector<TestCampaign> campaigns = {
+        {"sweep", kSweepSchemaV1,
+         experimentJobs(
+             {ExperimentRequest::of("gups", "Baseline", config),
+              ExperimentRequest::of("no-such-benchmark", "POM-TLB",
+                                    config),
+              ExperimentRequest::of("also-missing", "TSB", config),
+              ExperimentRequest::of("mcf", "Baseline", config)})},
+        {"scenario", kScenarioSchemaV1,
+         scenarioJobs({campaignScenario(2),
+                       campaignScenario(4, "no-such-scheme"),
+                       campaignScenario(8, "also-missing"),
+                       campaignScenario(8)})},
     };
-    for (const unsigned jobs : {1u, 4u}) {
+    for (const TestCampaign &campaign : campaigns) {
+        const CampaignJob &first =
+            campaign.jobs[campaign.jobs[1].hash < campaign.jobs[2].hash
+                              ? 1
+                              : 2];
+        std::string expected;
         try {
-            SweepRunner(jobs).run(requests);
-            FAIL() << "expected std::invalid_argument (jobs="
-                   << jobs << ")";
+            first.produce();
         } catch (const std::invalid_argument &error) {
-            // Deterministic: always the first failing request.
-            EXPECT_NE(std::string(error.what())
-                          .find("no-such-benchmark"),
-                      std::string::npos);
+            expected = error.what();
+        }
+        ASSERT_FALSE(expected.empty());
+        for (const unsigned jobs : {1u, 4u}) {
+            SCOPED_TRACE(campaign.kind + " jobs=" +
+                         std::to_string(jobs));
+            SweepServiceOptions options;
+            options.jobs = jobs;
+            SweepService service(options);
+            try {
+                service.run(campaign.schema, campaign.jobs);
+                FAIL() << "expected std::invalid_argument";
+            } catch (const std::invalid_argument &error) {
+                EXPECT_EQ(error.what(), expected);
+            }
+            EXPECT_EQ(service.stats().executed, 2u);
         }
     }
 }
 
 TEST(Sweep, CompareSchemesParallelMatchesSerial)
 {
-    // The redesigned compareSchemes is a thin wrapper over the
-    // runner; fanning it out must not change a single digit.
-    ExperimentConfig serial_config = tinyConfig();
-    serial_config.sweepJobs = 1;
-    ExperimentConfig parallel_config = tinyConfig();
-    parallel_config.sweepJobs = 4;
-
-    const BenchmarkComparison a = compareSchemes(
-        ProfileRegistry::byName("gups"), serial_config);
-    const BenchmarkComparison b = compareSchemes(
-        ProfileRegistry::byName("gups"), parallel_config);
-
-    ASSERT_EQ(a.runs.size(), b.runs.size());
-    for (std::size_t i = 0; i < a.runs.size(); ++i) {
-        EXPECT_EQ(a.runs[i].first, b.runs[i].first);
-        expectIdentical(a.runs[i].second, b.runs[i].second);
-        const std::string &scheme = a.runs[i].first;
-        EXPECT_EQ(a.delta(scheme).costRatio,
-                  b.delta(scheme).costRatio);
-        EXPECT_EQ(a.delta(scheme).improvementPct,
-                  b.delta(scheme).improvementPct);
-    }
+    // compareSchemes is one campaign of the runner; fanning it out
+    // must not change a single digit of a summary or a delta.
+    const auto digits = [](const BenchmarkComparison &comparison) {
+        std::string text;
+        for (const auto &[scheme, summary] : comparison.runs) {
+            ExperimentResult result;
+            result.request =
+                ExperimentRequest::of(comparison.benchmark, scheme);
+            result.summary = summary;
+            const SchemeDelta &delta = comparison.delta(scheme);
+            text += SweepResultWriter::entryToJson(result).dump(0) +
+                    JsonValue(delta.costRatio).dump(0) + " " +
+                    JsonValue(delta.improvementPct).dump(0) + "\n";
+        }
+        return text;
+    };
+    const BenchmarkProfile &gups = ProfileRegistry::byName("gups");
+    EXPECT_EQ(digits(compareSchemes(gups, tinyConfig(), 1)),
+              digits(compareSchemes(gups, tinyConfig(), 4)));
 }
 
 TEST(Sweep, ComponentStatsAttachOnRequest)
@@ -266,10 +252,11 @@ TEST(Sweep, ComponentStatsAttachOnRequest)
 /**
  * Per-job stats isolation: every worker thread builds its own
  * Machine and therefore its own StatsRegistry, so concurrent jobs
- * must never bleed counters into each other. Eight identical jobs
- * run on four workers must each report exactly the stats a lone
- * serial run reports. This test is also compiled into the focused
- * `pomtlb_sweep_tests` binary so CI exercises it under TSan.
+ * must never bleed counters into each other. Eight jobs that differ
+ * only in their label (so none is deduplicated) run on four workers
+ * and must each report exactly the stats a lone serial run reports.
+ * This test is also compiled into pomtlb_focused_tests so CI
+ * exercises it under TSan.
  */
 TEST(Sweep, ComponentStatsIsolatedAcrossWorkerThreads)
 {
@@ -277,37 +264,41 @@ TEST(Sweep, ComponentStatsIsolatedAcrossWorkerThreads)
         ExperimentRequest::of("gups", "POM-TLB",
                               tinyConfig())
             .withComponentStats();
-    const ExperimentResult serial = runExperiment(request);
+    ExperimentResult serial = runExperiment(request);
     ASSERT_GT(serial.componentStats.size(), 10u);
+    serial.wallSeconds = 0.0;
+    const JsonValue expected = SweepResultWriter::entryToJson(serial);
 
-    std::vector<ExperimentRequest> requests(8, request);
-    const std::vector<ExperimentResult> parallel_results =
-        SweepRunner(4).run(requests);
-    ASSERT_EQ(parallel_results.size(), requests.size());
-    for (const ExperimentResult &result : parallel_results) {
-        ASSERT_EQ(result.componentStats.size(),
-                  serial.componentStats.size());
-        for (std::size_t s = 0; s < serial.componentStats.size();
-             ++s) {
-            EXPECT_EQ(result.componentStats[s].first,
-                      serial.componentStats[s].first);
-            EXPECT_EQ(result.componentStats[s].second,
-                      serial.componentStats[s].second)
-                << serial.componentStats[s].first;
-        }
-        expectIdentical(result.summary, serial.summary);
+    std::vector<ExperimentRequest> requests;
+    for (int copy = 0; copy < 8; ++copy)
+        requests.push_back(ExperimentRequest(request).withLabel(
+            "copy" + std::to_string(copy)));
+    SweepServiceOptions options;
+    options.jobs = 4;
+    SweepService service(options);
+    const JsonValue document = service.run(requests);
+    EXPECT_EQ(service.stats().executed, requests.size());
+    ASSERT_EQ(document.at("runs").size(), requests.size());
+    for (const JsonValue &entry : document.at("runs").elements()) {
+        EXPECT_EQ(entry.at("component_stats").dump(0),
+                  expected.at("component_stats").dump(0));
+        EXPECT_EQ(entry.at("summary").dump(0),
+                  expected.at("summary").dump(0));
     }
 }
 
 TEST(Sweep, JsonRoundTrip)
 {
-    const std::vector<ExperimentResult> results = SweepRunner(2).run(
-        SweepSpec()
-            .withBase(tinyConfig())
-            .withBenchmarks({"gups"})
-            .withSchemes(std::vector<std::string>{"Baseline",
-                                                  "POM-TLB"})
-            .withComponentStats());
+    std::vector<ExperimentResult> results;
+    for (const ExperimentRequest &request :
+         SweepSpec()
+             .withBase(tinyConfig())
+             .withBenchmarks({"gups"})
+             .withSchemes(std::vector<std::string>{"Baseline",
+                                                   "POM-TLB"})
+             .withComponentStats()
+             .expand())
+        results.push_back(runExperiment(request));
 
     std::ostringstream out;
     SweepResultWriter::write(out, results);

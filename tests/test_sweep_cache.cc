@@ -6,9 +6,6 @@
  * protocol, and docs/sweep-service.md coverage.
  */
 
-#include <sys/wait.h>
-#include <unistd.h>
-
 #include <chrono>
 #include <cstdint>
 #include <cstring>
@@ -21,13 +18,12 @@
 
 #include <gtest/gtest.h>
 
+#include "campaign_fixtures.hh"
 #include "common/content_hash.hh"
-#include "sim/scenario.hh"
 #include "sim/scheme_registry.hh"
+#include "sim/sweep_serve.hh"
 #include "trace/profile.hh"
 #include "trace/tracepack.hh"
-#include "sim/sweep_cache.hh"
-#include "sim/sweep_serve.hh"
 
 namespace fs = std::filesystem;
 
@@ -35,27 +31,6 @@ namespace pomtlb
 {
 namespace
 {
-
-/** A unique scratch directory, recursively removed on destruction. */
-struct ScratchDir
-{
-    explicit ScratchDir(const std::string &tag)
-    {
-        path = (fs::temp_directory_path() /
-                ("pomtlb-" + tag + "-" + std::to_string(::getpid())))
-                   .string();
-        fs::remove_all(path);
-        fs::create_directories(path);
-    }
-    ~ScratchDir() { fs::remove_all(path); }
-
-    std::string sub(const std::string &name) const
-    {
-        return (fs::path(path) / name).string();
-    }
-
-    std::string path;
-};
 
 /** A deliberately tiny configuration so service tests stay fast. */
 ExperimentConfig
@@ -111,14 +86,6 @@ TEST(JobHash, AliasesCanonicaliseToTheSameHash)
 {
     EXPECT_EQ(jobHash(ExperimentRequest::of("mcf", "pom")),
               jobHash(ExperimentRequest::of("mcf", "POM-TLB")));
-}
-
-TEST(JobHash, SweepJobsDoesNotSplitTheCache)
-{
-    ExperimentRequest serial = ExperimentRequest::of("mcf", "pom");
-    ExperimentRequest parallel = serial;
-    parallel.config.sweepJobs = 7;
-    EXPECT_EQ(jobHash(serial), jobHash(parallel));
 }
 
 TEST(JobHash, EveryRelevantKnobChangesTheHash)
@@ -441,10 +408,11 @@ TEST(SweepService, ColdRunMatchesThePlainRunnerByteForByte)
     SweepService service(SweepServiceOptions{});
     const JsonValue document = service.run(requests);
 
-    std::vector<ExperimentResult> results =
-        SweepRunner(1).run(requests);
-    for (ExperimentResult &result : results)
-        result.wallSeconds = 0.0; // the document's identity form
+    std::vector<ExperimentResult> results;
+    for (const ExperimentRequest &request : requests) {
+        results.push_back(runExperiment(request));
+        results.back().wallSeconds = 0.0; // the document's identity form
+    }
     EXPECT_EQ(document.dump(2),
               SweepResultWriter::toJson(results).dump(2));
     EXPECT_EQ(service.stats().jobs, requests.size());
@@ -484,6 +452,26 @@ TEST(SweepService, DuplicateJobsExecuteOnce)
     EXPECT_EQ(service.stats().deduplicated, 1u);
     EXPECT_EQ(document.at("runs").at(std::size_t{0}).dump(0),
               document.at("runs").at(std::size_t{2}).dump(0));
+}
+
+/** Rewrite the journal at @p path so job @p hash's records hold @p run. */
+void
+replaceJournalRun(const std::string &path, const std::string &hash,
+                  const JsonValue &run)
+{
+    std::string text;
+    {
+        std::ifstream in(path);
+        std::string line;
+        while (std::getline(in, line)) {
+            JsonValue record = JsonValue::parse(line);
+            if (record.has("job_hash") &&
+                record.at("job_hash").asString() == hash)
+                record.set("run", run);
+            text += record.dump(0) + "\n";
+        }
+    }
+    std::ofstream(path) << text;
 }
 
 TEST(SweepService, EntryWithoutRunTotalsIsReExecuted)
@@ -526,19 +514,7 @@ TEST(SweepService, EntryWithoutRunTotalsIsReExecuted)
     SweepServiceOptions journaled;
     journaled.journalPath = scratch.sub("sweep.journal");
     SweepService(journaled).run(requests);
-    std::string journal_text;
-    {
-        std::ifstream in(journaled.journalPath);
-        std::string line;
-        while (std::getline(in, line)) {
-            JsonValue record = JsonValue::parse(line);
-            if (record.has("job_hash") &&
-                record.at("job_hash").asString() == hash)
-                record.set("run", stale);
-            journal_text += record.dump(0) + "\n";
-        }
-    }
-    std::ofstream(journaled.journalPath) << journal_text;
+    replaceJournalRun(journaled.journalPath, hash, stale);
 
     SweepService resumed(journaled);
     EXPECT_EQ(resumed.run(requests).dump(2), first.dump(2));
@@ -548,6 +524,33 @@ TEST(SweepService, EntryWithoutRunTotalsIsReExecuted)
     EXPECT_EQ(replayed.run(requests).dump(2), first.dump(2));
     EXPECT_EQ(replayed.stats().executed, 0u);
     EXPECT_EQ(replayed.stats().journalHits, requests.size());
+}
+
+TEST(SweepService, HollowScenarioEntryIsReExecuted)
+{
+    // A scenario document without the members its readers use (here
+    // only a schema) is stale, like a sweep entry without run
+    // totals: the job re-executes instead of reaching `pomtlb
+    // scenario` or a serve client.
+    ScratchDir scratch("service-hollow-scenario");
+    const std::vector<CampaignJob> jobs = scenarioJobs(
+        {campaignScenario(2), campaignScenario(4)});
+    SweepServiceOptions options;
+    options.cacheDir = scratch.sub("cache");
+    options.journalPath = scratch.sub("scenario.journal");
+    const std::string cold =
+        SweepService(options).run(kScenarioSchemaV1, jobs).dump(2);
+
+    JsonValue hollow = JsonValue::object();
+    hollow.set("schema", kScenarioSchemaV1);
+    const std::string &hash = jobs[1].hash;
+    SweepCache(options.cacheDir).store(hash, jobs[1].key, hollow);
+    replaceJournalRun(options.journalPath, hash, hollow);
+
+    SweepService warm(options);
+    EXPECT_EQ(warm.run(kScenarioSchemaV1, jobs).dump(2), cold);
+    EXPECT_EQ(warm.stats().executed, 1u);
+    EXPECT_EQ(warm.stats().journalHits, 1u);
 }
 
 TEST(SweepService, EmitsEveryJobInRequestOrder)
@@ -589,44 +592,9 @@ TEST(SweepService, EmitsEveryJobInRequestOrder)
 
 TEST(SweepService, KilledCampaignResumesByteIdentical)
 {
-    ScratchDir scratch("service-crash");
-    const std::vector<ExperimentRequest> requests = quickRequests();
-
-    SweepServiceOptions options;
-    options.cacheDir = scratch.sub("cache");
-    options.journalPath = scratch.sub("sweep.journal");
-
-    // Child: run the campaign with the crash hook armed — the
-    // process vanishes (status 137, no flushes, no destructors)
-    // right after the first journal append, like a SIGKILL landing
-    // mid-campaign.
-    const pid_t child = fork();
-    ASSERT_GE(child, 0);
-    if (child == 0) {
-        SweepServiceOptions crashing = options;
-        crashing.crashAfterAppends = 1;
-        SweepService service(crashing);
-        service.run(requests);
-        std::_Exit(0); // not reached: the hook fires first
-    }
-    int status = 0;
-    ASSERT_EQ(::waitpid(child, &status, 0), child);
-    ASSERT_TRUE(WIFEXITED(status));
-    ASSERT_EQ(WEXITSTATUS(status), 137);
-
-    // Parent: resume. The journaled job replays, only the
-    // remainder executes.
-    SweepService resumed(options);
-    const JsonValue document = resumed.run(requests);
-    EXPECT_EQ(resumed.stats().journalHits, 1u);
-    EXPECT_EQ(resumed.stats().executed, requests.size() - 1);
-
-    // The resumed document is byte-identical to an uninterrupted
-    // run in a pristine cache.
-    SweepServiceOptions pristine;
-    pristine.cacheDir = scratch.sub("cache-reference");
-    SweepService reference(pristine);
-    EXPECT_EQ(document.dump(2), reference.run(requests).dump(2));
+    // ScenarioCampaign.KilledCampaignResumesByteIdentical checks the
+    // same guarantee for scenario jobs.
+    expectKilledCampaignResumesByteIdentical(sweepCampaign());
 }
 
 // ----------------------------------------------------------------

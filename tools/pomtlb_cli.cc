@@ -32,12 +32,18 @@
  *                              (docs/trace-format.md)
  *
  * sweep options:
- *   --jobs N                   worker threads (0 = all hardware
- *                              threads; default 0)
+ *   --jobs N                   worker threads of the campaign, also
+ *                              for compare, figures, scenario and
+ *                              serve (0 = all hardware threads, the
+ *                              default; never more than the jobs
+ *                              left to execute)
  *   --benchmarks a,b,c         comma list (default: all Table 2)
  *   --schemes x,y              comma list (default: all registered)
  *   --out FILE                 write JSON results for
- *                              scripts/plot_results.py
+ *                              scripts/plot_results.py, in the
+ *                              identity form (every wall_seconds
+ *                              0; the table's "wall s" column has
+ *                              each job's real wall time)
  *   --stats                    embed per-component statistics in
  *                              the JSON output
  *   --cache-dir DIR            memoize per-job results under DIR;
@@ -114,7 +120,8 @@
  *                              campaign served
  *   --journal-dir DIR          one checkpoint journal per campaign
  *                              under DIR
- *   --jobs N                   worker threads per campaign
+ *   --jobs N                   worker threads per campaign (as for
+ *                              sweep)
  *
  * Common options (run / compare / sweep):
  *   --benchmark NAME           workload (default mcf)
@@ -442,11 +449,29 @@ printServiceStats(std::FILE *out, const char *label,
                  stats.quarantined);
 }
 
+/**
+ * The campaign options of sweep, figures, scenario and serve:
+ * --cache-dir, --journal, --jobs, and the POMTLB_SWEEP_CRASH_AFTER
+ * fault hook of the crash/resume checks.
+ */
+SweepServiceOptions
+serviceOptionsFrom(const CliOptions &options)
+{
+    SweepServiceOptions service;
+    service.cacheDir = options.cacheDir;
+    service.journalPath = options.journalPath;
+    service.jobs = options.jobs;
+    if (const char *crash = std::getenv("POMTLB_SWEEP_CRASH_AFTER"))
+        service.crashAfterAppends =
+            static_cast<unsigned>(parseNumber(crash));
+    return service;
+}
+
 /** The default configuration at the CLI's core count and length. */
 ExperimentConfig
 runLengthFrom(const CliOptions &options)
 {
-    ExperimentConfig config = defaultExperimentConfig();
+    ExperimentConfig config;
     config.system.numCores = options.cores;
     if (options.refs)
         config.engine.refsPerCore = options.refs;
@@ -472,8 +497,6 @@ configFrom(const CliOptions &options)
     config.system.pomTlb.prefetchNextSet = options.prefetch;
     config.system.tlbAwareCaching = options.tlbAware;
     config.engine.shootdownIntervalRefs = options.shootdownInterval;
-    if (options.jobs)
-        config.sweepJobs = options.jobs;
     return config;
 }
 
@@ -649,7 +672,7 @@ commandCompare(const CliOptions &options)
         ProfileRegistry::byName(options.benchmark);
     const ExperimentConfig config = configFrom(options);
     const BenchmarkComparison comparison =
-        compareSchemes(profile, config);
+        compareSchemes(profile, config, options.jobs);
 
     ResultTable table({"scheme", "cycles/miss", "cost ratio",
                        "improvement %"});
@@ -705,41 +728,23 @@ commandSweep(const CliOptions &options)
     if (options.dumpStats)
         spec.withComponentStats();
 
-    const bool service_mode =
-        !options.cacheDir.empty() || !options.journalPath.empty();
-    const SweepRunner runner(options.jobs);
+    const std::size_t total = spec.jobCount();
+    const unsigned workers = campaignWorkers(options.jobs, total);
     std::fprintf(stderr, "sweep: %zu jobs on %u worker thread(s)\n",
-                 spec.jobCount(), runner.jobs());
+                 total, workers);
 
     const auto start = std::chrono::steady_clock::now();
-    std::vector<ExperimentResult> results;
-    JsonValue document;
-    SweepServiceStats service_stats;
-    if (service_mode) {
-        SweepServiceOptions service_options;
-        service_options.cacheDir = options.cacheDir;
-        service_options.journalPath = options.journalPath;
-        service_options.jobs = options.jobs;
-        if (const char *crash =
-                std::getenv("POMTLB_SWEEP_CRASH_AFTER")) {
-            service_options.crashAfterAppends =
-                static_cast<unsigned>(parseNumber(crash));
-        }
-        SweepService service(service_options);
-        const std::size_t total = spec.jobCount();
-        document = service.run(
-            spec, [&](const SweepJobReport &report, const JsonValue &) {
-                std::fprintf(stderr, "  [%zu/%zu] %s (%s)\n",
-                             report.index + 1, total,
-                             report.key.c_str(),
-                             jobSourceName(report.source));
-            });
-        service_stats = service.stats();
-        results = SweepResultWriter::fromJson(document);
-    } else {
-        results = runner.run(spec);
-        document = SweepResultWriter::toJson(results);
-    }
+    SweepService service(serviceOptionsFrom(options));
+    std::vector<double> walls(total, 0.0);
+    const JsonValue document = service.run(
+        spec, [&](const SweepJobReport &report, const JsonValue &) {
+            walls[report.index] = report.wallSeconds;
+            std::fprintf(stderr, "  [%zu/%zu] %s (%s)\n",
+                         report.index + 1, total, report.key.c_str(),
+                         jobSourceName(report.source));
+        });
+    const std::vector<ExperimentResult> results =
+        SweepResultWriter::fromJson(document);
     const double wall =
         std::chrono::duration<double>(
             std::chrono::steady_clock::now() - start)
@@ -747,7 +752,8 @@ commandSweep(const CliOptions &options)
 
     ResultTable table({"experiment", "cycles/miss", "walk %",
                        "L3D$ hit %", "wall s"});
-    for (const ExperimentResult &result : results) {
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        const ExperimentResult &result = results[i];
         table.addRow(
             {result.request.key(),
              ResultTable::num(result.summary.avgPenaltyPerMiss, 1),
@@ -755,13 +761,13 @@ commandSweep(const CliOptions &options)
                               2),
              ResultTable::num(100.0 * result.summary.l3DataHitRate,
                               2),
-             ResultTable::num(result.wallSeconds, 2)});
+             ResultTable::num(walls[i], 2)});
     }
     table.print(std::cout);
     std::printf("\n%zu experiments in %.2f s wall (%u workers)\n",
-                results.size(), wall, runner.jobs());
-    if (service_mode)
-        printServiceStats(stdout, "sweep-cache", service_stats);
+                results.size(), wall, workers);
+    if (!options.cacheDir.empty() || !options.journalPath.empty())
+        printServiceStats(stdout, "sweep-cache", service.stats());
 
     if (options.outPathSet) {
         std::ofstream out(options.outPath);
@@ -816,12 +822,10 @@ commandFigures(const CliOptions &options)
         entries.push_back(entry);
     }
 
-    SweepServiceOptions service;
-    service.cacheDir = options.cacheDir;
-    service.jobs = options.jobs;
     const auto start = std::chrono::steady_clock::now();
     const FiguresReport report = runFigures(
-        entries, runLengthFrom(options), service, std::cout,
+        entries, runLengthFrom(options), serviceOptionsFrom(options),
+        std::cout,
         [](const SweepJobReport &job, const JsonValue &) {
             std::fprintf(stderr, "  [%zu] %s (%s)\n", job.index + 1,
                          job.key.c_str(), jobSourceName(job.source));
@@ -835,7 +839,7 @@ commandFigures(const CliOptions &options)
                  "figures: %zu table(s), %zu verdict(s), %zu failed, "
                  "%.1f s wall on %u worker thread(s)\n",
                  entries.size(), report.verdicts, report.failed, wall,
-                 SweepRunner::resolveJobs(options.jobs));
+                 campaignWorkers(options.jobs, report.campaign.jobs));
     return report.failed == 0 ? 0 : 1;
 }
 
@@ -906,24 +910,15 @@ commandScenario(const CliOptions &options)
                     options.tracePackRecord.c_str());
     }
 
-    ScenarioCampaignOptions campaign;
-    campaign.cacheDir = options.cacheDir;
-    campaign.journalPath = options.journalPath;
-    campaign.jobs = options.jobs;
-    if (const char *crash = std::getenv("POMTLB_SWEEP_CRASH_AFTER")) {
-        campaign.crashAfterAppends =
-            static_cast<unsigned>(parseNumber(crash));
-    }
-
     const auto start = std::chrono::steady_clock::now();
-    SweepServiceStats service_stats;
+    SweepService service(serviceOptionsFrom(options));
     const std::size_t total = specs.size();
-    const JsonValue document = runScenarioCampaign(
-        specs, campaign, &service_stats,
-        [&](const ScenarioJobReport &report, const JsonValue &) {
+    const JsonValue document = service.run(
+        kScenarioSchemaV1, scenarioJobs(specs),
+        [&](const SweepJobReport &report, const JsonValue &) {
             std::fprintf(stderr, "  [%zu/%zu] %s (%s)\n",
                          report.index + 1, total,
-                         report.name.c_str(),
+                         specs[report.index].name.c_str(),
                          jobSourceName(report.source));
         });
     const double wall =
@@ -954,10 +949,8 @@ commandScenario(const CliOptions &options)
     }
     table.print(std::cout);
     std::printf("\n%zu scenario(s) in %.2f s wall\n", total, wall);
-    const bool service_mode =
-        !options.cacheDir.empty() || !options.journalPath.empty();
-    if (service_mode)
-        printServiceStats(stdout, "scenario-cache", service_stats);
+    if (!options.cacheDir.empty() || !options.journalPath.empty())
+        printServiceStats(stdout, "scenario-cache", service.stats());
 
     if (options.outPathSet) {
         std::ofstream out(options.outPath);
@@ -1020,14 +1013,12 @@ commandCacheGc(const CliOptions &options)
 int
 commandServe(const CliOptions &options)
 {
+    const SweepServiceOptions service = serviceOptionsFrom(options);
     ServeOptions serve_options;
-    serve_options.cacheDir = options.cacheDir;
+    serve_options.cacheDir = service.cacheDir;
     serve_options.journalDir = options.journalDir;
-    serve_options.jobs = options.jobs;
-    if (const char *crash = std::getenv("POMTLB_SWEEP_CRASH_AFTER")) {
-        serve_options.crashAfterAppends =
-            static_cast<unsigned>(parseNumber(crash));
-    }
+    serve_options.jobs = service.jobs;
+    serve_options.crashAfterAppends = service.crashAfterAppends;
 
     std::ifstream file_input;
     if (!options.inPath.empty()) {
@@ -1174,7 +1165,7 @@ commandTracePack(int argc, char **argv)
         // length by default.
         const BenchmarkProfile &profile =
             ProfileRegistry::byName(benchmark);
-        const ExperimentConfig defaults = defaultExperimentConfig();
+        const ExperimentConfig defaults;
         const std::uint64_t engineSeed =
             seed ? seed : defaults.engine.seed;
         const std::uint64_t combined =
