@@ -30,8 +30,7 @@ NestedWalkScheme::translateMiss(CoreId core, Addr vaddr, PageSize size,
     walkCyclesTotal += walk.cycles;
     walkCycles.sample(static_cast<double>(walk.cycles));
     walkRefs.sample(static_cast<double>(walk.memRefs));
-    if (StatsRegistry::detail())
-        walkCycleHist.sample(walk.cycles);
+    walkCycleHist.sample(walk.cycles);
 
     SchemeResult result;
     result.cycles = walk.cycles;

@@ -130,8 +130,7 @@ TsbScheme::translateMiss(CoreId core, Addr vaddr, PageSize size,
         result.servedBy = ServicePoint::TsbBuffer;
         tsbHitCycles += result.cycles;
         missCycles.sample(static_cast<double>(result.cycles));
-        if (StatsRegistry::detail())
-            missCycleHist.sample(result.cycles);
+        missCycleHist.sample(result.cycles);
         return result;
     }
 
@@ -157,8 +156,7 @@ TsbScheme::translateMiss(CoreId core, Addr vaddr, PageSize size,
 
     walkPathCycles += result.cycles;
     missCycles.sample(static_cast<double>(result.cycles));
-    if (StatsRegistry::detail())
-        missCycleHist.sample(result.cycles);
+    missCycleHist.sample(result.cycles);
     return result;
 }
 

@@ -3,8 +3,9 @@
  * Configuration structures mirroring Table 1 of the paper.
  *
  * Every structure carries the paper's default value and a validate()
- * method that fatal()s on impossible combinations, so misconfigured
- * experiments fail fast instead of producing quiet nonsense.
+ * method that fatal()s (throws FatalError) on impossible
+ * combinations, so misconfigured experiments fail fast instead of
+ * producing quiet nonsense.
  */
 
 #ifndef POMTLB_COMMON_CONFIG_HH

@@ -1,7 +1,6 @@
 #include "common/log.hh"
 
 #include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
 
 namespace pomtlb
@@ -43,7 +42,7 @@ void
 fatalImpl(const std::string &message)
 {
     std::fprintf(stderr, "fatal: %s\n", message.c_str());
-    std::exit(1);
+    throw FatalError(message);
 }
 
 void

@@ -4,18 +4,33 @@
  *
  * - inform(): normal operating messages.
  * - warn():   something works but maybe not as well as it should.
- * - fatal():  the user supplied an impossible configuration; exit(1).
- * - panic():  an internal invariant broke (a simulator bug); abort().
+ * - fatal():  the user supplied an impossible configuration; prints
+ *             "fatal: <message>" and throws FatalError, which the CLI
+ *             turns into exit status 1 and `pomtlb serve` into an
+ *             `error` event.
+ * - panic():  an internal invariant broke (a simulator bug); throws
+ *             std::logic_error, which nothing catches outside tests.
  */
 
 #ifndef POMTLB_COMMON_LOG_HH
 #define POMTLB_COMMON_LOG_HH
 
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 namespace pomtlb
 {
+
+/**
+ * What fatal() throws: a configuration the simulator cannot run.
+ * what() is the message, which fatal() has already printed to stderr.
+ */
+class FatalError : public std::runtime_error
+{
+  public:
+    using std::runtime_error::runtime_error;
+};
 
 namespace detail
 {
@@ -57,7 +72,7 @@ warn(Args &&...args)
     detail::warnImpl(detail::concat(std::forward<Args>(args)...));
 }
 
-/** Report a user-level configuration error and exit(1). */
+/** Report a user-level configuration error: throws FatalError. */
 template <typename... Args>
 [[noreturn]] void
 fatal(Args &&...args)

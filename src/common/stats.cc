@@ -1,7 +1,6 @@
 #include "common/stats.hh"
 
 #include <cmath>
-#include <cstdlib>
 #include <iomanip>
 #include <ostream>
 
@@ -188,17 +187,6 @@ StatsRegistry::toJson() const
     for (const auto *group : groups)
         object.set(group->name(), group->toJson());
     return object;
-}
-
-std::atomic<bool> &
-StatsRegistry::detailEnabled()
-{
-    static std::atomic<bool> enabled = [] {
-        if (const char *env = std::getenv("POMTLB_STATS_DETAIL"))
-            return env[0] != '0';
-        return true;
-    }();
-    return enabled;
 }
 
 double

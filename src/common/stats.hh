@@ -12,17 +12,12 @@
  *
  * Everything is plain uint64/double — no atomics, the simulator core
  * is single-threaded by design (sweep workers each own a whole
- * machine, and therefore a whole registry). The one global knob,
- * StatsRegistry::detail(), gates the *optional* distribution
- * sampling (histograms) in hot paths so the disabled path costs a
- * single predictable branch; plain counters are always live because
- * the simulator's results are computed from them.
+ * machine, and therefore a whole registry).
  */
 
 #ifndef POMTLB_COMMON_STATS_HH
 #define POMTLB_COMMON_STATS_HH
 
-#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <functional>
@@ -316,9 +311,7 @@ class StatGroup
  * flatten, or JSON-export the whole hierarchy.
  *
  * The registry does not own groups — components do, and they must
- * outlive it. The static detail() switch gates optional distribution
- * sampling machine-wide (see file header); it defaults to on and can
- * be disabled with POMTLB_STATS_DETAIL=0 or setDetail(false).
+ * outlive it.
  */
 class StatsRegistry
 {
@@ -353,24 +346,7 @@ class StatsRegistry
      */
     JsonValue toJson() const;
 
-    /** Whether optional distribution sampling is enabled. */
-    static bool
-    detail()
-    {
-        return detailEnabled().load(std::memory_order_relaxed);
-    }
-
-    /** Turn optional distribution sampling on or off globally. */
-    static void
-    setDetail(bool enabled)
-    {
-        detailEnabled().store(enabled, std::memory_order_relaxed);
-    }
-
   private:
-    /** The global detail flag, seeded from POMTLB_STATS_DETAIL. */
-    static std::atomic<bool> &detailEnabled();
-
     std::vector<const StatGroup *> groups;
 };
 

@@ -89,10 +89,8 @@ PageWalker::walk(Addr vaddr, VmId vm, ProcessId pid, PageSize size,
     ++walks;
     refsPerWalk.sample(static_cast<double>(result.memRefs));
     cyclesPerWalk.sample(static_cast<double>(result.cycles));
-    if (StatsRegistry::detail()) {
-        walkCycleHist.sample(result.cycles);
-        walkRefHist.sample(result.memRefs);
-    }
+    walkCycleHist.sample(result.cycles);
+    walkRefHist.sample(result.memRefs);
     return result;
 }
 

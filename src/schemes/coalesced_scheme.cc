@@ -132,8 +132,7 @@ CoalescedTlbScheme::translateMiss(CoreId core, Addr vaddr,
         ++hits;
         coalescedHitCycles += result.cycles;
         missCycles.sample(static_cast<double>(result.cycles));
-        if (StatsRegistry::detail())
-            missCycleHist.sample(result.cycles);
+        missCycleHist.sample(result.cycles);
         return result;
     }
 
@@ -150,8 +149,7 @@ CoalescedTlbScheme::translateMiss(CoreId core, Addr vaddr,
 
     install(base_vpn, offset, walk.hostPfn, size, vm, pid);
     missCycles.sample(static_cast<double>(result.cycles));
-    if (StatsRegistry::detail())
-        missCycleHist.sample(result.cycles);
+    missCycleHist.sample(result.cycles);
     return result;
 }
 

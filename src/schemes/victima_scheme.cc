@@ -174,8 +174,7 @@ VictimaScheme::translateMiss(CoreId core, Addr vaddr, PageSize size,
                 l3dCycles += result.cycles;
             }
             missCycles.sample(static_cast<double>(result.cycles));
-            if (StatsRegistry::detail())
-                missCycleHist.sample(result.cycles);
+            missCycleHist.sample(result.cycles);
             return result;
         }
     }
@@ -194,8 +193,7 @@ VictimaScheme::translateMiss(CoreId core, Addr vaddr, PageSize size,
     installSlot(block, vpn, size, vm, pid, walk.hostPfn);
     dataHierarchy.fillTlbLine(core, block_addr);
     missCycles.sample(static_cast<double>(result.cycles));
-    if (StatsRegistry::detail())
-        missCycleHist.sample(result.cycles);
+    missCycleHist.sample(result.cycles);
     return result;
 }
 

@@ -103,10 +103,8 @@ Mmu::translate(Addr vaddr, PageSize size, VmId vm, ProcessId pid,
     sramCycles.increment(tlb.cycles);
     schemeCycles.increment(scheme.cycles);
     missPenalty.sample(static_cast<double>(scheme.cycles));
-    if (StatsRegistry::detail()) {
-        penaltyHist.sample(scheme.cycles);
-        penaltyCycleHist.sample(scheme.cycles);
-    }
+    penaltyHist.sample(scheme.cycles);
+    penaltyCycleHist.sample(scheme.cycles);
     if (traced) {
         TranslationEvent event;
         event.seq = tracer->seenCount() - 1;

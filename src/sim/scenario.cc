@@ -1,7 +1,9 @@
 #include "sim/scenario.hh"
 
 #include <algorithm>
+#include <limits>
 #include <map>
+#include <stdexcept>
 #include <utility>
 
 #include "common/bitutil.hh"
@@ -25,6 +27,17 @@ namespace pomtlb
 
 namespace
 {
+
+/**
+ * The error for a scenario that cannot run, named by @p message.
+ * Callers build the message only once a check has failed: a compile
+ * resolves every tenant, so an eager message would cost each run.
+ */
+std::invalid_argument
+inputError(const std::string &message)
+{
+    return std::invalid_argument("scenario: " + message);
+}
 
 /** Canonical registry name of @p scheme (raw name when unknown). */
 std::string
@@ -126,10 +139,18 @@ prepopulateStreams(Machine &machine, TenantStreamSet &streams)
 std::vector<ResolvedTenant>
 ScenarioSpec::resolvedTenants() const
 {
+    if (engine.refsPerCore > std::numeric_limits<std::uint64_t>::max() -
+                                 engine.warmupRefsPerCore) {
+        throw inputError("warmup + refs per core (" +
+                         std::to_string(engine.warmupRefsPerCore) +
+                         " + " + std::to_string(engine.refsPerCore) +
+                         ") overflows 64 bits");
+    }
     const std::uint64_t total =
         engine.warmupRefsPerCore + engine.refsPerCore;
     const unsigned cores = system.numCores;
-    simAssert(total > 0, "scenario run length is zero");
+    if (total == 0)
+        throw inputError("run length (warmup + refs per core) is zero");
 
     std::vector<TenantSpec> expanded;
     if (tenantCount > 0) {
@@ -142,9 +163,12 @@ ScenarioSpec::resolvedTenants() const
         const unsigned n = tenantCount;
         unsigned vcpus = 1;
         if (n < cores) {
-            simAssert(cores % n == 0,
-                      "tenant count must divide the core count when "
-                      "tenants span multiple cores");
+            if (cores % n != 0) {
+                throw inputError("tenant count " + std::to_string(n) +
+                                 " must divide the core count " +
+                                 std::to_string(cores) +
+                                 " when tenants span multiple cores");
+            }
             vcpus = cores / n;
         }
         expanded.reserve(n);
@@ -176,25 +200,31 @@ ScenarioSpec::resolvedTenants() const
                 const std::uint64_t interval =
                     churnIntervalRefs ? churnIntervalRefs
                                       : total / slots;
-                simAssert(interval > 0,
-                          "churn interval resolves to zero "
-                          "(run too short for this tenant count)");
+                if (interval == 0) {
+                    throw inputError("churn interval resolves to zero "
+                                     "(run too short for " +
+                                     std::to_string(n) + " tenants)");
+                }
                 for (std::size_t j = 0; j < k; ++j) {
                     TenantSpec &tenant = expanded[homed[j]];
                     tenant.arrivalRefs =
                         j < r ? 0 : (j - r + 1) * interval;
                     tenant.departureRefs =
                         (j + r < k) ? (j + 1) * interval : 0;
-                    simAssert(tenant.arrivalRefs < total,
-                              "churn interval too large: a tenant "
-                              "arrives after the run ends");
+                    if (tenant.arrivalRefs >= total) {
+                        throw inputError("churn interval " +
+                                         std::to_string(interval) +
+                                         " too large: a tenant arrives "
+                                         "after the run ends");
+                    }
                 }
             }
         }
     } else {
         expanded = tenants;
     }
-    simAssert(!expanded.empty(), "scenario has no tenants");
+    if (expanded.empty())
+        throw inputError("no tenants (tenant count 0 and no tenant list)");
 
     std::vector<ResolvedTenant> resolved;
     resolved.reserve(expanded.size());
@@ -218,22 +248,31 @@ ScenarioSpec::resolvedTenants() const
                 next_pid +
                 (profile.multithreaded ? 1 : out.vcpus));
         }
-        simAssert(t.arrivalRefs < total,
-                  "tenant arrives at or after the run end");
+        if (t.arrivalRefs >= total) {
+            throw inputError("tenant '" + out.name + "' arrives at ref " +
+                             std::to_string(t.arrivalRefs) +
+                             ", at or after the run end " +
+                             std::to_string(total));
+        }
         out.arrivalRefs = t.arrivalRefs;
         out.departureRefs =
             (t.departureRefs == 0 || t.departureRefs > total)
                 ? total
                 : t.departureRefs;
-        simAssert(out.departureRefs > out.arrivalRefs,
-                  "tenant departs before it arrives");
+        if (out.departureRefs <= out.arrivalRefs) {
+            throw inputError("tenant '" + out.name +
+                             "' departs before it arrives");
+        }
         const Addr nominal = t.footprintBytes
                                  ? t.footprintBytes
                                  : profile.footprintBytes;
         out.footprintBytes = nominal;
         if (overcommitFactor != 1.0) {
-            simAssert(overcommitFactor > 0.0,
-                      "overcommit factor must be positive");
+            if (!(overcommitFactor > 0.0)) {
+                throw inputError("overcommit factor " +
+                                 std::to_string(overcommitFactor) +
+                                 " must be positive");
+            }
             out.footprintBytes = std::max<Addr>(
                 Addr{1} << 12,
                 static_cast<Addr>(static_cast<double>(nominal) /

@@ -225,9 +225,11 @@ struct ScenarioSpec
      * Resolve to the canonical tenant list: expands the generator
      * (or defaults of the explicit list), assigns VM/ASID bindings,
      * clamps departures to the run length, and applies overcommit to
-     * footprints. Fatal on unknown benchmarks, on a tenant arriving
-     * at/after the run end, or on a generated placement that would
-     * leave a core idle.
+     * footprints. Throws std::invalid_argument naming the bad input
+     * on a zero or overflowing run length, no tenants, a tenant
+     * arriving at/after the run end or departing before it arrives,
+     * a non-positive overcommit factor, or a generated placement that
+     * would leave a core idle; FatalError on an unknown benchmark.
      */
     std::vector<ResolvedTenant> resolvedTenants() const;
 

@@ -114,9 +114,9 @@ struct ExperimentResult
 
 /**
  * Run one request synchronously on the calling thread. Throws
- * std::invalid_argument for an unknown benchmark or scheme name —
- * the two user-input errors a sweep job can hit; configuration
- * errors still fatal() like everywhere else in the simulator.
+ * std::invalid_argument for an unknown benchmark or scheme name, and
+ * FatalError (from fatal()) for a configuration that fails
+ * validation.
  */
 ExperimentResult runExperiment(const ExperimentRequest &request);
 

@@ -5,12 +5,12 @@
  * Trace files arrive from outside the simulator (recorded on other
  * hosts, converted from foreign tools, truncated by crashed writers),
  * so a malformed one is an input problem, not a programming error.
- * Unlike fatal()/panic() — which terminate the process and are
- * reserved for internal invariant violations — readers throw
- * TraceError so callers (the CLI, tests, batch converters) can report
- * the offending path and move on. Every message names the file it is
- * about, following the same discipline as SweepJournal's path-named
- * corruption reports.
+ * Readers throw TraceError (rather than fatal()'s FatalError, which
+ * is for impossible configurations, or panic(), which is for
+ * internal invariant violations) so callers (the CLI, tests, batch
+ * converters) can report the offending path and move on. Every
+ * message names the file it is about, following the same discipline
+ * as SweepJournal's path-named corruption reports.
  */
 
 #ifndef POMTLB_TRACE_ERROR_HH

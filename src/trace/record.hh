@@ -4,9 +4,9 @@
  *
  * The paper traces workloads with PIN plus the Linux pagemap; each
  * record carries the virtual address, the count of abstracted
- * non-memory instructions preceding it (the issue cadence the
- * Ramulator-like scheduler uses), a read/write flag, the thread, and
- * the OS-reported page size.
+ * non-memory instructions preceding it (which advance the core's
+ * clock), a read/write flag, the thread, and the OS-reported page
+ * size.
  */
 
 #ifndef POMTLB_TRACE_RECORD_HH

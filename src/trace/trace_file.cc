@@ -44,8 +44,15 @@ TraceFileWriter::TraceFileWriter(const std::string &path)
 
 TraceFileWriter::~TraceFileWriter()
 {
-    if (!closed)
-        close();
+    // A destructor must not throw. fatal() has already reported a
+    // failed final write on stderr; a caller that must act on it
+    // calls close() itself.
+    if (!closed) {
+        try {
+            close();
+        } catch (const FatalError &) {
+        }
+    }
 }
 
 void

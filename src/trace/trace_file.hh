@@ -41,7 +41,11 @@ class TraceFileWriter
     /** Append one record. */
     void append(const TraceRecord &record);
 
-    /** Flush and finalise the header (also done by the destructor). */
+    /**
+     * Flush and finalise the header; FatalError if the write failed.
+     * The destructor also closes, but reports a failure only on
+     * stderr.
+     */
     void close();
 
     std::uint64_t recordCount() const { return count; }

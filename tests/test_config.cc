@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "common/config.hh"
+#include "common/log.hh"
 
 namespace pomtlb
 {
@@ -47,8 +48,7 @@ TEST(Config, CacheRejectsNonPowerOfTwoSets)
     cache.sizeBytes = 3 * 1024;
     cache.associativity = 4;
     cache.lineBytes = 64;
-    EXPECT_DEATH_IF_SUPPORTED(
-        { cache.validate(); }, "");
+    EXPECT_THROW(cache.validate(), FatalError);
 }
 
 TEST(Config, CacheSetCount)
@@ -93,7 +93,7 @@ TEST(Config, PomTlbRejectsWrongEntrySize)
 {
     PomTlbConfig pom;
     pom.entryBytes = 8;
-    EXPECT_DEATH_IF_SUPPORTED({ pom.validate(); }, "");
+    EXPECT_THROW(pom.validate(), FatalError);
 }
 
 TEST(Config, TsbDefaults)
@@ -109,7 +109,7 @@ TEST(Config, SystemRejectsMismatchedLineSizes)
     SystemConfig config = SystemConfig::table1();
     config.l1d.lineBytes = 32;
     config.l1d.associativity = 8;
-    EXPECT_DEATH_IF_SUPPORTED({ config.validate(); }, "");
+    EXPECT_THROW(config.validate(), FatalError);
 }
 
 } // namespace

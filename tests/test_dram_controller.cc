@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/log.hh"
 #include "dram/controller.hh"
 
 namespace pomtlb
@@ -212,7 +213,7 @@ TEST(DramRefresh, InvalidWindowRejected)
     config.refreshEnabled = true;
     config.refreshIntervalBusCycles = 100;
     config.refreshBusCycles = 100;
-    EXPECT_DEATH_IF_SUPPORTED({ config.validate(); }, "");
+    EXPECT_THROW(config.validate(), FatalError);
 }
 
 } // namespace

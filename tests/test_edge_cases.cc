@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "cache/cache.hh"
+#include "common/log.hh"
 #include "dram/controller.hh"
 #include "pagetable/radix_table.hh"
 #include "pomtlb/array.hh"
@@ -122,15 +123,14 @@ TEST(EdgeAllocator, ExhaustionIsFatal)
     frames.allocate(PageSize::Small4K);
     frames.allocate(PageSize::Small4K);
     frames.allocate(PageSize::Small4K);
-    EXPECT_DEATH_IF_SUPPORTED(
-        { frames.allocate(PageSize::Small4K); }, "");
+    EXPECT_THROW(frames.allocate(PageSize::Small4K), FatalError);
 }
 
 TEST(EdgeConfig, ZeroCoresRejected)
 {
     SystemConfig config = SystemConfig::table1();
     config.numCores = 0;
-    EXPECT_DEATH_IF_SUPPORTED({ config.validate(); }, "");
+    EXPECT_THROW(config.validate(), FatalError);
 }
 
 TEST(EdgeConfig, UncacheableNonLineSetAccepted)
@@ -142,7 +142,7 @@ TEST(EdgeConfig, UncacheableNonLineSetAccepted)
     config.pomTlb.cacheable = false;
     EXPECT_NO_THROW(config.validate());
     config.pomTlb.cacheable = true;
-    EXPECT_DEATH_IF_SUPPORTED({ config.validate(); }, "");
+    EXPECT_THROW(config.validate(), FatalError);
 }
 
 TEST(EdgeDram, SingleBankSerializes)

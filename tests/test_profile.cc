@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/log.hh"
 #include "trace/profile.hh"
 
 namespace pomtlb
@@ -101,8 +102,7 @@ TEST(Profiles, PatternAssignments)
 
 TEST(Profiles, UnknownNameIsFatal)
 {
-    EXPECT_DEATH_IF_SUPPORTED(
-        { ProfileRegistry::byName("nonexistent"); }, "");
+    EXPECT_THROW(ProfileRegistry::byName("nonexistent"), FatalError);
 }
 
 TEST(Profiles, NamesHelperMatchesRegistry)

@@ -246,16 +246,6 @@ TEST(StatsRegistry, CollectsAndSerialisesEveryGroup)
     EXPECT_EQ(json.at("beta").at("events").asUint(), 2u);
 }
 
-TEST(StatsRegistry, DetailSwitchIsGlobalAndRestorable)
-{
-    const bool before = StatsRegistry::detail();
-    StatsRegistry::setDetail(false);
-    EXPECT_FALSE(StatsRegistry::detail());
-    StatsRegistry::setDetail(true);
-    EXPECT_TRUE(StatsRegistry::detail());
-    StatsRegistry::setDetail(before);
-}
-
 TEST(Geomean, KnownValues)
 {
     EXPECT_DOUBLE_EQ(geomean({}), 0.0);

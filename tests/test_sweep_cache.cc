@@ -647,9 +647,11 @@ TEST(ServeSession, ReportsErrorsAndKeepsServing)
         "{\"op\": \"warp\"}\n"
         "{\"op\": \"run\", \"benchmark\": \"nope\", "
         "\"scheme\": \"pom\"}\n"
+        "{\"op\": \"run\", \"benchmark\": \"mcf\", "
+        "\"scheme\": \"pom\", \"cores\": 0}\n"
         "{\"op\": \"ping\"}\n",
         ServeOptions{});
-    ASSERT_EQ(events.size(), 5u);
+    ASSERT_EQ(events.size(), 6u);
     EXPECT_EQ(events[1].at("event").asString(), "error");
     EXPECT_EQ(events[2].at("event").asString(), "error");
     EXPECT_NE(events[2].at("message").asString().find("warp"),
@@ -657,7 +659,12 @@ TEST(ServeSession, ReportsErrorsAndKeepsServing)
     EXPECT_EQ(events[3].at("event").asString(), "error");
     EXPECT_NE(events[3].at("message").asString().find("nope"),
               std::string::npos);
-    EXPECT_EQ(events[4].at("event").asString(), "pong");
+    // A configuration that fails validation is an error event, not
+    // the end of the session.
+    EXPECT_EQ(events[4].at("event").asString(), "error");
+    EXPECT_NE(events[4].at("message").asString().find("core"),
+              std::string::npos);
+    EXPECT_EQ(events[5].at("event").asString(), "pong");
 }
 
 TEST(ServeSession, StreamsCampaignsAndServesRepeatsFromCache)

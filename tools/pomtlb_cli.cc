@@ -159,6 +159,8 @@
  */
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -166,11 +168,13 @@
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "analysis/report.hh"
 #include "common/json.hh"
+#include "common/log.hh"
 #include "sim/experiment.hh"
 #include "sim/engine.hh"
 #include "sim/figures.hh"
@@ -270,9 +274,13 @@ usage()
 std::uint64_t
 parseNumber(const char *text)
 {
+    // strtoull would skip leading space, negate "-5" to 2^64 - 5 and
+    // saturate on overflow: a count is digits only, and must fit.
     char *end = nullptr;
+    errno = 0;
     const std::uint64_t value = std::strtoull(text, &end, 10);
-    if (end == text || *end != '\0') {
+    if (!std::isdigit(static_cast<unsigned char>(text[0])) ||
+        *end != '\0' || errno == ERANGE) {
         std::fprintf(stderr, "bad number: '%s'\n", text);
         std::exit(2);
     }
@@ -1353,9 +1361,10 @@ main(int argc, char **argv)
         {"serve", commandServe},
         {"cache-gc", commandCacheGc},
     };
-    // Malformed trace input (bad pack, torn file, bad text line) is
-    // an expected operator error, not a bug: report the path-named
-    // message and exit 1 instead of crashing.
+    // Malformed trace input (bad pack, torn file, bad text line), an
+    // impossible scenario and a configuration that fails validation
+    // are operator errors, not bugs: report the message and exit 1
+    // instead of crashing.
     try {
         if (command == "trace")
             return commandTrace(argc, argv);
@@ -1369,5 +1378,10 @@ main(int argc, char **argv)
     } catch (const TraceError &error) {
         std::fprintf(stderr, "pomtlb: %s\n", error.what());
         return 1;
+    } catch (const std::invalid_argument &error) {
+        std::fprintf(stderr, "pomtlb: %s\n", error.what());
+        return 1;
+    } catch (const FatalError &) {
+        return 1; // fatal() has printed "fatal: <message>"
     }
 }
