@@ -900,7 +900,6 @@ def selftest():
                 "records": 1000,
                 "chunks": 2,
                 "content_hash": "0" * 32,
-                "finalized": True,
                 "streams": [
                     {"name": "core0", "records": 750, "chunks": 1},
                     {"name": "core1", "records": 250, "chunks": 1},

@@ -316,7 +316,6 @@ ScenarioEngine::ScenarioEngine(Machine &machine_ref,
     tenants = spec.resolvedTenants();
     buildStreams();
     buildSchedule();
-    buildRegistry();
 }
 
 void
@@ -484,72 +483,6 @@ ScenarioEngine::buildSchedule()
         }
         schedule[core] = std::move(plan);
     }
-}
-
-void
-ScenarioEngine::buildRegistry()
-{
-    for (std::size_t i = 0; i < tenants.size(); ++i) {
-        const ResolvedTenant &tenant = tenants[i];
-        runtimes.emplace_back(tenant.name);
-        TenantRuntime &rt = runtimes.back();
-        rt.arrivalDone = tenant.arrivalRefs == 0;
-        rt.departsMidRun = tenant.departureRefs < totalPerCore;
-
-        StatGroup &group = rt.group;
-        group.addDerived("refs", [&rt] {
-            return static_cast<double>(rt.refs);
-        });
-        group.addDerived("l1_tlb_hits", [&rt] {
-            return static_cast<double>(rt.l1Hits);
-        });
-        group.addDerived("l2_tlb_hits", [&rt] {
-            return static_cast<double>(rt.l2Hits);
-        });
-        group.addDerived("last_level_tlb_misses", [&rt] {
-            return static_cast<double>(rt.misses);
-        });
-        group.addDerived("translation_cycles", [&rt] {
-            return static_cast<double>(rt.translationCycles);
-        });
-        group.addDerived("page_walks", [&rt] {
-            return static_cast<double>(rt.pageWalks);
-        });
-        group.addDerived("shootdowns", [&rt] {
-            return static_cast<double>(rt.shootdowns);
-        });
-        group.addDerived("migrations", [&rt] {
-            return static_cast<double>(rt.migrations);
-        });
-        group.addDerived("l1_hit_ratio", [&rt] {
-            return rt.refs ? static_cast<double>(rt.l1Hits) /
-                                 static_cast<double>(rt.refs)
-                           : 0.0;
-        });
-        group.addDerived("l2_hit_ratio", [&rt] {
-            return rt.refs ? static_cast<double>(rt.l2Hits) /
-                                 static_cast<double>(rt.refs)
-                           : 0.0;
-        });
-        group.addDerived("p50_translation_cycles", [&rt] {
-            return static_cast<double>(
-                rt.latency.percentileUpperBound(50.0));
-        });
-        group.addDerived("p95_translation_cycles", [&rt] {
-            return static_cast<double>(
-                rt.latency.percentileUpperBound(95.0));
-        });
-        group.addDerived("p99_translation_cycles", [&rt] {
-            return static_cast<double>(
-                rt.latency.percentileUpperBound(99.0));
-        });
-        group.addHistogram("translation_cycle_histogram",
-                           rt.latency);
-        tenantsGroup.addChild(group);
-    }
-    for (std::uint32_t s = 0; s < streams.size(); ++s)
-        ++runtimes[streams.at(s).tenant].activeStreams;
-    scenarioRegistry.add(tenantsGroup);
 }
 
 // ---------------------------------------------------------------
@@ -789,15 +722,11 @@ ScenarioEngine::run()
     const unsigned cores = machine.numCores();
 
     // Re-arm the per-run mutable state (runs are repeatable).
+    runtimes.assign(tenants.size(), TenantRuntime{});
     for (std::size_t i = 0; i < tenants.size(); ++i) {
-        TenantRuntime &rt = runtimes[i];
-        rt.refs = rt.l1Hits = rt.l2Hits = rt.misses = 0;
-        rt.translationCycles = rt.pageWalks = 0;
-        rt.shootdowns = rt.migrations = 0;
-        rt.latency.reset();
-        rt.departed = false;
-        rt.arrivalDone = tenants[i].arrivalRefs == 0;
-        rt.activeStreams = 0;
+        runtimes[i].arrivalDone = tenants[i].arrivalRefs == 0;
+        runtimes[i].departsMidRun =
+            tenants[i].departureRefs < totalPerCore;
     }
     for (std::uint32_t s = 0; s < streams.size(); ++s)
         ++runtimes[streams.at(s).tenant].activeStreams;

@@ -52,7 +52,6 @@
 #define POMTLB_SIM_SCENARIO_HH
 
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <vector>
 
@@ -338,15 +337,6 @@ class ScenarioEngine
      */
     void recordPack(const std::string &path);
 
-    /**
-     * The scenario's statistics registry: one group per tenant
-     * (counters, hit ratios, QoS percentiles, the latency
-     * histogram), kept separate from the machine's registry so the
-     * embedded `pomtlb-stats-v1` document stays byte-identical to a
-     * classic run's.
-     */
-    const StatsRegistry &registry() const { return scenarioRegistry; }
-
     /** The resolved tenants this engine compiled. */
     const std::vector<ResolvedTenant> &resolved() const
     {
@@ -368,11 +358,6 @@ class ScenarioEngine
     /** Per-tenant runtime accounting (fixed storage, hot-path safe). */
     struct TenantRuntime
     {
-        explicit TenantRuntime(const std::string &group_name)
-            : group(group_name)
-        {
-        }
-
         std::uint64_t refs = 0;
         std::uint64_t l1Hits = 0;
         std::uint64_t l2Hits = 0;
@@ -389,7 +374,6 @@ class ScenarioEngine
         bool arrivalDone = false;
         /** Whether the tenant departs before the run ends. */
         bool departsMidRun = false;
-        StatGroup group;
     };
 
     /**
@@ -414,7 +398,6 @@ class ScenarioEngine
 
     void buildStreams();
     void buildSchedule();
-    void buildRegistry();
     void runPhase(std::uint64_t target);
     /** Switch @p lane to its next slice (lifecycle events fire). */
     void advanceSlice(Lane &lane, unsigned core, Cycles &clock);
@@ -430,10 +413,8 @@ class ScenarioEngine
     TenantStreamSet streams;
     /** schedule[core] = that core's slice sequence. */
     std::vector<std::vector<Slice>> schedule;
-    /** Stable-address tenant runtimes (StatGroup is pinned). */
-    std::deque<TenantRuntime> runtimes;
-    StatGroup tenantsGroup{"tenants"};
-    StatsRegistry scenarioRegistry;
+    /** runtimes[i] accounts for tenants[i]. */
+    std::vector<TenantRuntime> runtimes;
     std::vector<Lane> lanes;
     std::uint64_t refsSinceShootdown = 0;
     std::uint64_t refsSinceStorm = 0;

@@ -160,17 +160,12 @@ absorbChunk(ContentHash &hasher, std::uint32_t stream,
 // ---------------------------------------------------------------
 
 TracePackWriter::TracePackWriter(
-    const std::string &path, std::vector<std::string> streamNames,
-    std::uint64_t chunkRecords)
-    : out(path, std::ios::binary | std::ios::trunc), filePath(path),
-      chunkCapacity(chunkRecords)
+    const std::string &path, std::vector<std::string> streamNames)
+    : out(path, std::ios::binary | std::ios::trunc), filePath(path)
 {
     if (streamNames.empty())
         throw TraceError("trace pack '" + path +
                          "': at least one stream is required");
-    if (chunkCapacity == 0)
-        throw TraceError("trace pack '" + path +
-                         "': chunk size must be at least 1 record");
     if (!out)
         throw TraceError("cannot create trace pack '" + path + "'");
 
@@ -178,16 +173,16 @@ TracePackWriter::TracePackWriter(
     for (auto &name : streamNames) {
         StreamState state;
         state.name = std::move(name);
-        state.pending.reserve(chunkCapacity);
+        state.pending.reserve(tracePackChunkRecords);
         streams.push_back(std::move(state));
     }
 
     // Provisional header: index_offset 0 and a zero hash mark the
-    // pack as unfinalised until close() rewrites it.
+    // pack as unclosed until close() rewrites it.
     writeHeader(0, std::string(digestChars, '0'));
     writeOffset = packHeaderBytes;
 
-    // Stream directory, so even a torn pack keeps its stream names.
+    // Stream directory, written before any chunk.
     std::string names;
     for (const auto &stream : streams) {
         putU32(names,
@@ -211,16 +206,6 @@ TracePackWriter::TracePackWriter(
     writeOffset += body.size();
 }
 
-TracePackWriter::~TracePackWriter()
-{
-    try {
-        close();
-    } catch (...) {
-        // A destructor must not throw; a failed implicit close
-        // leaves a torn (recoverable) pack behind.
-    }
-}
-
 void
 TracePackWriter::writeHeader(std::uint64_t indexOffset,
                              const std::string &hashHex)
@@ -231,7 +216,7 @@ TracePackWriter::writeHeader(std::uint64_t indexOffset,
     putU32(header, static_cast<std::uint32_t>(packHeaderBytes));
     putU32(header, static_cast<std::uint32_t>(streams.size()));
     putU32(header, packRecordBytes);
-    putU64(header, chunkCapacity);
+    putU64(header, tracePackChunkRecords);
     putU64(header, totalRecords);
     putU64(header, indexOffset);
     header.append(hashHex);
@@ -263,7 +248,7 @@ TracePackWriter::append(std::uint32_t stream,
     StreamState &state = streams[stream];
     for (std::size_t i = 0; i < n; ++i) {
         state.pending.push_back(records[i]);
-        if (state.pending.size() >= chunkCapacity)
+        if (state.pending.size() >= tracePackChunkRecords)
             flushChunk(stream);
     }
     totalRecords += n;
@@ -318,9 +303,9 @@ TracePackWriter::close()
     for (std::uint32_t s = 0; s < streams.size(); ++s)
         flushChunk(s);
 
-    // Index footer, then the finalising header rewrite: a crash
-    // before the rewrite leaves index_offset 0, which is exactly
-    // the torn-pack state the reader recovers from.
+    // Index footer, then the publishing header rewrite: a crash
+    // before the rewrite leaves index_offset 0, an unclosed pack
+    // that readers reject.
     const std::uint64_t indexOffset = writeOffset;
     std::string index;
     index.append(indexMagic, sizeof(indexMagic));
@@ -359,65 +344,52 @@ TracePackReader::TracePackReader(const std::string &path)
             "trace pack '" + filePath + "' is too short: " +
             std::to_string(mapSize) + " bytes, but the header alone "
             "is " + std::to_string(packHeaderBytes) + " bytes");
-    if (std::memcmp(base, packMagic, sizeof(packMagic)) != 0)
+    if (std::memcmp(at(0), packMagic, sizeof(packMagic)) != 0)
         throw TraceError("'" + filePath +
                          "' is not a pomtlb trace pack (bad magic)");
-    const std::uint32_t version = loadU32(base + 8);
+    const std::uint32_t version = loadU32(at(8));
     if (version != tracePackVersion)
         throw TraceError(
             "trace pack '" + filePath + "' has unsupported version " +
             std::to_string(version) + " (this build reads version " +
             std::to_string(tracePackVersion) + ")");
-    const std::uint32_t headerBytes = loadU32(base + 12);
+    const std::uint32_t headerBytes = loadU32(at(12));
     if (headerBytes != packHeaderBytes)
         throw TraceError("trace pack '" + filePath +
                          "': unexpected header size " +
                          std::to_string(headerBytes));
-    const std::uint32_t streamCount = loadU32(base + 16);
+    const std::uint32_t streamCount = loadU32(at(16));
     if (streamCount == 0)
         throw TraceError("trace pack '" + filePath +
                          "' declares zero streams");
-    const std::uint32_t recordBytes = loadU32(base + 20);
+    const std::uint32_t recordBytes = loadU32(at(20));
     if (recordBytes != packRecordBytes)
         throw TraceError("trace pack '" + filePath +
                          "': unexpected record size " +
                          std::to_string(recordBytes));
-    chunkCapacity = loadU64(base + 24);
+    chunkCapacity = loadU64(at(24));
     if (chunkCapacity == 0)
         throw TraceError("trace pack '" + filePath +
                          "' declares zero-record chunks");
 
     streams.resize(streamCount);
     streamChunks.resize(streamCount);
-    const std::uint64_t dataStart = parseDirectory();
+    parseDirectory();
 
-    const std::uint64_t indexOffset = loadU64(base + 40);
-    std::string headerHash(reinterpret_cast<const char *>(base + 48),
-                           digestChars);
-    if (indexOffset != 0) {
-        try {
-            parseIndexed(indexOffset, headerHash);
-            return;
-        } catch (const TraceError &) {
-            // Invalid or out-of-range index (e.g. a finalised pack
-            // that was truncated afterwards): fall back to the same
-            // chunk scan an unfinalised pack gets.
-            for (auto &perStream : streamChunks)
-                perStream.clear();
-            chunks.clear();
-            for (auto &stream : streams) {
-                stream.records = 0;
-                stream.chunks = 0;
-            }
-        }
-    }
-    recoverByScan(dataStart);
+    const std::uint64_t indexOffset = loadU64(at(40));
+    if (indexOffset == 0)
+        throw TraceError("trace pack '" + filePath +
+                         "' is unclosed (index_offset 0): its "
+                         "writer never finished");
+    parseIndexed(indexOffset,
+                 std::string(reinterpret_cast<const char *>(at(48)),
+                             digestChars));
 }
 
-TracePackReader::~TracePackReader()
+void
+TracePackReader::Unmap::operator()(const unsigned char *p) const
 {
-    if (usedMmap && base != nullptr)
-        ::munmap(const_cast<unsigned char *>(base), mapSize);
+    ::munmap(const_cast<unsigned char *>(p), bytes);
 }
 
 void
@@ -442,31 +414,16 @@ TracePackReader::openMapping()
     }
     void *mapped = ::mmap(nullptr, mapSize, PROT_READ, MAP_PRIVATE,
                           fd, 0);
-    if (mapped != MAP_FAILED) {
-        base = static_cast<const unsigned char *>(mapped);
-        usedMmap = true;
-        ::close(fd);
-        return;
-    }
-    // mmap can fail on exotic filesystems; fall back to one read.
-    heapCopy.resize(mapSize);
-    std::uint64_t got = 0;
-    while (got < mapSize) {
-        const ssize_t n = ::read(fd, heapCopy.data() + got,
-                                 mapSize - got);
-        if (n <= 0) {
-            ::close(fd);
-            throw TraceError("cannot read trace pack '" + filePath +
-                             "'");
-        }
-        got += static_cast<std::uint64_t>(n);
-    }
+    const int err = errno;
     ::close(fd);
-    base = heapCopy.data();
-    usedMmap = false;
+    if (mapped == MAP_FAILED)
+        throw TraceError("cannot map trace pack '" + filePath +
+                         "': " + std::strerror(err));
+    mapping = {static_cast<const unsigned char *>(mapped),
+               Unmap{mapSize}};
 }
 
-std::uint64_t
+void
 TracePackReader::parseDirectory()
 {
     const std::uint64_t start = packHeaderBytes;
@@ -518,14 +475,16 @@ TracePackReader::parseDirectory()
     if (expected != stored)
         throw TraceError("trace pack '" + filePath +
                          "': stream directory checksum mismatch");
-    return start + dirBytes;
 }
 
 void
 TracePackReader::parseIndexed(std::uint64_t indexOffset,
                               const std::string &headerHash)
 {
-    if (indexOffset + sizeof(indexMagic) + 8 > mapSize)
+    // Offsets and counts come from the file: compare them by
+    // subtraction, so a damaged value cannot wrap past a bound.
+    if (indexOffset > mapSize ||
+        mapSize - indexOffset < sizeof(indexMagic) + 8)
         throw TraceError("trace pack '" + filePath +
                          "': index offset " +
                          std::to_string(indexOffset) +
@@ -541,27 +500,26 @@ TracePackReader::parseIndexed(std::uint64_t indexOffset,
 
     std::uint64_t cursor = indexOffset + 16;
     std::uint64_t total = 0;
-    std::vector<std::pair<std::uint64_t,
-                          std::pair<std::uint32_t, std::uint32_t>>>
-        byOffset; // (header offset, (stream, chunk))
     for (std::uint32_t s = 0; s < streams.size(); ++s) {
-        if (cursor + 16 > mapSize)
+        if (mapSize - cursor < 16)
             throw TraceError("trace pack '" + filePath +
                              "': truncated index");
         const std::uint64_t chunkCount = loadU64(at(cursor));
         const std::uint64_t records = loadU64(at(cursor + 8));
         cursor += 16;
-        if (cursor + chunkCount * 8 > mapSize)
+        if (chunkCount > (mapSize - cursor) / 8)
             throw TraceError("trace pack '" + filePath +
                              "': truncated index");
         streams[s].records = records;
         streams[s].chunks = chunkCount;
         total += records;
+        totalChunks += chunkCount;
         std::uint64_t seen = 0;
         for (std::uint64_t c = 0; c < chunkCount; ++c) {
             const std::uint64_t offset = loadU64(at(cursor));
             cursor += 8;
-            if (offset + chunkHeaderBytes > indexOffset)
+            if (offset > indexOffset ||
+                indexOffset - offset < chunkHeaderBytes)
                 throw TraceError(
                     "trace pack '" + filePath + "': chunk offset " +
                     std::to_string(offset) + " overlaps the index");
@@ -602,9 +560,6 @@ TracePackReader::parseIndexed(std::uint64_t indexOffset,
             ref.payloadOffset = offset + chunkHeaderBytes;
             ref.records = count;
             streamChunks[s].push_back(ref);
-            byOffset.push_back({offset,
-                                {s,
-                                 static_cast<std::uint32_t>(c)}});
         }
         if (seen != records)
             throw TraceError(
@@ -636,76 +591,8 @@ TracePackReader::parseIndexed(std::uint64_t indexOffset,
             throw TraceError("trace pack '" + filePath +
                              "': malformed content hash in header");
 
-    // Flat file-order chunk list for lazy verification and for
-    // recomputing the content hash if anyone asks to re-verify.
-    std::sort(byOffset.begin(), byOffset.end());
-    chunks.reserve(byOffset.size());
-    for (const auto &entry : byOffset) {
-        const std::uint32_t s = entry.second.first;
-        const std::uint32_t c = entry.second.second;
-        streamChunks[s][c].fileIndex =
-            static_cast<std::uint32_t>(chunks.size());
-        chunks.push_back({s, streamChunks[s][c]});
-    }
-    chunkVerified.assign(chunks.size(), 0);
     totalRecords = total;
     packHash = headerHash;
-    isFinalized = true;
-}
-
-void
-TracePackReader::recoverByScan(std::uint64_t dataStart)
-{
-    ContentHash hasher;
-    std::vector<std::uint64_t> seen(streams.size(), 0);
-    std::vector<bool> sawPartial(streams.size(), false);
-    std::uint64_t offset = dataStart;
-    while (offset + chunkHeaderBytes <= mapSize) {
-        const unsigned char *header = at(offset);
-        if (std::memcmp(header, chunkMagic, sizeof(chunkMagic)) != 0)
-            break; // index footer, or a torn header
-        const std::uint32_t s = loadU32(header + 4);
-        if (s >= streams.size())
-            break;
-        if (loadU64(header + 8) != seen[s])
-            break;
-        const std::uint32_t count = loadU32(header + 16);
-        const std::uint32_t payloadBytes = loadU32(header + 20);
-        if (count == 0 || count > chunkCapacity || sawPartial[s] ||
-            payloadBytes != count * std::uint64_t{packRecordBytes})
-            break;
-        const std::uint64_t payloadAt = offset + chunkHeaderBytes;
-        const std::uint64_t next = payloadAt + alignUp(payloadBytes);
-        if (next > mapSize)
-            break; // torn tail: payload incomplete
-        const std::string stored(
-            reinterpret_cast<const char *>(header + 24),
-            digestChars);
-        if (chunkDigest(s, at(payloadAt), payloadBytes) != stored)
-            break; // corrupt or torn chunk: drop it and the rest
-        if (count < chunkCapacity)
-            sawPartial[s] = true;
-
-        absorbChunk(hasher, s, at(payloadAt), payloadBytes);
-        ChunkRef ref;
-        ref.payloadOffset = payloadAt;
-        ref.records = count;
-        ref.fileIndex = static_cast<std::uint32_t>(chunks.size());
-        streamChunks[s].push_back(ref);
-        chunks.push_back({s, ref});
-        seen[s] += count;
-        offset = next;
-    }
-
-    totalRecords = 0;
-    for (std::uint32_t s = 0; s < streams.size(); ++s) {
-        streams[s].records = seen[s];
-        streams[s].chunks = streamChunks[s].size();
-        totalRecords += seen[s];
-    }
-    chunkVerified.assign(chunks.size(), 1); // scan verified them all
-    packHash = hasher.hexDigest();
-    isFinalized = false;
 }
 
 const TracePackStreamInfo &
@@ -733,7 +620,7 @@ TracePackReader::verifyChunk(std::size_t stream,
                              std::size_t chunk) const
 {
     const ChunkRef &ref = streamChunks[stream][chunk];
-    if (chunkVerified[ref.fileIndex])
+    if (ref.verified)
         return;
     const unsigned char *header =
         at(ref.payloadOffset - chunkHeaderBytes);
@@ -746,7 +633,7 @@ TracePackReader::verifyChunk(std::size_t stream,
             "trace pack '" + filePath + "': corrupt chunk " +
             std::to_string(chunk) + " of stream '" +
             streams[stream].name + "' (checksum mismatch)");
-    chunkVerified[ref.fileIndex] = 1;
+    ref.verified = true;
 }
 
 std::size_t
@@ -786,9 +673,8 @@ TracePackReader::read(std::size_t stream, std::uint64_t pos,
 // ---------------------------------------------------------------
 
 PackStreamSource::PackStreamSource(
-    std::shared_ptr<TracePackReader> pack, std::size_t stream,
-    bool wrap)
-    : reader(std::move(pack)), streamId(stream), wrapAround(wrap)
+    std::shared_ptr<TracePackReader> pack, std::size_t stream)
+    : reader(std::move(pack)), streamId(stream)
 {
     // Resolve bad stream indices at construction, not first fill().
     reader->stream(streamId);
@@ -799,14 +685,11 @@ PackStreamSource::fill(TraceRecord *out, std::size_t n)
 {
     const std::uint64_t records = reader->stream(streamId).records;
     if (records == 0)
-        return 0; // empty stream: never spin, even with wrap on
+        return 0; // empty stream: never spin
     std::size_t produced = 0;
     while (produced < n) {
-        if (position >= records) {
-            if (!wrapAround)
-                break;
+        if (position >= records)
             position = 0;
-        }
         const std::size_t got = reader->read(
             streamId, position, out + produced, n - produced);
         produced += got;
@@ -831,81 +714,6 @@ PackStreamSource::recordCount() const
 // ---------------------------------------------------------------
 // Converters and helpers
 // ---------------------------------------------------------------
-
-std::uint64_t
-scanLegacyTrace(const std::string &path,
-                const std::function<void(const TraceRecord *,
-                                         std::size_t)> &sink)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        throw TraceError("cannot open trace file '" + path + "'");
-    in.seekg(0, std::ios::end);
-    const std::uint64_t fileBytes =
-        static_cast<std::uint64_t>(in.tellg());
-    in.seekg(0);
-
-    constexpr std::uint64_t legacyHeaderBytes = 16;
-    constexpr std::uint64_t legacyRecordBytes = 13;
-    if (fileBytes < legacyHeaderBytes)
-        throw TraceError(
-            "trace file '" + path + "' is too short: " +
-            std::to_string(fileBytes) + " bytes, but the header "
-            "alone is " + std::to_string(legacyHeaderBytes) +
-            " bytes");
-
-    unsigned char header[legacyHeaderBytes];
-    in.read(reinterpret_cast<char *>(header), legacyHeaderBytes);
-    if (!in || std::memcmp(header, "POMT", 4) != 0)
-        throw TraceError("'" + path +
-                         "' is not a POM-TLB trace file");
-    const std::uint32_t version = loadU32(header + 4);
-    if (version != 1)
-        throw TraceError("trace file '" + path +
-                         "' has unsupported version " +
-                         std::to_string(version));
-    const std::uint64_t count = loadU64(header + 8);
-    const std::uint64_t needed =
-        legacyHeaderBytes + count * legacyRecordBytes;
-    if (fileBytes < needed)
-        throw TraceError(
-            "trace file '" + path + "' truncated: header claims " +
-            std::to_string(count) + " records (" +
-            std::to_string(needed) + " bytes) but the file holds "
-            "only " + std::to_string(fileBytes) + " bytes");
-
-    // One bounded buffer, each record read exactly once: a
-    // converter never needs the whole trace in memory.
-    constexpr std::size_t blockRecords = 1024;
-    std::vector<unsigned char> raw(blockRecords * legacyRecordBytes);
-    std::vector<TraceRecord> block(blockRecords);
-    std::uint64_t remaining = count;
-    while (remaining > 0) {
-        const std::size_t batch = static_cast<std::size_t>(
-            std::min<std::uint64_t>(remaining, blockRecords));
-        in.read(reinterpret_cast<char *>(raw.data()),
-                static_cast<std::streamsize>(batch *
-                                             legacyRecordBytes));
-        if (!in)
-            throw TraceError("error reading trace file '" + path +
-                             "'");
-        for (std::size_t i = 0; i < batch; ++i) {
-            const unsigned char *p =
-                raw.data() + i * legacyRecordBytes;
-            TraceRecord &record = block[i];
-            record.vaddr = loadU64(p);
-            record.instGap = loadU32(p + 8);
-            record.type = (p[12] & flagWrite) ? AccessType::Write
-                                              : AccessType::Read;
-            record.pageSize = (p[12] & flagLargePage)
-                                  ? PageSize::Large2M
-                                  : PageSize::Small4K;
-        }
-        sink(block.data(), batch);
-        remaining -= batch;
-    }
-    return count;
-}
 
 namespace
 {
@@ -1043,7 +851,6 @@ tracePackInfoJson(const std::string &path)
     doc.set("records", reader.recordCount());
     doc.set("chunks", reader.chunkCount());
     doc.set("content_hash", reader.contentHash());
-    doc.set("finalized", reader.finalized());
     JsonValue streams = JsonValue::array();
     for (std::size_t i = 0; i < reader.streamCount(); ++i) {
         const TracePackStreamInfo &info = reader.stream(i);

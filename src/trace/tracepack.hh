@@ -3,14 +3,14 @@
  * The pomtlb-tracepack-v1 container: mmap-able, chunked, multi-stream
  * trace storage.
  *
- * The one replay format of the simulator. The legacy POMT format
- * (trace/trace_file.hh) stores one unnamed stream of 13-byte packed
- * records; `pomtlb trace pack --in` converts it (scanLegacyTrace()).
- * A trace pack instead holds one or more *named* streams (one per
- * core or per tenant vCPU) in 64-byte-aligned chunks that a reader
- * maps read-only and decodes straight out of the mapping — no
- * up-front copy, O(1) seek and rewind, and per-chunk checksums so
- * corruption is detected instead of silently simulated.
+ * The one binary trace format of the simulator. A trace pack holds
+ * one or more *named* streams (one per core or per tenant vCPU) in
+ * 64-byte-aligned chunks that a reader maps read-only and decodes
+ * straight out of the mapping — no up-front copy, O(1) seek and
+ * rewind, and per-chunk checksums so corruption is detected instead
+ * of silently simulated. Foreign traces enter as
+ * pomtlb-tracetext-v1 text through `pomtlb trace pack --in`
+ * (scanTextTrace()).
  *
  * On-disk layout (all integers little-endian):
  *
@@ -53,12 +53,12 @@
  * lives in chunk pos / chunk_records at offset pos % chunk_records.
  *
  * Crash discipline mirrors SweepJournal: the writer emits chunks as
- * they fill and finalises the index footer and header *last* (close()
- * rewrites index_offset and content_hash), so a torn file still has
- * index_offset == 0 and the reader falls back to scanning chunks from
- * the data start, keeping every digest-valid prefix chunk and
- * dropping the torn tail. Corruption inside the header or directory
- * is not recoverable and is rejected with a path-named TraceError.
+ * they fill and publishes the index footer and header *last* (close()
+ * rewrites index_offset and content_hash), so a pack whose writer
+ * never finished still has index_offset == 0. A reader has one open
+ * path: an unclosed pack, a truncated or digest-failing index, or a
+ * header or directory that fails its checks is rejected with a
+ * path-named TraceError, never replayed as a prefix.
  */
 
 #ifndef POMTLB_TRACE_TRACEPACK_HH
@@ -84,6 +84,12 @@ namespace pomtlb
 /** Version tag of the on-disk layout this module reads and writes. */
 constexpr std::uint32_t tracePackVersion = 1;
 
+/**
+ * Records per full chunk in every pack TracePackWriter writes. A
+ * reader accepts whatever chunk_records a header declares.
+ */
+constexpr std::uint64_t tracePackChunkRecords = 4096;
+
 /** Schema string emitted by `pomtlb trace info` and the docs. */
 inline const char *
 tracePackSchema()
@@ -96,10 +102,12 @@ tracePackSchema()
  *
  * Streams are declared up front (the directory is written before any
  * chunk); records are appended per stream and buffered until a chunk
- * fills, so memory stays bounded at streams x chunk_records records
- * no matter how long the trace is. close() flushes partial tail
- * chunks, writes the index footer, and finalises the header — a
- * writer that dies before close() leaves a recoverable torn file.
+ * fills, so memory stays bounded at streams x tracePackChunkRecords
+ * records no matter how long the trace is. close() flushes partial
+ * tail chunks, writes the index footer, and publishes the header.
+ * Only close() publishes: a writer destroyed without it (an
+ * exception mid-conversion, say) leaves an unclosed pack, which every
+ * reader rejects by name rather than replaying what was appended.
  */
 class TracePackWriter
 {
@@ -108,14 +116,9 @@ class TracePackWriter
      * Create @p path (truncating) with one stream per entry of
      * @p streamNames. Throws TraceError if the file cannot be
      * created or the stream set is empty.
-     *
-     * @param chunkRecords Records per full chunk; tune down for
-     *        fine-grained recovery, up for fewer chunk headers.
      */
     TracePackWriter(const std::string &path,
-                    std::vector<std::string> streamNames,
-                    std::uint64_t chunkRecords = 4096);
-    ~TracePackWriter();
+                    std::vector<std::string> streamNames);
 
     TracePackWriter(const TracePackWriter &) = delete;
     TracePackWriter &operator=(const TracePackWriter &) = delete;
@@ -128,8 +131,8 @@ class TracePackWriter
                 std::size_t n);
 
     /**
-     * Flush tail chunks, write the index footer, finalise the
-     * header. Also run by the destructor; idempotent.
+     * Flush tail chunks, write the index footer, publish the
+     * header; idempotent. Throws TraceError if a write failed.
      */
     void close();
 
@@ -157,7 +160,6 @@ class TracePackWriter
     std::ofstream out;
     std::string filePath;
     std::vector<StreamState> streams;
-    std::uint64_t chunkCapacity;
     std::uint64_t totalRecords = 0;
     std::uint64_t writeOffset = 0;
     ContentHash hasher;
@@ -175,22 +177,20 @@ struct TracePackStreamInfo
 /**
  * Zero-copy trace-pack reader.
  *
- * Maps the file read-only (falling back to one heap read if mmap is
- * unavailable) and decodes records straight out of the mapping.
- * Opening a finalised pack is O(index): chunk headers are validated
- * eagerly but payload checksums are verified lazily, on the first
- * read touching each chunk. A pack without a valid index footer — a
- * writer died before close() — is *recovered* by scanning chunks
- * from the data start, verifying every digest, and keeping the valid
- * prefix. Any inconsistency names the path (and chunk) in the
- * TraceError it throws.
+ * Maps the file read-only and decodes records straight out of the
+ * mapping. Opening is O(index): the header, directory, index footer
+ * and chunk headers are validated eagerly, payload checksums lazily,
+ * on the first read touching each chunk. There is one open path: an
+ * unclosed pack (index_offset 0), a truncated or digest-failing
+ * index, a failed mmap, and a header or directory that fails its
+ * checks each throw a TraceError naming the path (and, for a chunk,
+ * the chunk).
  */
 class TracePackReader
 {
   public:
     /** Open and validate @p path; throws TraceError on bad input. */
     explicit TracePackReader(const std::string &path);
-    ~TracePackReader();
 
     TracePackReader(const TracePackReader &) = delete;
     TracePackReader &operator=(const TracePackReader &) = delete;
@@ -206,25 +206,14 @@ class TracePackReader
     /** Total records across all streams. */
     std::uint64_t recordCount() const { return totalRecords; }
 
-    /** Records per full chunk. */
+    /** Records per full chunk, as the header declares. */
     std::uint64_t chunkRecords() const { return chunkCapacity; }
 
     /** Total chunks across all streams. */
-    std::uint64_t chunkCount() const { return chunks.size(); }
+    std::uint64_t chunkCount() const { return totalChunks; }
 
-    /**
-     * Content hash over every retained chunk's stream id + payload.
-     * For a finalised pack this equals the header's hash (verified at
-     * open); for a recovered pack it is recomputed from the retained
-     * prefix.
-     */
+    /** Content hash over every chunk's stream id + payload. */
     const std::string &contentHash() const { return packHash; }
-
-    /** True when the pack had a valid index footer (clean close()). */
-    bool finalized() const { return isFinalized; }
-
-    /** True when the pack was rebuilt by the torn-tail chunk scan. */
-    bool recovered() const { return !isFinalized; }
 
     /** Size of the mapped file in bytes. */
     std::uint64_t fileBytes() const { return mapSize; }
@@ -236,8 +225,8 @@ class TracePackReader
      * record @p pos into @p out; returns the number decoded (short
      * when the stream ends). Verifies each chunk's checksum on first
      * touch; a mismatch throws a TraceError naming path and chunk.
-     * That first touch writes a flag cache, so a reader must not be
-     * read from two threads at once.
+     * That first touch writes a flag, so a reader must not be read
+     * from two threads at once.
      */
     std::size_t read(std::size_t stream, std::uint64_t pos,
                      TraceRecord *out, std::size_t n) const;
@@ -247,54 +236,54 @@ class TracePackReader
     {
         std::uint64_t payloadOffset = 0; //!< File offset of records.
         std::uint32_t records = 0;
-        std::uint32_t fileIndex = 0;     //!< Position in file order.
+        mutable bool verified = false;   //!< Digest checked once.
+    };
+
+    /** munmap()s the mapping, also when the constructor throws. */
+    struct Unmap
+    {
+        std::uint64_t bytes;
+        void operator()(const unsigned char *p) const;
     };
 
     const unsigned char *at(std::uint64_t offset) const
     {
-        return base + offset;
+        return mapping.get() + offset;
     }
     void verifyChunk(std::size_t stream, std::size_t chunk) const;
     void openMapping();
     void parseIndexed(std::uint64_t indexOffset,
                       const std::string &headerHash);
-    void recoverByScan(std::uint64_t dataStart);
-    std::uint64_t parseDirectory();
+    void parseDirectory();
 
     std::string filePath;
-    const unsigned char *base = nullptr;
+    std::unique_ptr<const unsigned char, Unmap> mapping;
     std::uint64_t mapSize = 0;
-    bool usedMmap = false;
-    std::vector<unsigned char> heapCopy; //!< mmap-fallback storage.
 
     std::vector<TracePackStreamInfo> streams;
-    // chunks[stream][i] — i-th chunk of that stream, plus a flat
-    // file-order view for hashing and lazy verification.
+    /** streamChunks[stream][i]: the i-th chunk of that stream. */
     std::vector<std::vector<ChunkRef>> streamChunks;
-    std::vector<std::pair<std::uint32_t, ChunkRef>> chunks;
-    mutable std::vector<std::uint8_t> chunkVerified;
 
     std::uint64_t chunkCapacity = 0;
     std::uint64_t totalRecords = 0;
+    std::uint64_t totalChunks = 0;
     std::string packHash;
-    bool isFinalized = false;
 };
 
 /**
  * TraceSource view of one stream of a shared TracePackReader.
  *
  * fill() decodes records directly from the pack mapping into the
- * caller's block. With wrap on (the default) the stream restarts
- * after its last record so short traces can drive arbitrarily long
- * simulations; an *empty* stream returns 0 regardless, so it never
- * spins (the scenario engine rejects such streams up front with a
- * named TraceError).
+ * caller's block. The stream restarts after its last record, so a
+ * short trace can drive an arbitrarily long simulation; an *empty*
+ * stream returns 0, so it never spins (the scenario engine rejects
+ * such streams up front with a named TraceError).
  */
 class PackStreamSource : public TraceSource
 {
   public:
     PackStreamSource(std::shared_ptr<TracePackReader> pack,
-                     std::size_t stream, bool wrap = true);
+                     std::size_t stream);
 
     std::size_t fill(TraceRecord *out, std::size_t n) override;
     void rewind() override { position = 0; }
@@ -307,21 +296,7 @@ class PackStreamSource : public TraceSource
     std::shared_ptr<TracePackReader> reader;
     std::size_t streamId;
     std::uint64_t position = 0;
-    bool wrapAround;
 };
-
-/**
- * Stream the records of a legacy POMT trace file through @p sink in
- * fixed-size blocks without buffering the whole file (each record is
- * read exactly once) — the one POMT decoder. Returns the record
- * count. Throws a path-named, size-reporting TraceError on malformed
- * input: a missing file, a short header, bad magic, an unsupported
- * version, or a body shorter than the header's record count.
- */
-std::uint64_t
-scanLegacyTrace(const std::string &path,
-                const std::function<void(const TraceRecord *,
-                                         std::size_t)> &sink);
 
 /**
  * Stream the records of a pomtlb-tracetext-v1 text/CSV trace through

@@ -10,10 +10,10 @@
 #include <cstdio>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "sim/engine.hh"
 #include "trace/source.hh"
-#include "trace/trace_file.hh"
 #include "trace/tracepack.hh"
 #include "test_paths.hh"
 
@@ -142,29 +142,20 @@ TEST(Engine, BaselineWalksEveryMiss)
     EXPECT_GT(result.totals().avgPenaltyPerMiss, 0.0);
 }
 
-TEST(Engine, LegacyTraceReplaysThroughAPack)
+TEST(Engine, OneStreamPackReplaysOnEveryCore)
 {
-    // Record a short synthetic POMT trace, convert it the way
-    // `pomtlb trace pack --in` does (scanLegacyTrace into a
-    // one-stream pack), and replay the pack on two cores: both wrap
-    // onto stream 0, and the run behaves like a normal run.
-    const std::string legacy =
-        testTempPath("engine_replay_test", ".pomt");
+    // Pack a short generator trace as one stream and replay it on
+    // two cores: both wrap onto stream 0 (core c -> c mod 1), and
+    // the run behaves like a normal run.
     const std::string pack =
         testTempPath("engine_replay_test", ".pack");
     const auto &profile = ProfileRegistry::byName("gups");
     {
         TraceGenerator generator(profile, 0, 123);
-        TraceFileWriter writer(legacy);
-        for (int i = 0; i < 5000; ++i)
-            writer.append(generator.next());
-    }
-    {
+        std::vector<TraceRecord> records(5000);
+        generator.fill(records.data(), records.size());
         TracePackWriter writer(pack, {"core0"});
-        scanLegacyTrace(legacy,
-                        [&](const TraceRecord *block, std::size_t n) {
-                            writer.append(0, block, n);
-                        });
+        writer.append(0, records.data(), records.size());
         writer.close();
     }
 
@@ -178,7 +169,6 @@ TEST(Engine, LegacyTraceReplaysThroughAPack)
     EXPECT_EQ(result.totals().refs, 4000u);
     // Pre-population still covers every page: no walks.
     EXPECT_LT(result.totals().walkFraction, 0.01);
-    std::remove(legacy.c_str());
     std::remove(pack.c_str());
 }
 

@@ -540,29 +540,6 @@ TEST(Scenario, DocumentCarriesPerTenantQosPercentiles)
               "pomtlb-stats-v1");
 }
 
-TEST(Scenario, RegistryExposesTenantGroups)
-{
-    ScenarioSpec spec = degenerateSpec("mcf");
-    Machine machine(spec.system, spec.scheme);
-    ScenarioEngine engine(machine, spec);
-    engine.run();
-
-    std::vector<std::pair<std::string, double>> flat;
-    engine.registry().collect(flat);
-    bool saw_refs = false;
-    bool saw_p99 = false;
-    for (const auto &[name, value] : flat) {
-        if (name == "tenants.t0.refs") {
-            saw_refs = true;
-            EXPECT_EQ(value, 4000.0);
-        }
-        if (name == "tenants.t0.p99_translation_cycles")
-            saw_p99 = true;
-    }
-    EXPECT_TRUE(saw_refs);
-    EXPECT_TRUE(saw_p99);
-}
-
 // ---------------------------------------------------------------
 // Consolidation at scale: hundreds of tenants, per-tenant QoS.
 // ---------------------------------------------------------------

@@ -244,10 +244,9 @@ TEST(StatsExport, MetricsDocCoversEveryStat)
 }
 
 /**
- * The same 100%-documented contract for the scenario engine's
- * per-tenant registry: every `tenants.<name>.<stat>` it emits must
- * appear in the docs/metrics.md per-tenant table. The tenant-name
- * segment itself is user-chosen and exempt.
+ * The same 100%-documented contract for the per-tenant statistics of
+ * the `pomtlb-scenario-v1` document: every key of every `tenants[]`
+ * entry must appear in the docs/metrics.md per-tenant table.
  */
 TEST(StatsExport, MetricsDocCoversEveryScenarioTenantStat)
 {
@@ -262,42 +261,18 @@ TEST(StatsExport, MetricsDocCoversEveryScenarioTenantStat)
     spec.storm = {800, 4};
 
     Machine machine(spec.system, spec.scheme);
-    ScenarioEngine engine(machine, spec);
-    (void)engine.run();
-
-    std::vector<std::pair<std::string, double>> flat;
-    engine.registry().collect(flat);
-    ASSERT_GT(flat.size(), 4u * 10u);
+    const ScenarioResult result = runScenario(machine, spec);
+    const JsonValue document =
+        buildScenarioDocument(machine, spec, result);
 
     const std::set<std::string> tokens = documentedTokens();
-    for (const auto &stat : flat) {
-        std::string name = stat.first;
-        for (const char *suffix : {".samples", ".mean", ".max"}) {
-            const std::size_t at = name.rfind(suffix);
-            if (at != std::string::npos &&
-                at + std::strlen(suffix) == name.size() &&
-                name.find("histogram") != std::string::npos) {
-                name.resize(at);
-            }
-        }
-        std::vector<std::string> parts;
-        std::string part;
-        for (const char c : name + ".") {
-            if (c == '.') {
-                parts.push_back(part);
-                part.clear();
-            } else {
-                part += c;
-            }
-        }
-        ASSERT_GE(parts.size(), 3u) << name;
-        EXPECT_EQ(parts[0], "tenants") << name;
-        // parts[1] is the tenant's own name; everything after it
-        // must be documented.
-        for (std::size_t i = 2; i < parts.size(); ++i) {
-            EXPECT_TRUE(tokens.count(parts[i]))
-                << "scenario stat '" << name << "': segment '"
-                << parts[i]
+    const JsonValue &tenants = document.at("tenants");
+    ASSERT_EQ(tenants.elements().size(), 4u);
+    for (const JsonValue &tenant : tenants.elements()) {
+        ASSERT_GT(tenant.members().size(), 10u);
+        for (const auto &member : tenant.members()) {
+            EXPECT_TRUE(tokens.count(member.first))
+                << "tenant stat '" << member.first
                 << "' is not documented in docs/metrics.md";
         }
     }

@@ -1,10 +1,10 @@
 /**
  * @file
  * Trace-pack container tests: round trips, multi-stream packs, the
- * wrap/rewind contract, torn-tail recovery, corrupt-chunk detection,
- * a randomized-truncation fuzz loop, the converters (legacy POMT and
- * the text form), the info document, and the docs/trace-format.md
- * coverage gate.
+ * wrap/rewind contract, the rejection of unclosed, truncated and
+ * index-damaged packs, corrupt-chunk detection, a
+ * randomized-truncation fuzz loop, the text form, the info document,
+ * and the docs/trace-format.md coverage gate.
  */
 
 #include <gtest/gtest.h>
@@ -17,10 +17,12 @@
 #include <string>
 #include <vector>
 
+#include "common/config.hh"
 #include "common/json.hh"
+#include "sim/engine.hh"
 #include "trace/error.hh"
 #include "trace/generator.hh"
-#include "trace/trace_file.hh"
+#include "trace/source.hh"
 #include "trace/tracepack.hh"
 #include "test_paths.hh"
 
@@ -55,6 +57,36 @@ writeBytes(const std::string &path, const std::string &bytes)
               static_cast<std::streamsize>(bytes.size()));
 }
 
+/** Write @p records as the one stream "core0" of a closed pack. */
+void
+writePack(const std::string &path,
+          const std::vector<TraceRecord> &records)
+{
+    TracePackWriter writer(path, {"core0"});
+    writer.append(0, records.data(), records.size());
+    writer.close();
+}
+
+/** Opening @p path must throw a TraceError that names the path. */
+void
+expectNamedRejection(const std::string &path, const std::string &why)
+{
+    try {
+        TracePackReader reader(path);
+        ADD_FAILURE() << why << ": opened with "
+                      << reader.recordCount() << " records";
+    } catch (const TraceError &error) {
+        EXPECT_NE(std::string(error.what()).find(path),
+                  std::string::npos)
+            << why << ": " << error.what();
+    }
+}
+
+/** File bytes of one full chunk: its 64-byte header and payload. */
+constexpr std::size_t chunkOnDisk = 64 + tracePackChunkRecords * 16;
+/** Offset of the first chunk: the header and a 64-byte directory. */
+constexpr std::size_t dataStart = 128 + 64;
+
 class TracePackTest : public ::testing::Test
 {
   protected:
@@ -73,21 +105,20 @@ TEST_F(TracePackTest, RoundTripSingleStream)
 {
     const auto records = syntheticRecords(10000, 42);
     {
-        TracePackWriter writer(path, {"core0"}, 512);
+        TracePackWriter writer(path, {"core0"});
         writer.append(0, records.data(), records.size());
         writer.close();
         EXPECT_EQ(writer.recordCount(), records.size());
     }
 
     TracePackReader reader(path);
-    EXPECT_TRUE(reader.finalized());
-    EXPECT_FALSE(reader.recovered());
+    EXPECT_EQ(reader.chunkRecords(), tracePackChunkRecords);
     EXPECT_EQ(reader.streamCount(), 1u);
     EXPECT_EQ(reader.recordCount(), records.size());
     EXPECT_EQ(reader.stream(0).name, "core0");
     EXPECT_EQ(reader.stream(0).records, records.size());
-    // 10000 records at 512 per chunk: 19 full chunks + 1 partial.
-    EXPECT_EQ(reader.stream(0).chunks, 20u);
+    // 10000 records at 4096 per chunk: 2 full chunks + 1 partial.
+    EXPECT_EQ(reader.stream(0).chunks, 3u);
     EXPECT_EQ(reader.contentHash().size(), 32u);
 
     std::vector<TraceRecord> got(records.size());
@@ -103,31 +134,59 @@ TEST_F(TracePackTest, RoundTripSingleStream)
 
 TEST_F(TracePackTest, SeekIsPositionIndependent)
 {
-    const auto records = syntheticRecords(3000, 7);
-    {
-        TracePackWriter writer(path, {"core0"}, 256);
-        writer.append(0, records.data(), records.size());
-    } // destructor finalises
+    const auto records = syntheticRecords(10000, 7);
+    writePack(path, records);
 
     TracePackReader reader(path);
     // Reads starting mid-stream (mid-chunk and at chunk edges)
     // return exactly the records a sequential read would.
-    for (std::uint64_t pos : {1u, 255u, 256u, 257u, 2999u}) {
+    for (std::uint64_t pos : {1u, 4095u, 4096u, 4097u, 9999u}) {
         TraceRecord one;
         ASSERT_EQ(reader.read(0, pos, &one, 1), 1u) << pos;
         EXPECT_EQ(one.vaddr, records[pos].vaddr) << pos;
     }
     TraceRecord past;
-    EXPECT_EQ(reader.read(0, 3000, &past, 1), 0u);
+    EXPECT_EQ(reader.read(0, 10000, &past, 1), 0u);
+}
+
+// tests/data/mcf_c2_chunk256.pack was written by an older build,
+// whose `trace pack --benchmark mcf --cores 2 --count 300` could set
+// 256-record chunks. The reader takes the chunk size its header
+// declares, decodes across those chunk edges, and reports the content
+// hash that build printed, so sweep-cache identities of older packs
+// still hold.
+TEST_F(TracePackTest, OlderPackWithSmallerChunksStillOpens)
+{
+    const std::string fixture = std::string(POMTLB_SOURCE_DIR) +
+                                "/tests/data/mcf_c2_chunk256.pack";
+    TracePackReader reader(fixture);
+    EXPECT_EQ(reader.chunkRecords(), 256u);
+    EXPECT_EQ(reader.chunkCount(), 4u);
+    EXPECT_EQ(reader.contentHash(), "8833624976e49860bf530d88baf0786d");
+
+    const std::uint64_t seed =
+        EngineConfig().seed ^ SystemConfig::table1().seed;
+    for (unsigned core = 0; core < 2; ++core) {
+        GeneratorSource source(ProfileRegistry::byName("mcf"), core,
+                               seed);
+        std::vector<TraceRecord> want(300), got(300);
+        source.fill(want.data(), want.size());
+        ASSERT_EQ(reader.read(core, 0, got.data(), got.size()), 300u);
+        for (std::size_t i = 0; i < want.size(); ++i) {
+            ASSERT_EQ(got[i].vaddr, want[i].vaddr) << core << "/" << i;
+            ASSERT_EQ(got[i].instGap, want[i].instGap);
+            ASSERT_EQ(got[i].type, want[i].type);
+            ASSERT_EQ(got[i].pageSize, want[i].pageSize);
+        }
+    }
 }
 
 TEST_F(TracePackTest, MultiStreamPackKeepsStreamsApart)
 {
-    const auto first = syntheticRecords(700, 1);
-    const auto second = syntheticRecords(1300, 2);
+    const auto first = syntheticRecords(5000, 1);
+    const auto second = syntheticRecords(9000, 2);
     {
-        TracePackWriter writer(path, {"tenant0", "tenant1", "spare"},
-                               128);
+        TracePackWriter writer(path, {"tenant0", "tenant1", "spare"});
         // Interleave appends; chunks interleave in the file too.
         std::size_t a = 0, b = 0;
         while (a < first.size() || b < second.size()) {
@@ -158,13 +217,10 @@ TEST_F(TracePackTest, MultiStreamPackKeepsStreamsApart)
 TEST_F(TracePackTest, PackStreamSourceWrapsAndRewinds)
 {
     const auto records = syntheticRecords(5, 3);
-    {
-        TracePackWriter writer(path, {"core0"});
-        writer.append(0, records.data(), records.size());
-    }
+    writePack(path, records);
 
     auto reader = std::make_shared<TracePackReader>(path);
-    PackStreamSource source(reader, 0, /*wrap=*/true);
+    PackStreamSource source(reader, 0);
     EXPECT_EQ(source.recordCount(), 5u);
 
     std::vector<TraceRecord> block(13);
@@ -179,29 +235,16 @@ TEST_F(TracePackTest, PackStreamSourceWrapsAndRewinds)
     EXPECT_EQ(head.vaddr, records[0].vaddr);
 }
 
-TEST_F(TracePackTest, PackStreamSourceShortReadsWithoutWrap)
-{
-    const auto records = syntheticRecords(10, 4);
-    {
-        TracePackWriter writer(path, {"core0"});
-        writer.append(0, records.data(), records.size());
-    }
-    auto reader = std::make_shared<TracePackReader>(path);
-    PackStreamSource source(reader, 0, /*wrap=*/false);
-    std::vector<TraceRecord> block(16);
-    EXPECT_EQ(source.fill(block.data(), 16), 10u);
-    EXPECT_EQ(source.fill(block.data(), 16), 0u);
-}
-
 TEST_F(TracePackTest, EmptyStreamNeverSpinsEvenWithWrap)
 {
     {
         TracePackWriter writer(path, {"empty", "full"});
         const auto records = syntheticRecords(3, 5);
         writer.append(1, records.data(), records.size());
+        writer.close();
     }
     auto reader = std::make_shared<TracePackReader>(path);
-    PackStreamSource source(reader, 0, /*wrap=*/true);
+    PackStreamSource source(reader, 0);
     TraceRecord block[4];
     EXPECT_EQ(source.fill(block, 4), 0u);
 }
@@ -211,7 +254,7 @@ TEST_F(TracePackTest, ContentHashChangesWithOneRecord)
     auto records = syntheticRecords(1000, 9);
     std::string firstHash;
     {
-        TracePackWriter writer(path, {"core0"}, 256);
+        TracePackWriter writer(path, {"core0"});
         writer.append(0, records.data(), records.size());
         writer.close();
         firstHash = writer.contentHash();
@@ -221,7 +264,7 @@ TEST_F(TracePackTest, ContentHashChangesWithOneRecord)
 
     records[500].vaddr ^= 0x1000; // one record, one page bit
     {
-        TracePackWriter writer(path, {"core0"}, 256);
+        TracePackWriter writer(path, {"core0"});
         writer.append(0, records.data(), records.size());
         writer.close();
         EXPECT_NE(writer.contentHash(), firstHash);
@@ -231,49 +274,70 @@ TEST_F(TracePackTest, ContentHashChangesWithOneRecord)
 
 // -- corrupt and truncated input ----------------------------------
 
-TEST_F(TracePackTest, TornTailRecoversThePrefix)
+TEST_F(TracePackTest, DamagedPacksAreNamedNotReplayed)
 {
-    const auto records = syntheticRecords(2048, 11);
-    {
-        TracePackWriter writer(path, {"core0"}, 256);
-        writer.append(0, records.data(), records.size());
-        writer.close();
-    }
+    const auto records = syntheticRecords(10000, 11);
+    writePack(path, records);
     const std::string intact = fileBytes(path);
+    std::uint64_t indexOffset = 0;
+    for (int i = 7; i >= 0; --i)
+        indexOffset = (indexOffset << 8) |
+                      static_cast<unsigned char>(intact[40 + i]);
+    ASSERT_LT(indexOffset, intact.size());
+    // The intact pack with the u64 at byte @p at set to @p value.
+    const auto writeWithU64 = [&](std::uint64_t at,
+                                  std::uint64_t value) {
+        std::string bytes = intact;
+        for (int i = 0; i < 8; ++i)
+            bytes[at + i] = static_cast<char>(value >> (8 * i));
+        writeBytes(path, bytes);
+    };
 
-    // Cut mid-way through the 5th chunk's payload: the reader must
-    // keep the 4 complete chunks and drop the torn tail.
-    const std::size_t chunkOnDisk = 64 + 256 * 16;
-    const std::size_t dataStart = 128 + 64; // header + directory
-    writeBytes(path, intact.substr(0, dataStart + 4 * chunkOnDisk +
-                                          64 + 100));
+    // index_offset zeroed: the state a writer that never reached
+    // close() leaves behind.
+    writeWithU64(40, 0);
+    expectNamedRejection(path, "index_offset zeroed");
 
-    TracePackReader reader(path);
-    EXPECT_TRUE(reader.recovered());
-    EXPECT_FALSE(reader.finalized());
-    EXPECT_EQ(reader.stream(0).name, "core0")
-        << "directory survives the torn tail";
-    EXPECT_EQ(reader.stream(0).records, 4u * 256u);
-    std::vector<TraceRecord> got(4 * 256);
-    EXPECT_EQ(reader.read(0, 0, got.data(), got.size()),
-              got.size());
-    for (std::size_t i = 0; i < got.size(); ++i)
-        ASSERT_EQ(got[i].vaddr, records[i].vaddr) << "record " << i;
+    // Cut mid-way through the 2nd chunk's payload: the prefix holds
+    // one complete chunk, but nothing of it is replayed.
+    writeBytes(path,
+               intact.substr(0, dataStart + chunkOnDisk + 64 + 100));
+    expectNamedRejection(path, "cut mid-chunk");
+
+    // Any one flipped bit in the index footer (the file's tail, from
+    // index_offset on): its digest, or a check before it, fails.
+    for (std::size_t at = indexOffset; at < intact.size(); ++at) {
+        std::string flipped = intact;
+        flipped[at] ^= 0x01;
+        writeBytes(path, flipped);
+        expectNamedRejection(path, "index bit flipped at byte " +
+                                       std::to_string(at));
+    }
+
+    // Offsets and counts whose bounds checks would wrap 64 bits.
+    writeWithU64(40, ~std::uint64_t{7});
+    expectNamedRejection(path, "index_offset near 2^64");
+    writeWithU64(indexOffset + 16, (std::uint64_t{1} << 61) + 3);
+    expectNamedRejection(path, "chunk count times 8 wraps");
+    writeWithU64(indexOffset + 32, ~std::uint64_t{15});
+    expectNamedRejection(path, "chunk offset near 2^64");
+
+    // A writer dropped without close() publishes nothing.
+    {
+        TracePackWriter writer(path, {"core0"});
+        writer.append(0, records.data(), records.size());
+    }
+    expectNamedRejection(path, "writer never closed");
 }
 
 TEST_F(TracePackTest, BitFlippedChunkIsNamedOnFirstRead)
 {
-    const auto records = syntheticRecords(1024, 13);
-    {
-        TracePackWriter writer(path, {"core0"}, 256);
-        writer.append(0, records.data(), records.size());
-        writer.close();
-    }
+    const auto records =
+        syntheticRecords(3 * tracePackChunkRecords, 13);
+    writePack(path, records);
     std::string bytes = fileBytes(path);
     // Flip one payload bit in the 3rd chunk (file layout: header,
     // 64-byte directory, then 64-byte chunk headers + payloads).
-    const std::size_t chunkOnDisk = 64 + 256 * 16;
-    const std::size_t dataStart = 128 + 64;
     bytes[dataStart + 2 * chunkOnDisk + 64 + 10] ^= 0x01;
     writeBytes(path, bytes);
 
@@ -281,11 +345,10 @@ TEST_F(TracePackTest, BitFlippedChunkIsNamedOnFirstRead)
     // fine, and the corrupt chunk throws a path-named error when
     // first touched.
     TracePackReader reader(path);
-    EXPECT_TRUE(reader.finalized());
     TraceRecord one;
     EXPECT_EQ(reader.read(0, 0, &one, 1), 1u);
     try {
-        std::vector<TraceRecord> all(1024);
+        std::vector<TraceRecord> all(records.size());
         reader.read(0, 0, all.data(), all.size());
         FAIL() << "expected TraceError";
     } catch (const TraceError &error) {
@@ -313,11 +376,7 @@ TEST_F(TracePackTest, GarbageAndShortFilesAreNamedErrors)
 
 TEST_F(TracePackTest, UnsupportedVersionIsRejected)
 {
-    {
-        TracePackWriter writer(path, {"core0"});
-        const auto records = syntheticRecords(4, 1);
-        writer.append(0, records.data(), records.size());
-    }
+    writePack(path, syntheticRecords(4, 1));
     std::string bytes = fileBytes(path);
     bytes[8] = 9; // version field
     writeBytes(path, bytes);
@@ -333,100 +392,43 @@ TEST_F(TracePackTest, UnsupportedVersionIsRejected)
 
 TEST_F(TracePackTest, FuzzRandomTruncationNeverCrashes)
 {
-    const auto records = syntheticRecords(1500, 17);
+    const auto records = syntheticRecords(4500, 17);
     {
-        TracePackWriter writer(path, {"a", "b"}, 128);
-        writer.append(0, records.data(), 700);
-        writer.append(1, records.data() + 700, 800);
+        TracePackWriter writer(path, {"a", "b"});
+        writer.append(0, records.data(), 4200); // 2 chunks
+        writer.append(1, records.data() + 4200, 300);
         writer.close();
     }
     const std::string intact = fileBytes(path);
     const std::string fullHash = TracePackReader(path).contentHash();
 
+    // Every strict prefix is rejected by name, never opened as a
+    // shorter trace. Cut at every 64-byte boundary (each chunk
+    // boundary among them, where a prefix of whole chunks ends), at
+    // every byte of the header, directory and index footer, and at
+    // random bytes in between.
+    std::vector<std::size_t> cuts;
+    for (std::size_t keep = 0; keep < intact.size(); ++keep) {
+        if (keep % 64 == 0 || keep < 256 || keep + 128 >= intact.size())
+            cuts.push_back(keep);
+    }
     std::mt19937_64 rng(20260808);
     std::uniform_int_distribution<std::size_t> cut(
         0, intact.size() - 1);
-    for (int trial = 0; trial < 200; ++trial) {
-        const std::size_t keep =
-            trial < 8 ? static_cast<std::size_t>(trial)
-                      : cut(rng);
+    for (int trial = 0; trial < 200; ++trial)
+        cuts.push_back(cut(rng));
+    for (const std::size_t keep : cuts) {
         writeBytes(path, intact.substr(0, keep));
-        try {
-            TracePackReader reader(path);
-            // Opened: every retained record must be readable and
-            // match the original — recovery never invents data.
-            ASSERT_LE(reader.stream(0).records, 700u);
-            ASSERT_LE(reader.stream(1).records, 800u);
-            std::vector<TraceRecord> got(
-                std::max<std::uint64_t>(reader.recordCount(), 1));
-            const std::size_t a = reader.read(
-                0, 0, got.data(), reader.stream(0).records);
-            ASSERT_EQ(a, reader.stream(0).records);
-            for (std::size_t i = 0; i < a; ++i)
-                ASSERT_EQ(got[i].vaddr, records[i].vaddr);
-            const std::size_t b = reader.read(
-                1, 0, got.data(), reader.stream(1).records);
-            ASSERT_EQ(b, reader.stream(1).records);
-            for (std::size_t i = 0; i < b; ++i)
-                ASSERT_EQ(got[i].vaddr, records[700 + i].vaddr);
-            if (keep < intact.size())
-                ASSERT_TRUE(reader.recovered())
-                    << "a truncated pack cannot claim finality";
-            else
-                ASSERT_EQ(reader.contentHash(), fullHash);
-        } catch (const TraceError &error) {
-            // Rejected: fine, as long as the error names the path.
-            ASSERT_NE(std::string(error.what()).find(path),
-                      std::string::npos)
-                << error.what();
-        }
+        expectNamedRejection(path, "prefix of " +
+                                       std::to_string(keep) +
+                                       " bytes");
     }
+
+    writeBytes(path, intact);
+    EXPECT_EQ(TracePackReader(path).contentHash(), fullHash);
 }
 
-// -- converters ---------------------------------------------------
-
-TEST_F(TracePackTest, LegacyScanStreamsEveryRecordOnce)
-{
-    const std::string legacy =
-        testTempPath("pomtlb_tracepack_legacy", ".pomt");
-    const auto records = syntheticRecords(2500, 19);
-    {
-        TraceFileWriter writer(legacy);
-        for (const TraceRecord &record : records)
-            writer.append(record);
-    }
-
-    std::vector<TraceRecord> seen;
-    const std::uint64_t count = scanLegacyTrace(
-        legacy, [&](const TraceRecord *block, std::size_t n) {
-            seen.insert(seen.end(), block, block + n);
-        });
-    EXPECT_EQ(count, records.size());
-    ASSERT_EQ(seen.size(), records.size());
-    for (std::size_t i = 0; i < records.size(); ++i) {
-        ASSERT_EQ(seen[i].vaddr, records[i].vaddr) << "record " << i;
-        ASSERT_EQ(seen[i].instGap, records[i].instGap);
-        ASSERT_EQ(seen[i].type, records[i].type);
-        ASSERT_EQ(seen[i].pageSize, records[i].pageSize);
-    }
-
-    // Truncation is a named, size-reporting error up front — the
-    // sink never sees a partial stream presented as complete.
-    std::string bytes = fileBytes(legacy);
-    bytes.resize(bytes.size() - 7);
-    writeBytes(legacy, bytes);
-    try {
-        scanLegacyTrace(legacy,
-                        [](const TraceRecord *, std::size_t) {});
-        FAIL() << "expected TraceError";
-    } catch (const TraceError &error) {
-        const std::string what = error.what();
-        EXPECT_NE(what.find(legacy), std::string::npos) << what;
-        EXPECT_NE(what.find("2500 records"), std::string::npos)
-            << what;
-    }
-    std::remove(legacy.c_str());
-}
+// -- the text form ------------------------------------------------
 
 TEST_F(TracePackTest, TextFormRoundTripsAndNamesBadLines)
 {
@@ -480,28 +482,28 @@ TEST_F(TracePackTest, TextFormRoundTripsAndNamesBadLines)
 
 TEST_F(TracePackTest, InfoJsonDescribesThePack)
 {
-    const auto records = syntheticRecords(300, 23);
+    const auto records = syntheticRecords(5100, 23);
     {
-        TracePackWriter writer(path, {"core0", "core1"}, 128);
-        writer.append(0, records.data(), 200);
-        writer.append(1, records.data() + 200, 100);
+        TracePackWriter writer(path, {"core0", "core1"});
+        writer.append(0, records.data(), 5000);
+        writer.append(1, records.data() + 5000, 100);
+        writer.close();
     }
     const JsonValue doc = tracePackInfoJson(path);
     EXPECT_EQ(doc.at("schema").asString(), "pomtlb-tracepack-v1");
     EXPECT_EQ(doc.at("path").asString(), path);
     EXPECT_EQ(doc.at("record_bytes").asUint(), 16u);
     EXPECT_EQ(doc.at("header_bytes").asUint(), 128u);
-    EXPECT_EQ(doc.at("chunk_records").asUint(), 128u);
-    EXPECT_EQ(doc.at("records").asUint(), 300u);
+    EXPECT_EQ(doc.at("chunk_records").asUint(), 4096u);
+    EXPECT_EQ(doc.at("records").asUint(), 5100u);
     EXPECT_EQ(doc.at("chunks").asUint(), 3u);
-    EXPECT_TRUE(doc.at("finalized").asBool());
     EXPECT_EQ(doc.at("content_hash").asString(),
               tracePackContentHash(path));
     EXPECT_GT(doc.at("file_bytes").asUint(), 0u);
     ASSERT_EQ(doc.at("streams").size(), 2u);
     EXPECT_EQ(doc.at("streams").at(0).at("name").asString(),
               "core0");
-    EXPECT_EQ(doc.at("streams").at(0).at("records").asUint(), 200u);
+    EXPECT_EQ(doc.at("streams").at(0).at("records").asUint(), 5000u);
     EXPECT_EQ(doc.at("streams").at(1).at("chunks").asUint(), 1u);
 }
 
@@ -530,11 +532,7 @@ TEST_F(TracePackTest, TraceFormatDocCoversTheInfoDocument)
         at = end + 1;
     }
 
-    const auto records = syntheticRecords(10, 29);
-    {
-        TracePackWriter writer(path, {"core0"});
-        writer.append(0, records.data(), records.size());
-    }
+    writePack(path, syntheticRecords(10, 29));
     const JsonValue info = tracePackInfoJson(path);
 
     std::function<void(const JsonValue &)> walk =

@@ -25,7 +25,7 @@
  *                              and/or total size
  *   trace                      trace-pack front end: `trace pack`
  *                              builds a pomtlb-tracepack-v1 file
- *                              from legacy/text traces or from
+ *                              from text traces or from
  *                              generator output, `trace info`
  *                              describes one, `trace cat` dumps
  *                              records as pomtlb-tracetext-v1
@@ -109,7 +109,7 @@
  * trace options (see docs/trace-format.md for the full grammar):
  *   trace pack --out PACK [--in FILE]...
  *              [--benchmark B --cores N [--count C] [--seed S]]
- *              [--chunk-records N] [--stream-names a,b,...]
+ *              [--stream-names a,b,...]
  *   trace info PACK [--json]
  *   trace cat PACK [--stream NAME] [--limit N]
  *
@@ -164,9 +164,9 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <stdexcept>
 #include <string>
@@ -243,11 +243,11 @@ struct CliOptions
     std::string tenantsList = "1";
     std::string tenantBenchmarks;
     std::uint64_t churnInterval = 0;
-    std::uint64_t residentPerCore = 4;
+    unsigned residentPerCore = 4;
     double overcommit = 1.0;
     std::uint64_t migratePages = 0;
     std::uint64_t stormInterval = 0;
-    std::uint64_t stormPages = 8;
+    unsigned stormPages = 8;
     std::uint64_t timeSlice = 0;
 
     // cache-gc
@@ -271,8 +271,13 @@ usage()
     std::exit(2);
 }
 
+/**
+ * The one parser of CLI counts: digits only, at most @p max, or exit
+ * 2 naming the text.
+ */
 std::uint64_t
-parseNumber(const char *text)
+parseNumber(const char *text,
+            std::uint64_t max = std::numeric_limits<std::uint64_t>::max())
 {
     // strtoull would skip leading space, negate "-5" to 2^64 - 5 and
     // saturate on overflow: a count is digits only, and must fit.
@@ -280,11 +285,19 @@ parseNumber(const char *text)
     errno = 0;
     const std::uint64_t value = std::strtoull(text, &end, 10);
     if (!std::isdigit(static_cast<unsigned char>(text[0])) ||
-        *end != '\0' || errno == ERANGE) {
+        *end != '\0' || errno == ERANGE || value > max) {
         std::fprintf(stderr, "bad number: '%s'\n", text);
         std::exit(2);
     }
     return value;
+}
+
+/** A count the simulator keeps as `unsigned` (cores, tenants, ...). */
+unsigned
+parseUnsigned(const char *text)
+{
+    return static_cast<unsigned>(
+        parseNumber(text, std::numeric_limits<unsigned>::max()));
 }
 
 double
@@ -319,13 +332,14 @@ parseOptions(int argc, char **argv, int first)
         else if (arg == "--scheme")
             options.scheme = next();
         else if (arg == "--cores")
-            options.cores = static_cast<unsigned>(parseNumber(next()));
+            options.cores = parseUnsigned(next());
         else if (arg == "--refs")
             options.refs = parseNumber(next());
         else if (arg == "--warmup")
             options.warmup = parseNumber(next());
         else if (arg == "--capacity")
-            options.capacityMb = parseNumber(next());
+            options.capacityMb = parseNumber(
+                next(), std::numeric_limits<std::uint64_t>::max() >> 20);
         else if (arg == "--seed")
             options.seed = parseNumber(next());
         else if (arg == "--native")
@@ -359,7 +373,7 @@ parseOptions(int argc, char **argv, int first)
         else if (arg == "--trace-record")
             options.tracePackRecord = next();
         else if (arg == "--jobs")
-            options.jobs = static_cast<unsigned>(parseNumber(next()));
+            options.jobs = parseUnsigned(next());
         else if (arg == "--benchmarks")
             options.benchmarksList = next();
         else if (arg == "--schemes")
@@ -381,7 +395,7 @@ parseOptions(int argc, char **argv, int first)
         else if (arg == "--churn-interval")
             options.churnInterval = parseNumber(next());
         else if (arg == "--resident-per-core")
-            options.residentPerCore = parseNumber(next());
+            options.residentPerCore = parseUnsigned(next());
         else if (arg == "--overcommit")
             options.overcommit = parseDouble(next());
         else if (arg == "--migrate-pages")
@@ -389,7 +403,7 @@ parseOptions(int argc, char **argv, int first)
         else if (arg == "--storm-interval")
             options.stormInterval = parseNumber(next());
         else if (arg == "--storm-pages")
-            options.stormPages = parseNumber(next());
+            options.stormPages = parseUnsigned(next());
         else if (arg == "--time-slice")
             options.timeSlice = parseNumber(next());
         else if (arg == "--max-bytes")
@@ -470,8 +484,7 @@ serviceOptionsFrom(const CliOptions &options)
     service.journalPath = options.journalPath;
     service.jobs = options.jobs;
     if (const char *crash = std::getenv("POMTLB_SWEEP_CRASH_AFTER"))
-        service.crashAfterAppends =
-            static_cast<unsigned>(parseNumber(crash));
+        service.crashAfterAppends = parseUnsigned(crash);
     return service;
 }
 
@@ -488,6 +501,11 @@ runLengthFrom(const CliOptions &options)
     return config;
 }
 
+/**
+ * The run configuration of run, compare, sweep and scenario,
+ * validated once here: an invalid machine fails with one `fatal:`
+ * line before any job starts.
+ */
 ExperimentConfig
 configFrom(const CliOptions &options)
 {
@@ -505,6 +523,7 @@ configFrom(const CliOptions &options)
     config.system.pomTlb.prefetchNextSet = options.prefetch;
     config.system.tlbAwareCaching = options.tlbAware;
     config.engine.shootdownIntervalRefs = options.shootdownInterval;
+    config.system.validate();
     return config;
 }
 
@@ -853,7 +872,7 @@ commandFigures(const CliOptions &options)
 
 /** Build one ScenarioSpec for @p tenants tenants from the CLI. */
 ScenarioSpec
-scenarioFrom(const CliOptions &options, std::uint64_t tenants)
+scenarioFrom(const CliOptions &options, unsigned tenants)
 {
     const ExperimentConfig config = configFrom(options);
     ScenarioSpec spec;
@@ -861,7 +880,7 @@ scenarioFrom(const CliOptions &options, std::uint64_t tenants)
     spec.scheme = schemeFromName(options.scheme);
     spec.system = config.system;
     spec.engine = config.engine;
-    spec.tenantCount = static_cast<unsigned>(tenants);
+    spec.tenantCount = tenants;
     spec.tenantBenchmarks = options.tenantBenchmarks.empty()
                                 ? std::vector<std::string>{
                                       options.benchmark}
@@ -874,13 +893,11 @@ scenarioFrom(const CliOptions &options, std::uint64_t tenants)
         }
     }
     spec.churnIntervalRefs = options.churnInterval;
-    spec.residentPerCore =
-        static_cast<unsigned>(options.residentPerCore);
+    spec.residentPerCore = options.residentPerCore;
     spec.overcommitFactor = options.overcommit;
     spec.migrationPagesPerArrival = options.migratePages;
     spec.storm.intervalRefs = options.stormInterval;
-    spec.storm.pagesPerBurst =
-        static_cast<unsigned>(options.stormPages);
+    spec.storm.pagesPerBurst = options.stormPages;
     spec.timeSliceRefs = options.timeSlice;
     return spec;
 }
@@ -891,7 +908,7 @@ commandScenario(const CliOptions &options)
     std::vector<ScenarioSpec> specs;
     for (const std::string &count : splitList(options.tenantsList))
         specs.push_back(
-            scenarioFrom(options, parseNumber(count.c_str())));
+            scenarioFrom(options, parseUnsigned(count.c_str())));
     if (specs.empty()) {
         std::fprintf(stderr, "--tenants needs at least one count\n");
         return 2;
@@ -1050,17 +1067,6 @@ commandServe(const CliOptions &options)
     return 0;
 }
 
-/** True when @p path starts with the legacy `POMT` trace magic. */
-bool
-hasLegacyTraceMagic(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    char magic[4] = {};
-    in.read(magic, sizeof(magic));
-    return in.gcount() == sizeof(magic) &&
-           std::memcmp(magic, "POMT", 4) == 0;
-}
-
 [[noreturn]] void
 traceUsage()
 {
@@ -1069,8 +1075,7 @@ traceUsage()
         "usage: pomtlb trace pack --out PACK [--in FILE]...\n"
         "                        [--benchmark B --cores N "
         "[--count C] [--seed S]]\n"
-        "                        [--chunk-records N] "
-        "[--stream-names a,b,...]\n"
+        "                        [--stream-names a,b,...]\n"
         "       pomtlb trace info PACK [--json]\n"
         "       pomtlb trace cat PACK [--stream NAME] "
         "[--limit N]\n  see docs/trace-format.md\n");
@@ -1079,11 +1084,10 @@ traceUsage()
 
 /**
  * `pomtlb trace pack`: build a pomtlb-tracepack-v1 file, either by
- * converting legacy POMT / pomtlb-tracetext-v1 inputs (one stream
- * per `--in` file, auto-detected by magic) or by capturing
- * generator output (`--benchmark`; one stream per core, seeded
- * exactly like `pomtlb run`, so `run --trace-in` replays it
- * byte-identically).
+ * converting pomtlb-tracetext-v1 inputs (one stream per `--in`
+ * file) or by capturing generator output (`--benchmark`; one stream
+ * per core, seeded exactly like `pomtlb run`, so `run --trace-in`
+ * replays it byte-identically).
  */
 int
 commandTracePack(int argc, char **argv)
@@ -1094,7 +1098,6 @@ commandTracePack(int argc, char **argv)
     unsigned cores = 0;
     std::uint64_t count = 0;
     std::uint64_t seed = 0;
-    std::uint64_t chunkRecords = 4096;
     std::string streamNamesList;
     for (int i = 3; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -1113,19 +1116,17 @@ commandTracePack(int argc, char **argv)
         else if (arg == "--benchmark")
             benchmark = next();
         else if (arg == "--cores")
-            cores = static_cast<unsigned>(parseNumber(next()));
+            cores = parseUnsigned(next());
         else if (arg == "--count")
             count = parseNumber(next());
         else if (arg == "--seed")
             seed = parseNumber(next());
-        else if (arg == "--chunk-records")
-            chunkRecords = parseNumber(next());
         else if (arg == "--stream-names")
             streamNamesList = next();
         else
             traceUsage();
     }
-    if (outPath.empty() || chunkRecords == 0)
+    if (outPath.empty())
         traceUsage();
     if (inputs.empty() == benchmark.empty()) {
         std::fprintf(stderr, "trace pack needs either --in files or "
@@ -1148,20 +1149,15 @@ commandTracePack(int argc, char **argv)
             names.push_back("core" + std::to_string(i));
     }
 
-    TracePackWriter writer(outPath, names, chunkRecords);
+    TracePackWriter writer(outPath, names);
     if (!inputs.empty()) {
         for (std::size_t i = 0; i < inputs.size(); ++i) {
             const std::string &input = inputs[i];
-            const std::uint32_t stream =
-                static_cast<std::uint32_t>(i);
-            const auto sink = [&](const TraceRecord *records,
-                                  std::size_t n) {
-                writer.append(stream, records, n);
-            };
-            const std::uint64_t records =
-                hasLegacyTraceMagic(input)
-                    ? scanLegacyTrace(input, sink)
-                    : scanTextTrace(input, sink);
+            const std::uint64_t records = scanTextTrace(
+                input, [&](const TraceRecord *block, std::size_t n) {
+                    writer.append(static_cast<std::uint32_t>(i),
+                                  block, n);
+                });
             std::printf("  %s: %llu records -> stream '%s'\n",
                         input.c_str(),
                         static_cast<unsigned long long>(records),
@@ -1236,9 +1232,6 @@ commandTraceInfo(const std::string &path, bool json)
                     info.at("chunk_records").asUint()));
     std::printf("content hash  : %s\n",
                 info.at("content_hash").asString().c_str());
-    std::printf("finalized     : %s\n",
-                info.at("finalized").asBool() ? "yes"
-                                              : "no (recovered)");
     for (const JsonValue &stream :
          info.at("streams").elements()) {
         std::printf("  stream '%s': %llu records, %llu chunk(s)\n",
@@ -1361,10 +1354,10 @@ main(int argc, char **argv)
         {"serve", commandServe},
         {"cache-gc", commandCacheGc},
     };
-    // Malformed trace input (bad pack, torn file, bad text line), an
-    // impossible scenario and a configuration that fails validation
-    // are operator errors, not bugs: report the message and exit 1
-    // instead of crashing.
+    // Malformed trace input (a bad, unclosed or truncated pack, a
+    // bad text line), an impossible scenario and a configuration
+    // that fails validation are operator errors, not bugs: report
+    // the message and exit 1 instead of crashing.
     try {
         if (command == "trace")
             return commandTrace(argc, argv);
