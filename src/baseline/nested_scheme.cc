@@ -9,7 +9,7 @@ namespace pomtlb
 
 NestedWalkScheme::NestedWalkScheme(
     std::vector<std::unique_ptr<PageWalker>> &walkers)
-    : pageWalkers(walkers), statGroup("scheme")
+    : pageWalkers(walkers)
 {
     statGroup.addCounter("walks", walks);
     statGroup.addCounter("walk_cycles", walkCyclesTotal);
@@ -52,16 +52,6 @@ NestedWalkScheme::invalidateVm(VmId vm)
 {
     for (auto &walker : pageWalkers)
         walker->invalidateVm(vm);
-}
-
-void
-NestedWalkScheme::resetStats()
-{
-    walks.reset();
-    walkCyclesTotal.reset();
-    walkCycles.reset();
-    walkRefs.reset();
-    walkCycleHist.reset();
 }
 
 POMTLB_REGISTER_SCHEME(registerNestedWalk, {

@@ -33,12 +33,6 @@ class NestedWalkScheme : public TranslationScheme
                                Cycles now) override;
 
     void invalidateVm(VmId vm) override;
-    void resetStats() override;
-
-    const StatGroup *statistics() const override
-    {
-        return &statGroup;
-    }
     std::vector<std::pair<ServicePoint, std::uint64_t>>
     cycleBreakdown() const override;
 
@@ -56,7 +50,6 @@ class NestedWalkScheme : public TranslationScheme
     Average walkCycles;
     Average walkRefs;
     Log2Histogram walkCycleHist;
-    StatGroup statGroup;
 };
 
 } // namespace pomtlb

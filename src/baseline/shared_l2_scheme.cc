@@ -12,8 +12,7 @@ SharedL2Scheme::SharedL2Scheme(
     std::vector<std::unique_ptr<PageWalker>> &walkers)
     : sharedTlb(std::make_unique<SetAssocTlb>(config)),
       sharedLatency(config.accessLatency),
-      pageWalkers(walkers),
-      statGroup("scheme")
+      pageWalkers(walkers)
 {
     statGroup.addCounter("walks", walks);
     statGroup.addCounter("shared_hit_cycles", sharedHitCycles);
@@ -82,17 +81,6 @@ SharedL2Scheme::invalidateVm(VmId vm)
     sharedTlb->invalidateVm(vm);
     for (auto &walker : pageWalkers)
         walker->invalidateVm(vm);
-}
-
-void
-SharedL2Scheme::resetStats()
-{
-    sharedTlb->resetStats();
-    walks.reset();
-    sharedHitCycles.reset();
-    walkPathCycles.reset();
-    missCycles.reset();
-    missCycleHist.reset();
 }
 
 POMTLB_REGISTER_SCHEME(registerSharedL2, {

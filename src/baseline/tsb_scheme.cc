@@ -18,8 +18,7 @@ TsbScheme::TsbScheme(const TsbConfig &config, Addr base_addr,
       pageWalkers(walkers),
       vmRows([this](std::uint64_t index, VmId vm) {
           return rowHoldsVm(index, vm);
-      }),
-      statGroup("scheme")
+      })
 {
     statGroup.addCounter("hits", hits);
     statGroup.addCounter("misses", misses);
@@ -201,18 +200,6 @@ TsbScheme::invalidateVm(VmId vm)
     }
     for (auto &walker : pageWalkers)
         walker->invalidateVm(vm);
-}
-
-void
-TsbScheme::resetStats()
-{
-    hits.reset();
-    misses.reset();
-    walks.reset();
-    tsbHitCycles.reset();
-    walkPathCycles.reset();
-    missCycles.reset();
-    missCycleHist.reset();
 }
 
 double

@@ -65,12 +65,6 @@ class TsbScheme : public TranslationScheme
     void invalidatePage(Addr vaddr, PageSize size, VmId vm,
                         ProcessId pid) override;
     void invalidateVm(VmId vm) override;
-    void resetStats() override;
-
-    const StatGroup *statistics() const override
-    {
-        return &statGroup;
-    }
     std::vector<std::pair<ServicePoint, std::uint64_t>>
     cycleBreakdown() const override;
 
@@ -136,7 +130,6 @@ class TsbScheme : public TranslationScheme
     Counter walkPathCycles;
     Average missCycles;
     Log2Histogram missCycleHist;
-    StatGroup statGroup;
 };
 
 } // namespace pomtlb

@@ -226,17 +226,4 @@ SetAssocCache::hitRate(LineKind kind) const
     return total ? static_cast<double>(hits) / total : 0.0;
 }
 
-void
-SetAssocCache::resetStats()
-{
-    dataHits.reset();
-    dataMisses.reset();
-    tlbHits.reset();
-    tlbMisses.reset();
-    fills.reset();
-    evictions.reset();
-    writebacks.reset();
-    invalidations.reset();
-}
-
 } // namespace pomtlb

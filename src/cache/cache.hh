@@ -119,8 +119,7 @@ class SetAssocCache
 
     Cycles latency() const { return cacheConfig.accessLatency; }
     const CacheConfig &config() const { return cacheConfig; }
-    const StatGroup &stats() const { return statGroup; }
-    void resetStats();
+    StatGroup &stats() { return statGroup; }
 
     std::uint64_t hitCount(LineKind kind) const
     {

@@ -55,12 +55,4 @@ DramCache::hitRate() const
     return total ? static_cast<double>(hitCount.value()) / total : 0.0;
 }
 
-void
-DramCache::resetStats()
-{
-    hitCount.reset();
-    missCount.reset();
-    tags->resetStats();
-}
-
 } // namespace pomtlb

@@ -67,10 +67,7 @@ class DramCache
     Cycles tagLatency() const { return tagCheckLatency; }
 
     /** This cache's statistics group ("l4_dram_cache"). */
-    const StatGroup &stats() const { return statGroup; }
-
-    /** Zero the hit/miss counters and the tag array's statistics. */
-    void resetStats();
+    StatGroup &stats() { return statGroup; }
 
   private:
     std::unique_ptr<SetAssocCache> tags;

@@ -234,15 +234,4 @@ DataHierarchy::l3TlbProbeHitRate() const
     return total ? static_cast<double>(hits) / total : 0.0;
 }
 
-void
-DataHierarchy::resetStats()
-{
-    for (auto &cache : l1Caches)
-        cache->resetStats();
-    for (auto &cache : l2Caches)
-        cache->resetStats();
-    l3Cache->resetStats();
-    dramWritebacks.reset();
-}
-
 } // namespace pomtlb

@@ -120,10 +120,7 @@ class DataHierarchy
     double l3TlbProbeHitRate() const;
 
     /** Hierarchy-level statistics (writebacks, probe hit rates). */
-    const StatGroup &stats() const { return statGroup; }
-
-    /** Zero every cache's and the hierarchy's own statistics. */
-    void resetStats();
+    StatGroup &stats() { return statGroup; }
 
   private:
     /** Send a dirty L3 victim to DRAM when traffic modelling is on. */

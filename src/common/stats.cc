@@ -1,8 +1,6 @@
 #include "common/stats.hh"
 
 #include <cmath>
-#include <iomanip>
-#include <ostream>
 
 #include "common/json.hh"
 #include "common/log.hh"
@@ -54,69 +52,52 @@ StatGroup::StatGroup(std::string group_name)
 }
 
 void
-StatGroup::addCounter(const std::string &name, const Counter &counter)
+StatGroup::addCounter(const std::string &name, Counter &counter)
 {
     const Counter *ptr = &counter;
-    entries.push_back({name,
-                       [ptr] { return static_cast<double>(ptr->value()); },
-                       true});
+    entries.push_back(
+        {name, [ptr] { return static_cast<double>(ptr->value()); }});
+    registered.emplace_back(&counter);
 }
 
 void
-StatGroup::addAverage(const std::string &name, const Average &average)
+StatGroup::addAverage(const std::string &name, Average &average)
 {
     const Average *ptr = &average;
-    entries.push_back({name, [ptr] { return ptr->mean(); }, false});
+    entries.push_back({name, [ptr] { return ptr->mean(); }});
+    registered.emplace_back(&average);
 }
 
 void
 StatGroup::addDerived(const std::string &name,
-                      std::function<double()> compute)
+                      std::function<double()> compute,
+                      std::initializer_list<Resettable> inputs)
 {
-    entries.push_back({name, std::move(compute), false});
+    entries.push_back({name, std::move(compute)});
+    registered.insert(registered.end(), inputs);
 }
 
 void
 StatGroup::addHistogram(const std::string &name,
-                        const Log2Histogram &histogram)
+                        Log2Histogram &histogram)
 {
     histograms.emplace_back(name, &histogram);
+    registered.emplace_back(&histogram);
 }
 
 void
-StatGroup::addChild(const StatGroup &child)
+StatGroup::addChild(StatGroup &child)
 {
     children.push_back(&child);
 }
 
 void
-StatGroup::dump(std::ostream &os, const std::string &prefix) const
+StatGroup::reset()
 {
-    const std::string full =
-        prefix.empty() ? groupName : prefix + "." + groupName;
-    for (const auto &entry : entries) {
-        os << std::left << std::setw(48) << (full + "." + entry.name)
-           << " ";
-        const double value = entry.value();
-        if (entry.integral) {
-            os << static_cast<std::uint64_t>(value);
-        } else {
-            os << std::fixed << std::setprecision(4) << value;
-        }
-        os << "\n";
-    }
-    for (const auto &[name, hist] : histograms) {
-        const std::string base = full + "." + name;
-        os << std::left << std::setw(48) << (base + ".samples") << " "
-           << hist->sampleCount() << "\n";
-        os << std::left << std::setw(48) << (base + ".mean") << " "
-           << std::fixed << std::setprecision(4) << hist->mean()
-           << "\n";
-        os << std::left << std::setw(48) << (base + ".max") << " "
-           << hist->maxValue() << "\n";
-    }
-    for (const auto *child : children)
-        child->dump(os, full);
+    for (const Resettable &stat : registered)
+        std::visit([](auto *s) { s->reset(); }, stat);
+    for (StatGroup *child : children)
+        child->reset();
 }
 
 void
@@ -142,50 +123,15 @@ StatGroup::collect(std::vector<std::pair<std::string, double>> &out,
 JsonValue
 StatGroup::toJson() const
 {
+    // JSON numbers are doubles, so a counter and a derived value
+    // write through the same formatter.
     JsonValue object = JsonValue::object();
-    for (const auto &entry : entries) {
-        const double value = entry.value();
-        if (entry.integral) {
-            object.set(entry.name,
-                       static_cast<std::uint64_t>(value));
-        } else {
-            object.set(entry.name, value);
-        }
-    }
+    for (const auto &entry : entries)
+        object.set(entry.name, entry.value());
     for (const auto &[name, hist] : histograms)
         object.set(name, hist->toJson());
     for (const auto *child : children)
         object.set(child->name(), child->toJson());
-    return object;
-}
-
-void
-StatsRegistry::add(const StatGroup &group)
-{
-    groups.push_back(&group);
-}
-
-void
-StatsRegistry::dump(std::ostream &os) const
-{
-    for (const auto *group : groups)
-        group->dump(os);
-}
-
-void
-StatsRegistry::collect(
-    std::vector<std::pair<std::string, double>> &out) const
-{
-    for (const auto *group : groups)
-        group->collect(out);
-}
-
-JsonValue
-StatsRegistry::toJson() const
-{
-    JsonValue object = JsonValue::object();
-    for (const auto *group : groups)
-        object.set(group->name(), group->toJson());
     return object;
 }
 

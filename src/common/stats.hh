@@ -4,15 +4,18 @@
  *
  * Components own a StatGroup; they register named counters, averaged
  * samples, derived ratios, and log2-bucketed latency histograms
- * against it. Groups nest, and a Machine registers every top-level
- * group into one StatsRegistry, so a full machine dumps (or
+ * against it. Groups nest, and a Machine attaches every component's
+ * group to one root group, so a full machine flattens (or
  * JSON-exports) a single hierarchical tree of statistics — the
  * `components` section of the versioned `pomtlb-stats-v1` document
- * (see docs/metrics.md for the full schema reference).
+ * (see docs/metrics.md for the full schema reference). Registration
+ * is the only list of a component's statistics: resetting the root
+ * at the warmup boundary zeroes everything registered anywhere in
+ * the tree.
  *
  * Everything is plain uint64/double — no atomics, the simulator core
  * is single-threaded by design (sweep workers each own a whole
- * machine, and therefore a whole registry).
+ * machine, and therefore a whole tree).
  */
 
 #ifndef POMTLB_COMMON_STATS_HH
@@ -21,8 +24,9 @@
 #include <bit>
 #include <cstdint>
 #include <functional>
-#include <iosfwd>
+#include <initializer_list>
 #include <string>
+#include <variant>
 #include <vector>
 
 namespace pomtlb
@@ -242,14 +246,19 @@ class Log2Histogram
 
 /**
  * A named collection of statistics belonging to one component.
- * Registration stores a name plus an accessor closure; dump() walks
- * the group tree and pretty-prints "group.stat value" lines, while
- * toJson() renders the same tree as nested objects for the
- * `pomtlb-stats-v1` document.
+ * Registration stores a name plus an accessor closure, and remembers
+ * the statistic itself so reset() can zero it: what a component
+ * registers is exactly what the warmup boundary resets. toJson()
+ * renders the group tree as nested objects for the `pomtlb-stats-v1`
+ * document, and collect() flattens it into dotted names.
  */
 class StatGroup
 {
   public:
+    /** A statistic reset() zeroes: one of the kinds above. */
+    using Resettable =
+        std::variant<Counter *, Average *, Histogram *, Log2Histogram *>;
+
     /** @param group_name dotted-path segment this group contributes. */
     explicit StatGroup(std::string group_name);
 
@@ -258,24 +267,33 @@ class StatGroup
     StatGroup &operator=(const StatGroup &) = delete;
 
     /** Register a counter under @p name (the counter outlives us). */
-    void addCounter(const std::string &name, const Counter &counter);
+    void addCounter(const std::string &name, Counter &counter);
 
     /** Register an averaged sample statistic. */
-    void addAverage(const std::string &name, const Average &average);
+    void addAverage(const std::string &name, Average &average);
 
-    /** Register a derived value computed on demand at dump time. */
+    /**
+     * Register a derived value computed on demand at export time.
+     * @p inputs lists the statistics it reads that are not exported
+     * themselves, so reset() zeroes them too. A value over registered
+     * counters needs none, and a gauge over component state (an
+     * occupancy, a live entry count) has none: it does not reset.
+     */
     void addDerived(const std::string &name,
-                    std::function<double()> compute);
+                    std::function<double()> compute,
+                    std::initializer_list<Resettable> inputs = {});
 
     /** Register a log2 latency histogram (must outlive the group). */
-    void addHistogram(const std::string &name,
-                      const Log2Histogram &histogram);
+    void addHistogram(const std::string &name, Log2Histogram &histogram);
 
     /** Attach @p child as a nested group (child must outlive us). */
-    void addChild(const StatGroup &child);
+    void addChild(StatGroup &child);
 
-    /** Print "prefix.name value" lines for this group and children. */
-    void dump(std::ostream &os, const std::string &prefix = "") const;
+    /**
+     * Zero every counter, average and histogram registered here
+     * (derived inputs included), then reset every child.
+     */
+    void reset();
 
     /** Collect (flat-name, value) pairs for programmatic checks. */
     void collect(std::vector<std::pair<std::string, double>> &out,
@@ -295,59 +313,15 @@ class StatGroup
     {
         std::string name;
         std::function<double()> value;
-        bool integral;
     };
 
     std::string groupName;
     std::vector<Entry> entries;
     std::vector<std::pair<std::string, const Log2Histogram *>>
         histograms;
-    std::vector<const StatGroup *> children;
-};
-
-/**
- * The machine-wide stats tree: every component's top-level StatGroup
- * registers here (Machine wires this up), giving one place to dump,
- * flatten, or JSON-export the whole hierarchy.
- *
- * The registry does not own groups — components do, and they must
- * outlive it.
- */
-class StatsRegistry
-{
-  public:
-    StatsRegistry() = default;
-
-    /** Registries hold raw pointers into components: not copyable. */
-    StatsRegistry(const StatsRegistry &) = delete;
-    StatsRegistry &operator=(const StatsRegistry &) = delete;
-
-    /** Register @p group as a top-level tree root (must outlive us). */
-    void add(const StatGroup &group);
-
-    /** Number of registered top-level groups. */
-    std::size_t groupCount() const { return groups.size(); }
-
-    /** The registered top-level groups, in registration order. */
-    const std::vector<const StatGroup *> &topLevel() const
-    {
-        return groups;
-    }
-
-    /** Print every "name value" line of every registered tree. */
-    void dump(std::ostream &os) const;
-
-    /** Flatten every tree into (dotted-name, value) pairs. */
-    void collect(std::vector<std::pair<std::string, double>> &out) const;
-
-    /**
-     * Serialise the whole tree as one JSON object keyed by top-level
-     * group name — the `components` section of `pomtlb-stats-v1`.
-     */
-    JsonValue toJson() const;
-
-  private:
-    std::vector<const StatGroup *> groups;
+    std::vector<StatGroup *> children;
+    /** Everything reset() zeroes, in registration order. */
+    std::vector<Resettable> registered;
 };
 
 /** Geometric mean of a vector of positive values (0 for empty input). */

@@ -155,17 +155,6 @@ DramController::prechargeAll()
         bank.precharge();
 }
 
-void
-DramController::resetStats()
-{
-    accesses.reset();
-    rbHits.reset();
-    rbClosed.reset();
-    rbConflicts.reset();
-    avgLatency.reset();
-    avgQueueDelay.reset();
-}
-
 double
 DramController::rowBufferHitRate() const
 {

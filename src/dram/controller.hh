@@ -47,13 +47,10 @@ class DramController
     /** Precharge every bank (cold-start/epoch boundary helper). */
     void prechargeAll();
 
-    /** Refreshes performed so far (0 unless refresh is enabled). */
+    /** Refreshes since the stats reset (0 unless refresh is enabled). */
     std::uint64_t refreshCount() const { return refreshes.value(); }
 
-    /** Reset all statistics (bank state is preserved). */
-    void resetStats();
-
-    /** Row-buffer hit fraction over all accesses so far. */
+    /** Row-buffer hit fraction over the accesses since the reset. */
     double rowBufferHitRate() const;
 
     std::uint64_t accessCount() const { return accesses.value(); }
@@ -62,7 +59,7 @@ class DramController
     std::uint64_t rowConflicts() const { return rbConflicts.value(); }
     double averageLatency() const { return avgLatency.mean(); }
 
-    const StatGroup &stats() const { return statGroup; }
+    StatGroup &stats() { return statGroup; }
     const DramConfig &config() const { return dramConfig; }
     const DramAddressMapper &mapper() const { return addressMapper; }
 

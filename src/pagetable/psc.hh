@@ -18,6 +18,7 @@
 #define POMTLB_PAGETABLE_PSC_HH
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/config.hh"
@@ -67,12 +68,12 @@ class StructureCache
     /** The page-table level this cache accelerates. */
     WalkLevel level() const { return cachedLevel; }
 
-    /** Zero the hit/miss counters (entries stay). */
+    /** Register the counters as `<prefix>_hits` and `<prefix>_misses`. */
     void
-    resetStats()
+    registerStats(StatGroup &group, const std::string &prefix)
     {
-        hitCount.reset();
-        missCount.reset();
+        group.addCounter(prefix + "_hits", hitCount);
+        group.addCounter(prefix + "_misses", missCount);
     }
 
   private:
@@ -134,13 +135,13 @@ class PscSet
     /** Drop every entry (full flush). */
     void flush();
 
-    /** Zero every level cache's counters. */
+    /** Register every level cache's counters as `psc_<level>_*`. */
     void
-    resetStats()
+    registerStats(StatGroup &group)
     {
-        pml4.resetStats();
-        pdp.resetStats();
-        pde.resetStats();
+        pml4.registerStats(group, "psc_pml4");
+        pdp.registerStats(group, "psc_pdp");
+        pde.registerStats(group, "psc_pde");
     }
 
     /** The PML4E-level cache. */

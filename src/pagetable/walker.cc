@@ -52,24 +52,7 @@ PageWalker::PageWalker(CoreId core, MemoryMap &memory_map,
     statGroup.addCounter("walks", walks);
     statGroup.addAverage("avg_refs_per_walk", refsPerWalk);
     statGroup.addAverage("avg_cycles_per_walk", cyclesPerWalk);
-    statGroup.addDerived("psc_pml4_hits", [this] {
-        return static_cast<double>(guestPsc.pml4Cache().hits());
-    });
-    statGroup.addDerived("psc_pml4_misses", [this] {
-        return static_cast<double>(guestPsc.pml4Cache().misses());
-    });
-    statGroup.addDerived("psc_pdp_hits", [this] {
-        return static_cast<double>(guestPsc.pdpCache().hits());
-    });
-    statGroup.addDerived("psc_pdp_misses", [this] {
-        return static_cast<double>(guestPsc.pdpCache().misses());
-    });
-    statGroup.addDerived("psc_pde_hits", [this] {
-        return static_cast<double>(guestPsc.pdeCache().hits());
-    });
-    statGroup.addDerived("psc_pde_misses", [this] {
-        return static_cast<double>(guestPsc.pdeCache().misses());
-    });
+    guestPsc.registerStats(statGroup);
     statGroup.addHistogram("walk_cycle_hist", walkCycleHist);
     statGroup.addHistogram("walk_ref_hist", walkRefHist);
     statGroup.addChild(nestedTlb.stats());
@@ -214,18 +197,6 @@ PageWalker::invalidateVm(VmId vm)
 {
     guestPsc.invalidateVm(vm);
     nestedTlb.invalidateVm(vm);
-}
-
-void
-PageWalker::resetStats()
-{
-    walks.reset();
-    refsPerWalk.reset();
-    cyclesPerWalk.reset();
-    walkCycleHist.reset();
-    walkRefHist.reset();
-    guestPsc.resetStats();
-    nestedTlb.resetStats();
 }
 
 } // namespace pomtlb

@@ -73,10 +73,7 @@ class PageWalker
     const SetAssocTlb &nestedTlbCache() const { return nestedTlb; }
 
     /** This walker's statistics group ("walker.<core>"). */
-    const StatGroup &stats() const { return statGroup; }
-
-    /** Zero walker, PSC, and nested-TLB statistics. */
-    void resetStats();
+    StatGroup &stats() { return statGroup; }
 
   private:
     /** Outcome of one host (EPT) walk. */

@@ -178,13 +178,4 @@ PomTlbPartition::hitRate() const
     return total ? static_cast<double>(hitCount.value()) / total : 0.0;
 }
 
-void
-PomTlbPartition::resetStats()
-{
-    hitCount.reset();
-    missCount.reset();
-    insertions.reset();
-    evictions.reset();
-}
-
 } // namespace pomtlb

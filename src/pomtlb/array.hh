@@ -71,11 +71,9 @@ class PomTlbPartition
     std::uint64_t validEntryCount() const { return validEntries; }
     /** Number of sets in this partition. */
     std::uint64_t setCount() const { return sets; }
-    /** Zero all partition counters. */
-    void resetStats();
 
     /** The partition's statistics group (named after the partition). */
-    const StatGroup &stats() const { return statGroup; }
+    StatGroup &stats() { return statGroup; }
 
     /** Entry in way @p way of set @p set (for inspection). */
     const TlbEntry &

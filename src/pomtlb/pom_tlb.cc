@@ -106,12 +106,4 @@ PomTlb::hitRate() const
     return total ? static_cast<double>(hits) / total : 0.0;
 }
 
-void
-PomTlb::resetStats()
-{
-    smallPartition.resetStats();
-    largePartition.resetStats();
-    dram.resetStats();
-}
-
 } // namespace pomtlb

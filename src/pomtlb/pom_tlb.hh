@@ -103,10 +103,7 @@ class PomTlb
     DramController &dramController() { return dram; }
 
     /** Device-level statistics, with both partitions as children. */
-    const StatGroup &stats() const { return statGroup; }
-
-    /** Zero device and partition counters. */
-    void resetStats();
+    StatGroup &stats() { return statGroup; }
 
   private:
     PomTlbPartition &

@@ -48,7 +48,7 @@ SizeBypassPredictor::predictBypass(Addr vaddr) const
     return useHysteresis ? state >= 2 : state != 0;
 }
 
-void
+bool
 SizeBypassPredictor::updateSize(Addr vaddr, PageSize actual)
 {
     const unsigned index = indexOf(vaddr);
@@ -56,56 +56,23 @@ SizeBypassPredictor::updateSize(Addr vaddr, PageSize actual)
         useHysteresis ? sizeState[index] >= 2 : sizeState[index] != 0;
     const bool actual_large = actual == PageSize::Large2M;
 
-    if (predicted_large == actual_large)
-        ++sizeCorrect;
-    else
-        ++sizeWrong;
-
     if (useHysteresis)
         sizeState[index] = train(sizeState[index], actual_large);
     else
         sizeState[index] = actual_large ? 1 : 0;
+    return predicted_large == actual_large;
 }
 
-void
+bool
 SizeBypassPredictor::updateBypass(Addr vaddr, bool predicted,
                                   bool should_bypass)
 {
     const unsigned index = indexOf(vaddr);
-    if (predicted == should_bypass)
-        ++bypassCorrect;
-    else
-        ++bypassWrong;
-
     if (useHysteresis)
         bypassState[index] = train(bypassState[index], should_bypass);
     else
         bypassState[index] = should_bypass ? 1 : 0;
-}
-
-double
-SizeBypassPredictor::sizeAccuracy() const
-{
-    const std::uint64_t total = sizePredictions();
-    return total ? static_cast<double>(sizeCorrect.value()) / total : 0.0;
-}
-
-double
-SizeBypassPredictor::bypassAccuracy() const
-{
-    const std::uint64_t total = bypassPredictions();
-    return total
-               ? static_cast<double>(bypassCorrect.value()) / total
-               : 0.0;
-}
-
-void
-SizeBypassPredictor::resetStats()
-{
-    sizeCorrect.reset();
-    sizeWrong.reset();
-    bypassCorrect.reset();
-    bypassWrong.reset();
+    return predicted == should_bypass;
 }
 
 } // namespace pomtlb

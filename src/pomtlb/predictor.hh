@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/stats.hh"
 #include "common/types.hh"
 
 namespace pomtlb
@@ -44,30 +43,18 @@ class SizeBypassPredictor
     bool predictBypass(Addr vaddr) const;
 
     /**
-     * Train with the actual page size; also records size-prediction
-     * accuracy (Figure 10).
+     * Train with the actual page size. Returns whether the slot
+     * predicted it, the outcome Figure 10's size accuracy counts.
      */
-    void updateSize(Addr vaddr, PageSize actual);
+    bool updateSize(Addr vaddr, PageSize actual);
 
     /**
      * Train the bypass bit with what the right decision would have
-     * been (@p should_bypass = the caches did not hold the line), and
-     * record bypass accuracy against the decision actually taken.
+     * been (@p should_bypass = the caches did not hold the line).
+     * Returns whether the decision actually taken (@p predicted) was
+     * right, the outcome Figure 10's bypass accuracy counts.
      */
-    void updateBypass(Addr vaddr, bool predicted, bool should_bypass);
-
-    double sizeAccuracy() const;
-    double bypassAccuracy() const;
-    std::uint64_t sizePredictions() const
-    {
-        return sizeCorrect.value() + sizeWrong.value();
-    }
-    std::uint64_t bypassPredictions() const
-    {
-        return bypassCorrect.value() + bypassWrong.value();
-    }
-
-    void resetStats();
+    bool updateBypass(Addr vaddr, bool predicted, bool should_bypass);
 
   private:
     unsigned indexOf(Addr vaddr) const;
@@ -80,11 +67,6 @@ class SizeBypassPredictor
     /** 2-bit saturating counters; MSB is the prediction. */
     std::vector<std::uint8_t> sizeState;
     std::vector<std::uint8_t> bypassState;
-
-    Counter sizeCorrect;
-    Counter sizeWrong;
-    Counter bypassCorrect;
-    Counter bypassWrong;
 };
 
 } // namespace pomtlb

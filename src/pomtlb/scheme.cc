@@ -13,8 +13,7 @@ PomTlbScheme::PomTlbScheme(
     : tlbConfig(config),
       pomTlb(pom),
       dataHierarchy(hierarchy),
-      pageWalkers(walkers),
-      statGroup("scheme")
+      pageWalkers(walkers)
 {
     predictors.reserve(hierarchy.numCores());
     for (unsigned core = 0; core < hierarchy.numCores(); ++core) {
@@ -44,9 +43,11 @@ PomTlbScheme::PomTlbScheme(
     statGroup.addDerived("walk_elimination_rate",
                          [this] { return walkEliminationRate(); });
     statGroup.addDerived("size_predictor_accuracy",
-                         [this] { return sizePredictorAccuracy(); });
+                         [this] { return sizePredictorAccuracy(); },
+                         {&sizeCorrect, &sizePredictions});
     statGroup.addDerived("bypass_predictor_accuracy",
-                         [this] { return bypassPredictorAccuracy(); });
+                         [this] { return bypassPredictorAccuracy(); },
+                         {&bypassCorrect, &bypassPredictions});
     statGroup.addHistogram("miss_cycle_hist", missCycleHist);
     statGroup.addChild(pomTlb.stats());
 }
@@ -159,10 +160,16 @@ PomTlbScheme::translateMiss(CoreId core, Addr vaddr, PageSize size,
     }
 
     // Train the predictors with this translation's actual outcome.
-    if (tlbConfig.sizePredictor)
-        predictor.updateSize(vaddr, size);
-    if (tlbConfig.cacheable && tlbConfig.bypassPredictor)
-        predictor.updateBypass(vaddr, bypass, !caches_held_line);
+    if (tlbConfig.sizePredictor) {
+        ++sizePredictions;
+        if (predictor.updateSize(vaddr, size))
+            ++sizeCorrect;
+    }
+    if (tlbConfig.cacheable && tlbConfig.bypassPredictor) {
+        ++bypassPredictions;
+        if (predictor.updateBypass(vaddr, bypass, !caches_held_line))
+            ++bypassCorrect;
+    }
 
     // Section 6 extension: warm the adjacent page's set line into
     // the caches off the critical path (sequential miss streams then
@@ -230,24 +237,6 @@ PomTlbScheme::invalidateVm(VmId vm)
         walker->invalidateVm(vm);
 }
 
-void
-PomTlbScheme::resetStats()
-{
-    requests.reset();
-    for (auto &counter : served)
-        counter.reset();
-    for (auto &counter : servedCycles)
-        counter.reset();
-    secondSizeLookups.reset();
-    bypasses.reset();
-    prefetches.reset();
-    missCycles.reset();
-    missCycleHist.reset();
-    for (auto &predictor : predictors)
-        predictor->resetStats();
-    pomTlb.resetStats();
-}
-
 double
 PomTlbScheme::l2CacheServiceRate() const
 {
@@ -304,29 +293,17 @@ PomTlbScheme::walkEliminationRate() const
 double
 PomTlbScheme::sizePredictorAccuracy() const
 {
-    std::uint64_t correct = 0;
-    std::uint64_t total = 0;
-    for (const auto &predictor : predictors) {
-        const std::uint64_t n = predictor->sizePredictions();
-        correct += static_cast<std::uint64_t>(
-            predictor->sizeAccuracy() * static_cast<double>(n) + 0.5);
-        total += n;
-    }
-    return total ? static_cast<double>(correct) / total : 0.0;
+    const std::uint64_t total = sizePredictions.value();
+    return total ? static_cast<double>(sizeCorrect.value()) / total
+                 : 0.0;
 }
 
 double
 PomTlbScheme::bypassPredictorAccuracy() const
 {
-    std::uint64_t correct = 0;
-    std::uint64_t total = 0;
-    for (const auto &predictor : predictors) {
-        const std::uint64_t n = predictor->bypassPredictions();
-        correct += static_cast<std::uint64_t>(
-            predictor->bypassAccuracy() * static_cast<double>(n) + 0.5);
-        total += n;
-    }
-    return total ? static_cast<double>(correct) / total : 0.0;
+    const std::uint64_t total = bypassPredictions.value();
+    return total ? static_cast<double>(bypassCorrect.value()) / total
+                 : 0.0;
 }
 
 POMTLB_REGISTER_SCHEME(registerPomTlb, {

@@ -65,12 +65,6 @@ class PomTlbScheme : public TranslationScheme
     void invalidatePage(Addr vaddr, PageSize size, VmId vm,
                         ProcessId pid) override;
     void invalidateVm(VmId vm) override;
-    void resetStats() override;
-
-    const StatGroup *statistics() const override
-    {
-        return &statGroup;
-    }
     std::vector<std::pair<ServicePoint, std::uint64_t>>
     cycleBreakdown() const override;
 
@@ -123,9 +117,13 @@ class PomTlbScheme : public TranslationScheme
     Counter secondSizeLookups;
     Counter bypasses;
     Counter prefetches;
+    /** Predictor outcomes over all cores (Figure 10's accuracies). */
+    Counter sizeCorrect;
+    Counter sizePredictions;
+    Counter bypassCorrect;
+    Counter bypassPredictions;
     Average missCycles;
     Log2Histogram missCycleHist;
-    StatGroup statGroup;
 };
 
 } // namespace pomtlb

@@ -13,7 +13,7 @@ namespace pomtlb
 CoalescedTlbScheme::CoalescedTlbScheme(
     const CoalescedTlbConfig &config, unsigned total_entries,
     std::vector<std::unique_ptr<PageWalker>> &walkers)
-    : tlbConfig(config), pageWalkers(walkers), statGroup("scheme")
+    : tlbConfig(config), pageWalkers(walkers)
 {
     tlbConfig.validate();
     simAssert(total_entries >= tlbConfig.associativity,
@@ -209,19 +209,6 @@ CoalescedTlbScheme::avgPagesPerEntry() const
     return live ? static_cast<double>(pages) /
                       static_cast<double>(live)
                 : 0.0;
-}
-
-void
-CoalescedTlbScheme::resetStats()
-{
-    hits.reset();
-    walks.reset();
-    merges.reset();
-    splits.reset();
-    coalescedHitCycles.reset();
-    walkPathCycles.reset();
-    missCycles.reset();
-    missCycleHist.reset();
 }
 
 POMTLB_REGISTER_SCHEME(registerCoalesced, {

@@ -61,12 +61,6 @@ class CoalescedTlbScheme : public TranslationScheme
     void invalidatePage(Addr vaddr, PageSize size, VmId vm,
                         ProcessId pid) override;
     void invalidateVm(VmId vm) override;
-    void resetStats() override;
-
-    const StatGroup *statistics() const override
-    {
-        return &statGroup;
-    }
     std::vector<std::pair<ServicePoint, std::uint64_t>>
     cycleBreakdown() const override;
 
@@ -121,7 +115,6 @@ class CoalescedTlbScheme : public TranslationScheme
     Counter walkPathCycles;
     Average missCycles;
     Log2Histogram missCycleHist;
-    StatGroup statGroup;
 };
 
 } // namespace pomtlb

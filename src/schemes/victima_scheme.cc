@@ -23,8 +23,7 @@ VictimaScheme::VictimaScheme(
       slotsPerBlock(config.entriesPerBlock),
       vmBlocks([this](std::uint64_t block, VmId vm) {
           return blockHoldsVm(block, vm);
-      }),
-      statGroup("scheme")
+      })
 {
     victimaConfig.validate();
     simAssert(numBlocks < (std::uint64_t{1} << 32),
@@ -261,20 +260,6 @@ VictimaScheme::cachedLineHitRate() const
         servedL2d.value() + servedL3d.value();
     const std::uint64_t total = served + servedWalks.value();
     return total ? static_cast<double>(served) / total : 0.0;
-}
-
-void
-VictimaScheme::resetStats()
-{
-    requests.reset();
-    servedL2d.reset();
-    servedL3d.reset();
-    servedWalks.reset();
-    l2dCycles.reset();
-    l3dCycles.reset();
-    walkPathCycles.reset();
-    missCycles.reset();
-    missCycleHist.reset();
 }
 
 POMTLB_REGISTER_SCHEME(registerVictima, {

@@ -75,12 +75,6 @@ class VictimaScheme : public TranslationScheme
     void invalidatePage(Addr vaddr, PageSize size, VmId vm,
                         ProcessId pid) override;
     void invalidateVm(VmId vm) override;
-    void resetStats() override;
-
-    const StatGroup *statistics() const override
-    {
-        return &statGroup;
-    }
     std::vector<std::pair<ServicePoint, std::uint64_t>>
     cycleBreakdown() const override;
 
@@ -157,7 +151,6 @@ class VictimaScheme : public TranslationScheme
     Counter walkPathCycles;
     Average missCycles;
     Log2Histogram missCycleHist;
-    StatGroup statGroup;
 };
 
 } // namespace pomtlb

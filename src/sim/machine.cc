@@ -1,5 +1,4 @@
 #include "sim/machine.hh"
-#include <ostream>
 #include <stdexcept>
 
 #include "common/log.hh"
@@ -108,34 +107,27 @@ Machine::Machine(const SystemConfig &config, const std::string &scheme)
                                              *translationScheme));
     }
 
-    buildRegistry();
-}
-
-void
-Machine::buildRegistry()
-{
-    // Registration order is the dump/export order; keep it stable so
-    // documents and golden outputs stay diffable. Component groups
-    // must outlive the registry — everything registered here is owned
-    // by the machine (directly or through a component).
+    // Attachment order is the export order; keep it stable so
+    // documents and golden outputs stay diffable. Every group
+    // attached here is owned by the machine, directly or through a
+    // component.
     for (auto &mmu : mmus)
-        statsRegistry.add(mmu->stats());
+        statsRoot.addChild(mmu->stats());
     for (auto &walker : walkers)
-        statsRegistry.add(walker->stats());
-    if (const StatGroup *scheme_stats = translationScheme->statistics())
-        statsRegistry.add(*scheme_stats);
+        statsRoot.addChild(walker->stats());
+    statsRoot.addChild(translationScheme->stats());
     for (unsigned core = 0; core < systemConfig.numCores; ++core) {
-        statsRegistry.add(dataHierarchy->l1d(core).stats());
-        statsRegistry.add(dataHierarchy->l2d(core).stats());
+        statsRoot.addChild(dataHierarchy->l1d(core).stats());
+        statsRoot.addChild(dataHierarchy->l2d(core).stats());
     }
-    statsRegistry.add(dataHierarchy->l3d().stats());
-    statsRegistry.add(dataHierarchy->stats());
+    statsRoot.addChild(dataHierarchy->l3d().stats());
+    statsRoot.addChild(dataHierarchy->stats());
     if (DramCache *l4 = dataHierarchy->l4Cache())
-        statsRegistry.add(l4->stats());
-    statsRegistry.add(mainMem->stats());
-    statsRegistry.add(dieStacked->stats());
+        statsRoot.addChild(l4->stats());
+    statsRoot.addChild(mainMem->stats());
+    statsRoot.addChild(dieStacked->stats());
     if (l4Channel)
-        statsRegistry.add(l4Channel->stats());
+        statsRoot.addChild(l4Channel->stats());
 }
 
 TranslationTracer &
@@ -186,33 +178,9 @@ Machine::shootdownPage(Addr vaddr, PageSize size, VmId vm,
 }
 
 void
-Machine::dumpStats(std::ostream &os) const
-{
-    statsRegistry.dump(os);
-}
-
-void
-Machine::collectStats(
-    std::vector<std::pair<std::string, double>> &out) const
-{
-    statsRegistry.collect(out);
-}
-
-void
 Machine::resetStats()
 {
-    for (auto &mmu : mmus)
-        mmu->resetStats();
-    for (auto &walker : walkers)
-        walker->resetStats();
-    dataHierarchy->resetStats();
-    if (DramCache *l4 = dataHierarchy->l4Cache())
-        l4->resetStats();
-    mainMem->resetStats();
-    if (l4Channel)
-        l4Channel->resetStats();
-    dieStacked->resetStats();
-    translationScheme->resetStats();
+    statsRoot.reset();
     if (eventTracer)
         eventTracer->reset();
 }

@@ -9,10 +9,8 @@
 #ifndef POMTLB_SIM_MACHINE_HH
 #define POMTLB_SIM_MACHINE_HH
 
-#include <iosfwd>
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "cache/hierarchy.hh"
@@ -90,11 +88,13 @@ class Machine
     unsigned numCores() const { return systemConfig.numCores; }
 
     /**
-     * The machine-wide statistics registry: every component's
-     * top-level StatGroup, registered at construction. This tree is
-     * the `components` section of the `pomtlb-stats-v1` document.
+     * The machine-wide statistics tree: a root group (empty name)
+     * with every component's group attached at construction. Its
+     * toJson() is the `components` section of the `pomtlb-stats-v1`
+     * document; its collect() gives the flat names of `sweep
+     * --stats`.
      */
-    const StatsRegistry &registry() const { return statsRegistry; }
+    const StatGroup &stats() const { return statsRoot; }
 
     /**
      * Attach a sampling translation tracer shared by every MMU.
@@ -123,24 +123,13 @@ class Machine
     void shootdownPage(Addr vaddr, PageSize size, VmId vm,
                        ProcessId pid);
 
-    /** Reset every statistic (used at the warmup boundary). */
+    /**
+     * Zero every statistic in the tree and the tracer (the warmup
+     * boundary). Gauges read live state and keep it.
+     */
     void resetStats();
 
-    /** Dump every component's statistics as "name value" lines. */
-    void dumpStats(std::ostream &os) const;
-
-    /**
-     * Collect every component's statistics as (flat-name, value)
-     * pairs — the programmatic twin of dumpStats(), used by the
-     * sweep result writer.
-     */
-    void collectStats(
-        std::vector<std::pair<std::string, double>> &out) const;
-
   private:
-    /** Register every component's top-level group (ctor tail). */
-    void buildRegistry();
-
     SystemConfig systemConfig;
     /** Canonical registry name of the running scheme. */
     std::string schemeKey;
@@ -156,7 +145,8 @@ class Machine
     std::unique_ptr<TranslationScheme> translationScheme;
     std::vector<std::unique_ptr<Mmu>> mmus;
     std::unique_ptr<TranslationTracer> eventTracer;
-    StatsRegistry statsRegistry;
+    /** Root of the stats tree; children are component groups. */
+    StatGroup statsRoot{""};
 };
 
 } // namespace pomtlb

@@ -21,8 +21,8 @@ Mmu::Mmu(const SystemConfig &config, CoreId core,
     statGroup.addCounter("scheme_cycles", schemeCycles);
     statGroup.addAverage("avg_penalty_per_miss", missPenalty);
     statGroup.addHistogram("penalty_cycle_hist", penaltyCycleHist);
-    statGroup.addChild(coreTlbs->l1SmallTlb().stats());
-    statGroup.addChild(coreTlbs->l1LargeTlb().stats());
+    statGroup.addChild(coreTlbs->l1For(PageSize::Small4K).stats());
+    statGroup.addChild(coreTlbs->l1For(PageSize::Large2M).stats());
     if (coreTlbs->hasPrivateL2())
         statGroup.addChild(coreTlbs->l2Tlb().stats());
     statGroup.addDerived("penalty_p99_bucket", [this] {
@@ -39,7 +39,7 @@ Mmu::Mmu(const SystemConfig &config, CoreId core,
             }
         }
         return static_cast<double>(penaltyHist.maxValue());
-    });
+    }, {&penaltyHist});
 }
 
 MmuResult
@@ -131,22 +131,6 @@ void
 Mmu::invalidateVm(VmId vm)
 {
     coreTlbs->invalidateVm(vm);
-}
-
-void
-Mmu::resetStats()
-{
-    translations.reset();
-    l1Hits.reset();
-    l2Hits.reset();
-    l2Misses.reset();
-    translationCycles.reset();
-    sramCycles.reset();
-    schemeCycles.reset();
-    missPenalty.reset();
-    penaltyHist.reset();
-    penaltyCycleHist.reset();
-    coreTlbs->resetStats();
 }
 
 } // namespace pomtlb

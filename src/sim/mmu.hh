@@ -109,11 +109,8 @@ class Mmu
         return penaltyCycleHist;
     }
 
-    /** This core's MMU statistics group. */
-    const StatGroup &stats() const { return statGroup; }
-
-    /** Zero every MMU and private-TLB statistic. */
-    void resetStats();
+    /** This core's MMU statistics group, private TLBs as children. */
+    StatGroup &stats() { return statGroup; }
 
   private:
     CoreId coreId;

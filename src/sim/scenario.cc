@@ -559,7 +559,7 @@ ScenarioEngine::migratePages(unsigned tenant_index, Lane &lane,
                          PageSize::Small4K);
         clock += engineConfig.shootdownCycles;
         ++lane.shootdowns;
-        ++rt.migrations;
+        ++rt.counters.migrations;
         ++migrations;
     }
 }
@@ -645,7 +645,7 @@ ScenarioEngine::runPhase(std::uint64_t target)
             --lane.sliceLeft;
             const VmId vm = stream.vm;
             const ProcessId pid = stream.pid;
-            TenantRuntime &tenant = runtimes[stream.tenant];
+            TenantCounters &tenant = runtimes[stream.tenant].counters;
 
             // Non-memory instructions retire at one per cycle.
             clock += record.instGap;
@@ -661,12 +661,12 @@ ScenarioEngine::runPhase(std::uint64_t target)
             ++tenant.refs;
             tenant.translationCycles += translation.cycles;
             switch (translation.level) {
-              case TlbLevel::L1: ++tenant.l1Hits; break;
-              case TlbLevel::L2: ++tenant.l2Hits; break;
-              default: ++tenant.misses; break;
+              case TlbLevel::L1: ++tenant.l1TlbHits; break;
+              case TlbLevel::L2: ++tenant.l2TlbHits; break;
+              default: ++tenant.lastLevelTlbMisses; break;
             }
             tenant.pageWalks += translation.walked ? 1 : 0;
-            tenant.latency.sample(translation.cycles);
+            tenant.translationLatency.sample(translation.cycles);
 
             const HierarchyAccessResult data = hierarchy.accessData(
                 core, translation.hpa, record.type, clock);
@@ -757,12 +757,8 @@ ScenarioEngine::run()
             lane.pageWalks = 0;
             lane.shootdowns = 0;
         }
-        for (TenantRuntime &rt : runtimes) {
-            rt.refs = rt.l1Hits = rt.l2Hits = rt.misses = 0;
-            rt.translationCycles = rt.pageWalks = 0;
-            rt.shootdowns = rt.migrations = 0;
-            rt.latency.reset();
-        }
+        for (TenantRuntime &rt : runtimes)
+            rt.counters = TenantCounters{};
         departures = migrations = stormShootdowns = 0;
     }
 
@@ -794,25 +790,11 @@ ScenarioEngine::run()
     for (std::size_t i = 0; i < tenants.size(); ++i) {
         const ResolvedTenant &tenant = tenants[i];
         const TenantRuntime &rt = runtimes[i];
-        TenantResult out;
-        out.name = tenant.name;
-        out.benchmark = tenant.benchmark;
-        out.vm = tenant.vm;
-        out.pidBase = tenant.pidBase;
-        out.vcpus = tenant.vcpus;
-        out.arrivalRefs = tenant.arrivalRefs;
-        out.departureRefs = tenant.departureRefs;
-        out.departed = rt.departed;
-        out.refs = rt.refs;
-        out.l1TlbHits = rt.l1Hits;
-        out.l2TlbHits = rt.l2Hits;
-        out.lastLevelTlbMisses = rt.misses;
-        out.translationCycles = rt.translationCycles;
-        out.pageWalks = rt.pageWalks;
-        out.shootdowns = rt.shootdowns;
-        out.migrations = rt.migrations;
-        out.translationLatency = rt.latency;
-        result.tenants.push_back(std::move(out));
+        result.tenants.push_back({rt.counters, tenant.name,
+                                  tenant.benchmark, tenant.vm,
+                                  tenant.pidBase, tenant.vcpus,
+                                  tenant.arrivalRefs,
+                                  tenant.departureRefs, rt.departed});
     }
     result.departures = departures;
     result.migrations = migrations;
@@ -851,6 +833,8 @@ scenarioIdentityJson(const ScenarioSpec &spec)
     // The *resolved* tenants, so an explicit list and a generator
     // that expand to the same tenants hash identically.
     JsonValue tenant_list = JsonValue::array();
+    // Hashing reads a whole pack; tenants usually share one.
+    std::map<std::string, std::string> pack_hashes;
     for (const ResolvedTenant &t : spec.resolvedTenants()) {
         JsonValue tenant = JsonValue::object();
         tenant.set("name", t.name);
@@ -867,8 +851,10 @@ scenarioIdentityJson(const ScenarioSpec &spec)
         // *content* hash, not the path: editing a record in place
         // changes — and re-executes — the memoized scenario.
         if (!t.tracePack.empty()) {
-            tenant.set("trace_pack_hash",
-                       tracePackContentHash(t.tracePack));
+            auto [hash, fresh] = pack_hashes.try_emplace(t.tracePack);
+            if (fresh)
+                hash->second = tracePackContentHash(t.tracePack);
+            tenant.set("trace_pack_hash", hash->second);
             tenant.set("trace_stream",
                        std::uint64_t(t.traceStreamBase));
         }
@@ -924,8 +910,11 @@ buildScenarioDocument(Machine &machine, const ScenarioSpec &spec,
 {
     JsonValue document = JsonValue::object();
     document.set("schema", kScenarioSchemaV1);
-    document.set("scenario", scenarioIdentityJson(spec));
-    document.set("scenario_hash", scenarioHash(spec));
+    // scenarioHash(spec), without building the identity twice.
+    JsonValue identity = scenarioIdentityJson(spec);
+    const std::string hash = ContentHash::of(identity.dump(0));
+    document.set("scenario", std::move(identity));
+    document.set("scenario_hash", hash);
 
     JsonValue tenant_list = JsonValue::array();
     for (const TenantResult &t : result.tenants) {

@@ -263,19 +263,13 @@ struct ScenarioSpec
     ///@}
 };
 
-/** Measured-phase results of one tenant. */
-struct TenantResult
+/**
+ * One tenant's measured-phase counters. The engine updates them on
+ * every reference and zeroes them at the warmup boundary; the
+ * tenant's result carries them as they stand at the end of the run.
+ */
+struct TenantCounters
 {
-    std::string name;
-    std::string benchmark;
-    VmId vm = 1;
-    ProcessId pidBase = 1;
-    unsigned vcpus = 1;
-    std::uint64_t arrivalRefs = 0;
-    std::uint64_t departureRefs = 0;
-    /** Whether the tenant departed (mid-run shootdown happened). */
-    bool departed = false;
-
     std::uint64_t refs = 0;
     std::uint64_t l1TlbHits = 0;
     std::uint64_t l2TlbHits = 0;
@@ -286,6 +280,20 @@ struct TenantResult
     std::uint64_t migrations = 0;
     /** Per-reference translation-cycle distribution (QoS tail). */
     Log2Histogram translationLatency;
+};
+
+/** Measured-phase results of one tenant. */
+struct TenantResult : TenantCounters
+{
+    std::string name;
+    std::string benchmark;
+    VmId vm = 1;
+    ProcessId pidBase = 1;
+    unsigned vcpus = 1;
+    std::uint64_t arrivalRefs = 0;
+    std::uint64_t departureRefs = 0;
+    /** Whether the tenant departed (mid-run shootdown happened). */
+    bool departed = false;
 };
 
 /** Whole-scenario results. */
@@ -358,15 +366,7 @@ class ScenarioEngine
     /** Per-tenant runtime accounting (fixed storage, hot-path safe). */
     struct TenantRuntime
     {
-        std::uint64_t refs = 0;
-        std::uint64_t l1Hits = 0;
-        std::uint64_t l2Hits = 0;
-        std::uint64_t misses = 0;
-        std::uint64_t translationCycles = 0;
-        std::uint64_t pageWalks = 0;
-        std::uint64_t shootdowns = 0;
-        std::uint64_t migrations = 0;
-        Log2Histogram latency;
+        TenantCounters counters;
         bool departed = false;
         /** Streams still scheduled (departure fires at zero). */
         unsigned activeStreams = 0;

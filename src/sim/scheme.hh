@@ -8,7 +8,10 @@
  * baseline nested walk, POM-TLB, Shared_L2, TSB, plus the contender
  * zoo in src/schemes/ — implements that step, so experiments swap a
  * single object. Schemes are constructed by name through the
- * string-keyed factory in sim/scheme_registry.hh.
+ * string-keyed factory in sim/scheme_registry.hh. A scheme registers
+ * its statistics in the `scheme` group the base class owns; the
+ * machine attaches that group to its stats tree and resets it at the
+ * warmup boundary.
  */
 
 #ifndef POMTLB_SIM_SCHEME_HH
@@ -19,12 +22,11 @@
 #include <utility>
 #include <vector>
 
+#include "common/stats.hh"
 #include "common/types.hh"
 
 namespace pomtlb
 {
-
-class StatGroup;
 
 /**
  * Where one translation was finally served from, across every scheme
@@ -154,20 +156,15 @@ class TranslationScheme
     /** VM-wide shootdown of any scheme-held translation state. */
     virtual void invalidateVm(VmId vm) = 0;
 
-    /** Zero every statistic (warmup boundary). */
-    virtual void resetStats() = 0;
-
-    /**
-     * The scheme's statistics tree, registered into the machine's
-     * StatsRegistry; null for schemes that keep no statistics.
-     */
-    virtual const StatGroup *statistics() const { return nullptr; }
+    /** The scheme's statistics group, named `scheme`. */
+    StatGroup &stats() { return statGroup; }
 
     /**
      * Post-SRAM translation cycles attributed to each serving level,
-     * as (ServicePoint, total cycles) pairs. The pair values sum
-     * exactly to every cycle this scheme has charged through
-     * translateMiss() since the last resetStats() — the invariant
+     * as (ServicePoint, total cycles) pairs, read from counters
+     * registered in stats(). The pair values sum exactly to every
+     * cycle this scheme has charged through translateMiss() since
+     * the last stats reset — the invariant
      * behind the `cycle_breakdown` consistency check of
      * `pomtlb-stats-v1` (tests/test_stats_export.cc).
      */
@@ -176,6 +173,10 @@ class TranslationScheme
     {
         return {};
     }
+
+  protected:
+    /** Where a scheme registers its statistics (constructor body). */
+    StatGroup statGroup{"scheme"};
 };
 
 } // namespace pomtlb

@@ -88,7 +88,7 @@ buildStatsDocument(Machine &machine, const RunResult &result,
     doc.set("cycle_breakdown", std::move(breakdown));
 
     // -- full component statistics tree ----------------------------
-    doc.set("components", machine.registry().toJson());
+    doc.set("components", machine.stats().toJson());
 
     // -- trace metadata (only when a tracer is attached) -----------
     if (const TranslationTracer *tracer = machine.tracer()) {

@@ -39,7 +39,7 @@ inline constexpr const char *kStatsSchemaV1 = "pomtlb-stats-v1";
  * Build the `pomtlb-stats-v1` document for a finished run.
  *
  * @param machine   The machine the run executed on (statistics are
- *                  read from its registry and components as-is, so
+ *                  read from its stats tree and components as-is, so
  *                  call this before any resetStats()). Non-const only
  *                  because component accessors are non-const; nothing
  *                  is modified.

@@ -178,7 +178,7 @@ runExperiment(const ExperimentRequest &request)
     }
 
     if (request.collectComponentStats)
-        machine.collectStats(result.componentStats);
+        machine.stats().collect(result.componentStats);
 
     result.wallSeconds =
         std::chrono::duration<double>(

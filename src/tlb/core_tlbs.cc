@@ -44,7 +44,6 @@ CoreTlbs::lookup(PageNum vpn, PageSize size, VmId vm, ProcessId pid)
     result.cycles += l1MissPenalty;
 
     if (!l2) {
-        ++noL2Misses;
         result.level = TlbLevel::Miss;
         return result;
     }
@@ -97,22 +96,6 @@ CoreTlbs::flush()
     l1Large->flush();
     if (l2)
         l2->flush();
-}
-
-std::uint64_t
-CoreTlbs::l2Misses() const
-{
-    return l2 ? l2->misses() : noL2Misses.value();
-}
-
-void
-CoreTlbs::resetStats()
-{
-    l1Small->resetStats();
-    l1Large->resetStats();
-    if (l2)
-        l2->resetStats();
-    noL2Misses.reset();
 }
 
 } // namespace pomtlb

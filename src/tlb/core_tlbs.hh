@@ -12,7 +12,6 @@
 #include <memory>
 
 #include "common/config.hh"
-#include "common/stats.hh"
 #include "common/types.hh"
 #include "tlb/tlb.hh"
 
@@ -80,17 +79,12 @@ class CoreTlbs
     const SetAssocTlb &l1SmallTlb() const { return *l1Small; }
     const SetAssocTlb &l1LargeTlb() const { return *l1Large; }
 
-    std::uint64_t l2Misses() const;
-    void resetStats();
-
   private:
     std::unique_ptr<SetAssocTlb> l1Small;
     std::unique_ptr<SetAssocTlb> l1Large;
     std::unique_ptr<SetAssocTlb> l2;
     Cycles l1MissPenalty;
     Cycles l2MissPenalty;
-    /** L1 misses that hit nothing further (no-L2 configuration). */
-    Counter noL2Misses;
 };
 
 } // namespace pomtlb

@@ -181,14 +181,4 @@ SetAssocTlb::hitRate() const
     return total ? static_cast<double>(hitCount.value()) / total : 0.0;
 }
 
-void
-SetAssocTlb::resetStats()
-{
-    hitCount.reset();
-    missCount.reset();
-    insertions.reset();
-    evictions.reset();
-    shootdowns.reset();
-}
-
 } // namespace pomtlb

@@ -64,8 +64,7 @@ class SetAssocTlb
     std::uint64_t validEntryCount() const { return validEntries; }
 
     const TlbConfig &config() const { return tlbConfig; }
-    const StatGroup &stats() const { return statGroup; }
-    void resetStats();
+    StatGroup &stats() { return statGroup; }
 
   private:
     std::uint64_t setIndex(PageNum vpn, VmId vm) const;

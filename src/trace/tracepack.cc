@@ -606,6 +606,38 @@ TracePackReader::stream(std::size_t index) const
     return streams[index];
 }
 
+std::string
+TracePackReader::contentHash() const
+{
+    // Chain every chunk the way the writer did: in file order, each
+    // chunk's stream id and then its unpadded payload.
+    struct Placed
+    {
+        std::uint64_t payloadOffset;
+        std::uint32_t stream;
+        std::uint32_t records;
+    };
+    std::vector<Placed> chunks;
+    chunks.reserve(totalChunks);
+    for (std::uint32_t s = 0; s < streamChunks.size(); ++s)
+        for (const ChunkRef &ref : streamChunks[s])
+            chunks.push_back({ref.payloadOffset, s, ref.records});
+    std::sort(chunks.begin(), chunks.end(),
+              [](const Placed &a, const Placed &b) {
+                  return a.payloadOffset < b.payloadOffset;
+              });
+    ContentHash hasher;
+    for (const Placed &chunk : chunks)
+        absorbChunk(hasher, chunk.stream, at(chunk.payloadOffset),
+                    chunk.records * std::size_t{packRecordBytes});
+    const std::string actual = hasher.hexDigest();
+    if (actual != packHash)
+        throw TraceError("trace pack '" + filePath +
+                         "': content hash mismatch: the header says " +
+                         packHash + ", the records hash to " + actual);
+    return actual;
+}
+
 int
 TracePackReader::streamIndex(const std::string &name) const
 {

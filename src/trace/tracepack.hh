@@ -46,7 +46,9 @@
  * file content hash chains each chunk's 4 little-endian stream-id
  * bytes and unpadded payload in file order, so it identifies the
  * record content exactly — flipping one record bit changes it,
- * which is what lets sweep-cache job identity include it.
+ * which is what lets sweep-cache job identity include it. Whatever
+ * uses it as an identity recomputes it from the records first
+ * (TracePackReader::contentHash()); replay never does.
  *
  * Every chunk except a stream's last holds exactly chunk_records
  * records, which is what makes seek O(1): record @c pos of a stream
@@ -212,8 +214,14 @@ class TracePackReader
     /** Total chunks across all streams. */
     std::uint64_t chunkCount() const { return totalChunks; }
 
-    /** Content hash over every chunk's stream id + payload. */
-    const std::string &contentHash() const { return packHash; }
+    /**
+     * Content hash over every chunk's stream id + payload, recomputed
+     * from the records and checked against the header's: a mismatch
+     * throws a TraceError naming the path. It reads every record, so
+     * the identities that name a pack call it, and opening for replay
+     * does not.
+     */
+    std::string contentHash() const;
 
     /** Size of the mapped file in bytes. */
     std::uint64_t fileBytes() const { return mapSize; }
@@ -267,6 +275,7 @@ class TracePackReader
     std::uint64_t chunkCapacity = 0;
     std::uint64_t totalRecords = 0;
     std::uint64_t totalChunks = 0;
+    /** The content hash the header declares. */
     std::string packHash;
 };
 
@@ -316,13 +325,15 @@ std::string formatTextRecord(const TraceRecord &record);
 /**
  * Open @p path and summarise it as the `pomtlb trace info --json`
  * document (schema pomtlb-tracepack-v1; see docs/trace-format.md).
- * Throws TraceError on unreadable or malformed packs.
+ * Throws TraceError on unreadable or malformed packs, and on a
+ * header content hash the records do not match.
  */
 JsonValue tracePackInfoJson(const std::string &path);
 
 /**
- * Content hash of the pack at @p path (opens it, so corrupt packs
- * throw). Used to fold trace identity into sweep-cache job hashes.
+ * Content hash of the pack at @p path, checked against its records
+ * (TracePackReader::contentHash()), so corrupt packs throw. Used to
+ * fold trace identity into sweep-cache job and scenario hashes.
  */
 std::string tracePackContentHash(const std::string &path);
 

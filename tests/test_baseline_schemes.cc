@@ -49,7 +49,7 @@ TEST(NestedScheme, StatsTrackWalks)
     EXPECT_EQ(scheme->walkCount(), 2u);
     EXPECT_GT(scheme->avgWalkCycles(), 0.0);
     EXPECT_GT(scheme->avgWalkRefs(), 0.0);
-    scheme->resetStats();
+    scheme->stats().reset();
     EXPECT_EQ(scheme->walkCount(), 0u);
 }
 

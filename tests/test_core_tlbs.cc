@@ -83,7 +83,7 @@ TEST_F(CoreTlbsTest, NoPrivateL2Configuration)
     EXPECT_EQ(miss.level, TlbLevel::Miss);
     // Only the L1 miss penalty applies: there is no private L2.
     EXPECT_EQ(miss.cycles, config.l1TlbSmall.missPenalty);
-    EXPECT_EQ(tlbs.l2Misses(), 1u);
+    EXPECT_EQ(tlbs.l1For(PageSize::Small4K).misses(), 1u);
 }
 
 TEST_F(CoreTlbsTest, VmShootdownClearsAllLevels)
@@ -117,9 +117,9 @@ TEST_F(CoreTlbsTest, FlushAndMissCounting)
     tlbs.flush();
     tlbs.lookup(0x10, PageSize::Small4K, 1, 1);
     tlbs.lookup(0x11, PageSize::Small4K, 1, 1);
-    EXPECT_EQ(tlbs.l2Misses(), 2u);
-    tlbs.resetStats();
-    EXPECT_EQ(tlbs.l2Misses(), 0u);
+    EXPECT_EQ(tlbs.l2Tlb().misses(), 2u);
+    tlbs.l2Tlb().stats().reset();
+    EXPECT_EQ(tlbs.l2Tlb().misses(), 0u);
 }
 
 } // namespace

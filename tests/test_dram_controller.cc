@@ -66,7 +66,7 @@ TEST(DramController, StatsAccumulate)
     EXPECT_EQ(dram.rowClosed(), 1u);
     EXPECT_NEAR(dram.rowBufferHitRate(), 2.0 / 3.0, 1e-12);
 
-    dram.resetStats();
+    dram.stats().reset();
     EXPECT_EQ(dram.accessCount(), 0u);
     EXPECT_DOUBLE_EQ(dram.rowBufferHitRate(), 0.0);
 }
@@ -137,6 +137,29 @@ TEST(DramRefresh, PeriodicRefreshesHappen)
         dram.access(0, t);
     EXPECT_GE(dram.refreshCount(), 8u);
     EXPECT_LE(dram.refreshCount(), 10u);
+}
+
+TEST(DramRefresh, MeasuredRefreshesDoNotGrowWithWarmup)
+{
+    // The same 40k-core-cycle measured window (10k bus cycles, ten
+    // refresh intervals) after a short and a ten times longer warmup:
+    // the stats reset zeroes refreshes like every other counter, so
+    // the window counts its own ten refreshes either way.
+    const auto measured = [](Cycles warmup) {
+        DramConfig config = testConfig();
+        config.refreshEnabled = true;
+        config.refreshIntervalBusCycles = 1000;
+        config.refreshBusCycles = 100;
+        DramController dram(config);
+        for (Cycles t = 0; t < warmup; t += 400)
+            dram.access(0, t);
+        dram.stats().reset();
+        for (Cycles t = warmup; t < warmup + 40000; t += 400)
+            dram.access(0, t);
+        return dram.refreshCount();
+    };
+    EXPECT_EQ(measured(40000), 10u);
+    EXPECT_EQ(measured(400000), 10u);
 }
 
 TEST(DramRefresh, RefreshClosesOpenRows)

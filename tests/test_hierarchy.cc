@@ -140,7 +140,10 @@ TEST_F(HierarchyTest, WriteAllocates)
 TEST_F(HierarchyTest, ResetStatsClearsRates)
 {
     hierarchy->accessData(0, 0x1000, AccessType::Read, 0);
-    hierarchy->resetStats();
+    // The caches' groups sit beside the hierarchy's in a machine's
+    // stats tree; each resets through its own group.
+    hierarchy->l1d(0).stats().reset();
+    hierarchy->stats().reset();
     EXPECT_EQ(hierarchy->l1d(0).hitCount(LineKind::Data), 0u);
     EXPECT_EQ(hierarchy->l1d(0).missCount(LineKind::Data), 0u);
     // State is preserved, only statistics clear.

@@ -6,9 +6,15 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <algorithm>
+#include <set>
+#include <string>
 
+#include "common/json.hh"
+#include "sim/engine.hh"
 #include "sim/machine.hh"
+#include "sim/scheme_registry.hh"
+#include "trace/profile.hh"
 
 namespace pomtlb
 {
@@ -114,19 +120,80 @@ TEST(Machine, NativeModeMachine)
     EXPECT_EQ(machine.memoryMap().mode(), ExecMode::Native);
 }
 
-TEST(Machine, DumpStatsProducesOutput)
+TEST(Machine, StatsTreeNamesEveryComponent)
 {
     SystemConfig config = SystemConfig::table1();
     config.numCores = 1;
     Machine machine(config, "POM-TLB");
     machine.mmu(0).translate(0x1234000, PageSize::Small4K, 1, 1, 0);
-    std::ostringstream oss;
-    machine.dumpStats(oss);
-    const std::string out = oss.str();
-    EXPECT_NE(out.find("ddr4-2133"), std::string::npos);
-    EXPECT_NE(out.find("die-stacked"), std::string::npos);
-    EXPECT_NE(out.find("mmu.0"), std::string::npos);
-    EXPECT_NE(out.find("l3"), std::string::npos);
+    // The root's JSON is the stats document's `components` object.
+    const JsonValue json = machine.stats().toJson();
+    for (const char *group :
+         {"mmu.0", "walker.0", "scheme", "l1d.0", "l2d.0", "l3", "hierarchy",
+          "ddr4-2133", "die-stacked"}) {
+        EXPECT_TRUE(json.has(group)) << group;
+    }
+    EXPECT_EQ(json.at("mmu.0").at("translations").asUint(), 1u);
+    EXPECT_TRUE(json.at("scheme").at("pom_tlb").isObject());
+    // collect() flattens the same tree into dotted names.
+    std::vector<std::pair<std::string, double>> flat;
+    machine.stats().collect(flat);
+    const auto translations = std::find_if(
+        flat.begin(), flat.end(), [](const auto &stat) {
+            return stat.first == "mmu.0.translations";
+        });
+    ASSERT_NE(translations, flat.end());
+    EXPECT_DOUBLE_EQ(translations->second, 1.0);
+}
+
+/**
+ * Expect every statistic under @p node to read 0, except the gauges,
+ * which read live state. @p path names the node in failures.
+ */
+void
+expectAllZero(const JsonValue &node, const std::string &path)
+{
+    static const std::set<std::string> gauges = {
+        "valid_entries", "tlb_line_occupancy", "avg_pages_per_entry"};
+    for (const auto &[key, value] : node.members()) {
+        const std::string name = path + "." + key;
+        if (gauges.count(key))
+            continue;
+        if (value.isNumber()) {
+            EXPECT_EQ(value.asNumber(), 0.0) << name;
+        } else if (value.has("kind")) {
+            EXPECT_EQ(value.at("samples").asUint(), 0u) << name;
+            EXPECT_EQ(value.at("max").asUint(), 0u) << name;
+            EXPECT_EQ(value.at("buckets").size(), 0u) << name;
+        } else {
+            expectAllZero(value, name);
+        }
+    }
+}
+
+TEST(Machine, ResetZeroesEveryRegisteredStatistic)
+{
+    // Every optional component on, so every group is in the tree:
+    // refresh on both DRAM channels (and so on the L4's), the L4
+    // cache, and writeback traffic.
+    SystemConfig config = SystemConfig::table1();
+    config.numCores = 2;
+    config.mainMemory.refreshEnabled = true;
+    config.dieStacked.refreshEnabled = true;
+    config.dieStackedL4Cache = true;
+    config.modelWritebackTraffic = true;
+    EngineConfig engine_config;
+    engine_config.refsPerCore = 3000;
+    engine_config.warmupRefsPerCore = 0;
+    const BenchmarkProfile &profile = ProfileRegistry::byName("gups");
+    for (const std::string &scheme : SchemeRegistry::global().names()) {
+        SCOPED_TRACE(scheme);
+        Machine machine(config, scheme);
+        SimulationEngine(machine, profile, engine_config).run();
+        ASSERT_GT(machine.mainMemory().refreshCount(), 0u);
+        machine.resetStats();
+        expectAllZero(machine.stats().toJson(), "components");
+    }
 }
 
 } // namespace

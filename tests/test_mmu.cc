@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/json.hh"
 #include "sim/machine.hh"
 
 namespace pomtlb
@@ -145,10 +146,16 @@ TEST_F(MmuTest, ResetStats)
 {
     Mmu &mmu = machine->mmu(0);
     mmu.translate(0x1000000, PageSize::Small4K, 1, 1, 0);
-    mmu.resetStats();
+    ASSERT_EQ(mmu.penaltyHistogram().sampleCount(), 1u);
+    mmu.stats().reset();
     EXPECT_EQ(mmu.translationCount(), 0u);
     EXPECT_EQ(mmu.totalTranslationCycles(), 0u);
     EXPECT_EQ(mmu.lastLevelMissCount(), 0u);
+    // The 32-cycle histogram behind penalty_p99_bucket is a derived
+    // input of the group, so it resets too.
+    EXPECT_EQ(mmu.penaltyHistogram().sampleCount(), 0u);
+    EXPECT_EQ(mmu.stats().toJson().at("penalty_p99_bucket").asUint(),
+              0u);
 }
 
 } // namespace

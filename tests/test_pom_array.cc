@@ -93,7 +93,7 @@ TEST(PomArray, HitRateAndReset)
     part.lookup(0, 7, 1, 1, PageSize::Small4K);
     part.lookup(0, 8, 1, 1, PageSize::Small4K);
     EXPECT_DOUBLE_EQ(part.hitRate(), 0.5);
-    part.resetStats();
+    part.stats().reset();
     EXPECT_EQ(part.hits(), 0u);
     EXPECT_EQ(part.misses(), 0u);
 }

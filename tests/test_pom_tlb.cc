@@ -105,7 +105,7 @@ TEST_F(PomTlbTest, HitRateAcrossPartitions)
     pom->searchSet(0x1000, 1, 1, PageSize::Small4K); // hit
     pom->searchSet(0x2000, 1, 1, PageSize::Small4K); // miss
     EXPECT_DOUBLE_EQ(pom->hitRate(), 0.5);
-    pom->resetStats();
+    pom->stats().reset();
     EXPECT_DOUBLE_EQ(pom->hitRate(), 0.0);
 }
 

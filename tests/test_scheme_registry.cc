@@ -138,7 +138,7 @@ TEST(SchemeRegistry, FactoriesShareNoStateAcrossMachines)
         Machine cold(config, name);
 
         std::vector<std::pair<std::string, double>> before;
-        cold.collectStats(before);
+        cold.stats().collect(before);
 
         // Hammer one machine...
         for (int i = 0; i < 64; ++i) {
@@ -148,7 +148,7 @@ TEST(SchemeRegistry, FactoriesShareNoStateAcrossMachines)
 
         // ...and the sibling built by the same factory is untouched.
         std::vector<std::pair<std::string, double>> after;
-        cold.collectStats(after);
+        cold.stats().collect(after);
         EXPECT_EQ(before, after);
     }
 }

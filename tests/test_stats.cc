@@ -7,7 +7,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <sstream>
 
 #include "common/json.hh"
 #include "common/stats.hh"
@@ -161,7 +160,7 @@ TEST(Log2Histogram, ResetClearsEverything)
     EXPECT_EQ(hist.toJson().at("buckets").size(), 0u);
 }
 
-TEST(StatGroup, DumpContainsRegisteredStats)
+TEST(StatGroup, CollectContainsRegisteredStats)
 {
     Counter hits;
     Average latency;
@@ -173,13 +172,59 @@ TEST(StatGroup, DumpContainsRegisteredStats)
     hits += 7;
     latency.sample(3.0);
 
-    std::ostringstream oss;
-    group.dump(oss);
-    const std::string out = oss.str();
-    EXPECT_NE(out.find("l1.hits"), std::string::npos);
-    EXPECT_NE(out.find("7"), std::string::npos);
-    EXPECT_NE(out.find("l1.latency"), std::string::npos);
-    EXPECT_NE(out.find("l1.two"), std::string::npos);
+    std::vector<std::pair<std::string, double>> flat;
+    group.collect(flat);
+    ASSERT_EQ(flat.size(), 3u);
+    EXPECT_EQ(flat[0].first, "l1.hits");
+    EXPECT_DOUBLE_EQ(flat[0].second, 7.0);
+    EXPECT_EQ(flat[1].first, "l1.latency");
+    EXPECT_DOUBLE_EQ(flat[1].second, 3.0);
+    EXPECT_EQ(flat[2].first, "l1.two");
+    EXPECT_DOUBLE_EQ(flat[2].second, 2.0);
+}
+
+TEST(StatGroup, ResetZeroesWhatWasRegistered)
+{
+    Counter hits;
+    Average latency;
+    Log2Histogram lat_hist;
+    Histogram hidden(8, 4);
+    Counter child_events;
+    std::uint64_t live_entries = 5;
+    StatGroup parent("cache");
+    StatGroup child("tags");
+    parent.addCounter("hits", hits);
+    parent.addAverage("latency", latency);
+    parent.addHistogram("lat_hist", lat_hist);
+    // A derived value over an unexported input resets with it; a
+    // gauge over component state keeps reading that state.
+    parent.addDerived("hidden_samples",
+                      [&] {
+                          return static_cast<double>(
+                              hidden.sampleCount());
+                      },
+                      {&hidden});
+    parent.addDerived("valid_entries", [&] {
+        return static_cast<double>(live_entries);
+    });
+    child.addCounter("events", child_events);
+    parent.addChild(child);
+
+    hits += 3;
+    latency.sample(9.0);
+    lat_hist.sample(40);
+    hidden.sample(20);
+    child_events += 2;
+    parent.reset();
+
+    EXPECT_EQ(hits.value(), 0u);
+    EXPECT_EQ(latency.sampleCount(), 0u);
+    EXPECT_EQ(lat_hist.sampleCount(), 0u);
+    EXPECT_EQ(hidden.sampleCount(), 0u);
+    EXPECT_EQ(child_events.value(), 0u);
+    const JsonValue json = parent.toJson();
+    EXPECT_EQ(json.at("hidden_samples").asUint(), 0u);
+    EXPECT_EQ(json.at("valid_entries").asUint(), 5u);
 }
 
 TEST(StatGroup, NestedChildren)
@@ -218,32 +263,36 @@ TEST(StatGroup, JsonTreeMirrorsHierarchy)
     EXPECT_EQ(JsonValue::parse(json.dump()), json);
 }
 
-TEST(StatsRegistry, CollectsAndSerialisesEveryGroup)
+TEST(StatGroup, RootCollectsAndSerialisesEveryChild)
 {
+    // A machine's tree: a root with an empty name adds no path
+    // segment, so its children are the top-level names.
     Counter a;
     Counter b;
+    StatGroup root("");
     StatGroup first("alpha");
     StatGroup second("beta");
     first.addCounter("events", a);
     second.addCounter("events", b);
+    root.addChild(first);
+    root.addChild(second);
     a += 1;
     b += 2;
 
-    StatsRegistry registry;
-    registry.add(first);
-    registry.add(second);
-    EXPECT_EQ(registry.groupCount(), 2u);
-    EXPECT_EQ(registry.topLevel()[0], &first);
-
     std::vector<std::pair<std::string, double>> flat;
-    registry.collect(flat);
+    root.collect(flat);
     ASSERT_EQ(flat.size(), 2u);
     EXPECT_EQ(flat[0].first, "alpha.events");
     EXPECT_EQ(flat[1].first, "beta.events");
 
-    const JsonValue json = registry.toJson();
+    const JsonValue json = root.toJson();
+    EXPECT_EQ(json.size(), 2u);
     EXPECT_EQ(json.at("alpha").at("events").asUint(), 1u);
     EXPECT_EQ(json.at("beta").at("events").asUint(), 2u);
+
+    root.reset();
+    EXPECT_EQ(a.value(), 0u);
+    EXPECT_EQ(b.value(), 0u);
 }
 
 TEST(Geomean, KnownValues)

@@ -189,7 +189,7 @@ collectNames(SystemConfig config, const std::string &scheme,
 {
     RunOutput out = runMachine(std::move(config), scheme);
     std::vector<std::pair<std::string, double>> flat;
-    out.machine->collectStats(flat);
+    out.machine->stats().collect(flat);
     const std::regex digits("\\.[0-9]+");
     for (const auto &stat : flat)
         names.insert(std::regex_replace(stat.first, digits, ".N"));

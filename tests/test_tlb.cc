@@ -118,8 +118,9 @@ TEST(Tlb, HitRateTracksLookups)
     EXPECT_DOUBLE_EQ(tlb.hitRate(), 0.5);
     EXPECT_EQ(tlb.hits(), 1u);
     EXPECT_EQ(tlb.misses(), 1u);
-    tlb.resetStats();
+    tlb.stats().reset();
     EXPECT_EQ(tlb.hits(), 0u);
+    EXPECT_EQ(tlb.misses(), 0u);
 }
 
 } // namespace

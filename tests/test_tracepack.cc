@@ -274,6 +274,58 @@ TEST_F(TracePackTest, ContentHashChangesWithOneRecord)
 
 // -- corrupt and truncated input ----------------------------------
 
+TEST_F(TracePackTest, HeaderContentHashIsCheckedWhereItNamesThePack)
+{
+    // Two streams whose chunks interleave in the file (a0 b0 a1), so
+    // the recomputed hash must follow file order, as the writer did.
+    const auto records =
+        syntheticRecords(2 * tracePackChunkRecords + 100, 19);
+    std::string written;
+    {
+        TracePackWriter writer(path, {"a", "b"});
+        writer.append(0, records.data(), tracePackChunkRecords);
+        writer.append(1, records.data() + tracePackChunkRecords,
+                      tracePackChunkRecords);
+        writer.append(0, records.data() + 2 * tracePackChunkRecords,
+                      100);
+        writer.close();
+        written = writer.contentHash();
+    }
+    EXPECT_EQ(tracePackContentHash(path), written);
+
+    // Change the header hash's first character (byte 48) to another
+    // hex digit: the header still parses, but names content no pack
+    // has.
+    std::string bytes = fileBytes(path);
+    bytes[48] = bytes[48] == '5' ? '7' : '5';
+    writeBytes(path, bytes);
+
+    const auto expectNamedMismatch = [&](const char *what,
+                                         const auto &call) {
+        try {
+            call();
+            ADD_FAILURE() << what << " accepted a wrong content hash";
+        } catch (const TraceError &error) {
+            const std::string message = error.what();
+            EXPECT_NE(message.find(path), std::string::npos) << message;
+            EXPECT_NE(message.find("content hash"), std::string::npos)
+                << message;
+        }
+    };
+    expectNamedMismatch("tracePackContentHash",
+                        [&] { tracePackContentHash(path); });
+    expectNamedMismatch("tracePackInfoJson",
+                        [&] { tracePackInfoJson(path); });
+
+    // Replay does not read the header hash: the pack still opens
+    // and every record reads back.
+    TracePackReader reader(path);
+    std::vector<TraceRecord> replayed(tracePackChunkRecords + 100);
+    ASSERT_EQ(reader.read(0, 0, replayed.data(), replayed.size()),
+              replayed.size());
+    EXPECT_EQ(replayed.back().vaddr, records.back().vaddr);
+}
+
 TEST_F(TracePackTest, DamagedPacksAreNamedNotReplayed)
 {
     const auto records = syntheticRecords(10000, 11);

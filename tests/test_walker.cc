@@ -135,8 +135,13 @@ TEST_F(WalkerTest, StatsAccumulate)
     EXPECT_EQ(walker->walkCount(), 2u);
     EXPECT_GT(walker->avgRefsPerWalk(), 0.0);
     EXPECT_GT(walker->avgCyclesPerWalk(), 0.0);
-    walker->resetStats();
+    const StructureCache &pde = walker->guestPscSet().pdeCache();
+    EXPECT_GT(pde.hits() + pde.misses(), 0u);
+    walker->stats().reset();
     EXPECT_EQ(walker->walkCount(), 0u);
+    // The PSC counters sit behind the walker's psc_* names, so the
+    // walker's group resets them too.
+    EXPECT_EQ(pde.hits() + pde.misses(), 0u);
 }
 
 TEST_F(WalkerTest, VmShootdownForcesFullWalk)

@@ -31,6 +31,9 @@
  *                              records as pomtlb-tracetext-v1
  *                              (docs/trace-format.md)
  *
+ * Every verb refuses an option it does not read: it names the option
+ * and the ones it takes, and exits 2 (the table in main()).
+ *
  * sweep options:
  *   --jobs N                   worker threads of the campaign, also
  *                              for compare, figures, scenario and
@@ -54,7 +57,7 @@
  *   plus the run/compare configuration options below
  *
  * figures options (tables + verdicts on stdout, progress and
- * campaign accounting on stderr; any other option is an error):
+ * campaign accounting on stderr):
  *   --only ID[,ID...]          print only these tables (default: all;
  *                              an unknown ID lists the valid ones)
  *   --jobs / --cache-dir       as for sweep
@@ -123,10 +126,11 @@
  *   --jobs N                   worker threads per campaign (as for
  *                              sweep)
  *
- * Common options (run / compare / sweep):
- *   --benchmark NAME           workload (default mcf)
+ * Common options (run / compare / sweep / scenario):
+ *   --benchmark NAME           workload (default mcf; not sweep)
  *   --scheme NAME              any registered scheme name or alias;
- *                              see `pomtlb list-schemes` (run only)
+ *                              see `pomtlb list-schemes` (run and
+ *                              scenario)
  *   --cores N                  core count (default 8)
  *   --refs N                   measured references per core
  *   --warmup N                 warmup references per core
@@ -144,7 +148,7 @@
  *                              (run) / embed per-component stats
  *                              (sweep)
  *   --stats-out FILE           write the pomtlb-stats-v1 JSON
- *                              document to FILE (run only)
+ *                              document to FILE (run and scenario)
  *   --trace-out FILE           enable the sampled translation trace
  *                              and write it to FILE as JSONL
  *                              (run only; POMTLB_TRACE_SAMPLE sets
@@ -814,23 +818,6 @@ commandSweep(const CliOptions &options)
 int
 commandFigures(const CliOptions &options)
 {
-    // Each table fixes its own machine, so a run option would only
-    // mislabel the tables it changed.
-    static const std::vector<std::string> accepted = {
-        "--only", "--jobs", "--cache-dir", "--cores", "--refs",
-        "--warmup"};
-    for (const std::string &flag : options.given) {
-        if (std::find(accepted.begin(), accepted.end(), flag) !=
-            accepted.end())
-            continue;
-        std::fprintf(stderr, "pomtlb: figures does not take '%s' (it takes:",
-                     flag.c_str());
-        for (const std::string &known : accepted)
-            std::fprintf(stderr, " %s", known.c_str());
-        std::fprintf(stderr, ")\n");
-        return 2;
-    }
-
     std::vector<const FigureEntry *> entries;
     if (options.onlyList.empty()) {
         for (const FigureEntry &entry : figureEntries())
@@ -1339,20 +1326,58 @@ main(int argc, char **argv)
     if (argc < 2)
         usage();
     const std::string command = argv[1];
-    using Command = int (*)(const CliOptions &);
-    static const std::map<std::string, Command> commands = {
-        {"list", [](const CliOptions &) { return commandList(); }},
+    /** A verb: its handler and every option it reads. */
+    struct Verb
+    {
+        int (*run)(const CliOptions &);
+        std::vector<std::string> options;
+    };
+    // The run configuration configFrom() reads.
+    const auto withConfig = [](std::vector<std::string> own) {
+        for (const char *flag :
+             {"--cores", "--refs", "--warmup", "--capacity", "--seed",
+              "--native", "--no-caching", "--no-bypass",
+              "--no-size-predictor", "--unified", "--prefetch",
+              "--tlb-aware", "--shootdown-interval"})
+            own.push_back(flag);
+        return own;
+    };
+    static const std::map<std::string, Verb> commands = {
+        {"list", {[](const CliOptions &) { return commandList(); }, {}}},
         {"list-schemes",
-         [](const CliOptions &) { return commandListSchemes(); }},
+         {[](const CliOptions &) { return commandListSchemes(); }, {}}},
         {"show-config",
-         [](const CliOptions &) { return commandShowConfig(); }},
-        {"run", commandRun},
-        {"compare", commandCompare},
-        {"sweep", commandSweep},
-        {"figures", commandFigures},
-        {"scenario", commandScenario},
-        {"serve", commandServe},
-        {"cache-gc", commandCacheGc},
+         {[](const CliOptions &) { return commandShowConfig(); }, {}}},
+        {"run",
+         {commandRun,
+          withConfig({"--benchmark", "--scheme", "--trace-in", "--stats",
+                      "--stats-out", "--trace-out"})}},
+        {"compare",
+         {commandCompare, withConfig({"--benchmark", "--jobs"})}},
+        {"sweep",
+         {commandSweep,
+          withConfig({"--benchmarks", "--schemes", "--stats", "--out",
+                      "--jobs", "--cache-dir", "--journal"})}},
+        // Each table fixes its own machine, so a run option would
+        // only mislabel the tables it changed.
+        {"figures",
+         {commandFigures,
+          {"--only", "--jobs", "--cache-dir", "--cores", "--refs",
+           "--warmup"}}},
+        {"scenario",
+         {commandScenario,
+          withConfig({"--benchmark", "--scheme", "--tenants",
+                      "--tenant-benchmarks", "--churn-interval",
+                      "--resident-per-core", "--overcommit",
+                      "--migrate-pages", "--storm-interval",
+                      "--storm-pages", "--time-slice", "--trace-in",
+                      "--trace-record", "--out", "--stats-out",
+                      "--jobs", "--cache-dir", "--journal"})}},
+        {"serve",
+         {commandServe, {"--in", "--cache-dir", "--journal-dir", "--jobs"}}},
+        {"cache-gc",
+         {commandCacheGc,
+          {"--cache-dir", "--max-bytes", "--max-age", "--dry-run"}}},
     };
     // Malformed trace input (a bad, unclosed or truncated pack, a
     // bad text line), an impossible scenario and a configuration
@@ -1367,7 +1392,23 @@ main(int argc, char **argv)
                          command.c_str());
             usage();
         }
-        return entry->second(parseOptions(argc, argv, 2));
+        const Verb &verb = entry->second;
+        const CliOptions options = parseOptions(argc, argv, 2);
+        // An option the verb does not read is an error, not ignored.
+        for (const std::string &flag : options.given) {
+            if (std::find(verb.options.begin(), verb.options.end(),
+                          flag) != verb.options.end())
+                continue;
+            std::fprintf(stderr,
+                         "pomtlb: %s does not take '%s' (it takes:",
+                         command.c_str(), flag.c_str());
+            for (const std::string &known : verb.options)
+                std::fprintf(stderr, " %s", known.c_str());
+            std::fprintf(stderr, "%s)\n",
+                         verb.options.empty() ? " none" : "");
+            return 2;
+        }
+        return verb.run(options);
     } catch (const TraceError &error) {
         std::fprintf(stderr, "pomtlb: %s\n", error.what());
         return 1;
