@@ -80,12 +80,7 @@ TsbScheme::fillRow(std::uint64_t index, PageNum vpn, PageSize size,
         entry.pfn = pfn;
         entry.pageSize = size;
     }
-    // A row already holding one of the VM's translations is listed.
-    if (replaced && replaced_vm == vm)
-        return;
-    if (replaced)
-        vmRows.removed(replaced_vm);
-    vmRows.added(vm, index);
+    vmRows.installed(vm, index, replaced, replaced_vm);
 }
 
 SchemeResult

@@ -7,13 +7,10 @@
  * POM-TLB entry, so the experiments can report how translation lines
  * and ordinary data compete for capacity (Sections 4.2 and 5.1).
  *
- * Hot-path layout: line state is stored structure-of-arrays — the tag
- * probe (the operation every access performs) scans one contiguous
- * 64-bit array per set instead of striding through a wide per-line
- * struct, and validity is folded into the tag with a reserved
- * sentinel so the probe is a single compare per way. Replacement is
- * LRU over per-line recency stamps (the same stamps the Section 5.1
- * TLB-aware victim scan uses).
+ * Line state lives in an LruSets array (common/lru_sets.hh): the tag
+ * probe every access performs is one compare pass over a contiguous
+ * key lane, and replacement is LRU over its recency stamps (the same
+ * stamps the Section 5.1 TLB-aware victim choice reads).
  */
 
 #ifndef POMTLB_CACHE_CACHE_HH
@@ -21,9 +18,9 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "common/config.hh"
+#include "common/lru_sets.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 
@@ -108,10 +105,10 @@ class SetAssocCache
     std::uint64_t flush();
 
     /** Number of currently valid lines holding TLB entries. */
-    std::uint64_t tlbLineCount() const { return tlbLines; }
+    std::uint64_t tlbLineCount() const;
 
     /** Number of currently valid lines. */
-    std::uint64_t validLineCount() const { return validLines; }
+    std::uint64_t validLineCount() const { return lines.size(); }
 
     double hitRate() const;
     /** Hit rate counting only probes of the given kind. */
@@ -134,25 +131,16 @@ class SetAssocCache
     std::uint64_t writebackCount() const { return writebacks.value(); }
 
   private:
-    /**
-     * Reserved tag marking an invalid way. Real tags are addresses
-     * shifted right by at least the line bits, so they can never
-     * reach the all-ones value (asserted in the constructor).
-     */
-    static constexpr std::uint64_t invalidTag = ~std::uint64_t{0};
-
-    /** meta[] bit 0: line dirty. */
+    /** Payload bit 0: line dirty. */
     static constexpr std::uint8_t metaDirty = 1u << 0;
-    /** meta[] bit 1: line caches a POM-TLB entry. */
+    /** Payload bit 1: line caches a POM-TLB entry. */
     static constexpr std::uint8_t metaTlb = 1u << 1;
 
+    using Lines = LruSets<std::uint8_t>;
+
     std::uint64_t setIndex(Addr addr) const;
-    /** Victim way honouring the TLB-aware policy. */
-    unsigned victimWay(std::uint64_t set) const;
-    std::uint64_t tagOf(Addr addr) const;
-    Addr lineAddr(std::uint64_t set, std::uint64_t tag) const;
-    /** Index into the line arrays, or -1 when not resident. */
-    std::int64_t findLine(Addr addr) const;
+    /** A line's key: its tag + 1, so 0 stays the empty key. */
+    std::uint64_t keyOf(Addr addr) const;
 
     static LineKind
     kindOf(std::uint8_t meta_bits)
@@ -163,21 +151,12 @@ class SetAssocCache
 
     CacheConfig cacheConfig;
     std::uint64_t sets;
-    unsigned ways;
     unsigned lineShift;
     unsigned setBits;
-
-    // Structure-of-arrays line state, indexed [set * ways + way].
-    std::vector<std::uint64_t> tags;
-    /** Recency stamps: LRU state and TLB-aware victim input. */
-    std::vector<std::uint64_t> stamps;
-    /** Per-line dirty/kind bits (metaDirty / metaTlb). */
-    std::vector<std::uint8_t> meta;
+    /** Tags (keyOf()), recency stamps and dirty/kind bits. */
+    Lines lines;
 
     TlbLinePolicy tlbPolicy = TlbLinePolicy::None;
-    std::uint64_t recencyClock = 0;
-    std::uint64_t tlbLines = 0;
-    std::uint64_t validLines = 0;
 
     Counter dataHits;
     Counter dataMisses;

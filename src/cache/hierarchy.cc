@@ -58,111 +58,71 @@ DataHierarchy::DataHierarchy(const SystemConfig &config,
                          [this] { return l3TlbProbeHitRate(); });
 }
 
+template <MemLevel First>
+HierarchyAccessResult
+DataHierarchy::access(CoreId core, Addr addr, AccessType type,
+                      Cycles now)
+{
+    simAssert(core < l1Caches.size(), "core id out of range");
+    // Indexed by MemLevel: 0 is the L1D, 2 the L3D.
+    SetAssocCache *const levels[] = {l1Caches[core].get(),
+                                     l2Caches[core].get(),
+                                     l3Cache.get()};
+    constexpr unsigned first = static_cast<unsigned>(First);
+    constexpr unsigned memory = static_cast<unsigned>(MemLevel::Memory);
+
+    HierarchyAccessResult result;
+    unsigned served = first;
+    for (; served < memory; ++served) {
+        SetAssocCache &cache = *levels[served];
+        result.latency += cache.latency();
+        if (cache.lookup(addr, type, LineKind::Data).hit)
+            break;
+    }
+    result.servedBy = static_cast<MemLevel>(served);
+    if (served == memory)
+        result.latency += missToMemory(addr, type, now + result.latency);
+
+    // Fill every level that missed, outermost first; a write dirties
+    // only the L1D copy.
+    for (unsigned level = served; level-- > first;) {
+        const CacheFillResult fill = levels[level]->fill(
+            addr, LineKind::Data,
+            level == 0 && type == AccessType::Write);
+        if (level == 2 && writebackTraffic && fill.victimDirty) {
+            // A dirty L3 victim is a background write: it occupies the
+            // bank/bus timeline but no requester's critical path.
+            mainMemory.access(fill.victimAddr, now + result.latency);
+            ++dramWritebacks;
+        }
+    }
+    return result;
+}
+
 HierarchyAccessResult
 DataHierarchy::accessData(CoreId core, Addr addr, AccessType type,
                           Cycles now)
 {
-    simAssert(core < l1Caches.size(), "core id out of range");
-    HierarchyAccessResult result;
-    SetAssocCache &l1 = *l1Caches[core];
-    SetAssocCache &l2 = *l2Caches[core];
-    SetAssocCache &l3 = *l3Cache;
-
-    result.latency += l1.latency();
-    if (l1.lookup(addr, type, LineKind::Data).hit) {
-        result.servedBy = MemLevel::L1D;
-        return result;
-    }
-
-    result.latency += l2.latency();
-    if (l2.lookup(addr, type, LineKind::Data).hit) {
-        l1.fill(addr, LineKind::Data, type == AccessType::Write);
-        result.servedBy = MemLevel::L2D;
-        return result;
-    }
-
-    result.latency += l3.latency();
-    if (l3.lookup(addr, type, LineKind::Data).hit) {
-        l2.fill(addr, LineKind::Data);
-        l1.fill(addr, LineKind::Data, type == AccessType::Write);
-        result.servedBy = MemLevel::L3D;
-        return result;
-    }
-
-    const HierarchyAccessResult memory_result =
-        missToMemory(addr, type, now, result.latency);
-    result.latency = memory_result.latency;
-    writebackVictim(l3.fill(addr, LineKind::Data),
-                    now + result.latency);
-    l2.fill(addr, LineKind::Data);
-    l1.fill(addr, LineKind::Data, type == AccessType::Write);
-    result.servedBy = memory_result.servedBy;
-    return result;
-}
-
-HierarchyAccessResult
-DataHierarchy::missToMemory(Addr addr, AccessType type, Cycles now,
-                            Cycles latency)
-{
-    HierarchyAccessResult result;
-    result.latency = latency;
-    if (l4) {
-        const DramCacheResult l4_result =
-            l4->access(addr, type, now + result.latency);
-        result.latency += l4_result.latency;
-        if (l4_result.hit) {
-            result.servedBy = MemLevel::Memory; // die-stacked L4
-            return result;
-        }
-    }
-    const DramAccessResult dram =
-        mainMemory.access(addr, now + result.latency);
-    result.latency += dram.latency;
-    result.servedBy = MemLevel::Memory;
-    return result;
-}
-
-void
-DataHierarchy::writebackVictim(const CacheFillResult &fill,
-                               Cycles now)
-{
-    if (!writebackTraffic || !fill.evicted || !fill.victimDirty)
-        return;
-    // Background write: occupies the bank/bus timeline but is not on
-    // any requester's critical path.
-    mainMemory.access(fill.victimAddr, now);
-    ++dramWritebacks;
+    return access<MemLevel::L1D>(core, addr, type, now);
 }
 
 HierarchyAccessResult
 DataHierarchy::accessPte(CoreId core, Addr addr, Cycles now)
 {
-    simAssert(core < l2Caches.size(), "core id out of range");
-    HierarchyAccessResult result;
-    SetAssocCache &l2 = *l2Caches[core];
-    SetAssocCache &l3 = *l3Cache;
+    return access<MemLevel::L2D>(core, addr, AccessType::Read, now);
+}
 
-    result.latency += l2.latency();
-    if (l2.lookup(addr, AccessType::Read, LineKind::Data).hit) {
-        result.servedBy = MemLevel::L2D;
-        return result;
+Cycles
+DataHierarchy::missToMemory(Addr addr, AccessType type, Cycles now)
+{
+    Cycles latency = 0;
+    if (l4) {
+        const DramCacheResult l4_result = l4->access(addr, type, now);
+        latency += l4_result.latency;
+        if (l4_result.hit)
+            return latency; // served by the die-stacked L4
     }
-
-    result.latency += l3.latency();
-    if (l3.lookup(addr, AccessType::Read, LineKind::Data).hit) {
-        l2.fill(addr, LineKind::Data);
-        result.servedBy = MemLevel::L3D;
-        return result;
-    }
-
-    const HierarchyAccessResult memory_result =
-        missToMemory(addr, AccessType::Read, now, result.latency);
-    result.latency = memory_result.latency;
-    writebackVictim(l3.fill(addr, LineKind::Data),
-                    now + result.latency);
-    l2.fill(addr, LineKind::Data);
-    result.servedBy = MemLevel::Memory;
-    return result;
+    return latency + mainMemory.access(addr, now + latency).latency;
 }
 
 CacheProbeResult

@@ -123,12 +123,20 @@ class DataHierarchy
     StatGroup &stats() { return statGroup; }
 
   private:
-    /** Send a dirty L3 victim to DRAM when traffic modelling is on. */
-    void writebackVictim(const CacheFillResult &fill, Cycles now);
+    /**
+     * The one level walk: look up @p First, then each outer level,
+     * down to memory; then fill every level that missed. accessData
+     * starts at the L1D, accessPte at the L2D.
+     */
+    template <MemLevel First>
+    HierarchyAccessResult access(CoreId core, Addr addr,
+                                 AccessType type, Cycles now);
 
-    /** L3-miss backend: L4 DRAM cache (if any) then main memory. */
-    HierarchyAccessResult missToMemory(Addr addr, AccessType type,
-                                       Cycles now, Cycles latency);
+    /**
+     * L3-miss backend: L4 DRAM cache (if any) then main memory,
+     * issued at @p now; returns the cycles it adds.
+     */
+    Cycles missToMemory(Addr addr, AccessType type, Cycles now);
 
     DramController &mainMemory;
     std::unique_ptr<DramCache> l4;

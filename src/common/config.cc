@@ -1,5 +1,6 @@
 #include "common/config.hh"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/bitutil.hh"
@@ -19,6 +20,8 @@ CacheConfig::validate() const
         fatal("cache '", name, "': size not divisible by way size");
     if (!isPowerOfTwo(numSets()))
         fatal("cache '", name, "': set count must be a power of two");
+    if (associativity > maxSetWays)
+        fatal("cache '", name, "': more than ", maxSetWays, " ways");
     if (accessLatency == 0)
         fatal("cache '", name, "': zero access latency");
 }
@@ -32,6 +35,8 @@ TlbConfig::validate() const
         fatal("tlb '", name, "': entries not divisible by associativity");
     if (!isPowerOfTwo(numSets()))
         fatal("tlb '", name, "': set count must be a power of two");
+    if (associativity > maxSetWays)
+        fatal("tlb '", name, "': more than ", maxSetWays, " ways");
 }
 
 void
@@ -45,6 +50,11 @@ PscConfig::validate() const
         fatal("psc: nested TLB entries not divisible by ways");
     if (!isPowerOfTwo(nestedTlbEntries / nestedTlbAssociativity))
         fatal("psc: nested TLB set count must be a power of two");
+    // A structure cache is one fully-associative set.
+    if (std::max({pml4Entries, pdpEntries, pdeEntries,
+                  nestedTlbAssociativity}) > maxSetWays)
+        fatal("psc: a structure cache or the nested TLB has more than ",
+              maxSetWays, " ways");
 }
 
 DramConfig
@@ -160,6 +170,8 @@ CoalescedTlbConfig::validate() const
         fatal("coalesced: range wider than the 64-bit presence map");
     if (associativity == 0)
         fatal("coalesced: need at least one way");
+    if (associativity > maxSetWays)
+        fatal("coalesced: more than ", maxSetWays, " ways");
 }
 
 void

@@ -19,6 +19,12 @@
 namespace pomtlb
 {
 
+/**
+ * Most ways an SRAM structure's set may have: its match is one 64-bit
+ * mask (common/lru_sets.hh).
+ */
+constexpr unsigned maxSetWays = 64;
+
 /** Geometry and latency of one set-associative SRAM cache level. */
 struct CacheConfig
 {

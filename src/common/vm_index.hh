@@ -66,6 +66,22 @@ class VmSlotIndex
         trim(vm, state);
     }
 
+    /**
+     * An entry of @p vm was installed in @p slot, replacing an entry
+     * of @p old_vm when @p replaced. A slot whose old entry was the
+     * VM's own stays listed and the count holds; otherwise the old
+     * VM loses an entry and @p vm gains the slot.
+     */
+    void
+    installed(VmId vm, std::uint64_t slot, bool replaced, VmId old_vm)
+    {
+        if (replaced && old_vm == vm)
+            return;
+        if (replaced)
+            removed(old_vm);
+        added(vm, slot);
+    }
+
     /** An entry of @p vm was evicted or invalidated. */
     void
     removed(VmId vm)

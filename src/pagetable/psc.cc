@@ -32,9 +32,8 @@ coverageShift(WalkLevel level)
 } // namespace
 
 StructureCache::StructureCache(unsigned capacity, WalkLevel cached_level)
-    : cachedLevel(cached_level), entries(capacity)
+    : cachedLevel(cached_level), entries(1, capacity)
 {
-    simAssert(capacity > 0, "structure cache needs capacity");
 }
 
 std::uint64_t
@@ -43,61 +42,50 @@ StructureCache::tagOf(Addr addr) const
     return addr >> coverageShift(cachedLevel);
 }
 
+StructureCache::Entries::Slot
+StructureCache::find(std::uint64_t tag, VmId vm, ProcessId pid) const
+{
+    return entries.find(0, keyOf(tag, vm, pid), [&](const Entry &entry) {
+        return entry.tag == tag && entry.vm == vm && entry.pid == pid;
+    });
+}
+
 bool
 StructureCache::lookup(Addr addr, VmId vm, ProcessId pid)
 {
-    const std::uint64_t tag = tagOf(addr);
-    for (auto &entry : entries) {
-        if (entry.valid && entry.vm == vm && entry.pid == pid &&
-            entry.tag == tag) {
-            entry.stamp = ++clock;
-            ++hitCount;
-            return true;
-        }
+    const Entries::Slot slot = find(tagOf(addr), vm, pid);
+    if (slot == Entries::none) {
+        ++missCount;
+        return false;
     }
-    ++missCount;
-    return false;
+    entries.touch(slot);
+    ++hitCount;
+    return true;
 }
 
 void
 StructureCache::insert(Addr addr, VmId vm, ProcessId pid)
 {
     const std::uint64_t tag = tagOf(addr);
-    Entry *victim = &entries[0];
-    for (auto &entry : entries) {
-        if (entry.valid && entry.vm == vm && entry.pid == pid &&
-            entry.tag == tag) {
-            entry.stamp = ++clock;
-            return;
-        }
-        if (!entry.valid) {
-            victim = &entry;
-            break;
-        }
-        if (entry.stamp < victim->stamp)
-            victim = &entry;
+    const Entries::Slot slot = find(tag, vm, pid);
+    if (slot != Entries::none) {
+        entries.touch(slot);
+        return;
     }
-    victim->valid = true;
-    victim->vm = vm;
-    victim->pid = pid;
-    victim->tag = tag;
-    victim->stamp = ++clock;
+    entries.install(entries.victim(0), keyOf(tag, vm, pid)) =
+        Entry{vm, pid, tag};
 }
 
 void
 StructureCache::invalidateVm(VmId vm)
 {
-    for (auto &entry : entries) {
-        if (entry.valid && entry.vm == vm)
-            entry.valid = false;
-    }
+    entries.eraseIf([vm](const Entry &entry) { return entry.vm == vm; });
 }
 
 void
 StructureCache::flush()
 {
-    for (auto &entry : entries)
-        entry.valid = false;
+    entries.clear();
 }
 
 PscSet::PscSet(const PscConfig &config)

@@ -19,9 +19,10 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
+#include "common/bitutil.hh"
 #include "common/config.hh"
+#include "common/lru_sets.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 
@@ -77,21 +78,34 @@ class StructureCache
     }
 
   private:
-    /** Tag: the VA bits indexing this level and everything above. */
-    std::uint64_t tagOf(Addr addr) const;
-
+    /** What a way holds: the tag and the (vm, pid) it belongs to. */
     struct Entry
     {
-        bool valid = false;
         VmId vm = 0;
         ProcessId pid = 0;
         std::uint64_t tag = 0;
-        std::uint64_t stamp = 0;
     };
+    using Entries = LruSets<Entry>;
+
+    /** Tag: the VA bits indexing this level and everything above. */
+    std::uint64_t tagOf(Addr addr) const;
+
+    /**
+     * Non-zero digest of (tag, vm, pid), which need more than 64 bits
+     * (tags keep the VA bits above 47); find() confirms the entry.
+     */
+    static std::uint64_t
+    keyOf(std::uint64_t tag, VmId vm, ProcessId pid)
+    {
+        return mix64(tag ^ mix64((std::uint64_t{vm} << 16) | pid)) | 1;
+    }
+
+    /** The slot holding (tag, vm, pid), or none. */
+    Entries::Slot find(std::uint64_t tag, VmId vm, ProcessId pid) const;
 
     WalkLevel cachedLevel;
-    std::vector<Entry> entries;
-    std::uint64_t clock = 0;
+    /** One fully-associative set: capacity ways. */
+    Entries entries;
     Counter hitCount;
     Counter missCount;
 };

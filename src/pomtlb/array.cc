@@ -128,13 +128,7 @@ PomTlbPartition::insert(std::uint64_t set, PageNum vpn, VmId vm,
     entry.pageSize = size;
     ++validEntries;
     makeYoungest(base, target);
-
-    // A set that held the victim, an entry of the same VM, is listed.
-    if (evicted && evicted_vm == vm)
-        return;
-    if (evicted)
-        vmSets.removed(evicted_vm);
-    vmSets.added(vm, set);
+    vmSets.installed(vm, set, evicted, evicted_vm);
 }
 
 bool

@@ -10,18 +10,30 @@
 namespace pomtlb
 {
 
+namespace
+{
+
+/** Power-of-two set count of a pool of @p total_entries. */
+std::size_t
+poolSets(const CoalescedTlbConfig &config, unsigned total_entries)
+{
+    config.validate();
+    simAssert(total_entries >= config.associativity,
+              "coalesced: fewer entries than ways");
+    return std::bit_floor<std::size_t>(total_entries /
+                                       config.associativity);
+}
+
+} // namespace
+
 CoalescedTlbScheme::CoalescedTlbScheme(
     const CoalescedTlbConfig &config, unsigned total_entries,
     std::vector<std::unique_ptr<PageWalker>> &walkers)
-    : tlbConfig(config), pageWalkers(walkers)
+    : tlbConfig(config),
+      pageWalkers(walkers),
+      sets(poolSets(config, total_entries)),
+      entries(sets, config.associativity)
 {
-    tlbConfig.validate();
-    simAssert(total_entries >= tlbConfig.associativity,
-              "coalesced: fewer entries than ways");
-    sets = std::bit_floor<std::size_t>(total_entries /
-                                       tlbConfig.associativity);
-    entries.resize(sets * tlbConfig.associativity);
-
     statGroup.addCounter("hits", hits);
     statGroup.addCounter("walks", walks);
     statGroup.addCounter("merges", merges);
@@ -36,32 +48,26 @@ CoalescedTlbScheme::CoalescedTlbScheme(
     statGroup.addHistogram("miss_cycle_hist", missCycleHist);
 }
 
-std::size_t
-CoalescedTlbScheme::setIndex(PageNum base_vpn, PageSize size, VmId vm,
-                             ProcessId pid) const
+std::uint64_t
+CoalescedTlbScheme::digestOf(PageNum base_vpn, PageSize size, VmId vm,
+                             ProcessId pid)
 {
-    const std::uint64_t key =
-        (base_vpn << 3) ^ (static_cast<std::uint64_t>(vm) << 48) ^
-        (static_cast<std::uint64_t>(pid) << 32) ^
-        static_cast<std::uint64_t>(size);
-    return mix64(key) & (sets - 1);
+    return mix64((base_vpn << 3) ^
+                 (static_cast<std::uint64_t>(vm) << 48) ^
+                 (static_cast<std::uint64_t>(pid) << 32) ^
+                 static_cast<std::uint64_t>(size));
 }
 
-CoalescedTlbScheme::Entry *
-CoalescedTlbScheme::findEntry(PageNum base_vpn, PageSize size,
-                              VmId vm, ProcessId pid)
+CoalescedTlbScheme::Entries::Slot
+CoalescedTlbScheme::find(PageNum base_vpn, PageSize size, VmId vm,
+                         ProcessId pid) const
 {
-    const std::size_t set = setIndex(base_vpn, size, vm, pid);
-    Entry *base = &entries[set * tlbConfig.associativity];
-    for (unsigned way = 0; way < tlbConfig.associativity; ++way) {
-        Entry &entry = base[way];
-        if (entry.valid && entry.baseVpn == base_vpn &&
-            entry.size == size && entry.vm == vm &&
-            entry.pid == pid) {
-            return &entry;
-        }
-    }
-    return nullptr;
+    const std::uint64_t digest = digestOf(base_vpn, size, vm, pid);
+    return entries.find(
+        digest & (sets - 1), digest | 1, [&](const Entry &entry) {
+            return entry.baseVpn == base_vpn && entry.size == size &&
+                   entry.vm == vm && entry.pid == pid;
+        });
 }
 
 void
@@ -70,44 +76,29 @@ CoalescedTlbScheme::install(PageNum base_vpn, unsigned offset,
                             ProcessId pid)
 {
     const std::uint64_t bit = std::uint64_t{1} << offset;
-    if (Entry *entry = findEntry(base_vpn, size, vm, pid)) {
-        entry->stamp = ++tick;
-        if (entry->basePfn + offset == pfn) {
+    const Entries::Slot slot = find(base_vpn, size, vm, pid);
+    if (slot != Entries::none) {
+        Entry &entry = entries.payload(slot);
+        entries.touch(slot);
+        if (entry.basePfn + offset == pfn) {
             // The observed frame extends the run's contiguity.
-            if (!(entry->present & bit)) {
-                entry->present |= bit;
+            if (!(entry.present & bit)) {
+                entry.present |= bit;
                 ++merges;
             }
         } else {
             // Contiguity broke: re-anchor the run on the new frame
             // and drop everything merged under the old base.
-            entry->basePfn = pfn - offset;
-            entry->present = bit;
+            entry.basePfn = pfn - offset;
+            entry.present = bit;
             ++splits;
         }
         return;
     }
 
-    const std::size_t set = setIndex(base_vpn, size, vm, pid);
-    Entry *base = &entries[set * tlbConfig.associativity];
-    Entry *victim = base;
-    for (unsigned way = 0; way < tlbConfig.associativity; ++way) {
-        Entry &entry = base[way];
-        if (!entry.valid) {
-            victim = &entry;
-            break;
-        }
-        if (entry.stamp < victim->stamp)
-            victim = &entry;
-    }
-    victim->valid = true;
-    victim->vm = vm;
-    victim->pid = pid;
-    victim->size = size;
-    victim->baseVpn = base_vpn;
-    victim->basePfn = pfn - offset;
-    victim->present = bit;
-    victim->stamp = ++tick;
+    const std::uint64_t digest = digestOf(base_vpn, size, vm, pid);
+    entries.install(entries.victim(digest & (sets - 1)), digest | 1) = {
+        vm, pid, size, base_vpn, pfn - offset, bit};
 }
 
 SchemeResult
@@ -123,10 +114,11 @@ CoalescedTlbScheme::translateMiss(CoreId core, Addr vaddr,
     const unsigned offset = static_cast<unsigned>(vpn - base_vpn);
 
     result.cycles += tlbConfig.accessLatency;
-    Entry *entry = findEntry(base_vpn, size, vm, pid);
-    if (entry && (entry->present & (std::uint64_t{1} << offset))) {
-        entry->stamp = ++tick;
-        result.pfn = entry->basePfn + offset;
+    const Entries::Slot slot = find(base_vpn, size, vm, pid);
+    if (slot != Entries::none &&
+        (entries.payload(slot).present & (std::uint64_t{1} << offset))) {
+        entries.touch(slot);
+        result.pfn = entries.payload(slot).basePfn + offset;
         result.servedBy = ServicePoint::CoalescedTlb;
         result.probes = 1;
         ++hits;
@@ -167,22 +159,19 @@ CoalescedTlbScheme::invalidatePage(Addr vaddr, PageSize size, VmId vm,
     const PageNum vpn = pageNumber(vaddr, size);
     const PageNum base_vpn = vpn & ~PageNum{tlbConfig.rangePages - 1};
     const unsigned offset = static_cast<unsigned>(vpn - base_vpn);
-    if (Entry *entry = findEntry(base_vpn, size, vm, pid)) {
-        entry->present &= ~(std::uint64_t{1} << offset);
-        if (entry->present == 0)
-            entry->valid = false;
-    }
+    const Entries::Slot slot = find(base_vpn, size, vm, pid);
+    if (slot == Entries::none)
+        return;
+    Entry &entry = entries.payload(slot);
+    entry.present &= ~(std::uint64_t{1} << offset);
+    if (entry.present == 0)
+        entries.erase(slot);
 }
 
 void
 CoalescedTlbScheme::invalidateVm(VmId vm)
 {
-    for (Entry &entry : entries) {
-        if (entry.valid && entry.vm == vm) {
-            entry.valid = false;
-            entry.present = 0;
-        }
-    }
+    entries.eraseIf([vm](const Entry &entry) { return entry.vm == vm; });
     for (auto &walker : pageWalkers)
         walker->invalidateVm(vm);
 }
@@ -197,18 +186,14 @@ CoalescedTlbScheme::hitRate() const
 double
 CoalescedTlbScheme::avgPagesPerEntry() const
 {
-    std::uint64_t live = 0;
     std::uint64_t pages = 0;
-    for (const Entry &entry : entries) {
-        if (!entry.valid)
-            continue;
-        ++live;
+    entries.forEach([&](const Entry &entry) {
         pages += static_cast<std::uint64_t>(
             std::popcount(entry.present));
-    }
-    return live ? static_cast<double>(pages) /
-                      static_cast<double>(live)
-                : 0.0;
+    });
+    return entries.size() ? static_cast<double>(pages) /
+                                static_cast<double>(entries.size())
+                          : 0.0;
 }
 
 POMTLB_REGISTER_SCHEME(registerCoalesced, {

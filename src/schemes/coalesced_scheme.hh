@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "common/config.hh"
+#include "common/lru_sets.hh"
 #include "common/stats.hh"
 #include "pagetable/walker.hh"
 #include "sim/scheme.hh"
@@ -73,7 +74,6 @@ class CoalescedTlbScheme : public TranslationScheme
     /** One coalesced entry: an aligned run of rangePages pages. */
     struct Entry
     {
-        bool valid = false;
         VmId vm = 0;
         ProcessId pid = 0;
         PageSize size = PageSize::Small4K;
@@ -88,22 +88,25 @@ class CoalescedTlbScheme : public TranslationScheme
         PageNum basePfn = 0;
         /** Which pages of the run this entry currently covers. */
         std::uint64_t present = 0;
-        /** LRU stamp. */
-        std::uint64_t stamp = 0;
     };
+    using Entries = LruSets<Entry>;
 
-    std::size_t setIndex(PageNum base_vpn, PageSize size, VmId vm,
-                         ProcessId pid) const;
-    Entry *findEntry(PageNum base_vpn, PageSize size, VmId vm,
-                     ProcessId pid);
+    /**
+     * mix64 of a run's identity, which does not fit 64 bits: its low
+     * bits pick the set, and with bit 0 forced on it is the key.
+     */
+    static std::uint64_t digestOf(PageNum base_vpn, PageSize size,
+                                  VmId vm, ProcessId pid);
+    /** The slot holding the run, or none. */
+    Entries::Slot find(PageNum base_vpn, PageSize size, VmId vm,
+                       ProcessId pid) const;
     void install(PageNum base_vpn, unsigned offset, PageNum pfn,
                  PageSize size, VmId vm, ProcessId pid);
 
     CoalescedTlbConfig tlbConfig;
     std::vector<std::unique_ptr<PageWalker>> &pageWalkers;
     std::size_t sets;
-    std::vector<Entry> entries; /**< sets × associativity. */
-    std::uint64_t tick = 0;     /**< LRU clock. */
+    Entries entries; /**< sets × associativity runs. */
 
     Counter hits;
     Counter walks;

@@ -133,14 +133,7 @@ VictimaScheme::installSlot(std::uint64_t block, PageNum vpn,
     victim->vpn = vpn;
     victim->pfn = pfn;
     victim->stamp = ++tick;
-
-    // A block that held the victim, an entry of the same VM, is
-    // listed.
-    if (evicted && evicted_vm == vm)
-        return;
-    if (evicted)
-        vmBlocks.removed(evicted_vm);
-    vmBlocks.added(vm, block);
+    vmBlocks.installed(vm, block, evicted, evicted_vm);
 }
 
 SchemeResult

@@ -2,7 +2,6 @@
 
 #include "common/bitutil.hh"
 #include "common/log.hh"
-#include "common/setscan.hh"
 
 namespace pomtlb
 {
@@ -10,10 +9,7 @@ namespace pomtlb
 SetAssocTlb::SetAssocTlb(const TlbConfig &config)
     : tlbConfig(config),
       sets(config.numSets()),
-      ways(config.associativity),
-      entries(config.entries),
-      keys(config.entries, 0),
-      stamps(config.entries, 0),
+      entries(config.numSets(), config.associativity),
       statGroup(config.name)
 {
     tlbConfig.validate();
@@ -33,36 +29,14 @@ SetAssocTlb::setIndex(PageNum vpn, VmId vm) const
     return (vpn ^ vm) & (sets - 1);
 }
 
-unsigned
-SetAssocTlb::matchWay(std::uint64_t set, PageNum vpn, PageSize size,
-                      VmId vm, ProcessId pid) const
-{
-    // SIMD-friendly probe: one compare pass over the set's packed
-    // key lane, then full-field verification of each candidate in
-    // way order (a digest collision must not manufacture a hit, and
-    // the lowest truly-matching way must win).
-    std::uint64_t mask = findKeyMask(keys.data() + set * ways, ways,
-                                     entryKey(vpn, vm, pid, size));
-    const TlbEntry *base = &entries[set * ways];
-    while (mask != 0) {
-        const unsigned way =
-            static_cast<unsigned>(std::countr_zero(mask));
-        if (base[way].matches(vpn, vm, pid, size))
-            return way;
-        mask &= mask - 1;
-    }
-    return ways;
-}
-
 TlbLookupResult
 SetAssocTlb::lookup(PageNum vpn, PageSize size, VmId vm, ProcessId pid)
 {
-    const std::uint64_t set = setIndex(vpn, vm);
-    const unsigned way = matchWay(set, vpn, size, vm, pid);
-    if (way != ways) {
-        touchWay(set, way);
+    const Entries::Slot slot = find(vpn, size, vm, pid);
+    if (slot != Entries::none) {
+        entries.touch(slot);
         ++hitCount;
-        return {true, entries[set * ways + way].pfn};
+        return {true, entries.payload(slot).pfn};
     }
     ++missCount;
     return {};
@@ -72,65 +46,43 @@ bool
 SetAssocTlb::contains(PageNum vpn, PageSize size, VmId vm,
                       ProcessId pid) const
 {
-    const std::uint64_t set = setIndex(vpn, vm);
-    return matchWay(set, vpn, size, vm, pid) != ways;
+    return find(vpn, size, vm, pid) != Entries::none;
 }
 
 void
 SetAssocTlb::insert(PageNum vpn, PageSize size, VmId vm, ProcessId pid,
                     PageNum pfn)
 {
-    const std::uint64_t set = setIndex(vpn, vm);
-    const std::uint64_t base_index = set * ways;
-    TlbEntry *base = &entries[base_index];
     ++insertions;
-
-    // Vector-friendly fixed-trip scans over the set's packed key
-    // lane (common/setscan.hh) replace the old merged early-exit
-    // loop: a matching entry refreshes in place (a duplicate fill),
-    // else the first free way (key 0) wins, else the LRU oldest
-    // stamp. Each result is consumed exactly when the scalar
-    // loop consumed it and every tie goes to the lowest way, so the
-    // victims — and therefore all downstream state — match
-    // bit-for-bit.
-    const unsigned match = matchWay(set, vpn, size, vm, pid);
-    if (match != ways) {
-        base[match].pfn = pfn;
-        touchWay(set, match);
+    // A matching entry refreshes in place (a duplicate fill).
+    const Entries::Slot match = find(vpn, size, vm, pid);
+    if (match != Entries::none) {
+        entries.payload(match).pfn = pfn;
+        entries.touch(match);
         return;
     }
 
-    unsigned target = findKeyWay(keys.data() + base_index, ways, 0);
-    if (target == ways) {
-        target = minStampWay(stamps.data() + base_index, ways);
+    const Entries::Slot slot = entries.victim(setIndex(vpn, vm));
+    if (entries.occupied(slot))
         ++evictions;
-        --validEntries;
-    }
-
-    TlbEntry &entry = base[target];
+    TlbEntry &entry =
+        entries.install(slot, entryKey(vpn, vm, pid, size));
     entry.valid = true;
     entry.vmId = vm;
     entry.pid = pid;
     entry.vpn = vpn;
     entry.pfn = pfn;
     entry.pageSize = size;
-    keys[base_index + target] = entryKey(vpn, vm, pid, size);
-    ++validEntries;
-    touchWay(set, target);
 }
 
 bool
 SetAssocTlb::invalidatePage(PageNum vpn, PageSize size, VmId vm,
                             ProcessId pid)
 {
-    const std::uint64_t set = setIndex(vpn, vm);
-    const unsigned way = matchWay(set, vpn, size, vm, pid);
-    if (way == ways)
+    const Entries::Slot slot = find(vpn, size, vm, pid);
+    if (slot == Entries::none)
         return false;
-    entries[set * ways + way].valid = false;
-    keys[set * ways + way] = 0;
-    forgetWay(set, way);
-    --validEntries;
+    entries.erase(slot);
     ++shootdowns;
     return true;
 }
@@ -138,19 +90,8 @@ SetAssocTlb::invalidatePage(PageNum vpn, PageSize size, VmId vm,
 std::uint64_t
 SetAssocTlb::invalidateVm(VmId vm)
 {
-    std::uint64_t dropped = 0;
-    for (std::uint64_t set = 0; set < sets; ++set) {
-        TlbEntry *base = &entries[set * ways];
-        for (unsigned way = 0; way < ways; ++way) {
-            if (base[way].valid && base[way].vmId == vm) {
-                base[way].valid = false;
-                keys[set * ways + way] = 0;
-                forgetWay(set, way);
-                --validEntries;
-                ++dropped;
-            }
-        }
-    }
+    const std::uint64_t dropped = entries.eraseIf(
+        [vm](const TlbEntry &entry) { return entry.vmId == vm; });
     shootdowns.increment(dropped);
     return dropped;
 }
@@ -158,20 +99,7 @@ SetAssocTlb::invalidateVm(VmId vm)
 std::uint64_t
 SetAssocTlb::flush()
 {
-    std::uint64_t dropped = 0;
-    for (std::uint64_t set = 0; set < sets; ++set) {
-        TlbEntry *base = &entries[set * ways];
-        for (unsigned way = 0; way < ways; ++way) {
-            if (base[way].valid) {
-                base[way].valid = false;
-                keys[set * ways + way] = 0;
-                forgetWay(set, way);
-                ++dropped;
-            }
-        }
-    }
-    validEntries = 0;
-    return dropped;
+    return entries.clear();
 }
 
 double

@@ -10,10 +10,10 @@
 #define POMTLB_TLB_TLB_HH
 
 #include <string>
-#include <vector>
 
 #include "common/bitutil.hh"
 #include "common/config.hh"
+#include "common/lru_sets.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "tlb/entry.hh"
@@ -61,21 +61,21 @@ class SetAssocTlb
     double hitRate() const;
     std::uint64_t hits() const { return hitCount.value(); }
     std::uint64_t misses() const { return missCount.value(); }
-    std::uint64_t validEntryCount() const { return validEntries; }
+    std::uint64_t validEntryCount() const { return entries.size(); }
 
     const TlbConfig &config() const { return tlbConfig; }
     StatGroup &stats() { return statGroup; }
 
   private:
+    using Entries = LruSets<TlbEntry>;
+
     std::uint64_t setIndex(PageNum vpn, VmId vm) const;
 
     /**
-     * Packed match key of a valid entry for the SIMD-friendly way
-     * scan: a mixed digest of (vpn, vm, pid, size), forced non-zero
-     * so 0 can stand for an invalid way. The scan compares one
-     * contiguous 64-bit lane per set (common/setscan.hh) and then
-     * verifies candidate ways against the full entry fields, so a
-     * rare digest collision costs a compare, never a wrong hit.
+     * Match key of an entry: a mixed digest of (vpn, vm, pid, size),
+     * forced non-zero so 0 stays the empty key. find() confirms each
+     * candidate against the full entry fields, so a rare digest
+     * collision costs a compare, never a wrong hit.
      */
     static std::uint64_t
     entryKey(PageNum vpn, VmId vm, ProcessId pid, PageSize size)
@@ -89,40 +89,21 @@ class SetAssocTlb
         return mix64(packed) | 1;
     }
 
-    /**
-     * First way of @p set fully matching (vpn, vm, pid, size), or
-     * the associativity when none does.
-     */
-    unsigned matchWay(std::uint64_t set, PageNum vpn, PageSize size,
-                      VmId vm, ProcessId pid) const;
-
-    /** Note a use of [set, way] in the LRU state. */
-    void
-    touchWay(std::uint64_t set, unsigned way)
+    /** The slot holding (vpn, vm, pid, size), or none. */
+    Entries::Slot
+    find(PageNum vpn, PageSize size, VmId vm, ProcessId pid) const
     {
-        stamps[set * ways + way] = ++lruClock;
-    }
-
-    /** Forget a way's use history after an invalidation. */
-    void
-    forgetWay(std::uint64_t set, unsigned way)
-    {
-        stamps[set * ways + way] = 0;
+        return entries.find(setIndex(vpn, vm),
+                            entryKey(vpn, vm, pid, size),
+                            [&](const TlbEntry &entry) {
+                                return entry.matches(vpn, vm, pid,
+                                                     size);
+                            });
     }
 
     TlbConfig tlbConfig;
     std::uint64_t sets;
-    unsigned ways;
-    std::vector<TlbEntry> entries;
-    /** Per-way packed match keys (entryKey(); 0 = invalid way). */
-    std::vector<std::uint64_t> keys;
-    /**
-     * Per-way LRU recency stamps: 0 means never used or invalidated,
-     * so the victim is the oldest stamp, lowest way on ties.
-     */
-    std::vector<std::uint64_t> stamps;
-    std::uint64_t lruClock = 0;
-    std::uint64_t validEntries = 0;
+    Entries entries;
 
     Counter hitCount;
     Counter missCount;

@@ -112,5 +112,37 @@ TEST(Config, SystemRejectsMismatchedLineSizes)
     EXPECT_THROW(config.validate(), FatalError);
 }
 
+TEST(Config, SetAssociativeStructuresHoldAtMost64Ways)
+{
+    // One 64-bit mask matches a set, so a 65th way cannot be named.
+    CacheConfig cache{"wide", 64 * 64, 64, 64, 4};
+    EXPECT_NO_THROW(cache.validate());
+    cache.sizeBytes = 65 * 64;
+    cache.associativity = 65;
+    EXPECT_THROW(cache.validate(), FatalError);
+
+    TlbConfig tlb{"wide", 64, 64, 9, 1};
+    EXPECT_NO_THROW(tlb.validate());
+    tlb.entries = 65;
+    tlb.associativity = 65;
+    EXPECT_THROW(tlb.validate(), FatalError);
+
+    PscConfig psc;
+    psc.pdeEntries = 64;
+    EXPECT_NO_THROW(psc.validate());
+    psc.pdeEntries = 65;
+    EXPECT_THROW(psc.validate(), FatalError);
+    psc = PscConfig{};
+    psc.nestedTlbEntries = 65;
+    psc.nestedTlbAssociativity = 65;
+    EXPECT_THROW(psc.validate(), FatalError);
+
+    CoalescedTlbConfig coalesced;
+    coalesced.associativity = 64;
+    EXPECT_NO_THROW(coalesced.validate());
+    coalesced.associativity = 65;
+    EXPECT_THROW(coalesced.validate(), FatalError);
+}
+
 } // namespace
 } // namespace pomtlb

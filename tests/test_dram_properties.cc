@@ -59,10 +59,12 @@ TEST_P(DramTimingTest, OutcomeLatencyOrdering)
     // non-zero.
     EXPECT_LE(hit.latency, closed.latency);
     EXPECT_LE(closed.latency, conflict.latency);
-    if (config.tRcd > 0)
+    if (config.tRcd > 0) {
         EXPECT_LT(hit.latency, closed.latency);
-    if (config.tRp > 0)
+    }
+    if (config.tRp > 0) {
         EXPECT_LT(closed.latency, conflict.latency);
+    }
 }
 
 TEST_P(DramTimingTest, LatencyMatchesAnalyticalFormula)

@@ -51,8 +51,9 @@ TEST(SchemeRegistry, PaperSchemesComeFirstInRegistrationRankOrder)
     ASSERT_EQ(entries.size(), names.size());
     for (std::size_t i = 0; i < entries.size(); ++i) {
         EXPECT_EQ(entries[i]->name, names[i]);
-        if (i > 0)
+        if (i > 0) {
             EXPECT_GE(entries[i]->rank, entries[i - 1]->rank);
+        }
     }
 }
 
@@ -78,6 +79,18 @@ TEST(SchemeRegistry, EveryNameRoundTripsThroughParseAndEmit)
               nullptr);
 }
 
+/** A registration naming only @p name, @p aliases and @p factory. */
+SchemeRegistry::Info
+entry(std::string name, std::vector<std::string> aliases,
+      SchemeRegistry::Factory factory)
+{
+    SchemeRegistry::Info info;
+    info.name = std::move(name);
+    info.aliases = std::move(aliases);
+    info.factory = std::move(factory);
+    return info;
+}
+
 TEST(SchemeRegistry, RejectsDuplicateAndMalformedRegistrations)
 {
     const SchemeRegistry::Factory factory =
@@ -91,23 +104,22 @@ TEST(SchemeRegistry, RejectsDuplicateAndMalformedRegistrations)
                   .factory = factory});
 
     // Same canonical name.
-    EXPECT_THROW(registry.add({.name = "A", .factory = factory}),
+    EXPECT_THROW(registry.add(entry("A", {}, factory)),
                  std::invalid_argument);
     // New name colliding with an existing alias.
-    EXPECT_THROW(registry.add({.name = "a", .factory = factory}),
+    EXPECT_THROW(registry.add(entry("a", {}, factory)),
                  std::invalid_argument);
     // New alias colliding with an existing canonical name.
-    EXPECT_THROW(registry.add({.name = "B",
-                               .aliases = {"A"},
-                               .factory = factory}),
+    EXPECT_THROW(registry.add(entry("B", {"A"}, factory)),
                  std::invalid_argument);
     // Empty name and missing factory are both malformed.
-    EXPECT_THROW(registry.add({.name = "", .factory = factory}),
+    EXPECT_THROW(registry.add(entry("", {}, factory)),
                  std::invalid_argument);
-    EXPECT_THROW(registry.add({.name = "C"}), std::invalid_argument);
+    EXPECT_THROW(registry.add(entry("C", {}, nullptr)),
+                 std::invalid_argument);
 
     // The failed adds left the registry usable.
-    registry.add({.name = "B", .factory = factory});
+    registry.add(entry("B", {}, factory));
     EXPECT_EQ(registry.names(),
               (std::vector<std::string>{"A", "B"}));
 }

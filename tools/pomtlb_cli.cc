@@ -221,9 +221,8 @@ struct CliOptions
     std::string statsOutPath;
     std::string traceOutPath;
 
-    // --out (sweep / scenario JSON)
+    // --out (sweep / scenario JSON, trace pack)
     std::string outPath;
-    bool outPathSet = false;
 
     // trace-pack replay and recording (run / scenario)
     std::string tracePackIn;
@@ -239,9 +238,18 @@ struct CliOptions
     // figures
     std::string onlyList;
 
-    // serve
+    // serve (its last --in) and trace pack (every --in)
     std::string journalDir;
-    std::string inPath;
+    std::vector<std::string> inPaths;
+
+    // trace pack / info / cat
+    std::uint64_t count = 0;
+    std::string streamNames;
+    bool json = false;
+    std::string streamName;
+    std::uint64_t limit = 0;
+    /** Arguments that are not options (trace info/cat: the PACK). */
+    std::vector<std::string> positional;
 
     // scenario
     std::string tenantsList = "1";
@@ -261,6 +269,14 @@ struct CliOptions
 
     // every option named on the command line, in order
     std::vector<std::string> given;
+
+    /** Was @p flag on the command line? */
+    bool
+    gave(const std::string &flag) const
+    {
+        return std::find(given.begin(), given.end(), flag) !=
+               given.end();
+    }
 };
 
 [[noreturn]] void
@@ -368,10 +384,8 @@ parseOptions(int argc, char **argv, int first)
             options.statsOutPath = next();
         else if (arg == "--trace-out")
             options.traceOutPath = next();
-        else if (arg == "--out") {
+        else if (arg == "--out")
             options.outPath = next();
-            options.outPathSet = true;
-        }
         else if (arg == "--trace-in")
             options.tracePackIn = next();
         else if (arg == "--trace-record")
@@ -391,7 +405,7 @@ parseOptions(int argc, char **argv, int first)
         else if (arg == "--journal-dir")
             options.journalDir = next();
         else if (arg == "--in")
-            options.inPath = next();
+            options.inPaths.push_back(next());
         else if (arg == "--tenants")
             options.tenantsList = next();
         else if (arg == "--tenant-benchmarks")
@@ -416,6 +430,18 @@ parseOptions(int argc, char **argv, int first)
             options.maxAgeSeconds = parseNumber(next());
         else if (arg == "--dry-run")
             options.dryRun = true;
+        else if (arg == "--count")
+            options.count = parseNumber(next());
+        else if (arg == "--stream-names")
+            options.streamNames = next();
+        else if (arg == "--json")
+            options.json = true;
+        else if (arg == "--stream")
+            options.streamName = next();
+        else if (arg == "--limit")
+            options.limit = parseNumber(next());
+        else if (arg.empty() || arg[0] != '-')
+            options.positional.push_back(arg);
         else {
             std::fprintf(stderr, "pomtlb: unknown option '%s'\n",
                          arg.c_str());
@@ -800,7 +826,7 @@ commandSweep(const CliOptions &options)
     if (!options.cacheDir.empty() || !options.journalPath.empty())
         printServiceStats(stdout, "sweep-cache", service.stats());
 
-    if (options.outPathSet) {
+    if (options.gave("--out")) {
         std::ofstream out(options.outPath);
         if (!out) {
             std::fprintf(stderr, "cannot open %s for writing\n",
@@ -964,7 +990,7 @@ commandScenario(const CliOptions &options)
     if (!options.cacheDir.empty() || !options.journalPath.empty())
         printServiceStats(stdout, "scenario-cache", service.stats());
 
-    if (options.outPathSet) {
+    if (options.gave("--out")) {
         std::ofstream out(options.outPath);
         if (!out) {
             std::fprintf(stderr, "cannot open %s for writing\n",
@@ -1033,18 +1059,19 @@ commandServe(const CliOptions &options)
     serve_options.crashAfterAppends = service.crashAfterAppends;
 
     std::ifstream file_input;
-    if (!options.inPath.empty()) {
+    if (!options.inPaths.empty()) {
         // Opening a FIFO blocks until a writer connects, which is
         // exactly the behaviour a service loop wants.
-        file_input.open(options.inPath);
+        const std::string &path = options.inPaths.back();
+        file_input.open(path);
         if (!file_input) {
             std::fprintf(stderr, "cannot open %s for reading\n",
-                         options.inPath.c_str());
+                         path.c_str());
             return 1;
         }
     }
     std::istream &input =
-        options.inPath.empty()
+        options.inPaths.empty()
             ? static_cast<std::istream &>(std::cin)
             : static_cast<std::istream &>(file_input);
 
@@ -1077,53 +1104,33 @@ traceUsage()
  * replays it byte-identically).
  */
 int
-commandTracePack(int argc, char **argv)
+commandTracePack(const CliOptions &options)
 {
-    std::string outPath;
-    std::vector<std::string> inputs;
-    std::string benchmark;
-    unsigned cores = 0;
-    std::uint64_t count = 0;
-    std::uint64_t seed = 0;
-    std::string streamNamesList;
-    for (int i = 3; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s needs a value\n",
-                             arg.c_str());
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (arg == "--out")
-            outPath = next();
-        else if (arg == "--in")
-            inputs.push_back(next());
-        else if (arg == "--benchmark")
-            benchmark = next();
-        else if (arg == "--cores")
-            cores = parseUnsigned(next());
-        else if (arg == "--count")
-            count = parseNumber(next());
-        else if (arg == "--seed")
-            seed = parseNumber(next());
-        else if (arg == "--stream-names")
-            streamNamesList = next();
-        else
-            traceUsage();
-    }
-    if (outPath.empty())
+    const std::vector<std::string> &inputs = options.inPaths;
+    const bool capture = options.gave("--benchmark");
+    if (options.outPath.empty())
         traceUsage();
-    if (inputs.empty() == benchmark.empty()) {
+    if (inputs.empty() != capture) {
         std::fprintf(stderr, "trace pack needs either --in files or "
                              "a --benchmark to capture\n");
         return 2;
     }
+    // A text trace brings its own records; these shape a capture.
+    for (const char *flag : {"--cores", "--seed", "--count"}) {
+        if (!capture && options.gave(flag)) {
+            std::fprintf(stderr,
+                         "pomtlb: trace pack --in does not take '%s' "
+                         "(it only shapes a --benchmark capture)\n",
+                         flag);
+            return 2;
+        }
+    }
 
     const std::size_t streamCount =
-        inputs.empty() ? (cores ? cores : 1) : inputs.size();
-    std::vector<std::string> names = splitList(streamNamesList);
+        !capture ? inputs.size()
+        : options.gave("--cores") && options.cores ? options.cores
+                                                   : 1;
+    std::vector<std::string> names = splitList(options.streamNames);
     if (!names.empty() && names.size() != streamCount) {
         std::fprintf(stderr,
                      "--stream-names gives %zu names for %zu "
@@ -1136,8 +1143,8 @@ commandTracePack(int argc, char **argv)
             names.push_back("core" + std::to_string(i));
     }
 
-    TracePackWriter writer(outPath, names);
-    if (!inputs.empty()) {
+    TracePackWriter writer(options.outPath, names);
+    if (!capture) {
         for (std::size_t i = 0; i < inputs.size(); ++i) {
             const std::string &input = inputs[i];
             const std::uint64_t records = scanTextTrace(
@@ -1155,16 +1162,16 @@ commandTracePack(int argc, char **argv)
         // same combined seed, one stream per core, warmup + measured
         // length by default.
         const BenchmarkProfile &profile =
-            ProfileRegistry::byName(benchmark);
+            ProfileRegistry::byName(options.benchmark);
         const ExperimentConfig defaults;
         const std::uint64_t engineSeed =
-            seed ? seed : defaults.engine.seed;
+            options.seed ? options.seed : defaults.engine.seed;
         const std::uint64_t combined =
             engineSeed ^ defaults.system.seed;
         const std::uint64_t perStream =
-            count ? count
-                  : defaults.engine.warmupRefsPerCore +
-                        defaults.engine.refsPerCore;
+            options.count ? options.count
+                          : defaults.engine.warmupRefsPerCore +
+                                defaults.engine.refsPerCore;
         std::vector<TraceRecord> block(4096);
         for (std::size_t stream = 0; stream < streamCount;
              ++stream) {
@@ -1188,17 +1195,26 @@ commandTracePack(int argc, char **argv)
     std::printf("wrote %llu records in %zu stream(s) to %s "
                 "(content hash %s)\n",
                 static_cast<unsigned long long>(writer.recordCount()),
-                streamCount, outPath.c_str(),
+                streamCount, options.outPath.c_str(),
                 writer.contentHash().c_str());
     return 0;
 }
 
+/** The one PACK path `trace info` and `trace cat` take. */
+const std::string &
+packPath(const CliOptions &options)
+{
+    if (options.positional.size() != 1)
+        traceUsage();
+    return options.positional.front();
+}
+
 /** `pomtlb trace info`: describe a pack (human table or JSON). */
 int
-commandTraceInfo(const std::string &path, bool json)
+commandTraceInfo(const CliOptions &options)
 {
-    const JsonValue info = tracePackInfoJson(path);
-    if (json) {
+    const JsonValue info = tracePackInfoJson(packPath(options));
+    if (options.json) {
         info.write(std::cout);
         std::printf("\n");
         return 0;
@@ -1233,16 +1249,16 @@ commandTraceInfo(const std::string &path, bool json)
 
 /** `pomtlb trace cat`: dump records as pomtlb-tracetext-v1. */
 int
-commandTraceCat(const std::string &path,
-                const std::string &streamName, std::uint64_t limit)
+commandTraceCat(const CliOptions &options)
 {
+    const std::string &path = packPath(options);
     TracePackReader reader(path);
     std::vector<std::size_t> streams;
-    if (!streamName.empty()) {
-        const int index = reader.streamIndex(streamName);
+    if (!options.streamName.empty()) {
+        const int index = reader.streamIndex(options.streamName);
         if (index < 0) {
             std::fprintf(stderr, "no stream '%s' in %s\n",
-                         streamName.c_str(), path.c_str());
+                         options.streamName.c_str(), path.c_str());
             return 2;
         }
         streams.push_back(static_cast<std::size_t>(index));
@@ -1257,7 +1273,7 @@ commandTraceCat(const std::string &path,
                     reader.stream(stream).name.c_str());
         const std::uint64_t total = reader.stream(stream).records;
         const std::uint64_t wanted =
-            limit ? std::min(limit, total) : total;
+            options.limit ? std::min(options.limit, total) : total;
         std::uint64_t pos = 0;
         while (pos < wanted) {
             const std::size_t got = reader.read(
@@ -1271,51 +1287,6 @@ commandTraceCat(const std::string &path,
         }
     }
     return 0;
-}
-
-/** Dispatch `pomtlb trace <pack|info|cat>`. */
-int
-commandTrace(int argc, char **argv)
-{
-    if (argc < 3)
-        traceUsage();
-    const std::string sub = argv[2];
-    if (sub == "pack")
-        return commandTracePack(argc, argv);
-
-    // info / cat take a positional pack path plus a few flags.
-    std::string path;
-    bool json = false;
-    std::string streamName;
-    std::uint64_t limit = 0;
-    for (int i = 3; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s needs a value\n",
-                             arg.c_str());
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (arg == "--json")
-            json = true;
-        else if (arg == "--stream")
-            streamName = next();
-        else if (arg == "--limit")
-            limit = parseNumber(next());
-        else if (!arg.empty() && arg[0] != '-' && path.empty())
-            path = arg;
-        else
-            traceUsage();
-    }
-    if (path.empty())
-        traceUsage();
-    if (sub == "info")
-        return commandTraceInfo(path, json);
-    if (sub == "cat")
-        return commandTraceCat(path, streamName, limit);
-    traceUsage();
 }
 
 } // namespace
@@ -1378,30 +1349,45 @@ main(int argc, char **argv)
         {"cache-gc",
          {commandCacheGc,
           {"--cache-dir", "--max-bytes", "--max-age", "--dry-run"}}},
+        {"trace pack",
+         {commandTracePack,
+          {"--out", "--in", "--benchmark", "--cores", "--count",
+           "--seed", "--stream-names"}}},
+        {"trace info", {commandTraceInfo, {"PACK", "--json"}}},
+        {"trace cat",
+         {commandTraceCat, {"PACK", "--stream", "--limit"}}},
     };
     // Malformed trace input (a bad, unclosed or truncated pack, a
     // bad text line), an impossible scenario and a configuration
     // that fails validation are operator errors, not bugs: report
     // the message and exit 1 instead of crashing.
     try {
-        if (command == "trace")
-            return commandTrace(argc, argv);
-        const auto entry = commands.find(command);
+        // `trace` names its verb with a second word.
+        const bool trace = command == "trace";
+        if (trace && argc < 3)
+            traceUsage();
+        const std::string name =
+            trace ? command + " " + argv[2] : command;
+        const auto entry = commands.find(name);
         if (entry == commands.end()) {
+            if (trace)
+                traceUsage();
             std::fprintf(stderr, "pomtlb: unknown command '%s'\n",
                          command.c_str());
             usage();
         }
         const Verb &verb = entry->second;
-        const CliOptions options = parseOptions(argc, argv, 2);
-        // An option the verb does not read is an error, not ignored.
+        const CliOptions options = parseOptions(argc, argv, trace ? 3 : 2);
+        // An option the verb does not read is an error, not ignored;
+        // a verb that takes a positional argument lists it as PACK.
         for (const std::string &flag : options.given) {
+            const bool option = !flag.empty() && flag[0] == '-';
             if (std::find(verb.options.begin(), verb.options.end(),
-                          flag) != verb.options.end())
+                          option ? flag : "PACK") != verb.options.end())
                 continue;
             std::fprintf(stderr,
                          "pomtlb: %s does not take '%s' (it takes:",
-                         command.c_str(), flag.c_str());
+                         name.c_str(), flag.c_str());
             for (const std::string &known : verb.options)
                 std::fprintf(stderr, " %s", known.c_str());
             std::fprintf(stderr, "%s)\n",
