@@ -11,26 +11,20 @@ NestedWalkScheme::NestedWalkScheme(
     std::vector<std::unique_ptr<PageWalker>> &walkers)
     : pageWalkers(walkers)
 {
-    statGroup.addCounter("walks", walks);
-    statGroup.addCounter("walk_cycles", walkCyclesTotal);
-    statGroup.addAverage("avg_walk_cycles", walkCycles);
+    exportMissCount("walks");
+    exportServedCycles("walk_cycles", ServicePoint::PageWalk);
+    exportMissCycles("avg_walk_cycles", "walk_cycle_hist");
     statGroup.addAverage("avg_walk_refs", walkRefs);
-    statGroup.addHistogram("walk_cycle_hist", walkCycleHist);
 }
 
 SchemeResult
-NestedWalkScheme::translateMiss(CoreId core, Addr vaddr, PageSize size,
-                                VmId vm, ProcessId pid, Cycles now)
+NestedWalkScheme::resolve(CoreId core, Addr vaddr, PageSize size,
+                          VmId vm, ProcessId pid, Cycles now)
 {
     simAssert(core < pageWalkers.size(), "core id out of range");
     const WalkResult walk =
         pageWalkers[core]->walk(vaddr, vm, pid, size, now);
-
-    ++walks;
-    walkCyclesTotal += walk.cycles;
-    walkCycles.sample(static_cast<double>(walk.cycles));
     walkRefs.sample(static_cast<double>(walk.memRefs));
-    walkCycleHist.sample(walk.cycles);
 
     SchemeResult result;
     result.cycles = walk.cycles;
@@ -39,19 +33,6 @@ NestedWalkScheme::translateMiss(CoreId core, Addr vaddr, PageSize size,
     result.servedBy = ServicePoint::PageWalk;
     result.probes = 1;
     return result;
-}
-
-std::vector<std::pair<ServicePoint, std::uint64_t>>
-NestedWalkScheme::cycleBreakdown() const
-{
-    return {{ServicePoint::PageWalk, walkCyclesTotal.value()}};
-}
-
-void
-NestedWalkScheme::invalidateVm(VmId vm)
-{
-    for (auto &walker : pageWalkers)
-        walker->invalidateVm(vm);
 }
 
 POMTLB_REGISTER_SCHEME(registerNestedWalk, {

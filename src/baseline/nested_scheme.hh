@@ -28,28 +28,19 @@ class NestedWalkScheme : public TranslationScheme
 
     std::string name() const override { return "Baseline"; }
 
-    SchemeResult translateMiss(CoreId core, Addr vaddr, PageSize size,
-                               VmId vm, ProcessId pid,
-                               Cycles now) override;
-
-    void invalidateVm(VmId vm) override;
-    std::vector<std::pair<ServicePoint, std::uint64_t>>
-    cycleBreakdown() const override;
-
     /** Walks performed since the last stats reset. */
-    std::uint64_t walkCount() const { return walks.value(); }
+    std::uint64_t walkCount() const { return missCount(); }
     /** Mean cycles per walk. */
-    double avgWalkCycles() const { return walkCycles.mean(); }
+    double avgWalkCycles() const { return avgMissCycles(); }
     /** Mean PTE memory references per walk. */
     double avgWalkRefs() const { return walkRefs.mean(); }
 
   private:
+    SchemeResult resolve(CoreId core, Addr vaddr, PageSize size,
+                         VmId vm, ProcessId pid, Cycles now) override;
+
     std::vector<std::unique_ptr<PageWalker>> &pageWalkers;
-    Counter walks;
-    Counter walkCyclesTotal;
-    Average walkCycles;
     Average walkRefs;
-    Log2Histogram walkCycleHist;
 };
 
 } // namespace pomtlb

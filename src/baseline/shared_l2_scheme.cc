@@ -14,19 +14,18 @@ SharedL2Scheme::SharedL2Scheme(
       sharedLatency(config.accessLatency),
       pageWalkers(walkers)
 {
-    statGroup.addCounter("walks", walks);
-    statGroup.addCounter("shared_hit_cycles", sharedHitCycles);
-    statGroup.addCounter("walk_path_cycles", walkPathCycles);
-    statGroup.addAverage("avg_miss_cycles", missCycles);
+    exportServedCount("walks", ServicePoint::PageWalk);
+    exportServedCycles("shared_hit_cycles", ServicePoint::SharedTlb);
+    exportServedCycles("walk_path_cycles", ServicePoint::PageWalk);
+    exportMissCycles("avg_miss_cycles", "miss_cycle_hist");
     statGroup.addDerived("shared_hit_rate",
                          [this] { return sharedHitRate(); });
-    statGroup.addHistogram("miss_cycle_hist", missCycleHist);
     statGroup.addChild(sharedTlb->stats());
 }
 
 SchemeResult
-SharedL2Scheme::translateMiss(CoreId core, Addr vaddr, PageSize size,
-                              VmId vm, ProcessId pid, Cycles now)
+SharedL2Scheme::resolve(CoreId core, Addr vaddr, PageSize size,
+                        VmId vm, ProcessId pid, Cycles now)
 {
     simAssert(core < pageWalkers.size(), "core id out of range");
     SchemeResult result;
@@ -38,9 +37,6 @@ SharedL2Scheme::translateMiss(CoreId core, Addr vaddr, PageSize size,
         result.pfn = hit.pfn;
         result.servedBy = ServicePoint::SharedTlb;
         result.probes = 1;
-        sharedHitCycles += result.cycles;
-        missCycles.sample(static_cast<double>(result.cycles));
-        missCycleHist.sample(result.cycles);
         return result;
     }
 
@@ -52,20 +48,9 @@ SharedL2Scheme::translateMiss(CoreId core, Addr vaddr, PageSize size,
     result.servedBy = ServicePoint::PageWalk;
     result.probes = 2;
     result.firstTryServed = false;
-    ++walks;
-    walkPathCycles += result.cycles;
 
     sharedTlb->insert(vpn, size, vm, pid, walk.hostPfn);
-    missCycles.sample(static_cast<double>(result.cycles));
-    missCycleHist.sample(result.cycles);
     return result;
-}
-
-std::vector<std::pair<ServicePoint, std::uint64_t>>
-SharedL2Scheme::cycleBreakdown() const
-{
-    return {{ServicePoint::SharedTlb, sharedHitCycles.value()},
-            {ServicePoint::PageWalk, walkPathCycles.value()}};
 }
 
 void
@@ -79,8 +64,6 @@ void
 SharedL2Scheme::invalidateVm(VmId vm)
 {
     sharedTlb->invalidateVm(vm);
-    for (auto &walker : pageWalkers)
-        walker->invalidateVm(vm);
 }
 
 POMTLB_REGISTER_SCHEME(registerSharedL2, {

@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "common/config.hh"
-#include "common/stats.hh"
 #include "pagetable/walker.hh"
 #include "sim/scheme.hh"
 #include "tlb/tlb.hh"
@@ -43,36 +42,27 @@ class SharedL2Scheme : public TranslationScheme
     /** This scheme *is* the second level: cores keep no private L2. */
     bool providesSecondLevel() const override { return true; }
 
-    SchemeResult translateMiss(CoreId core, Addr vaddr, PageSize size,
-                               VmId vm, ProcessId pid,
-                               Cycles now) override;
-
     void invalidatePage(Addr vaddr, PageSize size, VmId vm,
                         ProcessId pid) override;
     void invalidateVm(VmId vm) override;
-    std::vector<std::pair<ServicePoint, std::uint64_t>>
-    cycleBreakdown() const override;
 
     /** Hit rate of the shared SRAM structure. */
     double sharedHitRate() const { return sharedTlb->hitRate(); }
     /** Walks performed (shared-TLB misses) since the stats reset. */
-    std::uint64_t walkCount() const { return walks.value(); }
-    /** Mean scheme cycles per request. */
-    double avgMissCycles() const { return missCycles.mean(); }
+    std::uint64_t walkCount() const
+    {
+        return servedCount(ServicePoint::PageWalk);
+    }
     /** The shared SRAM structure itself. */
     const SetAssocTlb &tlb() const { return *sharedTlb; }
 
   private:
+    SchemeResult resolve(CoreId core, Addr vaddr, PageSize size,
+                         VmId vm, ProcessId pid, Cycles now) override;
+
     std::unique_ptr<SetAssocTlb> sharedTlb;
     Cycles sharedLatency;
     std::vector<std::unique_ptr<PageWalker>> &pageWalkers;
-    Counter walks;
-    /** Cycles of requests the shared TLB served. */
-    Counter sharedHitCycles;
-    /** Cycles of requests that fell through to a page walk. */
-    Counter walkPathCycles;
-    Average missCycles;
-    Log2Histogram missCycleHist;
 };
 
 } // namespace pomtlb

@@ -20,14 +20,13 @@ TsbScheme::TsbScheme(const TsbConfig &config, Addr base_addr,
           return rowHoldsVm(index, vm);
       })
 {
-    statGroup.addCounter("hits", hits);
-    statGroup.addCounter("misses", misses);
-    statGroup.addCounter("walks", walks);
-    statGroup.addCounter("tsb_hit_cycles", tsbHitCycles);
-    statGroup.addCounter("walk_path_cycles", walkPathCycles);
-    statGroup.addAverage("avg_miss_cycles", missCycles);
+    exportServedCount("hits", ServicePoint::TsbBuffer);
+    exportServedCount("misses", ServicePoint::PageWalk);
+    exportServedCount("walks", ServicePoint::PageWalk);
+    exportServedCycles("tsb_hit_cycles", ServicePoint::TsbBuffer);
+    exportServedCycles("walk_path_cycles", ServicePoint::PageWalk);
+    exportMissCycles("avg_miss_cycles", "miss_cycle_hist");
     statGroup.addDerived("tsb_hit_rate", [this] { return tsbHitRate(); });
-    statGroup.addHistogram("miss_cycle_hist", missCycleHist);
 
     tsbConfig.validate();
     const std::uint64_t total_entries =
@@ -84,8 +83,8 @@ TsbScheme::fillRow(std::uint64_t index, PageNum vpn, PageSize size,
 }
 
 SchemeResult
-TsbScheme::translateMiss(CoreId core, Addr vaddr, PageSize size,
-                         VmId vm, ProcessId pid, Cycles now)
+TsbScheme::resolve(CoreId core, Addr vaddr, PageSize size, VmId vm,
+                   ProcessId pid, Cycles now)
 {
     simAssert(core < pageWalkers.size(), "core id out of range");
     SchemeResult result;
@@ -119,16 +118,11 @@ TsbScheme::translateMiss(CoreId core, Addr vaddr, PageSize size,
     }
 
     if (all_match) {
-        ++hits;
         result.pfn = pfn;
         result.servedBy = ServicePoint::TsbBuffer;
-        tsbHitCycles += result.cycles;
-        missCycles.sample(static_cast<double>(result.cycles));
-        missCycleHist.sample(result.cycles);
         return result;
     }
 
-    ++misses;
     const WalkResult walk = pageWalkers[core]->walk(
         vaddr, vm, pid, size, now + result.cycles);
     result.cycles += walk.cycles;
@@ -137,7 +131,6 @@ TsbScheme::translateMiss(CoreId core, Addr vaddr, PageSize size,
     result.servedBy = ServicePoint::PageWalk;
     ++result.probes;
     result.firstTryServed = false;
-    ++walks;
 
     // The handler refills the buffer (direct-mapped overwrite); the
     // stores are off the translation's critical path.
@@ -147,18 +140,7 @@ TsbScheme::translateMiss(CoreId core, Addr vaddr, PageSize size,
                                  AccessType::Write,
                                  now + result.cycles);
     }
-
-    walkPathCycles += result.cycles;
-    missCycles.sample(static_cast<double>(result.cycles));
-    missCycleHist.sample(result.cycles);
     return result;
-}
-
-std::vector<std::pair<ServicePoint, std::uint64_t>>
-TsbScheme::cycleBreakdown() const
-{
-    return {{ServicePoint::TsbBuffer, tsbHitCycles.value()},
-            {ServicePoint::PageWalk, walkPathCycles.value()}};
 }
 
 void
@@ -193,15 +175,14 @@ TsbScheme::invalidateVm(VmId vm)
                 entries[stage].valid = false;
         }
     }
-    for (auto &walker : pageWalkers)
-        walker->invalidateVm(vm);
 }
 
 double
 TsbScheme::tsbHitRate() const
 {
-    const std::uint64_t total = hits.value() + misses.value();
-    return total ? static_cast<double>(hits.value()) / total : 0.0;
+    const std::uint64_t total = missCount();
+    const std::uint64_t hits = servedCount(ServicePoint::TsbBuffer);
+    return total ? static_cast<double>(hits) / total : 0.0;
 }
 
 POMTLB_REGISTER_SCHEME(registerTsb, {

@@ -24,7 +24,6 @@
 
 #include "cache/hierarchy.hh"
 #include "common/config.hh"
-#include "common/stats.hh"
 #include "common/vm_index.hh"
 #include "common/zeroed_array.hh"
 #include "pagetable/walker.hh"
@@ -55,25 +54,20 @@ class TsbScheme : public TranslationScheme
 
     std::string name() const override { return "TSB"; }
 
-    SchemeResult translateMiss(CoreId core, Addr vaddr, PageSize size,
-                               VmId vm, ProcessId pid,
-                               Cycles now) override;
-
     void prewarm(CoreId core, Addr vaddr, PageSize size, VmId vm,
                  ProcessId pid, PageNum pfn) override;
 
     void invalidatePage(Addr vaddr, PageSize size, VmId vm,
                         ProcessId pid) override;
     void invalidateVm(VmId vm) override;
-    std::vector<std::pair<ServicePoint, std::uint64_t>>
-    cycleBreakdown() const override;
 
     /** Fraction of requests the buffer completed without a walk. */
     double tsbHitRate() const;
     /** Walks performed (buffer misses) since the stats reset. */
-    std::uint64_t walkCount() const { return walks.value(); }
-    /** Mean scheme cycles per request. */
-    double avgMissCycles() const { return missCycles.mean(); }
+    std::uint64_t walkCount() const
+    {
+        return servedCount(ServicePoint::PageWalk);
+    }
 
     /** Rows (direct-mapped indices) per stage. */
     std::uint64_t rowCount() const { return stageEntries; }
@@ -87,6 +81,8 @@ class TsbScheme : public TranslationScheme
     const VmSlotIndex &vmIndex() const { return vmRows; }
 
   private:
+    SchemeResult resolve(CoreId core, Addr vaddr, PageSize size,
+                         VmId vm, ProcessId pid, Cycles now) override;
     /** Index into one of the buffer's stages for @p vpn. */
     std::uint64_t indexOf(PageNum vpn, VmId vm, ProcessId pid) const;
     /** Host-physical address of a stage slot (for cache timing). */
@@ -120,16 +116,6 @@ class TsbScheme : public TranslationScheme
      */
     ZeroedArray<TlbEntry> buffer;
     VmSlotIndex vmRows;
-
-    Counter hits;
-    Counter misses;
-    Counter walks;
-    /** Cycles of requests the buffer itself completed. */
-    Counter tsbHitCycles;
-    /** Cycles of requests that fell through to a page walk. */
-    Counter walkPathCycles;
-    Average missCycles;
-    Log2Histogram missCycleHist;
 };
 
 } // namespace pomtlb

@@ -78,6 +78,12 @@ StatGroup::addDerived(const std::string &name,
 }
 
 void
+StatGroup::addResettable(Resettable stat)
+{
+    registered.push_back(stat);
+}
+
+void
 StatGroup::addHistogram(const std::string &name,
                         Log2Histogram &histogram)
 {

@@ -283,6 +283,13 @@ class StatGroup
                     std::function<double()> compute,
                     std::initializer_list<Resettable> inputs = {});
 
+    /**
+     * Register @p stat for reset() without exporting it: state a
+     * component keeps for its own accessors and exports only in
+     * part, or not at all.
+     */
+    void addResettable(Resettable stat);
+
     /** Register a log2 latency histogram (must outlive the group). */
     void addHistogram(const std::string &name, Log2Histogram &histogram);
 

@@ -21,19 +21,19 @@ PomTlbScheme::PomTlbScheme(
             config.predictorEntries));
     }
 
-    statGroup.addCounter("requests", requests);
-    statGroup.addCounter("served_l2d_cache", served[0]);
-    statGroup.addCounter("served_l3d_cache", served[1]);
-    statGroup.addCounter("served_pom_dram", served[2]);
-    statGroup.addCounter("served_page_walk", served[3]);
-    statGroup.addCounter("l2d_cache_cycles", servedCycles[0]);
-    statGroup.addCounter("l3d_cache_cycles", servedCycles[1]);
-    statGroup.addCounter("pom_dram_cycles", servedCycles[2]);
-    statGroup.addCounter("walk_path_cycles", servedCycles[3]);
+    exportMissCount("requests");
+    exportServedCount("served_l2d_cache", ServicePoint::CacheL2D);
+    exportServedCount("served_l3d_cache", ServicePoint::CacheL3D);
+    exportServedCount("served_pom_dram", ServicePoint::PomDram);
+    exportServedCount("served_page_walk", ServicePoint::PageWalk);
+    exportServedCycles("l2d_cache_cycles", ServicePoint::CacheL2D);
+    exportServedCycles("l3d_cache_cycles", ServicePoint::CacheL3D);
+    exportServedCycles("pom_dram_cycles", ServicePoint::PomDram);
+    exportServedCycles("walk_path_cycles", ServicePoint::PageWalk);
     statGroup.addCounter("second_size_lookups", secondSizeLookups);
     statGroup.addCounter("bypasses", bypasses);
     statGroup.addCounter("prefetches", prefetches);
-    statGroup.addAverage("avg_miss_cycles", missCycles);
+    exportMissCycles("avg_miss_cycles", "miss_cycle_hist");
     statGroup.addDerived("l2d_service_rate",
                          [this] { return l2CacheServiceRate(); });
     statGroup.addDerived("l3d_service_rate",
@@ -48,32 +48,30 @@ PomTlbScheme::PomTlbScheme(
     statGroup.addDerived("bypass_predictor_accuracy",
                          [this] { return bypassPredictorAccuracy(); },
                          {&bypassCorrect, &bypassPredictions});
-    statGroup.addHistogram("miss_cycle_hist", missCycleHist);
     statGroup.addChild(pomTlb.stats());
 }
 
 bool
 PomTlbScheme::trySize(CoreId core, Addr vaddr, PageSize size, VmId vm,
                       ProcessId pid, bool bypass, Cycles now,
-                      Cycles &cycles, PageNum &pfn,
-                      PomServiceLevel &level, std::uint8_t &probes)
+                      SchemeResult &result)
 {
     const Addr set_addr = pomTlb.setAddress(vaddr, vm, size);
 
     if (!bypass && tlbConfig.cacheable) {
-        const CacheProbeResult probe =
-            dataHierarchy.probeTlbLine(core, set_addr, now + cycles);
-        cycles += probe.latency;
-        ++probes;
+        const CacheProbeResult probe = dataHierarchy.probeTlbLine(
+            core, set_addr, now + result.cycles);
+        result.cycles += probe.latency;
+        ++result.probes;
         if (probe.hit) {
             // The cached line is coherent with the array: search it.
             const PomTlbArrayResult search =
                 pomTlb.searchSet(vaddr, vm, pid, size);
             if (search.hit) {
-                pfn = search.pfn;
-                level = probe.level == MemLevel::L2D
-                            ? PomServiceLevel::L2Cache
-                            : PomServiceLevel::L3Cache;
+                result.pfn = search.pfn;
+                result.servedBy = probe.level == MemLevel::L2D
+                                      ? ServicePoint::CacheL2D
+                                      : ServicePoint::CacheL3D;
                 return true;
             }
             // Line cached but no matching entry: this partition
@@ -82,27 +80,26 @@ PomTlbScheme::trySize(CoreId core, Addr vaddr, PageSize size, VmId vm,
         }
     }
 
-    const PomTlbDeviceResult dram =
-        pomTlb.lookupDram(vaddr, vm, pid, size, now + cycles);
-    cycles += dram.cycles;
-    ++probes;
+    const PomTlbDeviceResult dram = pomTlb.lookupDram(
+        vaddr, vm, pid, size, now + result.cycles);
+    result.cycles += dram.cycles;
+    ++result.probes;
     if (tlbConfig.cacheable)
         dataHierarchy.fillTlbLine(core, set_addr);
     if (dram.hit) {
-        pfn = dram.pfn;
-        level = PomServiceLevel::PomDram;
+        result.pfn = dram.pfn;
+        result.servedBy = ServicePoint::PomDram;
         return true;
     }
     return false;
 }
 
 SchemeResult
-PomTlbScheme::translateMiss(CoreId core, Addr vaddr, PageSize size,
-                            VmId vm, ProcessId pid, Cycles now)
+PomTlbScheme::resolve(CoreId core, Addr vaddr, PageSize size, VmId vm,
+                      ProcessId pid, Cycles now)
 {
     simAssert(core < predictors.size(), "core id out of range");
     SizeBypassPredictor &predictor = *predictors[core];
-    ++requests;
 
     const PageSize predicted_size = tlbConfig.sizePredictor
                                         ? predictor.predictSize(vaddr)
@@ -127,17 +124,13 @@ PomTlbScheme::translateMiss(CoreId core, Addr vaddr, PageSize size,
         dataHierarchy.l3d().contains(predicted_addr);
 
     SchemeResult result;
-    PomServiceLevel level = PomServiceLevel::PageWalk;
-
     bool found = trySize(core, vaddr, predicted_size, vm, pid, bypass,
-                         now, result.cycles, result.pfn, level,
-                         result.probes);
+                         now, result);
     if (!found) {
         ++secondSizeLookups;
         result.firstTryServed = false;
         found = trySize(core, vaddr, other_size, vm, pid, bypass, now,
-                        result.cycles, result.pfn, level,
-                        result.probes);
+                        result);
     }
 
     if (!found) {
@@ -147,9 +140,9 @@ PomTlbScheme::translateMiss(CoreId core, Addr vaddr, PageSize size,
         result.cycles += walk.cycles;
         result.pfn = walk.hostPfn;
         result.walked = true;
+        result.servedBy = ServicePoint::PageWalk;
         result.firstTryServed = false;
         ++result.probes;
-        level = PomServiceLevel::PageWalk;
 
         pomTlb.install(vaddr, vm, pid, size, walk.hostPfn,
                        now + result.cycles);
@@ -180,35 +173,7 @@ PomTlbScheme::translateMiss(CoreId core, Addr vaddr, PageSize size,
             core, pomTlb.setAddress(next_page, vm, size));
         ++prefetches;
     }
-
-    ++served[static_cast<unsigned>(level)];
-    servedCycles[static_cast<unsigned>(level)] += result.cycles;
-    switch (level) {
-      case PomServiceLevel::L2Cache:
-        result.servedBy = ServicePoint::CacheL2D;
-        break;
-      case PomServiceLevel::L3Cache:
-        result.servedBy = ServicePoint::CacheL3D;
-        break;
-      case PomServiceLevel::PomDram:
-        result.servedBy = ServicePoint::PomDram;
-        break;
-      case PomServiceLevel::PageWalk:
-        result.servedBy = ServicePoint::PageWalk;
-        break;
-    }
-    missCycles.sample(static_cast<double>(result.cycles));
-    missCycleHist.sample(result.cycles);
     return result;
-}
-
-std::vector<std::pair<ServicePoint, std::uint64_t>>
-PomTlbScheme::cycleBreakdown() const
-{
-    return {{ServicePoint::CacheL2D, servedCycles[0].value()},
-            {ServicePoint::CacheL3D, servedCycles[1].value()},
-            {ServicePoint::PomDram, servedCycles[2].value()},
-            {ServicePoint::PageWalk, servedCycles[3].value()}};
 }
 
 void
@@ -233,19 +198,15 @@ void
 PomTlbScheme::invalidateVm(VmId vm)
 {
     pomTlb.invalidateVm(vm);
-    for (auto &walker : pageWalkers)
-        walker->invalidateVm(vm);
 }
 
 double
 PomTlbScheme::l2CacheServiceRate() const
 {
-    const std::uint64_t total = requests.value();
+    const std::uint64_t total = missCount();
     if (total == 0)
         return 0.0;
-    return static_cast<double>(
-               served[static_cast<unsigned>(PomServiceLevel::L2Cache)]
-                   .value()) /
+    return static_cast<double>(servedCount(ServicePoint::CacheL2D)) /
            static_cast<double>(total);
 }
 
@@ -253,13 +214,10 @@ double
 PomTlbScheme::l3CacheServiceRate() const
 {
     const std::uint64_t past_l2 =
-        requests.value() -
-        served[static_cast<unsigned>(PomServiceLevel::L2Cache)].value();
+        missCount() - servedCount(ServicePoint::CacheL2D);
     if (past_l2 == 0)
         return 0.0;
-    return static_cast<double>(
-               served[static_cast<unsigned>(PomServiceLevel::L3Cache)]
-                   .value()) /
+    return static_cast<double>(servedCount(ServicePoint::CacheL3D)) /
            static_cast<double>(past_l2);
 }
 
@@ -267,25 +225,21 @@ double
 PomTlbScheme::pomDramServiceRate() const
 {
     const std::uint64_t past_caches =
-        requests.value() -
-        served[static_cast<unsigned>(PomServiceLevel::L2Cache)].value() -
-        served[static_cast<unsigned>(PomServiceLevel::L3Cache)].value();
+        missCount() - servedCount(ServicePoint::CacheL2D) -
+        servedCount(ServicePoint::CacheL3D);
     if (past_caches == 0)
         return 0.0;
-    return static_cast<double>(
-               served[static_cast<unsigned>(PomServiceLevel::PomDram)]
-                   .value()) /
+    return static_cast<double>(servedCount(ServicePoint::PomDram)) /
            static_cast<double>(past_caches);
 }
 
 double
 PomTlbScheme::walkEliminationRate() const
 {
-    const std::uint64_t total = requests.value();
+    const std::uint64_t total = missCount();
     if (total == 0)
         return 0.0;
-    const std::uint64_t walks =
-        served[static_cast<unsigned>(PomServiceLevel::PageWalk)].value();
+    const std::uint64_t walks = servedCount(ServicePoint::PageWalk);
     return 1.0 - static_cast<double>(walks) /
                      static_cast<double>(total);
 }

@@ -30,15 +30,6 @@
 namespace pomtlb
 {
 
-/** Where a POM-TLB translation request was finally served from. */
-enum class PomServiceLevel : std::uint8_t
-{
-    L2Cache = 0,
-    L3Cache = 1,
-    PomDram = 2,
-    PageWalk = 3,
-};
-
 /** The paper's scheme (Section 2). */
 class PomTlbScheme : public TranslationScheme
 {
@@ -55,18 +46,12 @@ class PomTlbScheme : public TranslationScheme
 
     std::string name() const override { return "POM-TLB"; }
 
-    SchemeResult translateMiss(CoreId core, Addr vaddr, PageSize size,
-                               VmId vm, ProcessId pid,
-                               Cycles now) override;
-
     void prewarm(CoreId core, Addr vaddr, PageSize size, VmId vm,
                  ProcessId pid, PageNum pfn) override;
 
     void invalidatePage(Addr vaddr, PageSize size, VmId vm,
                         ProcessId pid) override;
     void invalidateVm(VmId vm) override;
-    std::vector<std::pair<ServicePoint, std::uint64_t>>
-    cycleBreakdown() const override;
 
     /** Figure 9: fraction of requests served by the L2D$. */
     double l2CacheServiceRate() const;
@@ -81,16 +66,6 @@ class PomTlbScheme : public TranslationScheme
     double sizePredictorAccuracy() const;
     double bypassPredictorAccuracy() const;
 
-    /** Requests finally served at @p level since the stats reset. */
-    std::uint64_t servedCount(PomServiceLevel level) const
-    {
-        return served[static_cast<unsigned>(level)].value();
-    }
-    /** Total L2 TLB misses the scheme handled since the stats reset. */
-    std::uint64_t requestCount() const { return requests.value(); }
-    /** Mean scheme cycles per request. */
-    double avgMissCycles() const { return missCycles.mean(); }
-
     /** The per-core size/bypass predictor (Figure 10 inputs). */
     const SizeBypassPredictor &predictor(CoreId core) const
     {
@@ -98,11 +73,15 @@ class PomTlbScheme : public TranslationScheme
     }
 
   private:
-    /** Try one page size end to end; returns true when translated. */
+    SchemeResult resolve(CoreId core, Addr vaddr, PageSize size,
+                         VmId vm, ProcessId pid, Cycles now) override;
+    /**
+     * Try one page size end to end; returns true when translated,
+     * with the point that served it in @p result.
+     */
     bool trySize(CoreId core, Addr vaddr, PageSize size, VmId vm,
                  ProcessId pid, bool bypass, Cycles now,
-                 Cycles &cycles, PageNum &pfn,
-                 PomServiceLevel &level, std::uint8_t &probes);
+                 SchemeResult &result);
 
     PomTlbConfig tlbConfig;
     PomTlb &pomTlb;
@@ -110,10 +89,6 @@ class PomTlbScheme : public TranslationScheme
     std::vector<std::unique_ptr<PageWalker>> &pageWalkers;
     std::vector<std::unique_ptr<SizeBypassPredictor>> predictors;
 
-    Counter requests;
-    Counter served[4];
-    /** Cycles of requests finally served at each PomServiceLevel. */
-    Counter servedCycles[4];
     Counter secondSizeLookups;
     Counter bypasses;
     Counter prefetches;
@@ -122,8 +97,6 @@ class PomTlbScheme : public TranslationScheme
     Counter sizePredictions;
     Counter bypassCorrect;
     Counter bypassPredictions;
-    Average missCycles;
-    Log2Histogram missCycleHist;
 };
 
 } // namespace pomtlb

@@ -34,18 +34,18 @@ CoalescedTlbScheme::CoalescedTlbScheme(
       sets(poolSets(config, total_entries)),
       entries(sets, config.associativity)
 {
-    statGroup.addCounter("hits", hits);
-    statGroup.addCounter("walks", walks);
+    exportServedCount("hits", ServicePoint::CoalescedTlb);
+    exportServedCount("walks", ServicePoint::PageWalk);
     statGroup.addCounter("merges", merges);
     statGroup.addCounter("splits", splits);
-    statGroup.addCounter("coalesced_hit_cycles", coalescedHitCycles);
-    statGroup.addCounter("walk_path_cycles", walkPathCycles);
-    statGroup.addAverage("avg_miss_cycles", missCycles);
+    exportServedCycles("coalesced_hit_cycles",
+                       ServicePoint::CoalescedTlb);
+    exportServedCycles("walk_path_cycles", ServicePoint::PageWalk);
+    exportMissCycles("avg_miss_cycles", "miss_cycle_hist");
     statGroup.addDerived("coalesced_hit_rate",
                          [this] { return hitRate(); });
     statGroup.addDerived("avg_pages_per_entry",
                          [this] { return avgPagesPerEntry(); });
-    statGroup.addHistogram("miss_cycle_hist", missCycleHist);
 }
 
 std::uint64_t
@@ -102,9 +102,8 @@ CoalescedTlbScheme::install(PageNum base_vpn, unsigned offset,
 }
 
 SchemeResult
-CoalescedTlbScheme::translateMiss(CoreId core, Addr vaddr,
-                                  PageSize size, VmId vm,
-                                  ProcessId pid, Cycles now)
+CoalescedTlbScheme::resolve(CoreId core, Addr vaddr, PageSize size,
+                            VmId vm, ProcessId pid, Cycles now)
 {
     simAssert(core < pageWalkers.size(), "core id out of range");
     SchemeResult result;
@@ -121,10 +120,6 @@ CoalescedTlbScheme::translateMiss(CoreId core, Addr vaddr,
         result.pfn = entries.payload(slot).basePfn + offset;
         result.servedBy = ServicePoint::CoalescedTlb;
         result.probes = 1;
-        ++hits;
-        coalescedHitCycles += result.cycles;
-        missCycles.sample(static_cast<double>(result.cycles));
-        missCycleHist.sample(result.cycles);
         return result;
     }
 
@@ -136,20 +131,9 @@ CoalescedTlbScheme::translateMiss(CoreId core, Addr vaddr,
     result.servedBy = ServicePoint::PageWalk;
     result.probes = 2;
     result.firstTryServed = false;
-    ++walks;
-    walkPathCycles += result.cycles;
 
     install(base_vpn, offset, walk.hostPfn, size, vm, pid);
-    missCycles.sample(static_cast<double>(result.cycles));
-    missCycleHist.sample(result.cycles);
     return result;
-}
-
-std::vector<std::pair<ServicePoint, std::uint64_t>>
-CoalescedTlbScheme::cycleBreakdown() const
-{
-    return {{ServicePoint::CoalescedTlb, coalescedHitCycles.value()},
-            {ServicePoint::PageWalk, walkPathCycles.value()}};
 }
 
 void
@@ -172,15 +156,14 @@ void
 CoalescedTlbScheme::invalidateVm(VmId vm)
 {
     entries.eraseIf([vm](const Entry &entry) { return entry.vm == vm; });
-    for (auto &walker : pageWalkers)
-        walker->invalidateVm(vm);
 }
 
 double
 CoalescedTlbScheme::hitRate() const
 {
-    const std::uint64_t total = hits.value() + walks.value();
-    return total ? static_cast<double>(hits.value()) / total : 0.0;
+    const std::uint64_t total = missCount();
+    const std::uint64_t hits = servedCount(ServicePoint::CoalescedTlb);
+    return total ? static_cast<double>(hits) / total : 0.0;
 }
 
 double

@@ -55,15 +55,9 @@ class CoalescedTlbScheme : public TranslationScheme
     /** Like Shared_L2, this pooled array replaces the private L2s. */
     bool providesSecondLevel() const override { return true; }
 
-    SchemeResult translateMiss(CoreId core, Addr vaddr, PageSize size,
-                               VmId vm, ProcessId pid,
-                               Cycles now) override;
-
     void invalidatePage(Addr vaddr, PageSize size, VmId vm,
                         ProcessId pid) override;
     void invalidateVm(VmId vm) override;
-    std::vector<std::pair<ServicePoint, std::uint64_t>>
-    cycleBreakdown() const override;
 
     /** Fraction of requests the coalesced array served. */
     double hitRate() const;
@@ -71,6 +65,9 @@ class CoalescedTlbScheme : public TranslationScheme
     double avgPagesPerEntry() const;
 
   private:
+    SchemeResult resolve(CoreId core, Addr vaddr, PageSize size,
+                         VmId vm, ProcessId pid, Cycles now) override;
+
     /** One coalesced entry: an aligned run of rangePages pages. */
     struct Entry
     {
@@ -108,16 +105,10 @@ class CoalescedTlbScheme : public TranslationScheme
     std::size_t sets;
     Entries entries; /**< sets × associativity runs. */
 
-    Counter hits;
-    Counter walks;
     /** Walk results merged into an existing entry's run. */
     Counter merges;
     /** Runs re-anchored because observed contiguity broke. */
     Counter splits;
-    Counter coalescedHitCycles;
-    Counter walkPathCycles;
-    Average missCycles;
-    Log2Histogram missCycleHist;
 };
 
 } // namespace pomtlb

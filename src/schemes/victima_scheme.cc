@@ -30,17 +30,16 @@ VictimaScheme::VictimaScheme(
               "victima: block region too large to index");
     poolPosition = ZeroedArray<std::uint32_t>(numBlocks);
     pool = ZeroedArray<Slot>(numBlocks * slotsPerBlock);
-    statGroup.addCounter("requests", requests);
-    statGroup.addCounter("served_l2d_cache", servedL2d);
-    statGroup.addCounter("served_l3d_cache", servedL3d);
-    statGroup.addCounter("served_page_walk", servedWalks);
-    statGroup.addCounter("l2d_cache_cycles", l2dCycles);
-    statGroup.addCounter("l3d_cache_cycles", l3dCycles);
-    statGroup.addCounter("walk_path_cycles", walkPathCycles);
-    statGroup.addAverage("avg_miss_cycles", missCycles);
+    exportMissCount("requests");
+    exportServedCount("served_l2d_cache", ServicePoint::VictimaL2D);
+    exportServedCount("served_l3d_cache", ServicePoint::VictimaL3D);
+    exportServedCount("served_page_walk", ServicePoint::PageWalk);
+    exportServedCycles("l2d_cache_cycles", ServicePoint::VictimaL2D);
+    exportServedCycles("l3d_cache_cycles", ServicePoint::VictimaL3D);
+    exportServedCycles("walk_path_cycles", ServicePoint::PageWalk);
+    exportMissCycles("avg_miss_cycles", "miss_cycle_hist");
     statGroup.addDerived("cached_line_hit_rate",
                          [this] { return cachedLineHitRate(); });
-    statGroup.addHistogram("miss_cycle_hist", missCycleHist);
 }
 
 std::uint64_t
@@ -137,12 +136,11 @@ VictimaScheme::installSlot(std::uint64_t block, PageNum vpn,
 }
 
 SchemeResult
-VictimaScheme::translateMiss(CoreId core, Addr vaddr, PageSize size,
-                             VmId vm, ProcessId pid, Cycles now)
+VictimaScheme::resolve(CoreId core, Addr vaddr, PageSize size, VmId vm,
+                       ProcessId pid, Cycles now)
 {
     simAssert(core < pageWalkers.size(), "core id out of range");
     SchemeResult result;
-    ++requests;
 
     const PageNum vpn = pageNumber(vaddr, size);
     const std::uint64_t block = blockOf(vpn, size, vm, pid);
@@ -156,17 +154,9 @@ VictimaScheme::translateMiss(CoreId core, Addr vaddr, PageSize size,
             slot->stamp = ++tick;
             result.pfn = slot->pfn;
             result.probes = 1;
-            if (probe.level == MemLevel::L2D) {
-                result.servedBy = ServicePoint::VictimaL2D;
-                ++servedL2d;
-                l2dCycles += result.cycles;
-            } else {
-                result.servedBy = ServicePoint::VictimaL3D;
-                ++servedL3d;
-                l3dCycles += result.cycles;
-            }
-            missCycles.sample(static_cast<double>(result.cycles));
-            missCycleHist.sample(result.cycles);
+            result.servedBy = probe.level == MemLevel::L2D
+                                  ? ServicePoint::VictimaL2D
+                                  : ServicePoint::VictimaL3D;
             return result;
         }
     }
@@ -179,13 +169,9 @@ VictimaScheme::translateMiss(CoreId core, Addr vaddr, PageSize size,
     result.servedBy = ServicePoint::PageWalk;
     result.probes = 2;
     result.firstTryServed = false;
-    ++servedWalks;
-    walkPathCycles += result.cycles;
 
     installSlot(block, vpn, size, vm, pid, walk.hostPfn);
     dataHierarchy.fillTlbLine(core, block_addr);
-    missCycles.sample(static_cast<double>(result.cycles));
-    missCycleHist.sample(result.cycles);
     return result;
 }
 
@@ -197,14 +183,6 @@ VictimaScheme::prewarm(CoreId core, Addr vaddr, PageSize size,
     const std::uint64_t block = blockOf(vpn, size, vm, pid);
     installSlot(block, vpn, size, vm, pid, pfn);
     dataHierarchy.fillTlbLine(core, blockAddress(block));
-}
-
-std::vector<std::pair<ServicePoint, std::uint64_t>>
-VictimaScheme::cycleBreakdown() const
-{
-    return {{ServicePoint::VictimaL2D, l2dCycles.value()},
-            {ServicePoint::VictimaL3D, l3dCycles.value()},
-            {ServicePoint::PageWalk, walkPathCycles.value()}};
 }
 
 void
@@ -242,16 +220,15 @@ VictimaScheme::invalidateVm(VmId vm)
         if (touched)
             dataHierarchy.invalidateTlbLine(blockAddress(block));
     }
-    for (auto &walker : pageWalkers)
-        walker->invalidateVm(vm);
 }
 
 double
 VictimaScheme::cachedLineHitRate() const
 {
     const std::uint64_t served =
-        servedL2d.value() + servedL3d.value();
-    const std::uint64_t total = served + servedWalks.value();
+        servedCount(ServicePoint::VictimaL2D) +
+        servedCount(ServicePoint::VictimaL3D);
+    const std::uint64_t total = missCount();
     return total ? static_cast<double>(served) / total : 0.0;
 }
 

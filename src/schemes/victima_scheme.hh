@@ -32,7 +32,6 @@
 
 #include "cache/hierarchy.hh"
 #include "common/config.hh"
-#include "common/stats.hh"
 #include "common/vm_index.hh"
 #include "common/zeroed_array.hh"
 #include "pagetable/walker.hh"
@@ -61,10 +60,6 @@ class VictimaScheme : public TranslationScheme
 
     std::string name() const override { return "Victima"; }
 
-    SchemeResult translateMiss(CoreId core, Addr vaddr, PageSize size,
-                               VmId vm, ProcessId pid,
-                               Cycles now) override;
-
     /**
      * Victima's translation store (the data caches) persists across
      * the warmup boundary, so prewarm installs the entry untimed.
@@ -75,8 +70,6 @@ class VictimaScheme : public TranslationScheme
     void invalidatePage(Addr vaddr, PageSize size, VmId vm,
                         ProcessId pid) override;
     void invalidateVm(VmId vm) override;
-    std::vector<std::pair<ServicePoint, std::uint64_t>>
-    cycleBreakdown() const override;
 
     /** Fraction of requests served from a cached block. */
     double cachedLineHitRate() const;
@@ -103,6 +96,8 @@ class VictimaScheme : public TranslationScheme
     Addr blockAddress(std::uint64_t block) const;
 
   private:
+    SchemeResult resolve(CoreId core, Addr vaddr, PageSize size,
+                         VmId vm, ProcessId pid, Cycles now) override;
     /** Block a translation hashes to. */
     std::uint64_t blockOf(PageNum vpn, PageSize size, VmId vm,
                           ProcessId pid) const;
@@ -141,16 +136,6 @@ class VictimaScheme : public TranslationScheme
     std::uint32_t poolBlocks = 0;
     VmSlotIndex vmBlocks;
     std::uint64_t tick = 0;
-
-    Counter requests;
-    Counter servedL2d;
-    Counter servedL3d;
-    Counter servedWalks;
-    Counter l2dCycles;
-    Counter l3dCycles;
-    Counter walkPathCycles;
-    Average missCycles;
-    Log2Histogram missCycleHist;
 };
 
 } // namespace pomtlb

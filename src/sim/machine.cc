@@ -7,59 +7,6 @@
 namespace pomtlb
 {
 
-const char *
-servicePointName(ServicePoint point)
-{
-    switch (point) {
-      case ServicePoint::SramL1:
-        return "sram_l1_tlb";
-      case ServicePoint::SramL2:
-        return "sram_l2_tlb";
-      case ServicePoint::CacheL2D:
-        return "pom_l2d_cache";
-      case ServicePoint::CacheL3D:
-        return "pom_l3d_cache";
-      case ServicePoint::PomDram:
-        return "pom_dram";
-      case ServicePoint::SharedTlb:
-        return "shared_l2_tlb";
-      case ServicePoint::TsbBuffer:
-        return "tsb_buffer";
-      case ServicePoint::PageWalk:
-        return "page_walk";
-      case ServicePoint::CoalescedTlb:
-        return "coalesced_tlb";
-      case ServicePoint::VictimaL2D:
-        return "victima_l2d_cache";
-      case ServicePoint::VictimaL3D:
-        return "victima_l3d_cache";
-    }
-    return "?";
-}
-
-const std::vector<ServicePoint> &
-allServicePoints()
-{
-    static const std::vector<ServicePoint> points = {
-        ServicePoint::SramL1,       ServicePoint::SramL2,
-        ServicePoint::CacheL2D,     ServicePoint::CacheL3D,
-        ServicePoint::PomDram,      ServicePoint::SharedTlb,
-        ServicePoint::TsbBuffer,    ServicePoint::PageWalk,
-        ServicePoint::CoalescedTlb, ServicePoint::VictimaL2D,
-        ServicePoint::VictimaL3D};
-    return points;
-}
-
-std::optional<ServicePoint>
-servicePointFromName(const std::string &name)
-{
-    for (ServicePoint point : allServicePoints()) {
-        if (name == servicePointName(point))
-            return point;
-    }
-    return std::nullopt;
-}
-
 Machine::Machine(const SystemConfig &config, const std::string &scheme)
     : systemConfig(config)
 {

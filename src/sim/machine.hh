@@ -111,7 +111,11 @@ class Machine
     /** The attached tracer, or null when tracing is off. */
     const TranslationTracer *tracer() const { return eventTracer.get(); }
 
-    /** Full VM shootdown: TLBs, PSCs, POM-TLB, scheme state. */
+    /**
+     * Full VM shootdown: TLBs, the page walkers' PSCs and nested
+     * TLBs, then scheme state. This is the one place the walkers are
+     * flushed; a scheme drops only what it holds itself.
+     */
     void shootdownVm(VmId vm);
 
     /**

@@ -111,7 +111,6 @@ struct TenantSpec
     TenantSpec &withVm(VmId v) { vm = v; return *this; }
     TenantSpec &withPid(ProcessId p) { pid = p; return *this; }
     TenantSpec &withArrival(std::uint64_t refs) { arrivalRefs = refs; return *this; }
-    TenantSpec &withDeparture(std::uint64_t refs) { departureRefs = refs; return *this; }
     TenantSpec &withFootprint(Addr bytes) { footprintBytes = bytes; return *this; }
     TenantSpec &withTracePack(std::string path, std::uint32_t stream = 0)
     {
@@ -235,26 +234,11 @@ struct ScenarioSpec
     /** @name Fluent builders. */
     ///@{
     ScenarioSpec &withName(std::string n) { name = std::move(n); return *this; }
-    ScenarioSpec &withScheme(std::string s) { scheme = std::move(s); return *this; }
-    ScenarioSpec &withSystem(SystemConfig c) { system = std::move(c); return *this; }
-    ScenarioSpec &withEngine(EngineConfig c) { engine = std::move(c); return *this; }
     ScenarioSpec &withTenant(TenantSpec tenant)
     {
         tenants.push_back(std::move(tenant));
         return *this;
     }
-    ScenarioSpec &withTenantCount(unsigned count) { tenantCount = count; return *this; }
-    ScenarioSpec &withTenantBenchmarks(std::vector<std::string> names)
-    {
-        tenantBenchmarks = std::move(names);
-        return *this;
-    }
-    ScenarioSpec &withChurnInterval(std::uint64_t refs) { churnIntervalRefs = refs; return *this; }
-    ScenarioSpec &withResidentPerCore(unsigned depth) { residentPerCore = depth; return *this; }
-    ScenarioSpec &withOvercommit(double factor) { overcommitFactor = factor; return *this; }
-    ScenarioSpec &withMigrationPages(std::uint64_t pages) { migrationPagesPerArrival = pages; return *this; }
-    ScenarioSpec &withStorm(StormSpec s) { storm = s; return *this; }
-    ScenarioSpec &withTimeSlice(std::uint64_t refs) { timeSliceRefs = refs; return *this; }
     ScenarioSpec &withTracePack(std::string path)
     {
         tracePack = std::move(path);

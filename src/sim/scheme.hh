@@ -8,15 +8,18 @@
  * baseline nested walk, POM-TLB, Shared_L2, TSB, plus the contender
  * zoo in src/schemes/ — implements that step, so experiments swap a
  * single object. Schemes are constructed by name through the
- * string-keyed factory in sim/scheme_registry.hh. A scheme registers
- * its statistics in the `scheme` group the base class owns; the
- * machine attaches that group to its stats tree and resets it at the
- * warmup boundary.
+ * string-keyed factory in sim/scheme_registry.hh. The base class
+ * counts every miss a scheme resolves, by the point that served it
+ * (the miss ledger), and a scheme exports ledger entries under its
+ * own stat names. Both register in the `scheme` group the base class
+ * owns; the machine attaches that group to its stats tree and resets
+ * it at the warmup boundary.
  */
 
 #ifndef POMTLB_SIM_SCHEME_HH
 #define POMTLB_SIM_SCHEME_HH
 
+#include <cstddef>
 #include <optional>
 #include <string>
 #include <utility>
@@ -55,7 +58,10 @@ enum class ServicePoint : std::uint8_t
     CoalescedTlb = 8,
     /** Victima translation found in a core's L2 data cache. */
     VictimaL2D = 9,
-    /** Victima translation found in the shared L3 data cache. */
+    /**
+     * Victima translation found in the shared L3 data cache. The
+     * last point: TranslationScheme sizes its miss ledger by it.
+     */
     VictimaL3D = 10,
 };
 
@@ -94,7 +100,11 @@ struct SchemeResult
     bool firstTryServed = true;
 };
 
-/** Interface every translation scheme implements. */
+/**
+ * Interface every translation scheme implements, and the one miss
+ * ledger: translateMiss() charges what resolve() returns to the
+ * ServicePoint that served it.
+ */
 class TranslationScheme
 {
   public:
@@ -105,14 +115,27 @@ class TranslationScheme
 
     /**
      * Resolve the translation of @p vaddr for (vm, pid) after the
-     * core's private TLBs missed. @p size is the actual page size of
-     * the referenced page (schemes with size predictors must not use
-     * it for lookup ordering decisions — only for correctness checks
-     * and predictor training).
+     * core's private TLBs missed, and charge the miss to the ledger:
+     * its count, the count and cycles of the point that served it,
+     * and the miss-cycle mean and histogram. @p size is the actual
+     * page size of the referenced page (schemes with size predictors
+     * must not use it for lookup ordering decisions — only for
+     * correctness checks and predictor training).
      */
-    virtual SchemeResult translateMiss(CoreId core, Addr vaddr,
-                                       PageSize size, VmId vm,
-                                       ProcessId pid, Cycles now) = 0;
+    SchemeResult
+    translateMiss(CoreId core, Addr vaddr, PageSize size, VmId vm,
+                  ProcessId pid, Cycles now)
+    {
+        const SchemeResult result =
+            resolve(core, vaddr, size, vm, pid, now);
+        const auto point = static_cast<std::size_t>(result.servedBy);
+        ++misses;
+        ++served[point];
+        cycles[point] += result.cycles;
+        missCycles.sample(static_cast<double>(result.cycles));
+        missCycleHist.sample(result.cycles);
+        return result;
+    }
 
     /**
      * True when the scheme replaces the private L2 TLBs with its own
@@ -153,30 +176,72 @@ class TranslationScheme
         (void)pid;
     }
 
-    /** VM-wide shootdown of any scheme-held translation state. */
-    virtual void invalidateVm(VmId vm) = 0;
+    /**
+     * VM-wide shootdown of scheme-held translation state. The page
+     * walkers are the machine's: Machine::shootdownVm flushes them.
+     */
+    virtual void invalidateVm(VmId vm) { (void)vm; }
 
     /** The scheme's statistics group, named `scheme`. */
     StatGroup &stats() { return statGroup; }
 
-    /**
-     * Post-SRAM translation cycles attributed to each serving level,
-     * as (ServicePoint, total cycles) pairs, read from counters
-     * registered in stats(). The pair values sum exactly to every
-     * cycle this scheme has charged through translateMiss() since
-     * the last stats reset — the invariant
-     * behind the `cycle_breakdown` consistency check of
-     * `pomtlb-stats-v1` (tests/test_stats_export.cc).
-     */
-    virtual std::vector<std::pair<ServicePoint, std::uint64_t>>
-    cycleBreakdown() const
+    /** Misses charged since the last stats reset. */
+    std::uint64_t missCount() const { return misses.value(); }
+    /** Misses @p point served since the last stats reset. */
+    std::uint64_t
+    servedCount(ServicePoint point) const
     {
-        return {};
+        return served[static_cast<std::size_t>(point)].value();
     }
+    /** Mean scheme cycles per miss. */
+    double avgMissCycles() const { return missCycles.mean(); }
+
+    /**
+     * (ServicePoint, cycles) of each point whose cycles the scheme
+     * exported, in export order. They sum exactly to every cycle
+     * charged since the last stats reset — the `cycle_breakdown`
+     * invariant of `pomtlb-stats-v1` (tests/test_stats_export.cc).
+     */
+    std::vector<std::pair<ServicePoint, std::uint64_t>>
+    cycleBreakdown() const;
 
   protected:
+    /** Registers the whole ledger for the warmup reset. */
+    TranslationScheme();
+
+    /** The scheme's miss path; translateMiss() counts the miss. */
+    virtual SchemeResult resolve(CoreId core, Addr vaddr,
+                                 PageSize size, VmId vm,
+                                 ProcessId pid, Cycles now) = 0;
+
+    /** @name Export ledger entries under the scheme's stat names. */
+    ///@{
+    /** The miss count. */
+    void exportMissCount(const std::string &stat);
+    /** Misses @p point served. */
+    void exportServedCount(const std::string &stat, ServicePoint point);
+    /** Cycles of the misses @p point served; joins cycleBreakdown(). */
+    void exportServedCycles(const std::string &stat, ServicePoint point);
+    /** The mean and the log2 histogram of cycles per miss. */
+    void exportMissCycles(const std::string &mean_stat,
+                          const std::string &histogram_stat);
+    ///@}
+
     /** Where a scheme registers its statistics (constructor body). */
     StatGroup statGroup{"scheme"};
+
+  private:
+    /** One ledger slot per ServicePoint (the enum is dense from 0). */
+    static constexpr std::size_t pointCount =
+        static_cast<std::size_t>(ServicePoint::VictimaL3D) + 1;
+
+    Counter misses;
+    Counter served[pointCount];
+    Counter cycles[pointCount];
+    Average missCycles;
+    Log2Histogram missCycleHist;
+    /** Points exportServedCycles() named, in export order. */
+    std::vector<ServicePoint> breakdownPoints;
 };
 
 } // namespace pomtlb

@@ -78,20 +78,6 @@ ExperimentRequest::withPomCapacityMb(std::uint64_t mb)
 }
 
 ExperimentRequest &
-ExperimentRequest::withSystem(const SystemConfig &system)
-{
-    config.system = system;
-    return *this;
-}
-
-ExperimentRequest &
-ExperimentRequest::withEngine(const EngineConfig &engine)
-{
-    config.engine = engine;
-    return *this;
-}
-
-ExperimentRequest &
 ExperimentRequest::withComponentStats(bool enabled)
 {
     collectComponentStats = enabled;

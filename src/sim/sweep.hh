@@ -84,10 +84,6 @@ struct ExperimentRequest
     ExperimentRequest &withSeed(std::uint64_t seed);
     /** Override the POM-TLB capacity, in megabytes. */
     ExperimentRequest &withPomCapacityMb(std::uint64_t mb);
-    /** Replace the whole system configuration. */
-    ExperimentRequest &withSystem(const SystemConfig &system);
-    /** Replace the whole engine configuration. */
-    ExperimentRequest &withEngine(const EngineConfig &engine);
     /** Request per-component stats in the result. */
     ExperimentRequest &withComponentStats(bool enabled = true);
     /** Escape hatch: arbitrary in-place config adjustment. */
@@ -167,11 +163,6 @@ class SweepSpec
     const std::vector<std::string> &schemes() const
     {
         return schemeNames;
-    }
-    /** The variant axis. */
-    const std::vector<Variant> &variants() const
-    {
-        return configVariants;
     }
 
     /** Number of requests expand() will produce. */

@@ -1,7 +1,9 @@
 #include "sim/sweep_serve.hh"
 
+#include <cmath>
 #include <filesystem>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <vector>
 
@@ -62,28 +64,59 @@ axisField(const JsonValue &request, const std::string &field,
     return names;
 }
 
+/** The largest count the simulator keeps as `unsigned`. */
+constexpr std::uint64_t kUnsignedMax =
+    std::numeric_limits<unsigned>::max();
+
+/**
+ * The one reader of count fields, with the CLI's limits: @p value
+ * must be an integer in [0, @p max], or a ServeError names @p field.
+ */
+std::uint64_t
+countValue(const JsonValue &value, const std::string &field,
+           std::uint64_t max)
+{
+    // A JSON number is a double: range-check it before converting,
+    // since converting one of 2^64 or more is undefined.
+    const double number = value.isNumber() ? value.asNumber() : -1.0;
+    if (!(number >= 0.0) || std::floor(number) != number ||
+        number >= 0x1p64 || static_cast<std::uint64_t>(number) > max) {
+        throw ServeError("field '" + field +
+                         "' must be an integer in [0, " +
+                         std::to_string(max) + "]");
+    }
+    return static_cast<std::uint64_t>(number);
+}
+
+/** Count field @p field of @p request, or @p fallback when absent. */
+std::uint64_t
+countField(const JsonValue &request, const std::string &field,
+           std::uint64_t fallback,
+           std::uint64_t max = std::numeric_limits<std::uint64_t>::max())
+{
+    return request.has(field) ? countValue(request.at(field), field, max)
+                              : fallback;
+}
+
 /** Apply the optional config-override fields of a sweep request. */
 ExperimentConfig
 configFromRequest(const JsonValue &request)
 {
     ExperimentConfig config;
-    if (request.has("cores")) {
-        config.system.numCores = static_cast<unsigned>(
-            request.at("cores").asUint());
-    }
-    if (request.has("refs_per_core")) {
-        config.engine.refsPerCore =
-            request.at("refs_per_core").asUint();
-    }
-    if (request.has("warmup_refs_per_core")) {
-        config.engine.warmupRefsPerCore =
-            request.at("warmup_refs_per_core").asUint();
-    }
-    if (request.has("seed"))
-        config.engine.seed = request.at("seed").asUint();
+    config.system.numCores = static_cast<unsigned>(countField(
+        request, "cores", config.system.numCores, kUnsignedMax));
+    config.engine.refsPerCore = countField(request, "refs_per_core",
+                                           config.engine.refsPerCore);
+    config.engine.warmupRefsPerCore =
+        countField(request, "warmup_refs_per_core",
+                   config.engine.warmupRefsPerCore);
+    config.engine.seed =
+        countField(request, "seed", config.engine.seed);
     if (request.has("pom_capacity_mb")) {
         config.system.pomTlb.capacityBytes =
-            request.at("pom_capacity_mb").asUint() << 20;
+            countValue(request.at("pom_capacity_mb"), "pom_capacity_mb",
+                       std::numeric_limits<std::uint64_t>::max() >> 20)
+            << 20;
     }
     if (request.has("mode")) {
         const std::string &mode = request.at("mode").asString();
@@ -201,9 +234,9 @@ ServeSession::handleScenario(const JsonValue &request)
     const JsonValue &tenants = request.at("tenants");
     if (tenants.isArray()) {
         for (const JsonValue &element : tenants.elements())
-            counts.push_back(element.asUint());
+            counts.push_back(countValue(element, "tenants", kUnsignedMax));
     } else {
-        counts.push_back(tenants.asUint());
+        counts.push_back(countValue(tenants, "tenants", kUnsignedMax));
     }
     if (counts.empty())
         throw ServeError("field 'tenants' must not be empty");
@@ -227,11 +260,6 @@ ServeSession::handleScenario(const JsonValue &request)
     }
 
     const ExperimentConfig config = configFromRequest(request);
-    auto uintField = [&](const char *field,
-                         std::uint64_t fallback) -> std::uint64_t {
-        return request.has(field) ? request.at(field).asUint()
-                                  : fallback;
-    };
     const std::string base_name =
         request.has("name") ? stringField(request, "name")
                             : std::string("consolidation");
@@ -246,20 +274,20 @@ ServeSession::handleScenario(const JsonValue &request)
         spec.tenantCount = static_cast<unsigned>(count);
         spec.tenantBenchmarks = benchmarks;
         spec.churnIntervalRefs =
-            uintField("churn_interval_refs", 0);
+            countField(request, "churn_interval_refs", 0);
         spec.residentPerCore = static_cast<unsigned>(
-            uintField("resident_per_core", 4));
+            countField(request, "resident_per_core", 4, kUnsignedMax));
         if (request.has("overcommit_factor")) {
             spec.overcommitFactor =
                 request.at("overcommit_factor").asNumber();
         }
         spec.migrationPagesPerArrival =
-            uintField("migration_pages_per_arrival", 0);
+            countField(request, "migration_pages_per_arrival", 0);
         spec.storm.intervalRefs =
-            uintField("storm_interval_refs", 0);
+            countField(request, "storm_interval_refs", 0);
         spec.storm.pagesPerBurst = static_cast<unsigned>(
-            uintField("storm_pages_per_burst", 8));
-        spec.timeSliceRefs = uintField("time_slice_refs", 0);
+            countField(request, "storm_pages_per_burst", 8, kUnsignedMax));
+        spec.timeSliceRefs = countField(request, "time_slice_refs", 0);
         specs.push_back(std::move(spec));
     }
 
@@ -293,11 +321,8 @@ ServeSession::runCampaign(
 {
     SweepServiceOptions options;
     options.cacheDir = serveOptions.cacheDir;
-    options.jobs = serveOptions.jobs;
-    if (request.has("jobs")) {
-        options.jobs = static_cast<unsigned>(
-            request.at("jobs").asUint());
-    }
+    options.jobs = static_cast<unsigned>(
+        countField(request, "jobs", serveOptions.jobs, kUnsignedMax));
     options.crashAfterAppends = serveOptions.crashAfterAppends;
 
     std::vector<std::string> hashes;

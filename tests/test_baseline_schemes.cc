@@ -1,13 +1,18 @@
 /**
  * @file
- * Baseline scheme tests: the nested-walk MMU, Shared_L2, and TSB.
+ * Baseline scheme tests: the miss ledger every scheme inherits, the
+ * nested-walk MMU, Shared_L2, and TSB.
  */
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "baseline/nested_scheme.hh"
 #include "baseline/shared_l2_scheme.hh"
 #include "baseline/tsb_scheme.hh"
+#include "common/json.hh"
 #include "sim/machine.hh"
 
 namespace pomtlb
@@ -21,6 +26,81 @@ twoCoreConfig()
     SystemConfig config = SystemConfig::table1();
     config.numCores = 2;
     return config;
+}
+
+/**
+ * A scheme whose misses are scripted (ServicePoint, cycles) pairs. It
+ * exports the miss count, one point's count and two points' cycles,
+ * the walk's first, so export order differs from enum order.
+ */
+class ScriptedScheme : public TranslationScheme
+{
+  public:
+    explicit ScriptedScheme(
+        std::vector<std::pair<ServicePoint, Cycles>> script)
+        : outcomes(std::move(script))
+    {
+        exportMissCount("requests");
+        exportServedCount("walks", ServicePoint::PageWalk);
+        exportServedCycles("walk_cycles", ServicePoint::PageWalk);
+        exportServedCycles("tsb_cycles", ServicePoint::TsbBuffer);
+        exportMissCycles("avg_miss_cycles", "miss_cycle_hist");
+    }
+
+    std::string name() const override { return "Scripted"; }
+
+  private:
+    SchemeResult
+    resolve(CoreId, Addr, PageSize, VmId, ProcessId, Cycles) override
+    {
+        SchemeResult result;
+        result.servedBy = outcomes.at(next).first;
+        result.cycles = outcomes.at(next).second;
+        ++next;
+        return result;
+    }
+
+    std::vector<std::pair<ServicePoint, Cycles>> outcomes;
+    std::size_t next = 0;
+};
+
+TEST(MissLedger, ChargesEachMissToThePointThatServedIt)
+{
+    ScriptedScheme scheme({{ServicePoint::TsbBuffer, 10},
+                           {ServicePoint::PageWalk, 300},
+                           {ServicePoint::TsbBuffer, 30},
+                           {ServicePoint::PageWalk, 100}});
+    for (int miss = 0; miss < 4; ++miss)
+        scheme.translateMiss(0, 0x1000, PageSize::Small4K, 1, 1, 0);
+
+    EXPECT_EQ(scheme.missCount(), 4u);
+    EXPECT_EQ(scheme.servedCount(ServicePoint::TsbBuffer), 2u);
+    EXPECT_EQ(scheme.servedCount(ServicePoint::PageWalk), 2u);
+    EXPECT_EQ(scheme.servedCount(ServicePoint::CacheL2D), 0u);
+    EXPECT_DOUBLE_EQ(scheme.avgMissCycles(), 110.0);
+
+    // The exported points, in export order, not enum order.
+    const std::vector<std::pair<ServicePoint, std::uint64_t>> expected =
+        {{ServicePoint::PageWalk, 400}, {ServicePoint::TsbBuffer, 40}};
+    EXPECT_EQ(scheme.cycleBreakdown(), expected);
+
+    const JsonValue stats = scheme.stats().toJson();
+    EXPECT_EQ(stats.at("requests").asUint(), 4u);
+    EXPECT_EQ(stats.at("walks").asUint(), 2u);
+    EXPECT_EQ(stats.at("walk_cycles").asUint(), 400u);
+    EXPECT_EQ(stats.at("tsb_cycles").asUint(), 40u);
+    EXPECT_DOUBLE_EQ(stats.at("avg_miss_cycles").asNumber(), 110.0);
+    EXPECT_EQ(stats.at("miss_cycle_hist").at("samples").asUint(), 4u);
+
+    // The reset zeroes the whole ledger, the TSB point's count, which
+    // is not exported, included.
+    scheme.stats().reset();
+    EXPECT_EQ(scheme.missCount(), 0u);
+    EXPECT_EQ(scheme.servedCount(ServicePoint::TsbBuffer), 0u);
+    EXPECT_EQ(scheme.servedCount(ServicePoint::PageWalk), 0u);
+    EXPECT_EQ(scheme.avgMissCycles(), 0.0);
+    for (const auto &[point, cycles] : scheme.cycleBreakdown())
+        EXPECT_EQ(cycles, 0u) << servicePointName(point);
 }
 
 TEST(NestedScheme, AlwaysWalks)

@@ -191,8 +191,19 @@ TEST(Machine, ResetZeroesEveryRegisteredStatistic)
         Machine machine(config, scheme);
         SimulationEngine(machine, profile, engine_config).run();
         ASSERT_GT(machine.mainMemory().refreshCount(), 0u);
+        const TranslationScheme &ledger = machine.scheme();
+        ASSERT_GT(ledger.missCount(), 0u);
         machine.resetStats();
         expectAllZero(machine.stats().toJson(), "components");
+        // The whole miss ledger resets, what the scheme does not
+        // export included.
+        for (const ServicePoint point : allServicePoints())
+            EXPECT_EQ(ledger.servedCount(point), 0u)
+                << servicePointName(point);
+        EXPECT_EQ(ledger.missCount(), 0u);
+        EXPECT_EQ(ledger.avgMissCycles(), 0.0);
+        for (const auto &[point, cycles] : ledger.cycleBreakdown())
+            EXPECT_EQ(cycles, 0u) << servicePointName(point);
     }
 }
 

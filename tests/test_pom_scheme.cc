@@ -57,7 +57,7 @@ TEST_F(PomSchemeTest, SecondRequestServedWithoutWalk)
     const SchemeResult again = scheme->translateMiss(
         0, vaddr, PageSize::Small4K, 1, 1, 10000);
     EXPECT_FALSE(again.walked);
-    EXPECT_EQ(scheme->servedCount(PomServiceLevel::PageWalk), 1u);
+    EXPECT_EQ(scheme->servedCount(ServicePoint::PageWalk), 1u);
 }
 
 TEST_F(PomSchemeTest, CachedLineServesFromL2D)
@@ -75,7 +75,7 @@ TEST_F(PomSchemeTest, CachedLineServesFromL2D)
     const SchemeResult third = scheme->translateMiss(
         0, vaddr, PageSize::Small4K, 1, 1, 20000);
     EXPECT_FALSE(third.walked);
-    EXPECT_GT(scheme->servedCount(PomServiceLevel::L2Cache), 0u);
+    EXPECT_GT(scheme->servedCount(ServicePoint::CacheL2D), 0u);
 }
 
 TEST_F(PomSchemeTest, CrossCoreServedFromL3)
@@ -86,7 +86,7 @@ TEST_F(PomSchemeTest, CrossCoreServedFromL3)
     const SchemeResult other = scheme->translateMiss(
         1, vaddr, PageSize::Small4K, 1, 1, 10000);
     EXPECT_FALSE(other.walked);
-    EXPECT_GT(scheme->servedCount(PomServiceLevel::L3Cache), 0u);
+    EXPECT_GT(scheme->servedCount(ServicePoint::CacheL3D), 0u);
 }
 
 TEST_F(PomSchemeTest, UncacheableConfigurationGoesToDram)
@@ -97,9 +97,9 @@ TEST_F(PomSchemeTest, UncacheableConfigurationGoesToDram)
     const SchemeResult again = scheme->translateMiss(
         0, vaddr, PageSize::Small4K, 1, 1, 10000);
     EXPECT_FALSE(again.walked);
-    EXPECT_GT(scheme->servedCount(PomServiceLevel::PomDram), 0u);
-    EXPECT_EQ(scheme->servedCount(PomServiceLevel::L2Cache), 0u);
-    EXPECT_EQ(scheme->servedCount(PomServiceLevel::L3Cache), 0u);
+    EXPECT_GT(scheme->servedCount(ServicePoint::PomDram), 0u);
+    EXPECT_EQ(scheme->servedCount(ServicePoint::CacheL2D), 0u);
+    EXPECT_EQ(scheme->servedCount(ServicePoint::CacheL3D), 0u);
 }
 
 TEST_F(PomSchemeTest, TranslationIsCorrect)
@@ -149,12 +149,12 @@ TEST_F(PomSchemeTest, ServiceRatesSumSensibly)
         scheme->translateMiss(0, vaddr, PageSize::Small4K, 1, 1, 1);
     }
     const std::uint64_t total =
-        scheme->servedCount(PomServiceLevel::L2Cache) +
-        scheme->servedCount(PomServiceLevel::L3Cache) +
-        scheme->servedCount(PomServiceLevel::PomDram) +
-        scheme->servedCount(PomServiceLevel::PageWalk);
-    EXPECT_EQ(total, scheme->requestCount());
-    EXPECT_EQ(scheme->requestCount(), 100u);
+        scheme->servedCount(ServicePoint::CacheL2D) +
+        scheme->servedCount(ServicePoint::CacheL3D) +
+        scheme->servedCount(ServicePoint::PomDram) +
+        scheme->servedCount(ServicePoint::PageWalk);
+    EXPECT_EQ(total, scheme->missCount());
+    EXPECT_EQ(scheme->missCount(), 100u);
     EXPECT_GT(scheme->walkEliminationRate(), 0.0);
 }
 

@@ -14,6 +14,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -649,9 +650,22 @@ TEST(ServeSession, ReportsErrorsAndKeepsServing)
         "\"scheme\": \"pom\"}\n"
         "{\"op\": \"run\", \"benchmark\": \"mcf\", "
         "\"scheme\": \"pom\", \"cores\": 0}\n"
+        // Counts that do not fit the value they set: 2^32 + 2 cores
+        // would run as 2, 2^44 + 16 MB of POM-TLB as 16 MB, and
+        // 2^32 + 1 tenants as 1.
+        "{\"op\": \"run\", \"benchmark\": \"mcf\", "
+        "\"scheme\": \"pom\", \"cores\": 4294967298, "
+        "\"refs_per_core\": 200, \"warmup_refs_per_core\": 100}\n"
+        "{\"op\": \"run\", \"benchmark\": \"mcf\", "
+        "\"scheme\": \"pom\", \"cores\": 1, "
+        "\"pom_capacity_mb\": 17592186044432, "
+        "\"refs_per_core\": 200, \"warmup_refs_per_core\": 100}\n"
+        "{\"op\": \"scenario\", \"tenants\": [4294967297], "
+        "\"cores\": 1, \"refs_per_core\": 200, "
+        "\"warmup_refs_per_core\": 100}\n"
         "{\"op\": \"ping\"}\n",
         ServeOptions{});
-    ASSERT_EQ(events.size(), 6u);
+    ASSERT_EQ(events.size(), 9u);
     EXPECT_EQ(events[1].at("event").asString(), "error");
     EXPECT_EQ(events[2].at("event").asString(), "error");
     EXPECT_NE(events[2].at("message").asString().find("warp"),
@@ -664,7 +678,16 @@ TEST(ServeSession, ReportsErrorsAndKeepsServing)
     EXPECT_EQ(events[4].at("event").asString(), "error");
     EXPECT_NE(events[4].at("message").asString().find("core"),
               std::string::npos);
-    EXPECT_EQ(events[5].at("event").asString(), "pong");
+    // An out-of-range count is an error event naming its field.
+    const std::pair<std::size_t, std::string> named[] = {
+        {5, "'cores'"}, {6, "'pom_capacity_mb'"}, {7, "'tenants'"}};
+    for (const auto &[index, field] : named) {
+        EXPECT_EQ(events[index].at("event").asString(), "error");
+        EXPECT_NE(events[index].at("message").asString().find(field),
+                  std::string::npos)
+            << events[index].at("message").asString();
+    }
+    EXPECT_EQ(events[8].at("event").asString(), "pong");
 }
 
 TEST(ServeSession, StreamsCampaignsAndServesRepeatsFromCache)

@@ -1126,10 +1126,16 @@ commandTracePack(const CliOptions &options)
         }
     }
 
+    if (capture && options.gave("--cores") && options.cores == 0) {
+        std::fprintf(stderr, "pomtlb: trace pack: --cores 0 captures "
+                             "no stream (need at least 1)\n");
+        return 2;
+    }
+
     const std::size_t streamCount =
         !capture ? inputs.size()
-        : options.gave("--cores") && options.cores ? options.cores
-                                                   : 1;
+        : options.gave("--cores") ? options.cores
+                                  : 1;
     std::vector<std::string> names = splitList(options.streamNames);
     if (!names.empty() && names.size() != streamCount) {
         std::fprintf(stderr,
