@@ -96,20 +96,6 @@ class Rng
         return uniform() < probability;
     }
 
-    /** Geometric-ish gap: integer >= 1 with mean @p mean (>= 1). */
-    std::uint64_t
-    geometricGap(double mean)
-    {
-        if (mean <= 1.0)
-            return 1;
-        const double u = uniform();
-        const double p = 1.0 / mean;
-        // Inverse-CDF of a geometric distribution, clamped for safety.
-        const double draw = std::log1p(-u) / std::log1p(-p);
-        const auto gap = static_cast<std::uint64_t>(draw) + 1;
-        return gap > 100000 ? 100000 : gap;
-    }
-
     /** Derive an independent child generator for a sub-stream. */
     Rng
     fork(std::uint64_t stream)
@@ -131,6 +117,39 @@ class Rng
     }
 
     std::uint64_t state[4];
+};
+
+/**
+ * Geometric-ish gaps: integers >= 1 with mean @p mean, drawn by the
+ * inverse CDF of a geometric distribution and clamped to 100000. The
+ * denominator of the inverse CDF depends only on the mean, so it is
+ * computed once here rather than on every draw; the division is the
+ * same, so every gap is bit-identical to the per-draw formula. A
+ * mean of at most 1 always gives 1 and consumes no draw.
+ */
+class GeometricGap
+{
+  public:
+    explicit GeometricGap(double mean)
+        : unit(mean <= 1.0),
+          denominator(unit ? 0.0 : std::log1p(-(1.0 / mean)))
+    {
+    }
+
+    /** The next gap, drawn from @p rng. */
+    std::uint64_t
+    operator()(Rng &rng) const
+    {
+        if (unit)
+            return 1;
+        const double draw = std::log1p(-rng.uniform()) / denominator;
+        const auto gap = static_cast<std::uint64_t>(draw) + 1;
+        return gap > 100000 ? 100000 : gap;
+    }
+
+  private:
+    bool unit;
+    double denominator;
 };
 
 /**

@@ -96,9 +96,9 @@ SimulationEngine::SimulationEngine(Machine &machine,
 SimulationEngine::~SimulationEngine() = default;
 
 RunResult
-SimulationEngine::run()
+SimulationEngine::run(EnumerationShare *share)
 {
-    return scenario->run().run;
+    return scenario->run(share).run;
 }
 
 } // namespace pomtlb

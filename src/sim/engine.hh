@@ -150,6 +150,7 @@ struct RunResult
     mutable bool cachedValid = false;
 };
 
+class EnumerationShare;
 class ScenarioEngine;
 
 /**
@@ -179,8 +180,12 @@ class SimulationEngine
                      const EngineConfig &config);
     ~SimulationEngine();
 
-    /** Run warmup + measured phases; returns measured-phase stats. */
-    RunResult run();
+    /**
+     * Run warmup + measured phases; returns measured-phase stats.
+     * @p share is a campaign group's trace enumeration, reused when
+     * it enumerates this run's streams (ScenarioEngine::run).
+     */
+    RunResult run(EnumerationShare *share = nullptr);
 
   private:
     std::unique_ptr<ScenarioEngine> scenario;

@@ -8,7 +8,6 @@
 
 #include "common/bitutil.hh"
 #include "common/content_hash.hh"
-#include "common/hash_set.hh"
 #include "common/log.hh"
 #include "sim/clock_heap.hh"
 #include "sim/machine.hh"
@@ -49,89 +48,27 @@ canonicalScheme(const std::string &scheme)
 }
 
 /**
- * Steady-state pre-population. Enumerates every stream of @p streams
- * in stream order — exactly the TenantStream::totalRefs records its
- * timed run will issue — and installs each first-touched (page, pid,
- * VM) in the page tables and the scheme's persistent translation
- * store, deduplicated through one set across all streams. When every
- * stream fits TenantStreamSet::replayCapRecords the records are
- * captured for the timed run's replay. Leaves every source rewound.
- *
- * @return whether the streams were captured (the argument of
- *         TenantStreamSet::beginRun()).
+ * The per-machine half of steady-state pre-population: installs each
+ * first touch of @p enumeration, stream by stream in record order, in
+ * the page tables and the scheme's persistent translation store,
+ * under the stream's VM, pid and home core.
  */
-bool
-prepopulateStreams(Machine &machine, TenantStreamSet &streams)
+void
+installFirstTouches(Machine &machine, const TenantStreamSet &streams,
+                    const StreamEnumeration &enumeration)
 {
-    // Capture the streams while enumerating them so the timed run
-    // can replay the records instead of re-generating them.
-    const bool capture = streams.captureEligible();
     MemoryMap &map = machine.memoryMap();
-    U64Set seen(std::size_t{1} << 16);
-    std::vector<TraceRecord> chunk;
-    if (!capture) {
-        chunk.resize(static_cast<std::size_t>(
-            TenantStreamSet::streamBlockRecords));
-    }
-
     for (std::size_t s = 0; s < streams.size(); ++s) {
-        TenantStream &stream = streams.at(s);
-        const std::uint64_t total = stream.totalRefs;
-        // Replay exactly the records the timed run will issue.
-        TraceSource &dry = *stream.source;
-        dry.rewind();
-        const VmId vm = stream.vm;
-        const ProcessId pid = stream.pid;
-        // Dedup key covers (page, pid, vm): the same page may need
-        // separate entries per process and per VM.
-        const std::uint64_t space_key =
-            mix64((static_cast<std::uint64_t>(pid) << 16) | vm);
-
-        if (capture)
-            stream.replay.resize(total);
-
-        std::uint64_t done = 0;
-        std::uint64_t last_key = ~std::uint64_t{0};
-        while (done < total) {
-            TraceRecord *block;
-            std::size_t want;
-            if (capture) {
-                block = stream.replay.data() + done;
-                want = static_cast<std::size_t>(total - done);
-            } else {
-                block = chunk.data();
-                want = static_cast<std::size_t>(
-                    std::min<std::uint64_t>(chunk.size(),
-                                            total - done));
-            }
-            const std::size_t got = dry.fill(block, want);
-            simAssert(got == want, "trace source exhausted during "
-                                   "steady-state pre-population");
-            for (std::size_t i = 0; i < got; ++i) {
-                const TraceRecord &record = block[i];
-                const Addr page =
-                    pageBase(record.vaddr, record.pageSize);
-                const std::uint64_t key = mix64(page) ^ space_key;
-                // Page-local runs dominate the streams: skip the set
-                // probe when the key repeats back-to-back.
-                if (key == last_key)
-                    continue;
-                last_key = key;
-                if (!seen.insert(key))
-                    continue;
-                const TranslationInfo info = map.ensureMapped(
-                    vm, pid, record.vaddr, record.pageSize);
-                machine.scheme().prewarm(
-                    stream.homeCore, record.vaddr, record.pageSize,
-                    vm, pid, info.hpa >> pageShift(record.pageSize));
-            }
-            done += got;
+        const TenantStream &stream = streams.at(s);
+        for (const FirstTouch &touch : enumeration.firstTouches[s]) {
+            const TranslationInfo info = map.ensureMapped(
+                stream.vm, stream.pid, touch.vaddr, touch.pageSize);
+            machine.scheme().prewarm(
+                stream.homeCore, touch.vaddr, touch.pageSize,
+                stream.vm, stream.pid,
+                info.hpa >> pageShift(touch.pageSize));
         }
-        // Leave the source rewound whether or not the timed run will
-        // replay the capture instead of re-reading it.
-        dry.rewind();
     }
-    return capture;
 }
 
 } // namespace
@@ -717,7 +654,7 @@ ScenarioEngine::runPhase(std::uint64_t target)
 }
 
 ScenarioResult
-ScenarioEngine::run()
+ScenarioEngine::run(EnumerationShare *share)
 {
     const unsigned cores = machine.numCores();
 
@@ -732,9 +669,21 @@ ScenarioEngine::run()
         ++runtimes[streams.at(s).tenant].activeStreams;
     departures = migrations = stormShootdowns = 0;
 
-    const bool captured = engineConfig.prepopulate &&
-                          prepopulateStreams(machine, streams);
-    streams.beginRun(captured);
+    // Steady-state pre-population: enumerate the streams (or reuse
+    // the campaign group's enumeration of the same streams), then
+    // install their first touches in this machine.
+    std::shared_ptr<const StreamEnumeration> enumeration;
+    if (engineConfig.prepopulate) {
+        enumeration =
+            share ? share->obtain(streams.enumerationKey(),
+                                  [this](std::string key) {
+                                      return streams.enumerate(
+                                          std::move(key));
+                                  })
+                  : streams.enumerate();
+        installFirstTouches(machine, streams, *enumeration);
+    }
+    streams.beginRun(std::move(enumeration));
 
     lanes.assign(cores, Lane{});
     for (unsigned core = 0; core < cores; ++core) {
@@ -801,7 +750,7 @@ ScenarioEngine::run()
     result.stormShootdowns = stormShootdowns;
 
     // The captures can be hundreds of megabytes at scale; do not
-    // hold them between runs (a later run() re-captures).
+    // hold them between runs (a later run() re-enumerates).
     streams.releaseCaptures();
     return result;
 }
@@ -980,12 +929,18 @@ scenarioJobs(const std::vector<ScenarioSpec> &specs)
     jobs.reserve(specs.size());
     for (const ScenarioSpec &spec : specs) {
         CampaignJob job;
-        job.hash = scenarioHash(spec);
+        JsonValue identity = scenarioIdentityJson(spec);
+        job.hash = ContentHash::of(identity.dump(0));
+        // Scenarios that differ only in scheme and name compile the
+        // same streams.
+        identity.set("scheme", "");
+        identity.set("name", "");
+        job.group = ContentHash::of(identity.dump(0));
         job.key = spec.name + "/" + canonicalScheme(spec.scheme);
-        job.produce = [spec] {
+        job.produce = [spec](EnumerationShare *share) {
             Machine machine(spec.system, spec.scheme);
             ScenarioEngine engine(machine, spec);
-            const ScenarioResult result = engine.run();
+            const ScenarioResult result = engine.run(share);
             return buildScenarioDocument(machine, spec, result);
         };
         // Serve only what `pomtlb scenario` and serve clients read.

@@ -313,8 +313,14 @@ class ScenarioEngine
      */
     ScenarioEngine(Machine &machine, const ScenarioSpec &spec);
 
-    /** Run warmup + measured phases; returns measured-phase stats. */
-    ScenarioResult run();
+    /**
+     * Run warmup + measured phases; returns measured-phase stats.
+     * Pre-population enumerates the streams, or takes @p share's
+     * enumeration when it carries this engine's enumeration key (a
+     * campaign group's, sim/sweep_cache.hh); the result is the same
+     * either way.
+     */
+    ScenarioResult run(EnumerationShare *share = nullptr);
 
     /**
      * Record every compiled stream's whole-run records into a
@@ -451,12 +457,13 @@ JsonValue buildScenarioDocument(Machine &machine,
 
 /**
  * The campaign jobs of @p specs, for SweepService::run() with
- * kScenarioSchemaV1: scenarioHash(), the key "name/scheme", a
- * producer that builds the machine, runs the scenario and returns
- * its buildScenarioDocument(), and a servability check that accepts
- * a stored `pomtlb-scenario-v1` document only when its
- * `scenario_hash` is the job's and it carries the `tenants`,
- * `events` and `stats` members its readers use.
+ * kScenarioSchemaV1: scenarioHash(), the key "name/scheme", a group
+ * shared by the scenarios whose identities differ only in scheme and
+ * name, a producer that builds the machine, runs the scenario (with
+ * the group's enumeration) and returns its buildScenarioDocument(),
+ * and a servability check that accepts a stored `pomtlb-scenario-v1`
+ * document only when its `scenario_hash` is the job's and it carries
+ * the `tenants`, `events` and `stats` members its readers use.
  */
 std::vector<CampaignJob>
 scenarioJobs(const std::vector<ScenarioSpec> &specs);

@@ -110,7 +110,7 @@ ExperimentRequest::key() const
 // ---------------------------------------------------------------
 
 ExperimentResult
-runExperiment(const ExperimentRequest &request)
+runExperiment(const ExperimentRequest &request, EnumerationShare *share)
 {
     const BenchmarkProfile *profile =
         ProfileRegistry::find(request.benchmark);
@@ -136,7 +136,7 @@ runExperiment(const ExperimentRequest &request)
     result.summary.benchmark = profile->name;
     result.summary.scheme = request.scheme;
     result.summary.mode = request.config.system.mode;
-    result.summary.run = engine.run();
+    result.summary.run = engine.run(share);
 
     SchemeRunSummary &summary = result.summary;
     const RunTotals &totals = summary.run.totals();

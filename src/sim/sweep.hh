@@ -109,12 +109,14 @@ struct ExperimentResult
 };
 
 /**
- * Run one request synchronously on the calling thread. Throws
- * std::invalid_argument for an unknown benchmark or scheme name, and
- * FatalError (from fatal()) for a configuration that fails
- * validation.
+ * Run one request synchronously on the calling thread. @p share is a
+ * campaign group's trace enumeration (SimulationEngine::run); the
+ * result does not depend on it. Throws std::invalid_argument for an
+ * unknown benchmark or scheme name, and FatalError (from fatal())
+ * for a configuration that fails validation.
  */
-ExperimentResult runExperiment(const ExperimentRequest &request);
+ExperimentResult runExperiment(const ExperimentRequest &request,
+                               EnumerationShare *share = nullptr);
 
 /**
  * A declarative sweep: benchmarks × schemes × config variants.

@@ -7,6 +7,7 @@
 #include <exception>
 #include <filesystem>
 #include <mutex>
+#include <numeric>
 #include <sstream>
 #include <system_error>
 #include <thread>
@@ -14,6 +15,7 @@
 
 #include "common/content_hash.hh"
 #include "common/log.hh"
+#include "trace/interleave.hh"
 #include "trace/tracepack.hh"
 
 namespace fs = std::filesystem;
@@ -579,12 +581,18 @@ experimentJobs(const std::vector<ExperimentRequest> &requests)
     jobs.reserve(requests.size());
     for (const ExperimentRequest &request : requests) {
         CampaignJob job;
-        job.hash = jobHash(request);
+        JsonValue identity = jobIdentityJson(request);
+        job.hash = ContentHash::of(identity.dump(0));
+        // Requests that differ only in scheme and label compile the
+        // same streams.
+        identity.set("scheme", "");
+        identity.set("label", "");
+        job.group = ContentHash::of(identity.dump(0));
         job.key = request.key();
-        job.produce = [request] {
+        job.produce = [request](EnumerationShare *share) {
             // Identity form: wall_seconds is host noise, and cached
             // bytes must not depend on which run produced them.
-            ExperimentResult result = runExperiment(request);
+            ExperimentResult result = runExperiment(request, share);
             result.wallSeconds = 0.0;
             return SweepResultWriter::entryToJson(result);
         };
@@ -712,11 +720,45 @@ SweepService::run(const char *schema,
         pending.push_back(indices.front());
     }
 
-    // Pass 2: execute only the delta, in hash order. Each worker
-    // claims the next pending job; completions serialise on one
-    // mutex, so cache, journal and frontier state need no other
-    // lock. emit() runs under it too, which keeps reports in request
-    // order and never concurrent.
+    // Pass 2: execute only the delta, group by group, in hash order
+    // within a group (pending is in hash order and the sort is
+    // stable). The pending jobs of a group of two or more share one
+    // EnumerationShare, released when the group's last one
+    // completes; with each group contiguous in the claim order, a
+    // worker keeps at most one group's enumeration alive.
+    std::map<std::string, std::size_t> group_sizes;
+    for (const std::size_t index : pending) {
+        if (!jobs[index].group.empty())
+            ++group_sizes[jobs[index].group];
+    }
+    struct Group
+    {
+        explicit Group(std::size_t size) : left(size) {}
+        EnumerationShare share;
+        std::size_t left;
+    };
+    std::map<std::string, Group> groups;
+    std::vector<Group *> group_of(pending.size(), nullptr);
+    for (std::size_t slot = 0; slot < pending.size(); ++slot) {
+        const std::string &group = jobs[pending[slot]].group;
+        if (!group.empty() && group_sizes[group] > 1) {
+            group_of[slot] =
+                &groups.try_emplace(group, group_sizes[group])
+                     .first->second;
+        }
+    }
+    std::vector<std::size_t> order(pending.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                         return jobs[pending[a]].group <
+                                jobs[pending[b]].group;
+                     });
+
+    // Each worker claims the next job of that order; completions
+    // serialise on one mutex, so cache, journal, frontier and group
+    // state need no other lock. emit() runs under it too, which
+    // keeps reports in request order and never concurrent.
     std::atomic<std::size_t> next{0};
     std::mutex completion;
     std::vector<std::exception_ptr> errors(pending.size());
@@ -724,12 +766,15 @@ SweepService::run(const char *schema,
         for (;;) {
             const std::size_t claimed =
                 next.fetch_add(1, std::memory_order_relaxed);
-            if (claimed >= pending.size())
+            if (claimed >= order.size())
                 return;
-            const CampaignJob &job = jobs[pending[claimed]];
+            const std::size_t slot = order[claimed];
+            const CampaignJob &job = jobs[pending[slot]];
+            Group *group = group_of[slot];
             try {
                 const auto start = std::chrono::steady_clock::now();
-                JsonValue entry = job.produce();
+                JsonValue entry =
+                    job.produce(group ? &group->share : nullptr);
                 const double wall =
                     std::chrono::duration<double>(
                         std::chrono::steady_clock::now() - start)
@@ -754,7 +799,12 @@ SweepService::run(const char *schema,
             } catch (...) {
                 // Kept for the rethrow below: an exception must not
                 // leave a worker thread.
-                errors[claimed] = std::current_exception();
+                errors[slot] = std::current_exception();
+            }
+            if (group != nullptr) {
+                const std::lock_guard<std::mutex> lock(completion);
+                if (--group->left == 0)
+                    group->share.release();
             }
         }
     };
@@ -772,9 +822,13 @@ SweepService::run(const char *schema,
 
     if (cache)
         lastStats.quarantined = cache->quarantined();
+    for (const auto &[key, group] : groups) {
+        lastStats.enumerations += group.share.builds();
+        lastStats.enumerationReuses += group.share.reuses();
+    }
 
-    // Deterministic failure: the lowest pending index wins,
-    // whatever order the workers finished in.
+    // Deterministic failure: the lowest failing hash wins, whatever
+    // order the workers finished in.
     for (const std::exception_ptr &error : errors) {
         if (error)
             std::rethrow_exception(error);

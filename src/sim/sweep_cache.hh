@@ -243,10 +243,10 @@ const char *jobSourceName(JobSource source);
 
 /**
  * One job of a campaign, as SweepService runs it. A job kind (sweep
- * request, consolidation scenario) only says how to identify, run
- * and validate its jobs; hashing order, deduplication, the cache,
- * the journal, the worker pool and the emission order are the
- * service's.
+ * request, consolidation scenario) only says how to identify, group,
+ * run and validate its jobs; hashing order, deduplication, the
+ * cache, the journal, the worker pool, the execution and emission
+ * orders and the sharing of trace enumerations are the service's.
  */
 struct CampaignJob
 {
@@ -255,11 +255,20 @@ struct CampaignJob
     /** Human-readable key recorded beside the entry. */
     std::string key;
     /**
-     * Run the job on the calling thread and return its entry in
-     * identity form (no host-dependent field). May throw; the
-     * service reports the lowest pending failure.
+     * Jobs with the same non-empty group compile the same trace
+     * streams (their identities differ only in scheme and label):
+     * the service runs them together and shares one trace
+     * enumeration among them. "" = the job shares nothing.
      */
-    std::function<JsonValue()> produce;
+    std::string group;
+    /**
+     * Run the job on the calling thread and return its entry in
+     * identity form (no host-dependent field). @p share is the
+     * job's group enumeration, or null when no other pending job
+     * shares the group; the entry must not depend on it. May throw;
+     * the service reports the failure of the lowest job hash.
+     */
+    std::function<JsonValue(EnumerationShare *share)> produce;
     /**
      * Whether a stored cache or journal entry of this job can be
      * served. A rejected entry is stale, not corrupt: the job
@@ -270,9 +279,10 @@ struct CampaignJob
 
 /**
  * The campaign jobs of sweep @p requests: jobHash() and key() of
- * each request, runExperiment() in the identity form
- * (`wall_seconds` 0), and servable when
- * SweepResultWriter::entryFromJson() reads the entry back.
+ * each request, one group per identity without scheme and label,
+ * runExperiment() in the identity form (`wall_seconds` 0), and
+ * servable when SweepResultWriter::entryFromJson() reads the entry
+ * back.
  */
 std::vector<CampaignJob>
 experimentJobs(const std::vector<ExperimentRequest> &requests);
@@ -307,6 +317,10 @@ struct SweepServiceStats
     std::size_t journalHits = 0;  /**< Jobs replayed from journal. */
     std::size_t deduplicated = 0; /**< Duplicate-hash jobs reused. */
     std::size_t quarantined = 0;  /**< Corrupt cache entries moved. */
+    /** Trace enumerations built for groups of pending jobs. */
+    std::size_t enumerations = 0;
+    /** Executed jobs that reused their group's enumeration. */
+    std::size_t enumerationReuses = 0;
 };
 
 /** Knobs of one SweepService. */
@@ -333,7 +347,8 @@ struct SweepServiceOptions
 
 /**
  * Runs campaigns: dedupe the jobs by hash, satisfy what the journal
- * and cache already hold, execute only the delta on a worker pool,
+ * and cache already hold, execute only the delta on a worker pool —
+ * group by group, each group's trace enumeration built once —
  * checkpoint every completion, and emit results incrementally in
  * request order.
  */
@@ -355,12 +370,17 @@ class SweepService
      * Run @p jobs as one campaign; returns the document
      * `{"schema": schema, "runs": [entry per job]}`, byte-identical
      * for any cache/journal/execution mix and any worker count.
-     * Jobs left to execute run in hash order; with one worker they
-     * run on the calling thread, with emit() firing between them.
-     * On failure every pending job still runs, then the exception
-     * of the lowest pending index is rethrown; completed jobs are
-     * journaled by then, so a failed campaign resumes past
-     * everything that succeeded.
+     * Jobs left to execute run grouped (CampaignJob::group), then in
+     * hash order. When a group has two or more of them, they share
+     * one EnumerationShare: its first job builds the group's trace
+     * enumeration, the others reuse it, and it is dropped when the
+     * group's last pending job completes, so no more enumerations
+     * live than there are workers, and none outlives run(). With
+     * one worker the jobs run on the calling thread, with emit()
+     * firing between them. On failure every pending job still runs,
+     * then the exception of the lowest failing job hash is rethrown;
+     * completed jobs are journaled by then, so a failed campaign
+     * resumes past everything that succeeded.
      */
     JsonValue run(const char *schema,
                   const std::vector<CampaignJob> &jobs,

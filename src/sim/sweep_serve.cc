@@ -165,6 +165,10 @@ ServeSession::statsJson() const
               std::uint64_t(campaignStats.deduplicated));
     stats.set("quarantined",
               std::uint64_t(campaignStats.quarantined));
+    stats.set("enumerations",
+              std::uint64_t(campaignStats.enumerations));
+    stats.set("enumeration_reuses",
+              std::uint64_t(campaignStats.enumerationReuses));
     return stats;
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <sstream>
 #include <string>
 
 #include "common/bitutil.hh"
@@ -21,6 +22,7 @@ TraceGenerator::TraceGenerator(const BenchmarkProfile &profile,
     : bench(profile),
       rng(mix64(seed ^ mix64(core + 0x9e37)) ^
           mix64(std::hash<std::string>{}(profile.name))),
+      runGap(profile.runLength), instGap(profile.instGapMean),
       regionSalt(mix64(std::hash<std::string>{}(profile.name) ^ seed)),
       base(footprintBaseAddr),
       footprint(alignDown(profile.footprintBytes, largePageBytes)),
@@ -74,6 +76,28 @@ TraceGenerator::TraceGenerator(const BenchmarkProfile &profile,
     }
 }
 
+std::string
+TraceGenerator::inputKey(const BenchmarkProfile &profile, CoreId core,
+                         std::uint64_t seed)
+{
+    std::ostringstream key;
+    key << std::hexfloat << "generator core " << core << " seed "
+        << seed << " pattern " << static_cast<int>(profile.pattern)
+        << " footprint " << profile.footprintBytes << " large_pct "
+        << profile.fracLargePagesPct << " zipf " << profile.zipfTheta
+        << " run " << profile.runLength << " inst_gap "
+        << profile.instGapMean << " write " << profile.writeFraction
+        << " hot " << profile.hotFraction << ' '
+        << profile.hotProbability << " local_next "
+        << profile.localNextProbability << " conflict "
+        << profile.conflictProbability << ' '
+        << profile.conflictStridePages << ' '
+        << profile.conflictGroupPages << " multithreaded "
+        << profile.multithreaded << " stride "
+        << profile.streamStrideBytes << " name " << profile.name;
+    return key.str();
+}
+
 PageSize
 TraceGenerator::pageSizeOf(Addr vaddr) const
 {
@@ -112,8 +136,7 @@ TraceGenerator::streamingAddr()
         rng.chance(bench.conflictProbability / 4.0)) {
         runPageBase = conflictPage() << smallPageShift;
         runPageSpan = smallPageBytes;
-        runRemaining = static_cast<unsigned>(
-            rng.geometricGap(bench.runLength));
+        runRemaining = static_cast<unsigned>(runGap(rng));
         --runRemaining;
         return rebase(runPageBase +
                       alignDown(rng.below(runPageSpan), 8));
@@ -209,8 +232,7 @@ TraceGenerator::zipfAddr()
     if (runRemaining == 0) {
         runPageBase = nextRunPage(true);
         runPageSpan = smallPageBytes;
-        runRemaining = static_cast<unsigned>(
-            rng.geometricGap(bench.runLength));
+        runRemaining = static_cast<unsigned>(runGap(rng));
     }
     --runRemaining;
     return rebase(runPageBase + alignDown(rng.below(runPageSpan), 8));
@@ -222,8 +244,7 @@ TraceGenerator::chaseAddr()
     if (runRemaining == 0) {
         runPageBase = nextRunPage(false);
         runPageSpan = smallPageBytes;
-        runRemaining = static_cast<unsigned>(
-            rng.geometricGap(bench.runLength));
+        runRemaining = static_cast<unsigned>(runGap(rng));
     }
     --runRemaining;
     return rebase(runPageBase + alignDown(rng.below(runPageSpan), 8));
@@ -277,8 +298,7 @@ TraceGenerator::next()
     record.pageSize = pageSizeOf(record.vaddr);
     record.type = rng.chance(bench.writeFraction) ? AccessType::Write
                                                   : AccessType::Read;
-    record.instGap = static_cast<std::uint32_t>(
-        rng.geometricGap(bench.instGapMean));
+    record.instGap = static_cast<std::uint32_t>(instGap(rng));
     return record;
 }
 

@@ -15,6 +15,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/rng.hh"
@@ -36,6 +37,16 @@ class TraceGenerator
      */
     TraceGenerator(const BenchmarkProfile &profile, CoreId core,
                    std::uint64_t seed);
+
+    /**
+     * Every input the generator built from (@p profile, @p core,
+     * @p seed) reads, as text: the profile's name and stream-model
+     * fields (doubles as hex floats, so equal text means equal
+     * bits), the core and the seed. Equal keys generate equal
+     * streams.
+     */
+    static std::string inputKey(const BenchmarkProfile &profile,
+                                CoreId core, std::uint64_t seed);
 
     /** Produce the next reference. */
     TraceRecord next();
@@ -72,6 +83,10 @@ class TraceGenerator
 
     BenchmarkProfile bench;
     Rng rng;
+    /** In-page run lengths (mean BenchmarkProfile::runLength). */
+    GeometricGap runGap;
+    /** Instruction gaps (mean BenchmarkProfile::instGapMean). */
+    GeometricGap instGap;
     std::uint64_t regionSalt;
     Addr base;
     Addr footprint;

@@ -67,6 +67,14 @@ class TraceSource
 
     /** Short description for diagnostics. */
     virtual std::string describe() const = 0;
+
+    /**
+     * Every input the stream's records depend on, as text: two
+     * sources with equal identities produce equal records. Keys a
+     * trace enumeration (trace/interleave.hh) that jobs of one
+     * campaign share.
+     */
+    virtual std::string identity() const = 0;
 };
 
 /** Synthetic-generator source (rewind = rebuild the generator). */
@@ -97,6 +105,12 @@ class GeneratorSource : public TraceSource
     {
         return "generator:" + benchProfile.name + "/core" +
                std::to_string(coreId);
+    }
+
+    std::string
+    identity() const override
+    {
+        return TraceGenerator::inputKey(benchProfile, coreId, rngSeed);
     }
 
     const TraceGenerator &underlying() const { return generator; }

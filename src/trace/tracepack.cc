@@ -609,6 +609,8 @@ TracePackReader::stream(std::size_t index) const
 std::string
 TracePackReader::contentHash() const
 {
+    if (!checkedHash.empty())
+        return checkedHash;
     // Chain every chunk the way the writer did: in file order, each
     // chunk's stream id and then its unpadded payload.
     struct Placed
@@ -635,6 +637,7 @@ TracePackReader::contentHash() const
         throw TraceError("trace pack '" + filePath +
                          "': content hash mismatch: the header says " +
                          packHash + ", the records hash to " + actual);
+    checkedHash = actual;
     return actual;
 }
 
@@ -735,6 +738,13 @@ PackStreamSource::describe() const
 {
     return "pack:" + reader->path() + "/" +
            reader->stream(streamId).name;
+}
+
+std::string
+PackStreamSource::identity() const
+{
+    return "pack " + reader->contentHash() + " stream " +
+           std::to_string(streamId);
 }
 
 std::uint64_t

@@ -217,8 +217,9 @@ class TracePackReader
     /**
      * Content hash over every chunk's stream id + payload, recomputed
      * from the records and checked against the header's: a mismatch
-     * throws a TraceError naming the path. It reads every record, so
-     * the identities that name a pack call it, and opening for replay
+     * throws a TraceError naming the path. The first call reads
+     * every record (later calls return the checked hash), so the
+     * identities that name a pack call it, and opening for replay
      * does not.
      */
     std::string contentHash() const;
@@ -277,6 +278,8 @@ class TracePackReader
     std::uint64_t totalChunks = 0;
     /** The content hash the header declares. */
     std::string packHash;
+    /** contentHash() once it has checked the records ("" before). */
+    mutable std::string checkedHash;
 };
 
 /**
@@ -297,6 +300,8 @@ class PackStreamSource : public TraceSource
     std::size_t fill(TraceRecord *out, std::size_t n) override;
     void rewind() override { position = 0; }
     std::string describe() const override;
+    /** The pack's checked content hash and the stream index. */
+    std::string identity() const override;
 
     /** Records in the underlying stream (before wrapping). */
     std::uint64_t recordCount() const;

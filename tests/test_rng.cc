@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <vector>
 
 #include "common/rng.hh"
@@ -95,10 +96,11 @@ TEST(Rng, GeometricGapMeanApproximatesTarget)
 {
     Rng rng(8);
     const double target = 6.0;
+    const GeometricGap gaps(target);
     double sum = 0.0;
     const int n = 200000;
     for (int i = 0; i < n; ++i) {
-        const std::uint64_t gap = rng.geometricGap(target);
+        const std::uint64_t gap = gaps(rng);
         EXPECT_GE(gap, 1u);
         sum += static_cast<double>(gap);
     }
@@ -108,8 +110,49 @@ TEST(Rng, GeometricGapMeanApproximatesTarget)
 TEST(Rng, GeometricGapDegenerateMean)
 {
     Rng rng(8);
+    Rng untouched(8);
+    const GeometricGap gaps(1.0);
     for (int i = 0; i < 100; ++i)
-        EXPECT_EQ(rng.geometricGap(1.0), 1u);
+        EXPECT_EQ(gaps(rng), 1u);
+    // A mean of at most 1 consumes no draw.
+    EXPECT_EQ(rng.next(), untouched.next());
+}
+
+/** The per-draw formula GeometricGap precomputes the half of. */
+std::uint64_t
+referenceGap(Rng &rng, double mean)
+{
+    if (mean <= 1.0)
+        return 1;
+    const double u = rng.uniform();
+    const double p = 1.0 / mean;
+    const double draw = std::log1p(-u) / std::log1p(-p);
+    const auto gap = static_cast<std::uint64_t>(draw) + 1;
+    return gap > 100000 ? 100000 : gap;
+}
+
+TEST(Rng, GeometricGapIsBitIdenticalToThePerDrawFormula)
+{
+    // Means below and at 1, the generator's usual range, and one
+    // large enough that the 100000 clamp fires.
+    for (const double mean : {0.5, 1.0, 1.5, 4.0, 6.0, 1.0e6}) {
+        SCOPED_TRACE(mean);
+        Rng rng(17);
+        Rng reference(17);
+        const GeometricGap gaps(mean);
+        std::uint64_t clamped = 0;
+        std::uint64_t mismatches = 0;
+        for (int i = 0; i < 1000000; ++i) {
+            const std::uint64_t gap = gaps(rng);
+            mismatches += gap != referenceGap(reference, mean) ? 1 : 0;
+            clamped += gap == 100000 ? 1 : 0;
+        }
+        EXPECT_EQ(mismatches, 0u);
+        EXPECT_EQ(rng.next(), reference.next());
+        if (mean > 100000.0) {
+            EXPECT_GT(clamped, 0u);
+        }
+    }
 }
 
 TEST(Rng, ForkProducesIndependentStream)

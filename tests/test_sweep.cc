@@ -5,17 +5,25 @@
  * request builder semantics, spec expansion, determinism of the
  * worker pool against the serial path and ordering under different
  * worker counts for both job kinds (sweep requests and scenarios),
- * exception propagation, and the JSON result round trip. Compiled
- * into pomtlb_focused_tests too, so the pool runs under TSan.
+ * exception propagation, the JSON result round trip, and the trace
+ * enumeration the jobs of one group share. Compiled into
+ * pomtlb_focused_tests too, so the pool and the shared enumeration
+ * run under TSan.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <mutex>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 
 #include "campaign_fixtures.hh"
+#include "sim/machine.hh"
 #include "sim/sweep.hh"
+#include "trace/tracepack.hh"
 
 namespace pomtlb
 {
@@ -165,8 +173,8 @@ TEST(Sweep, WorkerCountIsCappedButNeverZero)
 TEST(Sweep, FailingJobPropagatesDeterministically)
 {
     // Two bad jobs in the middle of each batch: every pending job
-    // still runs, and the failure of the lowest pending index (jobs
-    // run in hash order) is rethrown at any worker count.
+    // still runs, and the failure of the lowest job hash is rethrown
+    // at any worker count, whatever order the groups ran in.
     const ExperimentConfig config = campaignConfig();
     const std::vector<TestCampaign> campaigns = {
         {"sweep", kSweepSchemaV1,
@@ -189,7 +197,7 @@ TEST(Sweep, FailingJobPropagatesDeterministically)
                               : 2];
         std::string expected;
         try {
-            first.produce();
+            first.produce(nullptr);
         } catch (const std::invalid_argument &error) {
             expected = error.what();
         }
@@ -369,6 +377,318 @@ TEST(Sweep, RejectsForeignJsonDocuments)
     EXPECT_THROW(SweepResultWriter::fromJson(JsonValue::parse(
                      "{\"schema\": \"other\", \"runs\": []}")),
                  std::invalid_argument);
+}
+
+// ----------------------------------------------------------------
+// Shared trace enumerations
+// ----------------------------------------------------------------
+
+/** @p request run alone, as its campaign entry (identity form). */
+std::string
+loneEntry(const ExperimentRequest &request,
+          EnumerationShare *share = nullptr)
+{
+    ExperimentResult result = runExperiment(request, share);
+    result.wallSeconds = 0.0;
+    return SweepResultWriter::entryToJson(result).dump(0);
+}
+
+/** @p spec run on a standalone engine, as its scenario document. */
+std::string
+loneEntry(const ScenarioSpec &spec, EnumerationShare *share = nullptr)
+{
+    Machine machine(spec.system, spec.scheme);
+    ScenarioEngine engine(machine, spec);
+    const ScenarioResult result = engine.run(share);
+    return buildScenarioDocument(machine, spec, result).dump(0);
+}
+
+/**
+ * Wraps campaign jobs to watch their shares: around every shared job
+ * it counts the shares that hold an enumeration, and it keeps a weak
+ * pointer to each enumeration a job saw published.
+ */
+struct ShareWatch
+{
+    std::mutex lock;
+    std::set<EnumerationShare *> shares;
+    std::size_t maxLive = 0;
+    std::vector<std::weak_ptr<const StreamEnumeration>> seen;
+
+    void
+    sample()
+    {
+        std::size_t live = 0;
+        for (EnumerationShare *share : shares)
+            live += share->published() ? 1 : 0;
+        maxLive = std::max(maxLive, live);
+    }
+
+    std::vector<CampaignJob>
+    watch(std::vector<CampaignJob> jobs)
+    {
+        for (CampaignJob &job : jobs) {
+            job.produce = [this, produce = job.produce](
+                              EnumerationShare *share) {
+                if (share != nullptr) {
+                    const std::lock_guard<std::mutex> guard(lock);
+                    shares.insert(share);
+                    sample();
+                }
+                JsonValue entry = produce(share);
+                if (share != nullptr) {
+                    const std::lock_guard<std::mutex> guard(lock);
+                    sample();
+                    seen.push_back(share->published());
+                }
+                return entry;
+            };
+        }
+        return jobs;
+    }
+};
+
+/**
+ * Run @p jobs as one campaign at 1 and 4 workers: every entry must
+ * equal @p lone (the same request run alone), one enumeration is
+ * built per group and reused by the group's other jobs, no more
+ * enumerations are alive at once than there are workers, and none
+ * outlives the campaign.
+ */
+void
+expectGroupsShareAndMatchLoneRuns(const char *schema,
+                                  const std::vector<CampaignJob> &jobs,
+                                  const std::vector<std::string> &lone,
+                                  std::size_t groups)
+{
+    for (const unsigned workers : {1u, 4u}) {
+        SCOPED_TRACE("jobs=" + std::to_string(workers));
+        SweepServiceOptions options;
+        options.jobs = workers;
+        SweepService service(options);
+        ShareWatch watch;
+        const JsonValue document =
+            service.run(schema, watch.watch(jobs));
+        const JsonValue &runs = document.at("runs");
+        ASSERT_EQ(runs.size(), lone.size());
+        for (std::size_t i = 0; i < lone.size(); ++i)
+            EXPECT_EQ(runs.at(i).dump(0), lone[i]) << "index=" << i;
+        EXPECT_EQ(service.stats().executed, jobs.size());
+        EXPECT_EQ(service.stats().enumerations, groups);
+        EXPECT_EQ(service.stats().enumerationReuses,
+                  jobs.size() - groups);
+        EXPECT_EQ(watch.shares.size(), groups);
+        EXPECT_GE(watch.maxLive, 1u);
+        EXPECT_LE(watch.maxLive, workers);
+        ASSERT_EQ(watch.seen.size(), jobs.size());
+        for (const auto &enumeration : watch.seen)
+            EXPECT_TRUE(enumeration.expired());
+    }
+}
+
+TEST(SharedEnumeration, AFailedJobStillReleasesItsGroup)
+{
+    // In each group one job fails before it reaches the enumeration;
+    // the service still releases the group when its last job
+    // completes: on one worker, the second group's enumeration must
+    // not meet the first's.
+    ShareWatch watch;
+    const ExperimentConfig config = campaignConfig();
+    const std::vector<CampaignJob> jobs =
+        watch.watch(experimentJobs(
+            {ExperimentRequest::of("mcf", "Baseline", config),
+             ExperimentRequest::of("mcf", "no-such-scheme", config),
+             ExperimentRequest::of("gups", "Baseline", config),
+             ExperimentRequest::of("gups", "also-missing", config)}));
+    SweepService service{SweepServiceOptions{}};
+    EXPECT_THROW(service.run(kSweepSchemaV1, jobs),
+                 std::invalid_argument);
+    EXPECT_EQ(service.stats().executed, 2u);
+    EXPECT_EQ(watch.shares.size(), 2u);
+    EXPECT_EQ(watch.maxLive, 1u);
+    ASSERT_EQ(watch.seen.size(), 2u);
+    for (const auto &enumeration : watch.seen)
+        EXPECT_TRUE(enumeration.expired());
+}
+
+TEST(SharedEnumeration, SweepGroupsMatchLoneRuns)
+{
+    // Two groups (benchmarks) of three schemes.
+    std::vector<ExperimentRequest> requests;
+    std::vector<std::string> lone;
+    for (const char *benchmark : {"gups", "mcf"}) {
+        for (const char *scheme : {"Baseline", "POM-TLB", "TSB"}) {
+            requests.push_back(ExperimentRequest::of(
+                benchmark, scheme, campaignConfig()));
+            lone.push_back(loneEntry(requests.back()));
+        }
+    }
+    expectGroupsShareAndMatchLoneRuns(
+        kSweepSchemaV1, experimentJobs(requests), lone, 2);
+}
+
+TEST(SharedEnumeration, ScenarioGroupsMatchLoneRuns)
+{
+    // Two groups (tenant counts) of three schemes.
+    std::vector<ScenarioSpec> specs;
+    std::vector<std::string> lone;
+    for (const unsigned tenants : {2u, 4u}) {
+        for (const char *scheme : {"POM-TLB", "Baseline", "TSB"}) {
+            specs.push_back(campaignScenario(tenants, scheme));
+            lone.push_back(loneEntry(specs.back()));
+        }
+    }
+    expectGroupsShareAndMatchLoneRuns(
+        kScenarioSchemaV1, scenarioJobs(specs), lone, 2);
+}
+
+TEST(SharedEnumeration, LiveEnumerationsNeverExceedTheWorkers)
+{
+    // Five groups on two workers: a group's enumeration must go
+    // before a third group's is built.
+    std::vector<ExperimentRequest> requests;
+    for (const char *benchmark :
+         {"gups", "mcf", "canneal", "astar", "lbm"}) {
+        for (const char *scheme : {"Baseline", "POM-TLB"})
+            requests.push_back(ExperimentRequest::of(
+                benchmark, scheme, campaignConfig()));
+    }
+    for (const unsigned workers : {1u, 2u}) {
+        SCOPED_TRACE("jobs=" + std::to_string(workers));
+        SweepServiceOptions options;
+        options.jobs = workers;
+        SweepService service(options);
+        ShareWatch watch;
+        service.run(kSweepSchemaV1, watch.watch(experimentJobs(requests)));
+        EXPECT_EQ(service.stats().enumerations, 5u);
+        EXPECT_EQ(watch.shares.size(), 5u);
+        EXPECT_LE(watch.maxLive, workers);
+        for (const auto &enumeration : watch.seen)
+            EXPECT_TRUE(enumeration.expired());
+    }
+}
+
+/**
+ * Whether @p second reuses the enumeration @p first published through
+ * one share. Either way @p second's entry must equal its lone run.
+ */
+template <typename Job>
+bool
+reusesEnumeration(const Job &first, const Job &second)
+{
+    EnumerationShare share;
+    loneEntry(first, &share);
+    EXPECT_EQ(loneEntry(second, &share), loneEntry(second));
+    EXPECT_EQ(share.builds() + share.reuses(), 2u);
+    return share.reuses() == 1;
+}
+
+TEST(SharedEnumeration, EveryStreamInputSeparatesEnumerations)
+{
+    const ExperimentRequest base =
+        ExperimentRequest::of("mcf", "Baseline", campaignConfig());
+    // Only the scheme differs: the second job reuses.
+    const ExperimentRequest pom =
+        ExperimentRequest::of("mcf", "POM-TLB", campaignConfig());
+    EXPECT_TRUE(reusesEnumeration(base, pom));
+
+    // Each input of stream compilation, changed alone.
+    const auto changed =
+        [&](const std::function<void(ExperimentConfig &)> &apply) {
+            return ExperimentRequest(pom).tweak(apply);
+        };
+    EXPECT_FALSE(reusesEnumeration(
+        base, changed([](ExperimentConfig &c) { c.engine.seed = 7; })))
+        << "engine seed";
+    EXPECT_FALSE(reusesEnumeration(
+        base, changed([](ExperimentConfig &c) { c.system.seed = 7; })))
+        << "system seed";
+    EXPECT_FALSE(reusesEnumeration(base, ExperimentRequest(pom).withCores(4)))
+        << "cores";
+    EXPECT_FALSE(
+        reusesEnumeration(base, ExperimentRequest(pom).withRefs(1001, 500)))
+        << "refs";
+    EXPECT_FALSE(
+        reusesEnumeration(base, ExperimentRequest(pom).withRefs(1000, 501)))
+        << "warmup";
+    EXPECT_FALSE(reusesEnumeration(base, changed([](ExperimentConfig &c) {
+                     c.engine.coreVm = {1, 2};
+                 })))
+        << "coreVm";
+    EXPECT_FALSE(reusesEnumeration(base, changed([](ExperimentConfig &c) {
+                     c.engine.pidBase = 5;
+                 })))
+        << "pidBase";
+
+    // Overcommit and footprint shrink or grow a tenant's page pool.
+    ScenarioSpec scenario;
+    scenario.system = campaignConfig().system;
+    scenario.engine = campaignConfig().engine;
+    scenario.withTenant(TenantSpec{}.withBenchmark("mcf").withVcpus(2));
+    ScenarioSpec baseline = scenario;
+    baseline.scheme = "Baseline";
+    EXPECT_TRUE(reusesEnumeration(scenario, baseline));
+    ScenarioSpec overcommitted = baseline;
+    overcommitted.overcommitFactor = 2.0;
+    EXPECT_FALSE(reusesEnumeration(scenario, overcommitted))
+        << "overcommit";
+    ScenarioSpec smaller = baseline;
+    smaller.tenants[0].withFootprint(Addr{64} << 20);
+    EXPECT_FALSE(reusesEnumeration(scenario, smaller)) << "footprint";
+
+    // Two packs of the same shape that differ in one record.
+    ScratchDir scratch("shared-enumeration-packs");
+    const auto writePack = [&](const std::string &path,
+                               Addr last_vaddr) {
+        TracePackWriter writer(path, {"core0"});
+        TraceRecord record;
+        for (Addr page = 0; page < 64; ++page) {
+            record.vaddr = (Addr{1} << 40) + (page << 12);
+            writer.append(0, record);
+        }
+        record.vaddr = last_vaddr;
+        writer.append(0, record);
+        writer.close();
+    };
+    writePack(scratch.sub("a.pack"), Addr{1} << 41);
+    writePack(scratch.sub("b.pack"), (Addr{1} << 41) + 4096);
+    const auto replaying = [&](const ExperimentRequest &request,
+                               const std::string &pack) {
+        return ExperimentRequest(request).tweak(
+            [&](ExperimentConfig &c) { c.engine.tracePackPath = pack; });
+    };
+    EXPECT_TRUE(reusesEnumeration(replaying(base, scratch.sub("a.pack")),
+                                  replaying(pom, scratch.sub("a.pack"))));
+    EXPECT_FALSE(reusesEnumeration(replaying(base, scratch.sub("a.pack")),
+                                   replaying(pom, scratch.sub("b.pack"))))
+        << "pack content";
+}
+
+TEST(SharedEnumeration, MismatchedGroupIsReEnumeratedNotReplayed)
+{
+    // A grouping mistake: two jobs that compile different streams
+    // (different seeds) deliberately put in one group. The second
+    // must enumerate its own streams, not replay the first's.
+    const std::vector<ExperimentRequest> requests = {
+        ExperimentRequest::of("mcf", "Baseline", campaignConfig()),
+        ExperimentRequest::of("mcf", "POM-TLB", campaignConfig())
+            .withSeed(7)};
+    std::vector<CampaignJob> jobs = experimentJobs(requests);
+    ASSERT_NE(jobs[0].group, jobs[1].group);
+    jobs[1].group = jobs[0].group;
+    for (const unsigned workers : {1u, 2u}) {
+        SCOPED_TRACE("jobs=" + std::to_string(workers));
+        SweepServiceOptions options;
+        options.jobs = workers;
+        SweepService service(options);
+        const JsonValue document = service.run(kSweepSchemaV1, jobs);
+        for (std::size_t i = 0; i < requests.size(); ++i) {
+            EXPECT_EQ(document.at("runs").at(i).dump(0),
+                      loneEntry(requests[i]));
+        }
+        EXPECT_EQ(service.stats().enumerations, 2u);
+        EXPECT_EQ(service.stats().enumerationReuses, 0u);
+    }
 }
 
 } // namespace

@@ -495,10 +495,12 @@ printServiceStats(std::FILE *out, const char *label,
 {
     std::fprintf(out,
                  "%s: jobs=%zu executed=%zu cache_hits=%zu "
-                 "journal_hits=%zu deduplicated=%zu quarantined=%zu\n",
+                 "journal_hits=%zu deduplicated=%zu quarantined=%zu "
+                 "enumerations=%zu enumeration_reuses=%zu\n",
                  label, stats.jobs, stats.executed, stats.cacheHits,
                  stats.journalHits, stats.deduplicated,
-                 stats.quarantined);
+                 stats.quarantined, stats.enumerations,
+                 stats.enumerationReuses);
 }
 
 /**
