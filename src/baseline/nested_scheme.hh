@@ -26,8 +26,6 @@ class NestedWalkScheme : public TranslationScheme
     explicit NestedWalkScheme(
         std::vector<std::unique_ptr<PageWalker>> &walkers);
 
-    std::string name() const override { return "Baseline"; }
-
     /** Walks performed since the last stats reset. */
     std::uint64_t walkCount() const { return missCount(); }
     /** Mean cycles per walk. */

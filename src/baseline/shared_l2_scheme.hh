@@ -37,8 +37,6 @@ class SharedL2Scheme : public TranslationScheme
     SharedL2Scheme(const TlbConfig &config,
                    std::vector<std::unique_ptr<PageWalker>> &walkers);
 
-    std::string name() const override { return "Shared_L2"; }
-
     /** This scheme *is* the second level: cores keep no private L2. */
     bool providesSecondLevel() const override { return true; }
 

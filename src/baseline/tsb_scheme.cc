@@ -35,7 +35,7 @@ TsbScheme::TsbScheme(const TsbConfig &config, Addr base_addr,
     simAssert(isPowerOfTwo(stageEntries),
               "TSB stage entry count must be a power of two");
     stageCount = config.accessesPerTranslation;
-    buffer = ZeroedArray<TlbEntry>(stageEntries * stageCount);
+    buffer = ZeroedArray<TlbEntry>(stageEntries);
 }
 
 std::uint64_t
@@ -59,7 +59,7 @@ TsbScheme::slotAddr(unsigned stage, std::uint64_t index) const
 bool
 TsbScheme::rowHoldsVm(std::uint64_t index, VmId vm) const
 {
-    const TlbEntry &entry = buffer[index * stageCount];
+    const TlbEntry &entry = buffer[index];
     return entry.valid && entry.vmId == vm;
 }
 
@@ -67,18 +67,15 @@ void
 TsbScheme::fillRow(std::uint64_t index, PageNum vpn, PageSize size,
                    VmId vm, ProcessId pid, PageNum pfn)
 {
-    TlbEntry *entries = row(index);
-    const bool replaced = entries[0].valid;
-    const VmId replaced_vm = entries[0].vmId;
-    for (unsigned stage = 0; stage < stageCount; ++stage) {
-        TlbEntry &entry = entries[stage];
-        entry.valid = true;
-        entry.vmId = vm;
-        entry.pid = pid;
-        entry.vpn = vpn;
-        entry.pfn = pfn;
-        entry.pageSize = size;
-    }
+    TlbEntry &entry = buffer[index];
+    const bool replaced = entry.valid;
+    const VmId replaced_vm = entry.vmId;
+    entry.valid = true;
+    entry.vmId = vm;
+    entry.pid = pid;
+    entry.vpn = vpn;
+    entry.pfn = pfn;
+    entry.pageSize = size;
     vmRows.installed(vm, index, replaced, replaced_vm);
 }
 
@@ -95,30 +92,22 @@ TsbScheme::resolve(CoreId core, Addr vaddr, PageSize size, VmId vm,
     const PageNum vpn = pageNumber(vaddr, size);
     const std::uint64_t index = indexOf(vpn, vm, pid);
 
-    // The handler performs one dependent load per stage; every stage
-    // must match for the translation to complete.
-    bool all_match = true;
-    PageNum pfn = 0;
-    const TlbEntry *entries = row(index);
-    for (unsigned stage = 0; stage < stageCount; ++stage) {
+    // The handler performs one dependent load per stage. On a
+    // mismatch it knows after the first load that the walk is
+    // needed, and skips the remaining stage loads.
+    const TlbEntry &entry = buffer[index];
+    const bool match = entry.matches(vpn, vm, pid, size);
+    const unsigned loads = match ? stageCount : 1;
+    for (unsigned stage = 0; stage < loads; ++stage) {
         const HierarchyAccessResult load = dataHierarchy.accessData(
             core, slotAddr(stage, index), AccessType::Read,
             now + result.cycles);
         result.cycles += load.latency;
         ++result.probes;
-
-        const TlbEntry &entry = entries[stage];
-        if (!entry.matches(vpn, vm, pid, size)) {
-            all_match = false;
-            // The handler knows after this load that the walk is
-            // needed; remaining stage loads are skipped.
-            break;
-        }
-        pfn = entry.pfn;
     }
 
-    if (all_match) {
-        result.pfn = pfn;
+    if (match) {
+        result.pfn = entry.pfn;
         result.servedBy = ServicePoint::TsbBuffer;
         return result;
     }
@@ -156,12 +145,10 @@ TsbScheme::invalidatePage(Addr vaddr, PageSize size, VmId vm,
                           ProcessId pid)
 {
     const PageNum vpn = pageNumber(vaddr, size);
-    const std::uint64_t index = indexOf(vpn, vm, pid);
-    TlbEntry *entries = row(index);
-    if (!entries[0].matches(vpn, vm, pid, size))
+    TlbEntry &entry = buffer[indexOf(vpn, vm, pid)];
+    if (!entry.matches(vpn, vm, pid, size))
         return;
-    for (unsigned stage = 0; stage < stageCount; ++stage)
-        entries[stage].valid = false;
+    entry.valid = false;
     vmRows.removed(vm);
 }
 
@@ -169,11 +156,9 @@ void
 TsbScheme::invalidateVm(VmId vm)
 {
     for (const std::uint64_t index : vmRows.release(vm)) {
-        TlbEntry *entries = row(index);
-        if (entries[0].valid && entries[0].vmId == vm) {
-            for (unsigned stage = 0; stage < stageCount; ++stage)
-                entries[stage].valid = false;
-        }
+        TlbEntry &entry = buffer[index];
+        if (entry.valid && entry.vmId == vm)
+            entry.valid = false;
     }
 }
 

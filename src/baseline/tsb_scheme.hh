@@ -52,8 +52,6 @@ class TsbScheme : public TranslationScheme
     TsbScheme(const TsbScheme &) = delete;
     TsbScheme &operator=(const TsbScheme &) = delete;
 
-    std::string name() const override { return "TSB"; }
-
     void prewarm(CoreId core, Addr vaddr, PageSize size, VmId vm,
                  ProcessId pid, PageNum pfn) override;
 
@@ -71,11 +69,10 @@ class TsbScheme : public TranslationScheme
 
     /** Rows (direct-mapped indices) per stage. */
     std::uint64_t rowCount() const { return stageEntries; }
-    /** Entry of @p stage in row @p index (for inspection). */
-    const TlbEntry &
-    bufferEntry(unsigned stage, std::uint64_t index) const
+    /** The translation row @p index holds (for inspection). */
+    const TlbEntry &bufferEntry(std::uint64_t index) const
     {
-        return buffer[index * stageCount + stage];
+        return buffer[index];
     }
     /** Rows listed per VM, with each VM's resident translations. */
     const VmSlotIndex &vmIndex() const { return vmRows; }
@@ -87,12 +84,7 @@ class TsbScheme : public TranslationScheme
     std::uint64_t indexOf(PageNum vpn, VmId vm, ProcessId pid) const;
     /** Host-physical address of a stage slot (for cache timing). */
     Addr slotAddr(unsigned stage, std::uint64_t index) const;
-    /** The stage entries of row @p index, stage 0 first. */
-    TlbEntry *row(std::uint64_t index)
-    {
-        return &buffer[index * stageCount];
-    }
-    /** Overwrite every stage of row @p index with one translation. */
+    /** Overwrite row @p index with one translation. */
     void fillRow(std::uint64_t index, PageNum vpn, PageSize size,
                  VmId vm, ProcessId pid, PageNum pfn);
     /** Does row @p index hold a translation of @p vm? */
@@ -108,11 +100,11 @@ class TsbScheme : public TranslationScheme
     /** Stages per translation (accessesPerTranslation). */
     unsigned stageCount;
     /**
-     * The buffer content: one entry per stage in each direct-mapped
-     * row, a row's stages contiguous. A translation completes only
-     * when every stage matches, modelling the multi-access indirect
-     * format of real TSB entries. Every write covers a whole row, so
-     * a row's stages always agree and the per-VM index counts rows.
+     * The buffer content: one translation per direct-mapped row. A
+     * real TSB entry is an indirect format that takes one dependent
+     * load per stage (at slotAddr(stage, row)); every write covers a
+     * whole row, so a row's stages always hold the same translation
+     * and the simulator stores it once.
      */
     ZeroedArray<TlbEntry> buffer;
     VmSlotIndex vmRows;

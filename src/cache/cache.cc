@@ -143,12 +143,6 @@ SetAssocCache::invalidate(Addr addr)
     return true;
 }
 
-std::uint64_t
-SetAssocCache::flush()
-{
-    return lines.clear();
-}
-
 double
 SetAssocCache::hitRate() const
 {

@@ -101,9 +101,6 @@ class SetAssocCache
     /** Drop the line containing @p addr if present. */
     bool invalidate(Addr addr);
 
-    /** Drop every line (returns number of lines dropped). */
-    std::uint64_t flush();
-
     /** Number of currently valid lines holding TLB entries. */
     std::uint64_t tlbLineCount() const;
 
@@ -115,7 +112,6 @@ class SetAssocCache
     double hitRate(LineKind kind) const;
 
     Cycles latency() const { return cacheConfig.accessLatency; }
-    const CacheConfig &config() const { return cacheConfig; }
     StatGroup &stats() { return statGroup; }
 
     std::uint64_t hitCount(LineKind kind) const

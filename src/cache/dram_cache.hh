@@ -61,8 +61,6 @@ class DramCache
     double hitRate() const;
     /** Accesses that hit since the stats reset. */
     std::uint64_t hits() const { return hitCount.value(); }
-    /** Accesses that missed since the stats reset. */
-    std::uint64_t misses() const { return missCount.value(); }
     /** SRAM tag-cache check cost (core cycles). */
     Cycles tagLatency() const { return tagCheckLatency; }
 

@@ -5,22 +5,6 @@
 namespace pomtlb
 {
 
-const char *
-memLevelName(MemLevel level)
-{
-    switch (level) {
-      case MemLevel::L1D:
-        return "L1D";
-      case MemLevel::L2D:
-        return "L2D";
-      case MemLevel::L3D:
-        return "L3D";
-      case MemLevel::Memory:
-        return "memory";
-    }
-    return "?";
-}
-
 DataHierarchy::DataHierarchy(const SystemConfig &config,
                              DramController &memory,
                              DramController *l4_channel)

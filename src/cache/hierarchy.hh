@@ -42,9 +42,6 @@ enum class MemLevel : std::uint8_t
     Memory = 3,
 };
 
-/** Human-readable level name. */
-const char *memLevelName(MemLevel level);
-
 /** Result of a full data-path access. */
 struct HierarchyAccessResult
 {
@@ -96,9 +93,6 @@ class DataHierarchy
     SetAssocCache &l1d(CoreId core) { return *l1Caches[core]; }
     SetAssocCache &l2d(CoreId core) { return *l2Caches[core]; }
     SetAssocCache &l3d() { return *l3Cache; }
-    const SetAssocCache &l1d(CoreId core) const { return *l1Caches[core]; }
-    const SetAssocCache &l2d(CoreId core) const { return *l2Caches[core]; }
-    const SetAssocCache &l3d() const { return *l3Cache; }
 
     unsigned numCores() const
     {

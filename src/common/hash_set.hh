@@ -16,7 +16,6 @@
 #ifndef POMTLB_COMMON_HASH_SET_HH
 #define POMTLB_COMMON_HASH_SET_HH
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -61,13 +60,6 @@ class U64Set
             }
             i = (i + 1) & mask;
         }
-    }
-
-    /** Number of distinct keys inserted. */
-    std::size_t
-    size() const
-    {
-        return used + (zeroPresent ? 1 : 0);
     }
 
   private:
@@ -151,22 +143,6 @@ class U64Map
             }
             i = (i + 1) & mask;
         }
-    }
-
-    /** Drop every entry, keeping the current capacity. */
-    void
-    clear()
-    {
-        std::fill(keys.begin(), keys.end(), 0);
-        used = 0;
-        zeroPresent = false;
-    }
-
-    /** Number of distinct keys present. */
-    std::size_t
-    size() const
-    {
-        return used + (zeroPresent ? 1 : 0);
     }
 
   private:

@@ -81,7 +81,6 @@ class JsonValue
     static JsonValue array();
     static JsonValue object();
 
-    Kind kind() const { return valueKind; }
     bool isNull() const { return valueKind == Kind::Null; }
     bool isBool() const { return valueKind == Kind::Bool; }
     bool isNumber() const { return valueKind == Kind::Number; }
@@ -125,11 +124,8 @@ class JsonValue
     /** Parse @p text (must contain exactly one JSON document). */
     static JsonValue parse(const std::string &text);
 
+    /** Deep equality (C++20 derives !=). */
     bool operator==(const JsonValue &other) const;
-    bool operator!=(const JsonValue &other) const
-    {
-        return !(*this == other);
-    }
 
   private:
     void writeIndented(std::ostream &os, int indent,

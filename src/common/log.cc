@@ -8,30 +8,6 @@ namespace pomtlb
 namespace detail
 {
 
-namespace
-{
-bool informOn = true;
-} // namespace
-
-void
-setInformEnabled(bool enabled)
-{
-    informOn = enabled;
-}
-
-bool
-informEnabled()
-{
-    return informOn;
-}
-
-void
-informImpl(const std::string &message)
-{
-    if (informOn)
-        std::fprintf(stderr, "info: %s\n", message.c_str());
-}
-
 void
 warnImpl(const std::string &message)
 {

@@ -2,14 +2,13 @@
  * @file
  * Status/error reporting helpers in the gem5 spirit.
  *
- * - inform(): normal operating messages.
- * - warn():   something works but maybe not as well as it should.
- * - fatal():  the user supplied an impossible configuration; prints
- *             "fatal: <message>" and throws FatalError, which the CLI
- *             turns into exit status 1 and `pomtlb serve` into an
- *             `error` event.
- * - panic():  an internal invariant broke (a simulator bug); throws
- *             std::logic_error, which nothing catches outside tests.
+ * - warn():  something works but maybe not as well as it should.
+ * - fatal(): the user supplied an impossible configuration; prints
+ *            "fatal: <message>" and throws FatalError, which the CLI
+ *            turns into exit status 1 and `pomtlb serve` into an
+ *            `error` event.
+ * - panic(): an internal invariant broke (a simulator bug); throws
+ *            std::logic_error, which nothing catches outside tests.
  */
 
 #ifndef POMTLB_COMMON_LOG_HH
@@ -47,22 +46,9 @@ concat(Args &&...args)
 
 [[noreturn]] void fatalImpl(const std::string &message);
 [[noreturn]] void panicImpl(const std::string &message);
-void informImpl(const std::string &message);
 void warnImpl(const std::string &message);
 
-/** Enable/disable inform() output (tests silence it). */
-void setInformEnabled(bool enabled);
-bool informEnabled();
-
 } // namespace detail
-
-/** Print an informational message to stderr. */
-template <typename... Args>
-void
-inform(Args &&...args)
-{
-    detail::informImpl(detail::concat(std::forward<Args>(args)...));
-}
 
 /** Print a warning message to stderr. */
 template <typename... Args>
@@ -80,7 +66,10 @@ fatal(Args &&...args)
     detail::fatalImpl(detail::concat(std::forward<Args>(args)...));
 }
 
-/** Report an internal simulator bug and abort(). */
+/**
+ * Report an internal simulator bug: prints "panic: <message>" and
+ * throws std::logic_error.
+ */
 template <typename... Args>
 [[noreturn]] void
 panic(Args &&...args)

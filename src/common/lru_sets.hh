@@ -164,13 +164,6 @@ class LruSets
         return before - live;
     }
 
-    /** Empty every slot; returns how many held an entry. */
-    std::uint64_t
-    clear()
-    {
-        return eraseIf([](const Payload &) { return true; });
-    }
-
     /** Call @p visit with the payload of every occupied slot. */
     template <typename Visit>
     void

@@ -103,12 +103,6 @@ class Rng
         return Rng(mix64(next() ^ mix64(stream)));
     }
 
-    // UniformRandomBitGenerator interface.
-    using result_type = std::uint64_t;
-    static constexpr result_type min() { return 0; }
-    static constexpr result_type max() { return ~result_type{0}; }
-    result_type operator()() { return next(); }
-
   private:
     static std::uint64_t
     rotl(std::uint64_t value, int amount)
@@ -190,8 +184,6 @@ class ZipfGenerator
             static_cast<double>(items) * fraction);
         return index >= items ? items - 1 : index;
     }
-
-    std::uint64_t itemCount() const { return items; }
 
   private:
     static double

@@ -1,9 +1,6 @@
 #include "common/stats.hh"
 
-#include <cmath>
-
 #include "common/json.hh"
-#include "common/log.hh"
 
 namespace pomtlb
 {
@@ -139,19 +136,6 @@ StatGroup::toJson() const
     for (const auto *child : children)
         object.set(child->name(), child->toJson());
     return object;
-}
-
-double
-geomean(const std::vector<double> &values)
-{
-    if (values.empty())
-        return 0.0;
-    double log_sum = 0.0;
-    for (double v : values) {
-        simAssert(v > 0.0, "geomean requires positive values");
-        log_sum += std::log(v);
-    }
-    return std::exp(log_sum / static_cast<double>(values.size()));
 }
 
 } // namespace pomtlb

@@ -331,9 +331,6 @@ class StatGroup
     std::vector<Resettable> registered;
 };
 
-/** Geometric mean of a vector of positive values (0 for empty input). */
-double geomean(const std::vector<double> &values);
-
 } // namespace pomtlb
 
 #endif // POMTLB_COMMON_STATS_HH

@@ -148,13 +148,6 @@ DramController::applyRefresh(unsigned channel, double now_bus)
     return earliest;
 }
 
-void
-DramController::prechargeAll()
-{
-    for (auto &bank : banks)
-        bank.precharge();
-}
-
 double
 DramController::rowBufferHitRate() const
 {

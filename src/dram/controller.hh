@@ -44,9 +44,6 @@ class DramController
      */
     DramAccessResult access(Addr addr, Cycles now);
 
-    /** Precharge every bank (cold-start/epoch boundary helper). */
-    void prechargeAll();
-
     /** Refreshes since the stats reset (0 unless refresh is enabled). */
     std::uint64_t refreshCount() const { return refreshes.value(); }
 
@@ -60,8 +57,6 @@ class DramController
     double averageLatency() const { return avgLatency.mean(); }
 
     StatGroup &stats() { return statGroup; }
-    const DramConfig &config() const { return dramConfig; }
-    const DramAddressMapper &mapper() const { return addressMapper; }
 
   private:
     DramConfig dramConfig;

@@ -82,12 +82,6 @@ StructureCache::invalidateVm(VmId vm)
     entries.eraseIf([vm](const Entry &entry) { return entry.vm == vm; });
 }
 
-void
-StructureCache::flush()
-{
-    entries.clear();
-}
-
 PscSet::PscSet(const PscConfig &config)
     : pml4(config.pml4Entries, WalkLevel::Pml4),
       pdp(config.pdpEntries, WalkLevel::Pdpt),
@@ -144,14 +138,6 @@ PscSet::invalidateVm(VmId vm)
     pml4.invalidateVm(vm);
     pdp.invalidateVm(vm);
     pde.invalidateVm(vm);
-}
-
-void
-PscSet::flush()
-{
-    pml4.flush();
-    pdp.flush();
-    pde.flush();
 }
 
 } // namespace pomtlb

@@ -59,15 +59,10 @@ class StructureCache
     /** Drop all entries of @p vm (shootdown). */
     void invalidateVm(VmId vm);
 
-    /** Drop everything. */
-    void flush();
-
     /** Probe hits since the stats reset. */
     std::uint64_t hits() const { return hitCount.value(); }
     /** Probe misses since the stats reset. */
     std::uint64_t misses() const { return missCount.value(); }
-    /** The page-table level this cache accelerates. */
-    WalkLevel level() const { return cachedLevel; }
 
     /** Register the counters as `<prefix>_hits` and `<prefix>_misses`. */
     void
@@ -146,8 +141,6 @@ class PscSet
 
     /** Drop all of @p vm's entries from every level cache. */
     void invalidateVm(VmId vm);
-    /** Drop every entry (full flush). */
-    void flush();
 
     /** Register every level cache's counters as `psc_<level>_*`. */
     void
@@ -160,8 +153,6 @@ class PscSet
 
     /** The PML4E-level cache. */
     const StructureCache &pml4Cache() const { return pml4; }
-    /** The PDPE-level cache. */
-    const StructureCache &pdpCache() const { return pdp; }
     /** The PDE-level cache. */
     const StructureCache &pdeCache() const { return pde; }
 

@@ -43,7 +43,6 @@ class FrameAllocator
     Addr allocateTableNode();
 
     Addr bytesAllocated() const { return next - baseAddr; }
-    Addr base() const { return baseAddr; }
 
   private:
     Addr baseAddr;
@@ -102,7 +101,6 @@ class RadixPageTable
 
     std::uint64_t mappedPageCount() const { return mappedPages; }
     std::uint64_t nodeCount() const { return nodes; }
-    const std::string &name() const { return tableName; }
 
   private:
     static constexpr unsigned entriesPerNode = 512;

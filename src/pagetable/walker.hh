@@ -69,8 +69,6 @@ class PageWalker
     double avgCyclesPerWalk() const { return cyclesPerWalk.mean(); }
     /** The guest-VA-indexed structure caches. */
     const PscSet &guestPscSet() const { return guestPsc; }
-    /** The nested (EPT) gPA -> hPA TLB. */
-    const SetAssocTlb &nestedTlbCache() const { return nestedTlb; }
 
     /** This walker's statistics group ("walker.<core>"). */
     StatGroup &stats() { return statGroup; }

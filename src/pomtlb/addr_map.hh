@@ -81,8 +81,6 @@ class PomTlbAddressMap
     Addr rangeEnd() const { return largeBase + largeSets * setBytes; }
 
     unsigned associativity() const { return ways; }
-    /** Bytes per set (64 in the paper's 4-way x 16 B layout). */
-    unsigned setSizeBytes() const { return setBytes; }
 
   private:
     unsigned setBytes;

@@ -99,8 +99,6 @@ class PomTlb
         return size == PageSize::Small4K ? smallPartition
                                          : largePartition;
     }
-    /** The dedicated die-stacked DRAM channel behind the device. */
-    DramController &dramController() { return dram; }
 
     /** Device-level statistics, with both partitions as children. */
     StatGroup &stats() { return statGroup; }

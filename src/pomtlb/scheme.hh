@@ -44,8 +44,6 @@ class PomTlbScheme : public TranslationScheme
                  DataHierarchy &hierarchy,
                  std::vector<std::unique_ptr<PageWalker>> &walkers);
 
-    std::string name() const override { return "POM-TLB"; }
-
     void prewarm(CoreId core, Addr vaddr, PageSize size, VmId vm,
                  ProcessId pid, PageNum pfn) override;
 

@@ -50,8 +50,6 @@ class CoalescedTlbScheme : public TranslationScheme
         const CoalescedTlbConfig &config, unsigned total_entries,
         std::vector<std::unique_ptr<PageWalker>> &walkers);
 
-    std::string name() const override { return "Coalesced"; }
-
     /** Like Shared_L2, this pooled array replaces the private L2s. */
     bool providesSecondLevel() const override { return true; }
 

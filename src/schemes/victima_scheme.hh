@@ -58,8 +58,6 @@ class VictimaScheme : public TranslationScheme
     VictimaScheme(const VictimaScheme &) = delete;
     VictimaScheme &operator=(const VictimaScheme &) = delete;
 
-    std::string name() const override { return "Victima"; }
-
     /**
      * Victima's translation store (the data caches) persists across
      * the warmup boundary, so prewarm installs the entry untimed.

@@ -108,8 +108,6 @@ class Machine
 
     /** The attached tracer, or null when tracing is off. */
     TranslationTracer *tracer() { return eventTracer.get(); }
-    /** The attached tracer, or null when tracing is off. */
-    const TranslationTracer *tracer() const { return eventTracer.get(); }
 
     /**
      * Full VM shootdown: TLBs, the page walkers' PSCs and nested

@@ -64,8 +64,6 @@ class Mmu
 
     /** This core's private SRAM TLB stack. */
     CoreTlbs &tlbs() { return *coreTlbs; }
-    /** This core's private SRAM TLB stack (read-only). */
-    const CoreTlbs &tlbs() const { return *coreTlbs; }
 
     /** References translated since the stats reset. */
     std::uint64_t translationCount() const
@@ -102,12 +100,6 @@ class Mmu
 
     /** Distribution of per-miss penalties (32-cycle buckets). */
     const Histogram &penaltyHistogram() const { return penaltyHist; }
-
-    /** Log2-bucketed distribution of per-miss penalties. */
-    const Log2Histogram &penaltyCycleHistogram() const
-    {
-        return penaltyCycleHist;
-    }
 
     /** This core's MMU statistics group, private TLBs as children. */
     StatGroup &stats() { return statGroup; }

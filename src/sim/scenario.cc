@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <map>
 #include <stdexcept>
 #include <utility>
 
@@ -166,6 +165,7 @@ ScenarioSpec::resolvedTenants() const
     std::vector<ResolvedTenant> resolved;
     resolved.reserve(expanded.size());
     ProcessId next_pid = engine.pidBase;
+    std::uint32_t stream_base = 0;
     for (std::size_t i = 0; i < expanded.size(); ++i) {
         const TenantSpec &t = expanded[i];
         const BenchmarkProfile &profile =
@@ -215,23 +215,9 @@ ScenarioSpec::resolvedTenants() const
                 static_cast<Addr>(static_cast<double>(nominal) /
                                   overcommitFactor));
         }
-        out.tracePack = t.tracePack;
-        out.traceStreamBase = t.traceStream;
+        out.traceStreamBase = stream_base;
+        stream_base += out.vcpus;
         resolved.push_back(std::move(out));
-    }
-
-    // The scenario-wide pack (pomtlb scenario --trace-in) backs
-    // every tenant that has no pack of its own, one stream per vCPU
-    // in resolved order — the layout recordPack() writes.
-    if (!tracePack.empty()) {
-        std::uint32_t stream_base = 0;
-        for (ResolvedTenant &t : resolved) {
-            if (t.tracePack.empty()) {
-                t.tracePack = tracePack;
-                t.traceStreamBase = stream_base;
-            }
-            stream_base += t.vcpus;
-        }
     }
     return resolved;
 }
@@ -261,8 +247,11 @@ ScenarioEngine::buildStreams()
     const unsigned cores = machine.numCores();
     const std::uint64_t seed =
         engineConfig.seed ^ machine.config().seed;
-    // Tenants sharing a pack share one mmap-ed reader.
-    std::map<std::string, std::shared_ptr<TracePackReader>> packs;
+    // Every tenant replays the one pack through one mmap-ed reader.
+    const std::shared_ptr<TracePackReader> pack =
+        spec.tracePack.empty()
+            ? nullptr
+            : std::make_shared<TracePackReader>(spec.tracePack);
     std::uint32_t stream_id = 0;
     for (unsigned t = 0; t < tenants.size(); ++t) {
         const ResolvedTenant &tenant = tenants[t];
@@ -272,32 +261,17 @@ ScenarioEngine::buildStreams()
         BenchmarkProfile profile =
             ProfileRegistry::byName(tenant.benchmark);
         profile.footprintBytes = tenant.footprintBytes;
-        std::shared_ptr<TracePackReader> pack;
-        if (!tenant.tracePack.empty()) {
-            auto &slot = packs[tenant.tracePack];
-            if (!slot) {
-                slot = std::make_shared<TracePackReader>(
-                    tenant.tracePack);
-            }
-            pack = slot;
-        }
-        // Streams of the scenario-wide pack wrap onto the pack's
-        // streams (vCPU stream i replays pack stream i mod
-        // stream_count); a tenant's own TenantSpec::traceStream is
-        // range-checked by PackStreamSource instead.
-        const bool own_pack = spec.tenantCount == 0 &&
-                              !spec.tenants[t].tracePack.empty();
         for (unsigned v = 0; v < tenant.vcpus; ++v, ++stream_id) {
             TenantStream stream;
             if (pack) {
-                std::size_t index = tenant.traceStreamBase + v;
-                if (!own_pack)
-                    index %= pack->streamCount();
+                // vCPU stream i replays pack stream i mod stream_count.
+                const std::size_t index =
+                    stream_id % pack->streamCount();
                 auto source =
                     std::make_unique<PackStreamSource>(pack, index);
                 if (source->recordCount() == 0) {
                     throw TraceError(
-                        "trace pack '" + tenant.tracePack +
+                        "trace pack '" + spec.tracePack +
                         "': stream '" + pack->stream(index).name +
                         "' has no records to replay");
                 }
@@ -673,15 +647,20 @@ ScenarioEngine::run(EnumerationShare *share)
     // the campaign group's enumeration of the same streams), then
     // install their first touches in this machine.
     std::shared_ptr<const StreamEnumeration> enumeration;
-    if (engineConfig.prepopulate) {
-        enumeration =
-            share ? share->obtain(streams.enumerationKey(),
-                                  [this](std::string key) {
-                                      return streams.enumerate(
-                                          std::move(key));
-                                  })
-                  : streams.enumerate();
+    if (engineConfig.prepopulate && share) {
+        enumeration = share->obtain(
+            streams.enumerationKey(), [this](std::string key) {
+                return streams.enumerate(std::move(key));
+            });
         installFirstTouches(machine, streams, *enumeration);
+    } else if (engineConfig.prepopulate) {
+        // Nothing else reads this enumeration: once installed, the
+        // run needs only its captured records.
+        const std::shared_ptr<StreamEnumeration> own =
+            streams.enumerate();
+        installFirstTouches(machine, streams, *own);
+        own->firstTouches.clear();
+        enumeration = own;
     }
     streams.beginRun(std::move(enumeration));
 
@@ -782,9 +761,12 @@ scenarioIdentityJson(const ScenarioSpec &spec)
     // The *resolved* tenants, so an explicit list and a generator
     // that expand to the same tenants hash identically.
     JsonValue tenant_list = JsonValue::array();
-    // Hashing reads a whole pack; tenants usually share one.
-    std::map<std::string, std::string> pack_hashes;
-    for (const ResolvedTenant &t : spec.resolvedTenants()) {
+    const std::vector<ResolvedTenant> tenants = spec.resolvedTenants();
+    // Hashing reads the whole pack, which every tenant shares.
+    const std::string pack_hash =
+        spec.tracePack.empty() ? std::string()
+                               : tracePackContentHash(spec.tracePack);
+    for (const ResolvedTenant &t : tenants) {
         JsonValue tenant = JsonValue::object();
         tenant.set("name", t.name);
         tenant.set("benchmark", t.benchmark);
@@ -795,15 +777,12 @@ scenarioIdentityJson(const ScenarioSpec &spec)
         tenant.set("departure_refs", t.departureRefs);
         tenant.set("footprint_bytes", t.footprintBytes);
         tenant.set("multithreaded", t.multithreaded);
-        // Only for pack-backed tenants, so generator-driven
+        // Only for pack-backed scenarios, so generator-driven
         // identities (and their pinned digests) are unchanged. The
         // *content* hash, not the path: editing a record in place
         // changes — and re-executes — the memoized scenario.
-        if (!t.tracePack.empty()) {
-            auto [hash, fresh] = pack_hashes.try_emplace(t.tracePack);
-            if (fresh)
-                hash->second = tracePackContentHash(t.tracePack);
-            tenant.set("trace_pack_hash", hash->second);
+        if (!spec.tracePack.empty()) {
+            tenant.set("trace_pack_hash", pack_hash);
             tenant.set("trace_stream",
                        std::uint64_t(t.traceStreamBase));
         }

@@ -90,18 +90,6 @@ struct TenantSpec
     std::uint64_t departureRefs = 0;
     /** Nominal footprint override; 0 uses the profile's. */
     Addr footprintBytes = 0;
-    /**
-     * When non-empty, this tenant's vCPU streams replay a
-     * pomtlb-tracepack-v1 file (docs/trace-format.md) instead of
-     * the synthetic generator: vCPU @c v reads pack stream
-     * @c traceStream + v. Overrides ScenarioSpec::tracePack for
-     * this tenant. The pack's content hash joins the scenario
-     * identity, so memoized campaigns re-execute when the trace
-     * changes.
-     */
-    std::string tracePack;
-    /** First pack stream of this tenant (with @c tracePack). */
-    std::uint32_t traceStream = 0;
 
     /** @name Fluent builders. */
     ///@{
@@ -112,12 +100,6 @@ struct TenantSpec
     TenantSpec &withPid(ProcessId p) { pid = p; return *this; }
     TenantSpec &withArrival(std::uint64_t refs) { arrivalRefs = refs; return *this; }
     TenantSpec &withFootprint(Addr bytes) { footprintBytes = bytes; return *this; }
-    TenantSpec &withTracePack(std::string path, std::uint32_t stream = 0)
-    {
-        tracePack = std::move(path);
-        traceStream = stream;
-        return *this;
-    }
     ///@}
 };
 
@@ -154,9 +136,11 @@ struct ResolvedTenant
     Addr footprintBytes = 0;
     /** From the profile: vCPUs share one address space. */
     bool multithreaded = false;
-    /** Trace pack backing this tenant's streams ("" = generator). */
-    std::string tracePack;
-    /** First pack stream; vCPU @c v reads stream base + v. */
+    /**
+     * vCPUs of the tenants before this one: with a
+     * ScenarioSpec::tracePack, vCPU @c v replays pack stream
+     * <tt>(base + v) % stream_count</tt>.
+     */
     std::uint32_t traceStreamBase = 0;
 };
 
@@ -207,15 +191,17 @@ struct ScenarioSpec
     /** Round-robin quantum when streams share a core (0 = 2000). */
     std::uint64_t timeSliceRefs = 2000;
     /**
-     * Scenario-wide trace pack: every tenant without its own
-     * TenantSpec::tracePack replays this file. Counting vCPUs in
-     * resolved-tenant order, vCPU stream @c i replays pack stream
-     * <tt>i % stream_count</tt> — the layout ScenarioEngine::recordPack()
-     * writes (one stream per vCPU), so a recorded scenario replays
-     * its generator-driven twin byte-identically (`pomtlb scenario
-     * --trace-in`), and the rule `pomtlb run --trace-in` applies to
-     * cores. A stream with no records is a TraceError naming the
-     * pack and the stream.
+     * When non-empty, every tenant replays this pomtlb-tracepack-v1
+     * file (docs/trace-format.md) instead of the synthetic
+     * generator. Counting vCPUs in resolved-tenant order, vCPU
+     * stream @c i replays pack stream <tt>i % stream_count</tt> — the
+     * layout ScenarioEngine::recordPack() writes (one stream per
+     * vCPU), so a recorded scenario replays its generator-driven twin
+     * byte-identically (`pomtlb scenario --trace-in`), and the rule
+     * `pomtlb run --trace-in` applies to cores. A stream with no
+     * records is a TraceError naming the pack and the stream. The
+     * pack's content hash joins the scenario identity, so memoized
+     * campaigns re-execute when the trace changes.
      */
     std::string tracePack;
 
@@ -233,7 +219,6 @@ struct ScenarioSpec
 
     /** @name Fluent builders. */
     ///@{
-    ScenarioSpec &withName(std::string n) { name = std::move(n); return *this; }
     ScenarioSpec &withTenant(TenantSpec tenant)
     {
         tenants.push_back(std::move(tenant));
@@ -334,12 +319,6 @@ class ScenarioEngine
      * Throws TraceError if the pack cannot be written.
      */
     void recordPack(const std::string &path);
-
-    /** The resolved tenants this engine compiled. */
-    const std::vector<ResolvedTenant> &resolved() const
-    {
-        return tenants;
-    }
 
   private:
     /** One scheduled quantum of one stream on one core. */

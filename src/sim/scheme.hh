@@ -110,9 +110,6 @@ class TranslationScheme
   public:
     virtual ~TranslationScheme() = default;
 
-    /** Scheme name for reports. */
-    virtual std::string name() const = 0;
-
     /**
      * Resolve the translation of @p vaddr for (vm, pid) after the
      * core's private TLBs missed, and charge the miss to the ledger:

@@ -85,18 +85,6 @@ SchemeRegistry::names() const
     return ordered;
 }
 
-std::unique_ptr<TranslationScheme>
-SchemeRegistry::create(const std::string &name_or_alias,
-                       const SystemConfig &config,
-                       Machine &machine) const
-{
-    const Info *info = find(name_or_alias);
-    if (info == nullptr)
-        throw std::invalid_argument("unknown translation scheme '" +
-                                    name_or_alias + "'");
-    return info->factory(config, machine);
-}
-
 SchemeRegistrar::SchemeRegistrar(SchemeRegistry::Info info)
 {
     SchemeRegistry::global().add(std::move(info));

@@ -88,14 +88,6 @@ class SchemeRegistry
     /** Every registration, in deterministic (rank, name) order. */
     std::vector<const Info *> entries() const;
 
-    /**
-     * Build the named scheme for @p machine. Throws
-     * std::invalid_argument when the name is unknown.
-     */
-    std::unique_ptr<TranslationScheme>
-    create(const std::string &name_or_alias, const SystemConfig &config,
-           Machine &machine) const;
-
   private:
     std::vector<Info> schemes;
 };

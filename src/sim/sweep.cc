@@ -1,6 +1,5 @@
 #include "sim/sweep.hh"
 
-#include <chrono>
 #include <stdexcept>
 
 #include "sim/engine.hh"
@@ -125,8 +124,6 @@ runExperiment(const ExperimentRequest &request, EnumerationShare *share)
                                     "' in sweep request");
     }
 
-    const auto start = std::chrono::steady_clock::now();
-
     Machine machine(request.config.system, request.scheme);
     SimulationEngine engine(machine, *profile,
                             request.config.engine);
@@ -165,11 +162,6 @@ runExperiment(const ExperimentRequest &request, EnumerationShare *share)
 
     if (request.collectComponentStats)
         machine.stats().collect(result.componentStats);
-
-    result.wallSeconds =
-        std::chrono::duration<double>(
-            std::chrono::steady_clock::now() - start)
-            .count();
     return result;
 }
 
@@ -224,14 +216,6 @@ SweepSpec::withAllSchemes()
 }
 
 SweepSpec &
-SweepSpec::withVariant(std::string label,
-                       std::function<void(ExperimentConfig &)> apply)
-{
-    configVariants.push_back({std::move(label), std::move(apply)});
-    return *this;
-}
-
-SweepSpec &
 SweepSpec::withComponentStats(bool enabled)
 {
     componentStats = enabled;
@@ -241,9 +225,7 @@ SweepSpec::withComponentStats(bool enabled)
 std::size_t
 SweepSpec::jobCount() const
 {
-    const std::size_t variants =
-        configVariants.empty() ? 1 : configVariants.size();
-    return benchmarkNames.size() * schemeNames.size() * variants;
+    return benchmarkNames.size() * schemeNames.size();
 }
 
 std::vector<ExperimentRequest>
@@ -253,22 +235,9 @@ SweepSpec::expand() const
     requests.reserve(jobCount());
     for (const std::string &benchmark : benchmarkNames) {
         for (const std::string &scheme : schemeNames) {
-            if (configVariants.empty()) {
-                requests.push_back(
-                    ExperimentRequest::of(benchmark, scheme,
-                                          baseConfig)
-                        .withComponentStats(componentStats));
-                continue;
-            }
-            for (const Variant &variant : configVariants) {
-                ExperimentRequest request = ExperimentRequest::of(
-                    benchmark, scheme, baseConfig);
-                if (variant.apply)
-                    variant.apply(request.config);
-                request.withLabel(variant.label)
-                    .withComponentStats(componentStats);
-                requests.push_back(std::move(request));
-            }
+            requests.push_back(
+                ExperimentRequest::of(benchmark, scheme, baseConfig)
+                    .withComponentStats(componentStats));
         }
     }
     return requests;
@@ -336,7 +305,7 @@ SweepResultWriter::entryToJson(const ExperimentResult &result)
     entry.set("warmup_refs_per_core",
               result.request.config.engine.warmupRefsPerCore);
     entry.set("seed", result.request.config.engine.seed);
-    entry.set("wall_seconds", result.wallSeconds);
+    entry.set("wall_seconds", 0.0);
     entry.set("summary", summaryToJson(result.summary));
     if (!result.componentStats.empty()) {
         JsonValue stats = JsonValue::object();
@@ -345,27 +314,6 @@ SweepResultWriter::entryToJson(const ExperimentResult &result)
         entry.set("component_stats", std::move(stats));
     }
     return entry;
-}
-
-JsonValue
-SweepResultWriter::toJson(const std::vector<ExperimentResult> &results)
-{
-    JsonValue runs = JsonValue::array();
-    for (const ExperimentResult &result : results)
-        runs.push(entryToJson(result));
-
-    JsonValue document = JsonValue::object();
-    document.set("schema", kSweepSchemaV1);
-    document.set("runs", std::move(runs));
-    return document;
-}
-
-void
-SweepResultWriter::write(std::ostream &os,
-                         const std::vector<ExperimentResult> &results)
-{
-    toJson(results).write(os);
-    os << "\n";
 }
 
 ExperimentResult
@@ -397,7 +345,8 @@ SweepResultWriter::entryFromJson(const JsonValue &entry)
         entry.at("warmup_refs_per_core").asUint();
     result.request.config.engine.seed =
         entry.at("seed").asUint();
-    result.wallSeconds = entry.at("wall_seconds").asNumber();
+    // Required like every field, though entries always write 0.
+    entry.at("wall_seconds").asNumber();
 
     const JsonValue &summary = entry.at("summary");
     SchemeRunSummary &out = result.summary;
@@ -406,23 +355,16 @@ SweepResultWriter::entryFromJson(const JsonValue &entry)
     out.mode = result.request.config.system.mode;
     out.translationCycles =
         summary.at("translation_cycles").asUint();
-    // Optional so pre-observability documents still load.
-    if (summary.has("sram_cycles"))
-        out.sramCycles = summary.at("sram_cycles").asUint();
-    if (summary.has("scheme_cycles"))
-        out.schemeCycles = summary.at("scheme_cycles").asUint();
-    if (summary.has("cycle_breakdown")) {
-        for (const auto &[name, cycles] :
-             summary.at("cycle_breakdown").members()) {
-            const auto point = servicePointFromName(name);
-            if (!point) {
-                throw std::invalid_argument(
-                    "unknown service point in sweep document: " +
-                    name);
-            }
-            out.cycleBreakdown.emplace_back(*point,
-                                            cycles.asUint());
+    out.sramCycles = summary.at("sram_cycles").asUint();
+    out.schemeCycles = summary.at("scheme_cycles").asUint();
+    for (const auto &[name, cycles] :
+         summary.at("cycle_breakdown").members()) {
+        const auto point = servicePointFromName(name);
+        if (!point) {
+            throw std::invalid_argument(
+                "unknown service point in sweep document: " + name);
         }
+        out.cycleBreakdown.emplace_back(*point, cycles.asUint());
     }
     // The JSON stores machine-wide totals, not the per-core
     // breakdown; reconstruct them as one aggregate pseudo-core

@@ -2,9 +2,9 @@
  * @file
  * The parallel experiment-sweep subsystem.
  *
- * A sweep is a declarative cross product — benchmarks × schemes ×
- * config variants — expanded into ExperimentRequest jobs and executed
- * as a SweepService campaign (sim/sweep_cache.hh) on a bounded worker
+ * A sweep is a declarative cross product — benchmarks × schemes —
+ * expanded into ExperimentRequest jobs and executed as a
+ * SweepService campaign (sim/sweep_cache.hh) on a bounded worker
  * pool. Each job constructs its own Machine + SimulationEngine, so
  * the simulator core stays single-threaded by design: no lock ever
  * guards simulation state, the isolation unit is the whole machine.
@@ -17,16 +17,15 @@
  *  - runExperiment — one request on the calling thread;
  *  - SweepSpec — the declarative cross product, expand()ed to
  *    requests;
- *  - SweepResultWriter — JSON serialisation for
- *    scripts/plot_results.py, round-trippable through
- *    SweepResultWriter::fromJson.
+ *  - SweepResultWriter — the JSON form of one run entry (the
+ *    SweepService document is an array of them) and the reader of a
+ *    whole document.
  */
 
 #ifndef POMTLB_SIM_SWEEP_HH
 #define POMTLB_SIM_SWEEP_HH
 
 #include <functional>
-#include <iosfwd>
 #include <string>
 #include <utility>
 #include <vector>
@@ -56,7 +55,7 @@ struct ExperimentRequest
     /** Registry name of the scheme to run (canonicalised by of()). */
     std::string scheme = "Baseline";
     ExperimentConfig config; /**< Fully resolved configuration. */
-    /** Variant tag for reports ("" when the sweep has no variants). */
+    /** Free-form tag for reports; part of the job identity. */
     std::string label;
     /** Attach per-component StatGroup output to the result. */
     bool collectComponentStats = false;
@@ -71,7 +70,7 @@ struct ExperimentRequest
        ExperimentConfig base = ExperimentConfig{});
 
     // Fluent overrides (each returns *this for chaining).
-    /** Set the variant tag. */
+    /** Set the report tag. */
     ExperimentRequest &withLabel(std::string value);
     /** Override the simulated core count. */
     ExperimentRequest &withCores(unsigned cores);
@@ -104,8 +103,6 @@ struct ExperimentResult
      * machine); empty unless the request asked for them.
      */
     std::vector<std::pair<std::string, double>> componentStats;
-    /** Host wall-clock seconds this job took (not simulated time). */
-    double wallSeconds = 0.0;
 };
 
 /**
@@ -119,21 +116,13 @@ ExperimentResult runExperiment(const ExperimentRequest &request,
                                EnumerationShare *share = nullptr);
 
 /**
- * A declarative sweep: benchmarks × schemes × config variants.
- * expand() produces the cross product in benchmark-major order
- * (benchmark, then scheme, then variant), which is also the order
- * of the runs in a SweepService document.
+ * A declarative sweep: benchmarks × schemes. expand() produces the
+ * cross product in benchmark-major order (benchmark, then scheme),
+ * which is also the order of the runs in a SweepService document.
  */
 class SweepSpec
 {
   public:
-    /** Named configuration override applied on top of the base. */
-    struct Variant
-    {
-        std::string label; /**< Tag appended to each request key. */
-        std::function<void(ExperimentConfig &)> apply; /**< Override. */
-    };
-
     /** Set the base configuration every request starts from. */
     SweepSpec &withBase(ExperimentConfig config);
     /** Set the benchmark axis. */
@@ -147,25 +136,8 @@ class SweepSpec
      * then contenders in registration (rank) order.
      */
     SweepSpec &withAllSchemes();
-    /** Add one labelled config variant to the variant axis. */
-    SweepSpec &withVariant(
-        std::string label,
-        std::function<void(ExperimentConfig &)> apply);
     /** Request per-component stats on every expanded request. */
     SweepSpec &withComponentStats(bool enabled = true);
-
-    /** The base configuration. */
-    const ExperimentConfig &base() const { return baseConfig; }
-    /** The benchmark axis. */
-    const std::vector<std::string> &benchmarks() const
-    {
-        return benchmarkNames;
-    }
-    /** The scheme axis (canonical registry names). */
-    const std::vector<std::string> &schemes() const
-    {
-        return schemeNames;
-    }
 
     /** Number of requests expand() will produce. */
     std::size_t jobCount() const;
@@ -177,7 +149,6 @@ class SweepSpec
     ExperimentConfig baseConfig;
     std::vector<std::string> benchmarkNames;
     std::vector<std::string> schemeNames;
-    std::vector<Variant> configVariants;
     bool componentStats = false;
 };
 
@@ -186,29 +157,30 @@ class SweepSpec
  * docs/internals.md). The reader reconstructs the identity fields
  * and every summary statistic — enough for plotting and regression
  * diffing; the full ExperimentConfig is summarised, not embedded.
+ * SweepService::run() assembles the `pomtlb-sweep-v1` document from
+ * these entries.
  */
 class SweepResultWriter
 {
   public:
-    /** Build the `pomtlb-sweep-v1` document for @p results. */
-    static JsonValue
-    toJson(const std::vector<ExperimentResult> &results);
-
     /**
-     * One `runs[]` entry of the `pomtlb-sweep-v1` document. The
-     * sweep-result cache stores exactly this object per job, so a
-     * cached job replays byte-identically into the document.
+     * One `runs[]` entry of the `pomtlb-sweep-v1` document, with
+     * `wall_seconds` 0 (host time is reported per job, in
+     * SweepJobReport). The sweep-result cache stores exactly this
+     * object per job, so a cached job replays byte-identically into
+     * the document.
      */
     static JsonValue entryToJson(const ExperimentResult &result);
 
-    /** Inverse of entryToJson for the round-trippable subset. */
+    /**
+     * Inverse of entryToJson for the round-trippable subset. Every
+     * field is required: throws std::out_of_range for a missing one,
+     * std::logic_error for one of the wrong kind, and
+     * std::invalid_argument for an unknown scheme or service point.
+     */
     static ExperimentResult entryFromJson(const JsonValue &entry);
 
-    /** Pretty-printed JSON document, trailing newline included. */
-    static void write(std::ostream &os,
-                      const std::vector<ExperimentResult> &results);
-
-    /** Inverse of toJson for the round-trippable subset. */
+    /** The entries of a whole `pomtlb-sweep-v1` document. */
     static std::vector<ExperimentResult>
     fromJson(const JsonValue &document);
 };

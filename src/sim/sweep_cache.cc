@@ -590,11 +590,8 @@ experimentJobs(const std::vector<ExperimentRequest> &requests)
         job.group = ContentHash::of(identity.dump(0));
         job.key = request.key();
         job.produce = [request](EnumerationShare *share) {
-            // Identity form: wall_seconds is host noise, and cached
-            // bytes must not depend on which run produced them.
-            ExperimentResult result = runExperiment(request, share);
-            result.wallSeconds = 0.0;
-            return SweepResultWriter::entryToJson(result);
+            return SweepResultWriter::entryToJson(
+                runExperiment(request, share));
         };
         // An entry the current reader rejects, such as one written
         // before a summary field became required, is stale.

@@ -41,10 +41,9 @@
  * Determinism contract: a service-built document is byte-identical
  * whether every job executed, came from the cache, came from the
  * journal, or any mix — because the cache stores the exact
- * `pomtlb-sweep-v1` entry bytes and the only nondeterministic field
- * (`wall_seconds`, host wall clock) is normalised to 0 in the
- * identity form. Real wall times are reported out-of-band in the
- * journal records and job reports.
+ * `pomtlb-sweep-v1` entry bytes, and an entry's `wall_seconds` is
+ * always 0 (the identity form). Real wall times are reported
+ * out-of-band in the journal records and job reports.
  */
 
 #ifndef POMTLB_SIM_SWEEP_CACHE_HH
@@ -87,7 +86,7 @@ JsonValue engineConfigJson(const EngineConfig &config);
 
 /**
  * The canonical JSON identity of one sweep job: cache-schema
- * version, benchmark, canonical scheme name, variant label, the
+ * version, benchmark, canonical scheme name, report label, the
  * component-stats flag, and the complete configuration (every
  * SystemConfig and EngineConfig field that can influence a result).
  *
@@ -193,9 +192,6 @@ class SweepJournal
     /** Records appended through this instance (not replayed ones). */
     std::size_t appended() const { return appendCount; }
 
-    /** The journal's path. */
-    const std::string &path() const { return journalPath; }
-
   private:
     std::string journalPath;
     std::ofstream out;
@@ -280,7 +276,7 @@ struct CampaignJob
 /**
  * The campaign jobs of sweep @p requests: jobHash() and key() of
  * each request, one group per identity without scheme and label,
- * runExperiment() in the identity form (`wall_seconds` 0), and
+ * runExperiment() written by SweepResultWriter::entryToJson(), and
  * servable when SweepResultWriter::entryFromJson() reads the entry
  * back.
  */
@@ -337,10 +333,9 @@ struct SweepServiceOptions
      */
     unsigned jobs = 1;
     /**
-     * Fault injection for the crash/resume tests (and the
-     * POMTLB_SWEEP_CRASH_AFTER CLI hook): after this many journal
-     * appends the process exits immediately with status 137 —
-     * no flushes, no destructors, like SIGKILL. 0 disables.
+     * Fault injection for the crash/resume tests: after this many
+     * journal appends the process exits immediately with status 137
+     * — no flushes, no destructors, like SIGKILL. 0 disables.
      */
     unsigned crashAfterAppends = 0;
 };

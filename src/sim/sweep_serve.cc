@@ -327,7 +327,6 @@ ServeSession::runCampaign(
     options.cacheDir = serveOptions.cacheDir;
     options.jobs = static_cast<unsigned>(
         countField(request, "jobs", serveOptions.jobs, kUnsignedMax));
-    options.crashAfterAppends = serveOptions.crashAfterAppends;
 
     std::vector<std::string> hashes;
     for (const CampaignJob &job : jobs)

@@ -50,8 +50,6 @@ struct ServeOptions
      * (0 = hardware concurrency); a request's `jobs` overrides it.
      */
     unsigned jobs = 1;
-    /** Fault injection forwarded to every campaign (tests/CLI). */
-    unsigned crashAfterAppends = 0;
 };
 
 /**
@@ -85,12 +83,6 @@ class ServeSession
      * EOF. Returns the number of request lines processed.
      */
     std::size_t runToCompletion();
-
-    /** Accounting of the most recent campaign (all zero before). */
-    const SweepServiceStats &lastCampaignStats() const
-    {
-        return campaignStats;
-    }
 
   private:
     void emitEvent(JsonValue event);

@@ -89,13 +89,4 @@ CoreTlbs::invalidateVm(VmId vm)
         l2->invalidateVm(vm);
 }
 
-void
-CoreTlbs::flush()
-{
-    l1Small->flush();
-    l1Large->flush();
-    if (l2)
-        l2->flush();
-}
-
 } // namespace pomtlb

@@ -66,9 +66,6 @@ class CoreTlbs
     /** VM-wide shootdown across all levels. */
     void invalidateVm(VmId vm);
 
-    /** Drop everything (context-switch-like full flush). */
-    void flush();
-
     bool hasPrivateL2() const { return l2 != nullptr; }
 
     SetAssocTlb &l1For(PageSize size)

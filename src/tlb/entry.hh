@@ -39,14 +39,6 @@ struct TlbEntry
         return valid && vpn == lookup_vpn && vmId == lookup_vm &&
                pid == lookup_pid && pageSize == lookup_size;
     }
-
-    /** Translate a full virtual address using this entry. */
-    Addr
-    translate(Addr virt_addr) const
-    {
-        return (pfn << pageShift(pageSize)) |
-               pageOffset(virt_addr, pageSize);
-    }
 };
 
 static_assert(sizeof(TlbEntry) == 24,

@@ -96,12 +96,6 @@ SetAssocTlb::invalidateVm(VmId vm)
     return dropped;
 }
 
-std::uint64_t
-SetAssocTlb::flush()
-{
-    return entries.clear();
-}
-
 double
 SetAssocTlb::hitRate() const
 {

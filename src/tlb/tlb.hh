@@ -55,9 +55,6 @@ class SetAssocTlb
     /** Drop every entry belonging to @p vm (VM-wide shootdown). */
     std::uint64_t invalidateVm(VmId vm);
 
-    /** Drop everything. */
-    std::uint64_t flush();
-
     double hitRate() const;
     std::uint64_t hits() const { return hitCount.value(); }
     std::uint64_t misses() const { return missCount.value(); }

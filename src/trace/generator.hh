@@ -69,7 +69,6 @@ class TraceGenerator
     Addr footprintBase() const { return base; }
     /** Size of the modelled footprint. */
     Addr footprintSize() const { return footprint; }
-    const BenchmarkProfile &profile() const { return bench; }
 
   private:
     Addr uniformAddr();

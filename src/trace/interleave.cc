@@ -27,7 +27,7 @@ TenantStreamSet::captureEligible() const
     return true;
 }
 
-std::shared_ptr<const StreamEnumeration>
+std::shared_ptr<StreamEnumeration>
 TenantStreamSet::enumerate(std::string key)
 {
     auto enumeration = std::make_shared<StreamEnumeration>();

@@ -107,7 +107,10 @@ struct StreamEnumeration
      * is too long to capture (TenantStreamSet::captureEligible()).
      */
     std::vector<std::vector<TraceRecord>> records;
-    /** firstTouches[s]: stream s's first touches, in record order. */
+    /**
+     * firstTouches[s]: stream s's first touches, in record order. An
+     * engine's own enumeration drops them once they are installed.
+     */
     std::vector<std::vector<FirstTouch>> firstTouches;
 };
 
@@ -162,8 +165,7 @@ class TenantStreamSet
      * captureEligible(). Leaves every source rewound. @p key becomes
      * the enumeration's key.
      */
-    std::shared_ptr<const StreamEnumeration>
-    enumerate(std::string key = {});
+    std::shared_ptr<StreamEnumeration> enumerate(std::string key = {});
 
     /**
      * The key an enumeration of these streams carries: a content hash

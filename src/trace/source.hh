@@ -113,8 +113,6 @@ class GeneratorSource : public TraceSource
         return TraceGenerator::inputKey(benchProfile, coreId, rngSeed);
     }
 
-    const TraceGenerator &underlying() const { return generator; }
-
   private:
     BenchmarkProfile benchProfile;
     CoreId coreId;

@@ -144,8 +144,6 @@ class TracePackWriter
     /** The pack content hash; complete only after close(). */
     std::string contentHash() const { return hasher.hexDigest(); }
 
-    const std::string &path() const { return filePath; }
-
   private:
     void flushChunk(std::uint32_t stream);
     void writeHeader(std::uint64_t indexOffset,

@@ -47,8 +47,6 @@ class ScriptedScheme : public TranslationScheme
         exportMissCycles("avg_miss_cycles", "miss_cycle_hist");
     }
 
-    std::string name() const override { return "Scripted"; }
-
   private:
     SchemeResult
     resolve(CoreId, Addr, PageSize, VmId, ProcessId, Cycles) override

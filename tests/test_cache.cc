@@ -150,17 +150,6 @@ TEST(Cache, HitRatesByKind)
     EXPECT_NEAR(cache.hitRate(), 1.0 / 3.0, 1e-12);
 }
 
-TEST(Cache, FlushDropsEverything)
-{
-    SetAssocCache cache(tinyCache());
-    cache.fill(addrFor(0, 0), LineKind::Data);
-    cache.fill(addrFor(1, 0), LineKind::TlbEntry);
-    EXPECT_EQ(cache.flush(), 2u);
-    EXPECT_EQ(cache.validLineCount(), 0u);
-    EXPECT_EQ(cache.tlbLineCount(), 0u);
-    EXPECT_FALSE(cache.contains(addrFor(0, 0)));
-}
-
 TEST(Cache, LruOrderRespectsLookups)
 {
     SetAssocCache cache(tinyCache());

@@ -114,7 +114,7 @@ TEST_F(CoreTlbsTest, FlushAndMissCounting)
 {
     CoreTlbs tlbs(config, 0, true);
     tlbs.insert(0x10, PageSize::Small4K, 1, 1, 0xA);
-    tlbs.flush();
+    tlbs.invalidateVm(1);
     tlbs.lookup(0x10, PageSize::Small4K, 1, 1);
     tlbs.lookup(0x11, PageSize::Small4K, 1, 1);
     EXPECT_EQ(tlbs.l2Tlb().misses(), 2u);

@@ -71,15 +71,6 @@ TEST(DramController, StatsAccumulate)
     EXPECT_DOUBLE_EQ(dram.rowBufferHitRate(), 0.0);
 }
 
-TEST(DramController, PrechargeAllClosesRows)
-{
-    DramController dram(testConfig());
-    dram.access(0, 0);
-    dram.prechargeAll();
-    const DramAccessResult result = dram.access(64, 10000);
-    EXPECT_EQ(result.outcome, RowBufferOutcome::Closed);
-}
-
 TEST(DramController, BackToBackRequestsQueue)
 {
     DramController dram(testConfig());

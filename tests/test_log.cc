@@ -43,14 +43,5 @@ TEST(Log, PanicMessageIncludesArguments)
     }
 }
 
-TEST(Log, InformToggle)
-{
-    detail::setInformEnabled(false);
-    EXPECT_FALSE(detail::informEnabled());
-    inform("this should not print");
-    detail::setInformEnabled(true);
-    EXPECT_TRUE(detail::informEnabled());
-}
-
 } // namespace
 } // namespace pomtlb

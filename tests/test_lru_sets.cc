@@ -97,7 +97,7 @@ TEST(LruSets, EraseIfAndForEachVisitOnlyOccupiedWays)
     seen.clear();
     sets.forEach([&](int payload) { seen.push_back(payload); });
     EXPECT_EQ(seen, (std::vector<int>{1, 5}));
-    EXPECT_EQ(sets.clear(), 2u);
+    EXPECT_EQ(sets.eraseIf([](int) { return true; }), 2u);
     EXPECT_EQ(sets.size(), 0u);
     sets.forEach([](int) { ADD_FAILURE() << "visited an empty way"; });
 }

@@ -98,16 +98,6 @@ TEST(PscSet, VmShootdown)
     EXPECT_EQ(psc.probe(0x1000, 2, 1).deepestHitLevel, 2u);
 }
 
-TEST(PscSet, FlushClearsEverything)
-{
-    PscSet psc(table1Psc());
-    psc.fill(0x1000, 1, 1, 2);
-    psc.fill(0x1000, 1, 1, 3);
-    psc.fill(0x1000, 1, 1, 4);
-    psc.flush();
-    EXPECT_EQ(psc.probe(0x1000, 1, 1).deepestHitLevel, 0u);
-}
-
 TEST(PscSet, HitAndMissCounters)
 {
     PscSet psc(table1Psc());

@@ -441,30 +441,6 @@ TEST(Scenario, ScenarioPackWrapsOntoVcpusLikeRun)
     std::filesystem::remove(path);
 }
 
-TEST(Scenario, TenantTraceStreamStaysRangeChecked)
-{
-    // An explicit TenantSpec::traceStream names one stream; it does
-    // not wrap.
-    const std::string path =
-        testTempPath("scenario_range_test", ".pack");
-    writeGeneratorPack(path, {"a", "b"}, 100);
-    ScenarioSpec spec;
-    spec.system = smallSystem(2);
-    spec.engine = quickEngine();
-    spec.withTenant(
-        TenantSpec{}.withVcpus(2).withTracePack(path, 1));
-    Machine machine(spec.system, spec.scheme);
-    try {
-        ScenarioEngine engine(machine, spec);
-        FAIL() << "expected TraceError";
-    } catch (const TraceError &error) {
-        EXPECT_NE(std::string(error.what()).find("out of range"),
-                  std::string::npos)
-            << error.what();
-    }
-    std::filesystem::remove(path);
-}
-
 TEST(Scenario, EmptyPackStreamIsANamedError)
 {
     // Stream 'core1' holds no records: replaying it would exhaust

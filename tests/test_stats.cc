@@ -295,13 +295,5 @@ TEST(StatGroup, RootCollectsAndSerialisesEveryChild)
     EXPECT_EQ(b.value(), 0u);
 }
 
-TEST(Geomean, KnownValues)
-{
-    EXPECT_DOUBLE_EQ(geomean({}), 0.0);
-    EXPECT_DOUBLE_EQ(geomean({4.0}), 4.0);
-    EXPECT_NEAR(geomean({1.0, 4.0}), 2.0, 1e-12);
-    EXPECT_NEAR(geomean({2.0, 8.0}), 4.0, 1e-12);
-}
-
 } // namespace
 } // namespace pomtlb

@@ -17,7 +17,6 @@
 #include <memory>
 #include <mutex>
 #include <set>
-#include <sstream>
 #include <stdexcept>
 
 #include "campaign_fixtures.hh"
@@ -41,21 +40,14 @@ tinyConfig()
     return config;
 }
 
-/** The cross product the determinism tests run. */
+/** A cross product of four benchmarks and two schemes. */
 SweepSpec
 tinySpec()
 {
     return SweepSpec()
         .withBase(tinyConfig())
-        .withBenchmarks({"gups", "mcf"})
-        .withSchemes(std::vector<std::string>{"Baseline", "POM-TLB"})
-        .withVariant("16MB",
-                     [](ExperimentConfig &c) {
-                         c.system.pomTlb.capacityBytes = 16u << 20;
-                     })
-        .withVariant("8MB", [](ExperimentConfig &c) {
-            c.system.pomTlb.capacityBytes = 8u << 20;
-        });
+        .withBenchmarks({"gups", "mcf", "canneal", "astar"})
+        .withSchemes(std::vector<std::string>{"Baseline", "pom"});
 }
 
 TEST(Sweep, RequestBuilderAppliesOverrides)
@@ -89,18 +81,18 @@ TEST(Sweep, SpecExpandsInDeterministicOrder)
         tinySpec().expand();
     ASSERT_EQ(requests.size(), 8u);
     EXPECT_EQ(tinySpec().jobCount(), 8u);
-    // benchmark-major, then scheme, then variant.
-    EXPECT_EQ(requests[0].key(), "gups/Baseline/16MB");
-    EXPECT_EQ(requests[1].key(), "gups/Baseline/8MB");
-    EXPECT_EQ(requests[2].key(), "gups/POM-TLB/16MB");
-    EXPECT_EQ(requests[3].key(), "gups/POM-TLB/8MB");
-    EXPECT_EQ(requests[4].key(), "mcf/Baseline/16MB");
-    EXPECT_EQ(requests[7].key(), "mcf/POM-TLB/8MB");
-    // Variants really were applied.
-    EXPECT_EQ(requests[2].config.system.pomTlb.capacityBytes,
-              16u << 20);
-    EXPECT_EQ(requests[3].config.system.pomTlb.capacityBytes,
-              8u << 20);
+    // benchmark-major, then scheme, with aliases canonicalised.
+    EXPECT_EQ(requests[0].key(), "gups/Baseline");
+    EXPECT_EQ(requests[1].key(), "gups/POM-TLB");
+    EXPECT_EQ(requests[2].key(), "mcf/Baseline");
+    EXPECT_EQ(requests[3].key(), "mcf/POM-TLB");
+    EXPECT_EQ(requests[4].key(), "canneal/Baseline");
+    EXPECT_EQ(requests[7].key(), "astar/POM-TLB");
+    // Every request starts from the base configuration.
+    for (const ExperimentRequest &request : requests) {
+        EXPECT_EQ(request.config.engine.refsPerCore, 2000u);
+        EXPECT_TRUE(request.label.empty());
+    }
 }
 
 TEST(Sweep, EmptySpecYieldsEmptyResults)
@@ -254,7 +246,6 @@ TEST(Sweep, ComponentStatsAttachOnRequest)
         ExperimentRequest::of("gups", "POM-TLB",
                               tinyConfig()));
     EXPECT_TRUE(without_stats.componentStats.empty());
-    EXPECT_GE(without_stats.wallSeconds, 0.0);
 }
 
 /**
@@ -272,9 +263,8 @@ TEST(Sweep, ComponentStatsIsolatedAcrossWorkerThreads)
         ExperimentRequest::of("gups", "POM-TLB",
                               tinyConfig())
             .withComponentStats();
-    ExperimentResult serial = runExperiment(request);
+    const ExperimentResult serial = runExperiment(request);
     ASSERT_GT(serial.componentStats.size(), 10u);
-    serial.wallSeconds = 0.0;
     const JsonValue expected = SweepResultWriter::entryToJson(serial);
 
     std::vector<ExperimentRequest> requests;
@@ -297,22 +287,24 @@ TEST(Sweep, ComponentStatsIsolatedAcrossWorkerThreads)
 
 TEST(Sweep, JsonRoundTrip)
 {
+    const std::vector<ExperimentRequest> requests =
+        SweepSpec()
+            .withBase(tinyConfig())
+            .withBenchmarks({"gups"})
+            .withSchemes(std::vector<std::string>{"Baseline",
+                                                  "POM-TLB"})
+            .withComponentStats()
+            .expand();
     std::vector<ExperimentResult> results;
-    for (const ExperimentRequest &request :
-         SweepSpec()
-             .withBase(tinyConfig())
-             .withBenchmarks({"gups"})
-             .withSchemes(std::vector<std::string>{"Baseline",
-                                                   "POM-TLB"})
-             .withComponentStats()
-             .expand())
+    for (const ExperimentRequest &request : requests)
         results.push_back(runExperiment(request));
 
-    std::ostringstream out;
-    SweepResultWriter::write(out, results);
+    // The document a campaign of the same requests writes.
+    SweepService service(SweepServiceOptions{});
+    const std::string text = service.run(requests).dump(2);
 
     const std::vector<ExperimentResult> parsed =
-        SweepResultWriter::fromJson(JsonValue::parse(out.str()));
+        SweepResultWriter::fromJson(JsonValue::parse(text));
     ASSERT_EQ(parsed.size(), results.size());
     for (std::size_t i = 0; i < results.size(); ++i) {
         const ExperimentResult &a = results[i];
@@ -352,7 +344,6 @@ TEST(Sweep, JsonRoundTrip)
         EXPECT_EQ(a.summary.sizePredictorAccuracy,
                   b.summary.sizePredictorAccuracy);
         EXPECT_EQ(a.summary.l3DataHitRate, b.summary.l3DataHitRate);
-        EXPECT_EQ(a.wallSeconds, b.wallSeconds);
         ASSERT_EQ(a.componentStats.size(), b.componentStats.size());
         for (std::size_t s = 0; s < a.componentStats.size(); ++s) {
             EXPECT_EQ(a.componentStats[s].first,
@@ -362,11 +353,12 @@ TEST(Sweep, JsonRoundTrip)
         }
     }
 
-    // And the serialisation itself is stable: write -> parse ->
-    // write reproduces the same document.
-    std::ostringstream again;
-    SweepResultWriter::write(again, parsed);
-    EXPECT_EQ(out.str(), again.str());
+    // And the serialisation itself is stable: the parsed entries
+    // write the document's runs again.
+    JsonValue runs = JsonValue::array();
+    for (const ExperimentResult &result : parsed)
+        runs.push(SweepResultWriter::entryToJson(result));
+    EXPECT_EQ(runs.dump(2), JsonValue::parse(text).at("runs").dump(2));
 }
 
 TEST(Sweep, RejectsForeignJsonDocuments)
@@ -383,14 +375,13 @@ TEST(Sweep, RejectsForeignJsonDocuments)
 // Shared trace enumerations
 // ----------------------------------------------------------------
 
-/** @p request run alone, as its campaign entry (identity form). */
+/** @p request run alone, as its campaign entry. */
 std::string
 loneEntry(const ExperimentRequest &request,
           EnumerationShare *share = nullptr)
 {
-    ExperimentResult result = runExperiment(request, share);
-    result.wallSeconds = 0.0;
-    return SweepResultWriter::entryToJson(result).dump(0);
+    return SweepResultWriter::entryToJson(runExperiment(request, share))
+        .dump(0);
 }
 
 /** @p spec run on a standalone engine, as its scenario document. */

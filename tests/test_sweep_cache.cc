@@ -409,13 +409,11 @@ TEST(SweepService, ColdRunMatchesThePlainRunnerByteForByte)
     SweepService service(SweepServiceOptions{});
     const JsonValue document = service.run(requests);
 
-    std::vector<ExperimentResult> results;
-    for (const ExperimentRequest &request : requests) {
-        results.push_back(runExperiment(request));
-        results.back().wallSeconds = 0.0; // the document's identity form
-    }
-    EXPECT_EQ(document.dump(2),
-              SweepResultWriter::toJson(results).dump(2));
+    JsonValue runs = JsonValue::array();
+    for (const ExperimentRequest &request : requests)
+        runs.push(SweepResultWriter::entryToJson(runExperiment(request)));
+    EXPECT_EQ(document.at("schema").asString(), kSweepSchemaV1);
+    EXPECT_EQ(document.at("runs").dump(2), runs.dump(2));
     EXPECT_EQ(service.stats().jobs, requests.size());
     EXPECT_EQ(service.stats().executed, requests.size());
 }
@@ -475,12 +473,16 @@ replaceJournalRun(const std::string &path, const std::string &hash,
     std::ofstream(path) << text;
 }
 
-TEST(SweepService, EntryWithoutRunTotalsIsReExecuted)
+/**
+ * Whether a cached entry and a journal record with the summary
+ * fields @p dropped removed re-execute once, replaced by the fresh
+ * entry, instead of reaching a reader as partial data.
+ */
+void
+expectEntryWithoutFieldsReExecuted(const std::string &name,
+                                   const std::set<std::string> &dropped)
 {
-    // A cache written before summary.instructions and
-    // summary.cycles existed has the same job hashes. Such an entry
-    // must re-execute, never reach a reader as partial data.
-    ScratchDir scratch("service-stale");
+    ScratchDir scratch(name);
     const std::vector<ExperimentRequest> requests = quickRequests();
     SweepServiceOptions options;
     options.cacheDir = scratch.sub("cache");
@@ -490,13 +492,15 @@ TEST(SweepService, EntryWithoutRunTotalsIsReExecuted)
     SweepCache cache(options.cacheDir);
     const std::string hash = jobHash(requests[0]);
     const JsonValue current = *cache.lookup(hash);
-    std::string text = current.dump(0);
-    for (const char *key : {"\"instructions\":", "\"cycles\":"}) {
-        const std::size_t at = text.find(key);
-        ASSERT_NE(at, std::string::npos) << key;
-        text.erase(at, text.find(',', at) + 1 - at);
+    JsonValue summary = JsonValue::object();
+    for (const auto &[key, value] : current.at("summary").members()) {
+        if (dropped.count(key) == 0)
+            summary.set(key, value);
     }
-    const JsonValue stale = JsonValue::parse(text);
+    ASSERT_EQ(summary.size() + dropped.size(),
+              current.at("summary").size());
+    JsonValue stale = current;
+    stale.set("summary", std::move(summary));
     cache.store(hash, requests[0].key(), stale);
     EXPECT_THROW(SweepResultWriter::entryFromJson(stale),
                  std::out_of_range);
@@ -525,6 +529,23 @@ TEST(SweepService, EntryWithoutRunTotalsIsReExecuted)
     EXPECT_EQ(replayed.run(requests).dump(2), first.dump(2));
     EXPECT_EQ(replayed.stats().executed, 0u);
     EXPECT_EQ(replayed.stats().journalHits, requests.size());
+}
+
+TEST(SweepService, EntryWithoutRunTotalsIsReExecuted)
+{
+    // A cache written before summary.instructions and
+    // summary.cycles existed has the same job hashes.
+    expectEntryWithoutFieldsReExecuted("service-stale",
+                                       {"instructions", "cycles"});
+}
+
+TEST(SweepService, EntryWithoutCycleSplitIsReExecuted)
+{
+    // Served, such an entry would report a zero SRAM/scheme split
+    // and an empty cycle breakdown.
+    expectEntryWithoutFieldsReExecuted(
+        "service-no-split",
+        {"sram_cycles", "scheme_cycles", "cycle_breakdown"});
 }
 
 TEST(SweepService, HollowScenarioEntryIsReExecuted)

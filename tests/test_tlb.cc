@@ -100,15 +100,6 @@ TEST(Tlb, VmShootdownDropsOnlyThatVm)
     EXPECT_TRUE(tlb.contains(0x100, PageSize::Small4K, 2, 2));
 }
 
-TEST(Tlb, FlushClearsEverything)
-{
-    SetAssocTlb tlb(tinyTlb());
-    tlb.insert(0x100, PageSize::Small4K, 1, 2, 0xA);
-    tlb.insert(0x200, PageSize::Large2M, 1, 2, 0xB);
-    EXPECT_EQ(tlb.flush(), 2u);
-    EXPECT_EQ(tlb.validEntryCount(), 0u);
-}
-
 TEST(Tlb, HitRateTracksLookups)
 {
     SetAssocTlb tlb(tinyTlb());

@@ -286,19 +286,10 @@ class TsbStore
     ::testing::AssertionResult
     check() const
     {
-        for (std::uint64_t row = 0; row < tsb.rowCount(); ++row) {
-            for (unsigned stage = 1; stage < stages; ++stage) {
-                if (!sameEntry(tsb.bufferEntry(stage, row),
-                               tsb.bufferEntry(0, row))) {
-                    return ::testing::AssertionFailure()
-                           << "row " << row << " stages disagree";
-                }
-            }
-        }
         return indexMatchesScan(
             tsb.vmIndex(), tsb.rowCount(),
             [&](std::uint64_t row, VmId vm) {
-                const TlbEntry &entry = tsb.bufferEntry(0, row);
+                const TlbEntry &entry = tsb.bufferEntry(row);
                 return unsigned{entry.valid && entry.vmId == vm};
             });
     }
@@ -306,16 +297,12 @@ class TsbStore
     const VmSlotIndex &index() const { return tsb.vmIndex(); }
 
   private:
-    static constexpr unsigned stages = 2;
-
     std::vector<TlbEntry>
     snapshot() const
     {
         std::vector<TlbEntry> all;
-        for (std::uint64_t row = 0; row < tsb.rowCount(); ++row) {
-            for (unsigned stage = 0; stage < stages; ++stage)
-                all.push_back(tsb.bufferEntry(stage, row));
-        }
+        for (std::uint64_t row = 0; row < tsb.rowCount(); ++row)
+            all.push_back(tsb.bufferEntry(row));
         return all;
     }
 

@@ -505,8 +505,7 @@ printServiceStats(std::FILE *out, const char *label,
 
 /**
  * The campaign options of sweep, figures, scenario and serve:
- * --cache-dir, --journal, --jobs, and the POMTLB_SWEEP_CRASH_AFTER
- * fault hook of the crash/resume checks.
+ * --cache-dir, --journal and --jobs.
  */
 SweepServiceOptions
 serviceOptionsFrom(const CliOptions &options)
@@ -515,8 +514,6 @@ serviceOptionsFrom(const CliOptions &options)
     service.cacheDir = options.cacheDir;
     service.journalPath = options.journalPath;
     service.jobs = options.jobs;
-    if (const char *crash = std::getenv("POMTLB_SWEEP_CRASH_AFTER"))
-        service.crashAfterAppends = parseUnsigned(crash);
     return service;
 }
 
@@ -1058,7 +1055,6 @@ commandServe(const CliOptions &options)
     serve_options.cacheDir = service.cacheDir;
     serve_options.journalDir = options.journalDir;
     serve_options.jobs = service.jobs;
-    serve_options.crashAfterAppends = service.crashAfterAppends;
 
     std::ifstream file_input;
     if (!options.inPaths.empty()) {
