@@ -23,10 +23,6 @@ Three input formats are accepted and auto-detected:
   field per run; and
 * the ``pomtlb-stats-v1`` JSON document of a single run
   (``pomtlb run --stats-out``), usable with ``--breakdown``;
-* a saved ``pomtlb-serve-v1`` event stream (the JSONL stdout of
-  ``pomtlb serve``, even truncated mid-campaign): the ``run`` object
-  of every ``job`` event is assembled back into a sweep document, in
-  the request order the service guarantees;
 * a single ``pomtlb-sweepcache-v1`` cache entry
   (``<cache-dir>/<hash>.json``), plotted as a one-run sweep; and
 * a ``pomtlb-scenario-v1`` consolidation-scenario document
@@ -48,12 +44,13 @@ reads is documented in docs/metrics.md.
 Unknown *versions* of a known result schema family (e.g. a future
 ``pomtlb-sweep-v2``) produce a warning and a best-effort parse;
 missing required fields are hard errors naming the field. Cache
-entries, serve events, and scenario documents are different: a
-version bump there changes the job-identity recipe, the wire
-protocol, the scenario-identity recipe, or the trace container
-layout, so an unknown ``pomtlb-sweepcache-*``, ``pomtlb-serve-*``,
-``pomtlb-scenario-*``, or ``pomtlb-tracepack-*`` version is a hard
-error naming the input path and the offending schema. Run
+entries, scenario documents and trace-pack descriptions are
+different: a version bump there changes the job-identity recipe, the
+scenario-identity recipe, or the trace container layout, so an
+unknown ``pomtlb-sweepcache-*``, ``pomtlb-scenario-*``, or
+``pomtlb-tracepack-*`` version is a hard error naming the input path
+and the offending schema. Input that is not JSON at all is an error
+carrying the decoder's position. Run
 ``scripts/plot_results.py --selftest`` to execute the built-in parser
 tests (no matplotlib needed; CI runs this as a ctest).
 
@@ -69,7 +66,6 @@ import sys
 SWEEP_SCHEMA = "pomtlb-sweep-v1"
 STATS_SCHEMA = "pomtlb-stats-v1"
 SWEEPCACHE_SCHEMA = "pomtlb-sweepcache-v1"
-SERVE_SCHEMA = "pomtlb-serve-v1"
 SCENARIO_SCHEMA = "pomtlb-scenario-v1"
 TRACEPACK_SCHEMA = "pomtlb-tracepack-v1"
 
@@ -262,73 +258,24 @@ def tracepack_rows(document):
     return rows
 
 
-def assemble_serve_stream(lines):
-    """Assemble a saved serve event stream into a sweep document.
-
-    *lines* is the JSONL stdout of ``pomtlb serve`` (possibly
-    truncated mid-campaign). The ``run`` object of every ``job``
-    event becomes one sweep run; the service streams job events in
-    request order, so the assembled document matches what
-    ``pomtlb sweep --out`` would have written for the same campaign,
-    except for ``wall_seconds``: a sweep document always stores it as
-    0 (the identity form), while each run assembled here takes the
-    real per-job wall time its event carried. Per-job wall time is
-    therefore plotted (``--metric wall_seconds``) from serve streams.
-    """
-    runs = []
-    for number, line in enumerate(lines, 1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            event = json.loads(line)
-        except json.JSONDecodeError as error:
-            raise ParseError(
-                f"line {number}: not a JSON event: {error}"
-            )
-        context = f"line {number}: "
-        schema = _require(event, "schema", context)
-        if schema != SERVE_SCHEMA:
-            raise ParseError(
-                f"line {number}: unsupported event schema "
-                f"{schema!r}; this script understands "
-                f"{SERVE_SCHEMA} only"
-            )
-        if _require(event, "event", context) != "job":
-            continue
-        run = dict(_require(event, "run", context))
-        # Surface the real wall time the event carried out-of-band.
-        run["wall_seconds"] = event.get("wall_seconds", 0)
-        runs.append(run)
-    if not runs:
-        raise ParseError(
-            "event stream contains no 'job' events — nothing to "
-            "plot (did the campaign error before its first job?)"
-        )
-    return {"schema": SWEEP_SCHEMA, "runs": runs}
-
-
 def load_json_input(text):
-    """Auto-detect and normalise JSON input to a plottable document.
+    """Parse JSON input and normalise it to a plottable document.
 
-    Returns a ``pomtlb-sweep-v1`` / ``pomtlb-stats-v1`` document,
-    unwrapping cache entries and assembling serve event streams on
-    the way. Raises ParseError (without the input path; the CLI
-    prefixes it).
+    Returns the document, with a cache entry unwrapped into a
+    one-run ``pomtlb-sweep-v1`` document. Raises ParseError (without
+    the input path; the CLI prefixes it), also for text that is not
+    one JSON document, carrying the decoder's position.
     """
     try:
         document = json.loads(text)
-    except json.JSONDecodeError:
-        # More than one top-level object: a JSONL serve stream.
-        return assemble_serve_stream(text.splitlines())
+    except json.JSONDecodeError as error:
+        raise ParseError(f"not a JSON document: {error}")
     if isinstance(document, dict):
         schema = document.get("schema")
-        if isinstance(schema, str):
-            if schema.startswith("pomtlb-sweepcache-"):
-                return _unwrap_cache_entry(document)
-            if schema.startswith("pomtlb-serve-"):
-                # A one-line event file parses as a single object.
-                return assemble_serve_stream(text.splitlines())
+        if isinstance(schema, str) and schema.startswith(
+            "pomtlb-sweepcache-"
+        ):
+            return _unwrap_cache_entry(document)
     return document
 
 
@@ -336,10 +283,9 @@ def parse_document(document):
     """Parse a sweep or stats document into a normalised run list.
 
     Returns a list of run dicts with keys ``benchmark``, ``scheme``,
-    ``label``, ``summary`` (the metric mapping ``--metric`` indexes),
-    ``wall_seconds`` (None for stats documents) and
-    ``cycle_breakdown`` (mapping with the serving-level cycles plus
-    ``sram_tlb``, or None when the document predates it).
+    ``label``, ``summary`` (the metric mapping ``--metric`` indexes)
+    and ``cycle_breakdown`` (mapping with the serving-level cycles
+    plus ``sram_tlb``, or None when the document predates it).
 
     Raises ParseError on missing required fields; warns (stderr) on
     unknown versions of a known schema family.
@@ -354,7 +300,6 @@ def parse_document(document):
                 "scheme": _require(document, "scheme", ""),
                 "label": "",
                 "summary": totals,
-                "wall_seconds": None,
                 "cycle_breakdown": document.get("cycle_breakdown"),
             }
         ]
@@ -380,7 +325,6 @@ def parse_document(document):
                 "scheme": _require(run, "scheme", context),
                 "label": run.get("label", ""),
                 "summary": summary,
-                "wall_seconds": run.get("wall_seconds"),
                 "cycle_breakdown": breakdown,
             }
         )
@@ -391,23 +335,20 @@ def sweep_rows(document, metric):
     """Flatten a parsed document into CSV-style rows.
 
     One row per benchmark; one column per scheme[/label] holding the
-    requested summary *metric* (or ``wall_seconds``).
+    requested summary *metric*.
     """
     table = {}
     for run in parse_document(document):
         series = run["scheme"]
         if run["label"]:
             series += "/" + run["label"]
-        if metric == "wall_seconds":
-            value = run["wall_seconds"]
-        else:
-            summary = run["summary"]
-            if metric not in summary:
-                raise ParseError(
-                    f"metric {metric!r} not in summary; available: "
-                    + ", ".join(sorted(summary))
-                )
-            value = summary[metric]
+        summary = run["summary"]
+        if metric not in summary:
+            raise ParseError(
+                f"metric {metric!r} not in summary; available: "
+                + ", ".join(sorted(summary))
+            )
+        value = summary[metric]
         row = table.setdefault(
             run["benchmark"], {"benchmark": run["benchmark"]}
         )
@@ -599,7 +540,7 @@ def selftest():
                     "benchmark": "mcf",
                     "scheme": "POM-TLB",
                     "label": "",
-                    "wall_seconds": 1.5,
+                    "wall_seconds": 0,
                     "summary": summary,
                 }
             ],
@@ -666,6 +607,10 @@ def selftest():
         def test_sweep_rows_unknown_metric_errors(self):
             with self.assertRaisesRegex(ParseError, "nope"):
                 sweep_rows(sweep_doc(), "nope")
+            # A run's wall_seconds is not a summary metric: every
+            # document stores 0 there (the identity form).
+            with self.assertRaisesRegex(ParseError, "'wall_seconds'"):
+                sweep_rows(sweep_doc(), "wall_seconds")
 
         def test_breakdown_shares_sum_to_one(self):
             labels, series = breakdown_rows(sweep_doc())
@@ -714,13 +659,7 @@ def selftest():
         def sweep_run(self, benchmark="mcf"):
             run = dict(sweep_doc()["runs"][0])
             run["benchmark"] = benchmark
-            run["wall_seconds"] = 0
             return run
-
-        def serve_event(self, **fields):
-            event = {"schema": SERVE_SCHEMA}
-            event.update(fields)
-            return json.dumps(event)
 
         def test_cache_entry_plots_as_one_run_sweep(self):
             entry = {
@@ -744,63 +683,16 @@ def selftest():
             ):
                 load_json_input(json.dumps(entry))
 
-        def test_serve_stream_assembles_job_runs_in_order(self):
-            stream = "\n".join(
-                [
-                    self.serve_event(event="ready", jobs=4),
-                    self.serve_event(
-                        event="job",
-                        index=0,
-                        key="mcf/POM-TLB",
-                        source="cache",
-                        wall_seconds=0,
-                        run=self.sweep_run("mcf"),
-                    ),
-                    "",  # blank lines are skipped
-                    self.serve_event(
-                        event="job",
-                        index=1,
-                        key="gups/POM-TLB",
-                        source="executed",
-                        wall_seconds=2.5,
-                        run=self.sweep_run("gups"),
-                    ),
-                    self.serve_event(
-                        event="sweep-end", sweep_hash="", stats={}
-                    ),
-                ]
-            )
-            runs = parse_document(load_json_input(stream))
-            self.assertEqual(
-                [r["benchmark"] for r in runs], ["mcf", "gups"]
-            )
-            # The event's out-of-band wall time is surfaced so
-            # --metric wall_seconds works on streamed input too.
-            self.assertEqual(runs[1]["wall_seconds"], 2.5)
-
-        def test_single_line_serve_stream_without_jobs_errors(self):
-            with self.assertRaisesRegex(ParseError, "no 'job'"):
-                load_json_input(self.serve_event(event="ready"))
-
-        def test_unknown_serve_version_is_a_hard_error(self):
-            stream = json.dumps(
-                {"schema": "pomtlb-serve-v2", "event": "ready"}
-            )
+        def test_truncated_document_error_is_the_decoders(self):
+            # A `pomtlb sweep --out` document cut short: the error is
+            # the JSON decoder's, at its real position.
+            text = json.dumps(sweep_doc(), indent=2)[:120]
             with self.assertRaisesRegex(
-                ParseError, "pomtlb-serve-v2"
-            ):
-                load_json_input(stream)
-
-        def test_torn_serve_stream_names_the_line(self):
-            stream = (
-                self.serve_event(event="ready")
-                + "\n"
-                + '{"schema": "pomtlb-serve-v1", "eve'
-            )
-            with self.assertRaisesRegex(
-                ParseError, "line 2"
-            ):
-                load_json_input(stream)
+                ParseError, r"not a JSON document: .* line \d+ column"
+            ) as caught:
+                load_json_input(text)
+            self.assertNotIn("JSON event", str(caught.exception))
+            self.assertNotIn("line 1 column 2", str(caught.exception))
 
         def test_plain_documents_pass_through_unchanged(self):
             document = sweep_doc()
@@ -961,9 +853,7 @@ def main():
         "--metric",
         default="translation_cycles",
         help="summary field to plot from sweep JSON input "
-        "(default: translation_cycles; 'wall_seconds' plots the "
-        "per-job wall clock, which only a serve event stream "
-        "carries: sweep documents store 0)",
+        "(default: translation_cycles)",
     )
     parser.add_argument(
         "--breakdown",

@@ -40,14 +40,6 @@ kindError(const char *wanted, JsonValue::Kind got)
 
 } // namespace
 
-bool
-JsonValue::asBool() const
-{
-    if (!isBool())
-        kindError("bool", valueKind);
-    return boolValue;
-}
-
 double
 JsonValue::asNumber() const
 {

@@ -89,7 +89,6 @@ class JsonValue
     bool isObject() const { return valueKind == Kind::Object; }
 
     /** Typed accessors; throw std::logic_error on kind mismatch. */
-    bool asBool() const;
     double asNumber() const;
     /** asNumber() rounded; throws if not integral. */
     std::uint64_t asUint() const;

@@ -5,8 +5,7 @@
  * - warn():  something works but maybe not as well as it should.
  * - fatal(): the user supplied an impossible configuration; prints
  *            "fatal: <message>" and throws FatalError, which the CLI
- *            turns into exit status 1 and `pomtlb serve` into an
- *            `error` event.
+ *            turns into exit status 1.
  * - panic(): an internal invariant broke (a simulator bug); throws
  *            std::logic_error, which nothing catches outside tests.
  */

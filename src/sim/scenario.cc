@@ -1,6 +1,8 @@
 #include "sim/scenario.hh"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <limits>
 #include <stdexcept>
 #include <utility>
@@ -110,7 +112,7 @@ ScenarioSpec::resolvedTenants() const
         expanded.reserve(n);
         for (unsigned t = 0; t < n; ++t) {
             TenantSpec tenant;
-            tenant.name = "t" + std::to_string(t);
+            tenant.name.append("t").append(std::to_string(t));
             tenant.benchmark = cycle[t % cycle.size()];
             tenant.vcpus = vcpus;
             expanded.push_back(std::move(tenant));
@@ -161,6 +163,17 @@ ScenarioSpec::resolvedTenants() const
     }
     if (expanded.empty())
         throw inputError("no tenants (tenant count 0 and no tenant list)");
+    // A factor below 1 would grow footprints instead (past 2^64 bytes
+    // for a tiny one), and an infinite one has no JSON identity.
+    if (!(std::isfinite(overcommitFactor) && overcommitFactor >= 1.0)) {
+        char factor[32];
+        char *end =
+            std::to_chars(factor, factor + sizeof factor, overcommitFactor)
+                .ptr;
+        std::string message = "overcommit factor ";
+        message.append(factor, end);
+        throw inputError(message + " must be finite and at least 1");
+    }
 
     std::vector<ResolvedTenant> resolved;
     resolved.reserve(expanded.size());
@@ -171,8 +184,9 @@ ScenarioSpec::resolvedTenants() const
         const BenchmarkProfile &profile =
             ProfileRegistry::byName(t.benchmark);
         ResolvedTenant out;
-        out.name =
-            t.name.empty() ? "t" + std::to_string(i) : t.name;
+        out.name = t.name;
+        if (out.name.empty())
+            out.name.append("t").append(std::to_string(i));
         out.benchmark = profile.name;
         out.vcpus = std::max(1u, t.vcpus);
         out.vm = t.vm != 0 ? t.vm : static_cast<VmId>(1 + i);
@@ -205,11 +219,6 @@ ScenarioSpec::resolvedTenants() const
                                  : profile.footprintBytes;
         out.footprintBytes = nominal;
         if (overcommitFactor != 1.0) {
-            if (!(overcommitFactor > 0.0)) {
-                throw inputError("overcommit factor " +
-                                 std::to_string(overcommitFactor) +
-                                 " must be positive");
-            }
             out.footprintBytes = std::max<Addr>(
                 Addr{1} << 12,
                 static_cast<Addr>(static_cast<double>(nominal) /
@@ -922,7 +931,7 @@ scenarioJobs(const std::vector<ScenarioSpec> &specs)
             const ScenarioResult result = engine.run(share);
             return buildScenarioDocument(machine, spec, result);
         };
-        // Serve only what `pomtlb scenario` and serve clients read.
+        // Serve only what `pomtlb scenario` reads.
         job.servable = [hash = job.hash](const JsonValue &entry) {
             try {
                 return entry.at("schema").asString() ==

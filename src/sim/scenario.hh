@@ -181,7 +181,9 @@ struct ScenarioSpec
     /**
      * Memory overcommit: guests' combined nominal footprints exceed
      * physical memory by this factor, so each tenant's resident
-     * working set shrinks to nominal / overcommitFactor.
+     * working set shrinks to nominal / overcommitFactor. Finite and
+     * at least 1 (no overcommit); TenantSpec::footprintBytes sets a
+     * larger tenant.
      */
     double overcommitFactor = 1.0;
     /** Pages migrated (unmap + shootdown + remap) per arrival. */
@@ -212,8 +214,9 @@ struct ScenarioSpec
      * footprints. Throws std::invalid_argument naming the bad input
      * on a zero or overflowing run length, no tenants, a tenant
      * arriving at/after the run end or departing before it arrives,
-     * a non-positive overcommit factor, or a generated placement that
-     * would leave a core idle; FatalError on an unknown benchmark.
+     * an overcommit factor that is not finite or is below 1, or a
+     * generated placement that would leave a core idle; FatalError
+     * on an unknown benchmark.
      */
     std::vector<ResolvedTenant> resolvedTenants() const;
 

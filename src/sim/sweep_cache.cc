@@ -9,6 +9,7 @@
 #include <mutex>
 #include <numeric>
 #include <sstream>
+#include <stdexcept>
 #include <system_error>
 #include <thread>
 #include <unistd.h>
@@ -283,8 +284,10 @@ SweepCache::quarantine(const std::string &path)
     fs::path target =
         quarantine_dir / fs::path(path).filename();
     // Keep every quarantined generation: suffix until unused.
-    while (fs::exists(target, error))
-        target += "." + tmpSuffix(++tmpCounter);
+    while (fs::exists(target, error)) {
+        target += ".";
+        target += tmpSuffix(++tmpCounter);
+    }
     fs::rename(path, target, error);
     if (error) {
         // Rename across the same directory tree should not fail;
@@ -360,106 +363,24 @@ SweepCache::store(const std::string &job_hash,
 }
 
 // ---------------------------------------------------------------
-// Cache eviction
-// ---------------------------------------------------------------
-
-SweepCacheGcStats
-sweepCacheGc(const std::string &dir, std::uint64_t max_bytes,
-             std::uint64_t max_age_seconds, bool dry_run)
-{
-    SweepCacheGcStats stats;
-
-    struct Entry
-    {
-        fs::path path;
-        fs::file_time_type mtime;
-        std::uint64_t bytes = 0;
-    };
-    std::vector<Entry> entries;
-
-    std::error_code error;
-    for (const fs::directory_entry &item :
-         fs::directory_iterator(dir, error)) {
-        if (!item.is_regular_file(error))
-            continue;
-        const std::string name = item.path().filename().string();
-        // Only published entries: skip in-flight ".tmp-*"
-        // temporaries (hidden) and anything that is not an entry
-        // blob. The quarantine/ subdirectory is not iterated at
-        // all (non-recursive walk).
-        if (name.empty() || name.front() == '.' ||
-            item.path().extension() != ".json") {
-            continue;
-        }
-        Entry entry;
-        entry.path = item.path();
-        entry.mtime = fs::last_write_time(item.path(), error);
-        if (error)
-            continue;
-        entry.bytes = item.file_size(error);
-        if (error)
-            continue;
-        entries.push_back(std::move(entry));
-    }
-    stats.scanned = entries.size();
-
-    // Oldest first; name breaks mtime ties so a pass is
-    // deterministic on coarse-granularity filesystems.
-    std::sort(entries.begin(), entries.end(),
-              [](const Entry &a, const Entry &b) {
-                  if (a.mtime != b.mtime)
-                      return a.mtime < b.mtime;
-                  return a.path.filename() < b.path.filename();
-              });
-
-    std::uint64_t total = 0;
-    for (const Entry &entry : entries)
-        total += entry.bytes;
-
-    const fs::file_time_type now = fs::file_time_type::clock::now();
-    const auto evict = [&](const Entry &entry) {
-        if (!dry_run) {
-            std::error_code remove_error;
-            if (!fs::remove(entry.path, remove_error)) {
-                warn("cache-gc: cannot remove ",
-                     entry.path.string(), ": ",
-                     remove_error.message());
-                return false;
-            }
-        }
-        ++stats.evicted;
-        stats.bytesFreed += entry.bytes;
-        total -= entry.bytes;
-        return true;
-    };
-
-    std::vector<char> gone(entries.size(), 0);
-    if (max_age_seconds > 0) {
-        const auto horizon =
-            now - std::chrono::seconds(max_age_seconds);
-        for (std::size_t i = 0; i < entries.size(); ++i) {
-            if (entries[i].mtime < horizon && evict(entries[i]))
-                gone[i] = 1;
-        }
-    }
-    if (max_bytes > 0) {
-        for (std::size_t i = 0;
-             i < entries.size() && total > max_bytes; ++i) {
-            if (!gone[i] && evict(entries[i]))
-                gone[i] = 1;
-        }
-    }
-    stats.bytesKept = total;
-    return stats;
-}
-
-// ---------------------------------------------------------------
 // SweepJournal
 // ---------------------------------------------------------------
 
 SweepJournal::SweepJournal(std::string journal_path)
     : journalPath(std::move(journal_path))
 {
+}
+
+void
+SweepJournal::openForWriting(std::ios::openmode mode)
+{
+    out.open(journalPath, mode);
+    // Without its journal a cache-less campaign cannot resume, so a
+    // path that cannot be written is an error before any job runs.
+    if (!out) {
+        throw std::invalid_argument("sweep journal: cannot open '" +
+                                    journalPath + "' for writing");
+    }
 }
 
 std::map<std::string, JsonValue>
@@ -520,7 +441,7 @@ SweepJournal::open(const std::string &sweep_hash_value,
         // file: restart it. Durable results live in the cache, so
         // nothing is lost beyond this journal's replay shortcut.
         completed.clear();
-        out.open(journalPath, std::ios::trunc);
+        openForWriting(std::ios::trunc);
         JsonValue header = JsonValue::object();
         header.set("schema", kSweepJournalSchemaV1);
         header.set("sweep_hash", sweep_hash_value);
@@ -535,7 +456,7 @@ SweepJournal::open(const std::string &sweep_hash_value,
     // valid JSONL, then position at the end.
     if (valid_bytes < text.size())
         fs::resize_file(journalPath, valid_bytes, error);
-    out.open(journalPath, std::ios::app);
+    openForWriting(std::ios::app);
     return completed;
 }
 
@@ -545,8 +466,6 @@ SweepJournal::append(const std::string &job_hash,
                      const std::string &source, double wall_seconds,
                      const JsonValue &run)
 {
-    if (!out.is_open())
-        out.open(journalPath, std::ios::app);
     JsonValue record = JsonValue::object();
     record.set("job_hash", job_hash);
     record.set("key", key);

@@ -30,13 +30,13 @@
  *    is truncated away, and only the remainder executes.
  *
  * SweepService orchestrates the three around its worker pool and
- * emits results *incrementally in request order*, which is what the
- * `pomtlb serve` protocol (sim/sweep_serve.hh) streams to clients.
- * It is the only code that runs a batch of simulations: a campaign
- * is a list of CampaignJob (content hash, key, a function producing
- * the job's entry, a servability check), built by a short adapter
- * per job kind — experimentJobs() here for sweeps, scenarioJobs()
- * in sim/scenario.hh for consolidation scenarios.
+ * emits results *incrementally in request order*, which the CLI's
+ * progress lines report. It is the only code that runs a batch of
+ * simulations: a campaign is a list of CampaignJob (content hash,
+ * key, a function producing the job's entry, a servability check),
+ * built by a short adapter per job kind — experimentJobs() here for
+ * sweeps, scenarioJobs() in sim/scenario.hh for consolidation
+ * scenarios.
  *
  * Determinism contract: a service-built document is byte-identical
  * whether every job executed, came from the cache, came from the
@@ -179,12 +179,17 @@ class SweepJournal
      * Replay and position for append. Returns the completed jobs
      * (job hash -> run entry) when the existing header matches
      * @p sweep_hash_value / @p jobs; otherwise the file is
-     * restarted with a fresh header and the map is empty.
+     * restarted with a fresh header and the map is empty. Throws
+     * std::invalid_argument naming the path when the journal cannot
+     * be opened for writing.
      */
     std::map<std::string, JsonValue>
     open(const std::string &sweep_hash_value, std::size_t jobs);
 
-    /** Append one completed-job record and flush it to the OS. */
+    /**
+     * Append one completed-job record and flush it to the OS; open()
+     * comes first.
+     */
     void append(const std::string &job_hash, const std::string &key,
                 const std::string &source, double wall_seconds,
                 const JsonValue &run);
@@ -193,38 +198,12 @@ class SweepJournal
     std::size_t appended() const { return appendCount; }
 
   private:
+    void openForWriting(std::ios::openmode mode);
+
     std::string journalPath;
     std::ofstream out;
     std::size_t appendCount = 0;
 };
-
-/** Accounting of one sweepCacheGc() pass. */
-struct SweepCacheGcStats
-{
-    std::size_t scanned = 0;     /**< Entries examined. */
-    std::size_t evicted = 0;     /**< Entries removed. */
-    std::uint64_t bytesFreed = 0; /**< Bytes of removed entries. */
-    std::uint64_t bytesKept = 0;  /**< Bytes of surviving entries. */
-};
-
-/**
- * Evict entries from the sweep cache at @p dir: first every
- * top-level `*.json` entry older than @p max_age_seconds (0 = no
- * age limit), then oldest-first — ties broken by name for
- * determinism — until the survivors total at most @p max_bytes
- * (0 = no size limit). Only top-level entry files are candidates:
- * the quarantine subdirectory (post-mortem evidence) and hidden
- * in-flight temporaries are never touched.
- *
- * With @p dry_run set, nothing is removed: the returned stats
- * report what the same two-pass eviction *would* delete (evicted /
- * bytesFreed) and keep, so operators can audit a policy before
- * applying it (`pomtlb cache-gc --dry-run`).
- */
-SweepCacheGcStats sweepCacheGc(const std::string &dir,
-                               std::uint64_t max_bytes,
-                               std::uint64_t max_age_seconds,
-                               bool dry_run = false);
 
 /** Where a job's result came from. */
 enum class JobSource

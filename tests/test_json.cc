@@ -19,7 +19,7 @@ namespace
 TEST(Json, KindsAndAccessors)
 {
     EXPECT_TRUE(JsonValue().isNull());
-    EXPECT_TRUE(JsonValue(true).asBool());
+    EXPECT_TRUE(JsonValue(true).isBool());
     EXPECT_DOUBLE_EQ(JsonValue(2.5).asNumber(), 2.5);
     EXPECT_EQ(JsonValue("hi").asString(), "hi");
     EXPECT_EQ(JsonValue(std::uint64_t(42)).asUint(), 42u);
@@ -76,8 +76,8 @@ TEST(Json, ParsesScalarsAndNesting)
         " { \"n\": -1.5e2, \"t\": true, \"f\": false, "
         "\"z\": null, \"arr\": [1, 2, [3]] } ");
     EXPECT_DOUBLE_EQ(doc.at("n").asNumber(), -150.0);
-    EXPECT_TRUE(doc.at("t").asBool());
-    EXPECT_FALSE(doc.at("f").asBool());
+    EXPECT_EQ(doc.at("t"), JsonValue(true));
+    EXPECT_EQ(doc.at("f"), JsonValue(false));
     EXPECT_TRUE(doc.at("z").isNull());
     EXPECT_EQ(doc.at("arr").size(), 3u);
     EXPECT_DOUBLE_EQ(doc.at("arr").at(2).at(0).asNumber(), 3.0);

@@ -1,14 +1,11 @@
 /**
  * @file
- * Tests for the sweep-at-scale layer (sim/sweep_cache.hh +
- * sim/sweep_serve.hh): content hashing, the on-disk result cache,
- * the checkpoint journal, crash/resume byte-identity, the serve
- * protocol, and docs/sweep-service.md coverage.
+ * Tests for the sweep-at-scale layer (sim/sweep_cache.hh): content
+ * hashing, the on-disk result cache, the checkpoint journal,
+ * crash/resume byte-identity, and docs/sweep-service.md coverage.
  */
 
-#include <chrono>
 #include <cstdint>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -21,9 +18,7 @@
 
 #include "campaign_fixtures.hh"
 #include "common/content_hash.hh"
-#include "sim/scheme_registry.hh"
-#include "sim/sweep_serve.hh"
-#include "trace/profile.hh"
+#include "sim/sweep_cache.hh"
 #include "trace/tracepack.hh"
 
 namespace fs = std::filesystem;
@@ -215,117 +210,6 @@ TEST(SweepCache, CorruptEntriesAreQuarantinedNotServed)
     // A subsequent store repairs the slot.
     cache.store(truncated, "a/b", fakeRun("a"));
     EXPECT_TRUE(cache.lookup(truncated).has_value());
-}
-
-// ----------------------------------------------------------------
-// sweepCacheGc
-// ----------------------------------------------------------------
-
-TEST(SweepCacheGc, EvictsByAgeThenOldestFirstBySize)
-{
-    ScratchDir scratch("cache-gc");
-    const std::string dir = scratch.sub("cache");
-    SweepCache cache(dir);
-    const std::string a = ContentHash::of("a");
-    const std::string b = ContentHash::of("b");
-    const std::string c = ContentHash::of("c");
-    cache.store(a, "a/x", fakeRun("a"));
-    cache.store(b, "b/x", fakeRun("b"));
-    cache.store(c, "c/x", fakeRun("c"));
-
-    const auto now = fs::file_time_type::clock::now();
-    fs::last_write_time(cache.entryPath(a),
-                        now - std::chrono::hours(10));
-    fs::last_write_time(cache.entryPath(b),
-                        now - std::chrono::hours(5));
-
-    // Age pass: only the 10-hour-old entry exceeds 8 hours.
-    SweepCacheGcStats stats = sweepCacheGc(dir, 0, 8 * 3600);
-    EXPECT_EQ(stats.scanned, 3u);
-    EXPECT_EQ(stats.evicted, 1u);
-    EXPECT_GT(stats.bytesFreed, 0u);
-    EXPECT_FALSE(cache.lookup(a).has_value());
-    EXPECT_TRUE(cache.lookup(b).has_value());
-    EXPECT_TRUE(cache.lookup(c).has_value());
-
-    // Size pass: room for exactly the newest entry, so the older
-    // survivor goes first.
-    const std::uint64_t newest = fs::file_size(cache.entryPath(c));
-    stats = sweepCacheGc(dir, newest, 0);
-    EXPECT_EQ(stats.scanned, 2u);
-    EXPECT_EQ(stats.evicted, 1u);
-    EXPECT_EQ(stats.bytesKept, newest);
-    EXPECT_FALSE(cache.lookup(b).has_value());
-    EXPECT_TRUE(cache.lookup(c).has_value());
-
-    // No limits: a pure scan, nothing evicted.
-    stats = sweepCacheGc(dir, 0, 0);
-    EXPECT_EQ(stats.scanned, 1u);
-    EXPECT_EQ(stats.evicted, 0u);
-}
-
-TEST(SweepCacheGc, DryRunReportsTheEvictionWithoutRemoving)
-{
-    ScratchDir scratch("cache-gc-dry");
-    const std::string dir = scratch.sub("cache");
-    SweepCache cache(dir);
-    const std::string a = ContentHash::of("a");
-    const std::string b = ContentHash::of("b");
-    cache.store(a, "a/x", fakeRun("a"));
-    cache.store(b, "b/x", fakeRun("b"));
-    const auto now = fs::file_time_type::clock::now();
-    fs::last_write_time(cache.entryPath(a),
-                        now - std::chrono::hours(10));
-
-    // The dry run reports exactly what the real pass would do...
-    const SweepCacheGcStats dry =
-        sweepCacheGc(dir, 0, 8 * 3600, /*dry_run=*/true);
-    EXPECT_EQ(dry.scanned, 2u);
-    EXPECT_EQ(dry.evicted, 1u);
-    EXPECT_GT(dry.bytesFreed, 0u);
-    // ...but removes nothing.
-    EXPECT_TRUE(cache.lookup(a).has_value());
-    EXPECT_TRUE(cache.lookup(b).has_value());
-
-    // The real pass then matches the dry run's accounting.
-    const SweepCacheGcStats wet = sweepCacheGc(dir, 0, 8 * 3600);
-    EXPECT_EQ(wet.evicted, dry.evicted);
-    EXPECT_EQ(wet.bytesFreed, dry.bytesFreed);
-    EXPECT_EQ(wet.bytesKept, dry.bytesKept);
-    EXPECT_FALSE(cache.lookup(a).has_value());
-    EXPECT_TRUE(cache.lookup(b).has_value());
-}
-
-TEST(SweepCacheGc, NeverTouchesQuarantineOrInFlightTemporaries)
-{
-    ScratchDir scratch("cache-gc-quarantine");
-    const std::string dir = scratch.sub("cache");
-    SweepCache cache(dir);
-    const std::string kept = ContentHash::of("kept");
-    const std::string corrupt = ContentHash::of("corrupt");
-    cache.store(kept, "a/b", fakeRun("a"));
-    cache.store(corrupt, "c/d", fakeRun("c"));
-    {
-        std::ofstream out(cache.entryPath(corrupt), std::ios::trunc);
-        out << "{\"schema\": \"pomtlb-swee";
-    }
-    // The corrupt entry moves to quarantine/ on lookup.
-    EXPECT_FALSE(cache.lookup(corrupt).has_value());
-    EXPECT_EQ(cache.quarantined(), 1u);
-    // A hidden in-flight temporary, as an interrupted store leaves.
-    {
-        std::ofstream out((fs::path(dir) / ".tmp-inflight").string());
-        out << "partial";
-    }
-
-    // Evict everything evictable: quarantined evidence and the
-    // temporary survive, and neither is even scanned.
-    const SweepCacheGcStats stats = sweepCacheGc(dir, 1, 0);
-    EXPECT_EQ(stats.scanned, 1u);
-    EXPECT_EQ(stats.evicted, 1u);
-    EXPECT_FALSE(cache.lookup(kept).has_value());
-    EXPECT_FALSE(fs::is_empty(fs::path(dir) / "quarantine"));
-    EXPECT_TRUE(fs::exists(fs::path(dir) / ".tmp-inflight"));
 }
 
 // ----------------------------------------------------------------
@@ -553,7 +437,7 @@ TEST(SweepService, HollowScenarioEntryIsReExecuted)
     // A scenario document without the members its readers use (here
     // only a schema) is stale, like a sweep entry without run
     // totals: the job re-executes instead of reaching `pomtlb
-    // scenario` or a serve client.
+    // scenario`.
     ScratchDir scratch("service-hollow-scenario");
     const std::vector<CampaignJob> jobs = scenarioJobs(
         {campaignScenario(2), campaignScenario(4)});
@@ -620,200 +504,6 @@ TEST(SweepService, KilledCampaignResumesByteIdentical)
 }
 
 // ----------------------------------------------------------------
-// ServeSession
-// ----------------------------------------------------------------
-
-/** Drive one serve session over a scripted request stream. */
-std::vector<JsonValue>
-serve(const std::string &script, const ServeOptions &options)
-{
-    std::istringstream in(script);
-    std::ostringstream out;
-    ServeSession session(in, out, options);
-    session.runToCompletion();
-
-    std::vector<JsonValue> events;
-    std::istringstream lines(out.str());
-    std::string line;
-    while (std::getline(lines, line))
-        events.push_back(JsonValue::parse(line));
-    return events;
-}
-
-TEST(ServeSession, AnswersPingCatalogAndShutdown)
-{
-    const std::vector<JsonValue> events = serve(
-        "{\"op\": \"ping\"}\n"
-        "\n"
-        "{\"op\": \"list\"}\n"
-        "{\"op\": \"shutdown\"}\n"
-        "{\"op\": \"ping\"}\n", // after shutdown: never read
-        ServeOptions{});
-    ASSERT_EQ(events.size(), 4u);
-    for (const JsonValue &event : events)
-        EXPECT_EQ(event.at("schema").asString(), kSweepServeSchemaV1);
-    EXPECT_EQ(events[0].at("event").asString(), "ready");
-    EXPECT_EQ(events[1].at("event").asString(), "pong");
-    EXPECT_EQ(events[2].at("event").asString(), "catalog");
-    EXPECT_EQ(events[2].at("benchmarks").size(),
-              ProfileRegistry::names().size());
-    EXPECT_EQ(events[2].at("schemes").size(),
-              SchemeRegistry::global().names().size());
-    EXPECT_EQ(events[3].at("event").asString(), "bye");
-}
-
-TEST(ServeSession, ReportsErrorsAndKeepsServing)
-{
-    const std::vector<JsonValue> events = serve(
-        "this is not json\n"
-        "{\"op\": \"warp\"}\n"
-        "{\"op\": \"run\", \"benchmark\": \"nope\", "
-        "\"scheme\": \"pom\"}\n"
-        "{\"op\": \"run\", \"benchmark\": \"mcf\", "
-        "\"scheme\": \"pom\", \"cores\": 0}\n"
-        // Counts that do not fit the value they set: 2^32 + 2 cores
-        // would run as 2, 2^44 + 16 MB of POM-TLB as 16 MB, and
-        // 2^32 + 1 tenants as 1.
-        "{\"op\": \"run\", \"benchmark\": \"mcf\", "
-        "\"scheme\": \"pom\", \"cores\": 4294967298, "
-        "\"refs_per_core\": 200, \"warmup_refs_per_core\": 100}\n"
-        "{\"op\": \"run\", \"benchmark\": \"mcf\", "
-        "\"scheme\": \"pom\", \"cores\": 1, "
-        "\"pom_capacity_mb\": 17592186044432, "
-        "\"refs_per_core\": 200, \"warmup_refs_per_core\": 100}\n"
-        "{\"op\": \"scenario\", \"tenants\": [4294967297], "
-        "\"cores\": 1, \"refs_per_core\": 200, "
-        "\"warmup_refs_per_core\": 100}\n"
-        "{\"op\": \"ping\"}\n",
-        ServeOptions{});
-    ASSERT_EQ(events.size(), 9u);
-    EXPECT_EQ(events[1].at("event").asString(), "error");
-    EXPECT_EQ(events[2].at("event").asString(), "error");
-    EXPECT_NE(events[2].at("message").asString().find("warp"),
-              std::string::npos);
-    EXPECT_EQ(events[3].at("event").asString(), "error");
-    EXPECT_NE(events[3].at("message").asString().find("nope"),
-              std::string::npos);
-    // A configuration that fails validation is an error event, not
-    // the end of the session.
-    EXPECT_EQ(events[4].at("event").asString(), "error");
-    EXPECT_NE(events[4].at("message").asString().find("core"),
-              std::string::npos);
-    // An out-of-range count is an error event naming its field.
-    const std::pair<std::size_t, std::string> named[] = {
-        {5, "'cores'"}, {6, "'pom_capacity_mb'"}, {7, "'tenants'"}};
-    for (const auto &[index, field] : named) {
-        EXPECT_EQ(events[index].at("event").asString(), "error");
-        EXPECT_NE(events[index].at("message").asString().find(field),
-                  std::string::npos)
-            << events[index].at("message").asString();
-    }
-    EXPECT_EQ(events[8].at("event").asString(), "pong");
-}
-
-TEST(ServeSession, StreamsCampaignsAndServesRepeatsFromCache)
-{
-    ScratchDir scratch("serve-sweep");
-    ServeOptions options;
-    options.cacheDir = scratch.sub("cache");
-    options.journalDir = scratch.sub("journals");
-
-    const std::string request =
-        "{\"op\": \"sweep\", \"benchmarks\": [\"mcf\"], "
-        "\"schemes\": [\"pom\", \"baseline\"], \"cores\": 2, "
-        "\"refs_per_core\": 400, \"warmup_refs_per_core\": 200}\n";
-
-    const std::vector<JsonValue> first =
-        serve(request + "{\"op\": \"shutdown\"}\n", options);
-    // ready, two jobs, sweep-end, bye.
-    ASSERT_EQ(first.size(), 5u);
-    EXPECT_EQ(first[1].at("event").asString(), "job");
-    EXPECT_EQ(first[1].at("index").asUint(), 0u);
-    EXPECT_EQ(first[1].at("key").asString(), "mcf/POM-TLB");
-    EXPECT_EQ(first[1].at("source").asString(), "executed");
-    EXPECT_EQ(first[1].at("run").at("scheme").asString(),
-              "POM-TLB");
-    EXPECT_EQ(first[2].at("index").asUint(), 1u);
-    EXPECT_EQ(first[3].at("event").asString(), "sweep-end");
-    EXPECT_EQ(first[3].at("stats").at("executed").asUint(), 2u);
-
-    const std::vector<JsonValue> second =
-        serve(request + "{\"op\": \"stats\"}\n"
-                        "{\"op\": \"shutdown\"}\n",
-              options);
-    ASSERT_EQ(second.size(), 6u);
-    // The completed campaign's journal replays before the cache is
-    // even consulted.
-    EXPECT_EQ(second[1].at("source").asString(), "journal");
-    EXPECT_EQ(second[2].at("source").asString(), "journal");
-    EXPECT_EQ(second[3].at("stats").at("executed").asUint(), 0u);
-    EXPECT_EQ(second[3].at("stats").at("journal_hits").asUint(),
-              2u);
-    EXPECT_EQ(second[4].at("event").asString(), "stats");
-    // The streamed runs replay the first campaign's bytes exactly.
-    EXPECT_EQ(first[1].at("run").dump(0),
-              second[1].at("run").dump(0));
-    EXPECT_EQ(first[2].at("run").dump(0),
-              second[2].at("run").dump(0));
-    // Both campaigns agree on the campaign identity.
-    EXPECT_EQ(first[3].at("sweep_hash").asString(),
-              second[3].at("sweep_hash").asString());
-}
-
-TEST(ServeSession, ScenarioOpStreamsAndReplaysScenarioJobs)
-{
-    ScratchDir scratch("serve-scenario");
-    ServeOptions options;
-    options.cacheDir = scratch.sub("cache");
-    options.journalDir = scratch.sub("journals");
-
-    const std::string request =
-        "{\"op\": \"scenario\", \"tenants\": [1, 4], \"cores\": 2, "
-        "\"refs_per_core\": 1000, \"warmup_refs_per_core\": 500, "
-        "\"storm_interval_refs\": 400}\n";
-
-    const std::vector<JsonValue> first =
-        serve(request + "{\"op\": \"shutdown\"}\n", options);
-    // ready, two scenario jobs, scenario-end, bye.
-    ASSERT_EQ(first.size(), 5u);
-    EXPECT_EQ(first[1].at("event").asString(), "scenario-job");
-    EXPECT_EQ(first[1].at("name").asString(), "consolidation-1t");
-    EXPECT_EQ(first[1].at("source").asString(), "executed");
-    EXPECT_EQ(first[1].at("run").at("schema").asString(),
-              kScenarioSchemaV1);
-    EXPECT_EQ(first[2].at("name").asString(), "consolidation-4t");
-    EXPECT_EQ(first[2].at("run").at("tenants").size(), 4u);
-    EXPECT_EQ(first[3].at("event").asString(), "scenario-end");
-    EXPECT_EQ(first[3].at("stats").at("executed").asUint(), 2u);
-
-    // A repeat campaign replays the journal byte-for-byte.
-    const std::vector<JsonValue> second =
-        serve(request + "{\"op\": \"shutdown\"}\n", options);
-    ASSERT_EQ(second.size(), 5u);
-    EXPECT_EQ(second[1].at("source").asString(), "journal");
-    EXPECT_EQ(first[1].at("run").dump(0),
-              second[1].at("run").dump(0));
-    EXPECT_EQ(first[2].at("run").dump(0),
-              second[2].at("run").dump(0));
-    EXPECT_EQ(first[3].at("campaign_hash").asString(),
-              second[3].at("campaign_hash").asString());
-}
-
-TEST(ServeSession, RunOpIsSingleJobSugar)
-{
-    const std::vector<JsonValue> events = serve(
-        "{\"op\": \"run\", \"benchmark\": \"mcf\", "
-        "\"scheme\": \"pom\", \"cores\": 2, "
-        "\"refs_per_core\": 400, \"warmup_refs_per_core\": 200}\n"
-        "{\"op\": \"shutdown\"}\n",
-        ServeOptions{});
-    ASSERT_EQ(events.size(), 4u);
-    EXPECT_EQ(events[1].at("event").asString(), "job");
-    EXPECT_EQ(events[1].at("jobs").asUint(), 1u);
-    EXPECT_EQ(events[2].at("event").asString(), "sweep-end");
-}
-
-// ----------------------------------------------------------------
 // docs/sweep-service.md coverage
 // ----------------------------------------------------------------
 
@@ -864,8 +554,8 @@ collectKeys(const JsonValue &value, std::set<std::string> &keys)
 /**
  * The contract docs/sweep-service.md advertises: every field the
  * service layer emits — job-identity fields (the hash recipe),
- * cache-entry fields, journal fields, and serve-protocol fields —
- * is documented, as are all event, op, and source names.
+ * cache-entry fields and journal fields — is documented, as are the
+ * schema and source names.
  */
 TEST(SweepServiceDoc, CoversEveryEmittedField)
 {
@@ -899,42 +589,9 @@ TEST(SweepServiceDoc, CoversEveryEmittedField)
             collectKeys(JsonValue::parse(line), emitted);
     }
 
-    // Serve-protocol events, from a session exercising every op.
-    ServeOptions options;
-    options.cacheDir = scratch.sub("serve-cache");
-    options.journalDir = scratch.sub("serve-journals");
-    const std::vector<JsonValue> events = serve(
-        "{\"op\": \"ping\"}\n"
-        "{\"op\": \"list\"}\n"
-        "{\"op\": \"run\", \"benchmark\": \"mcf\", "
-        "\"scheme\": \"pom\", \"cores\": 2, "
-        "\"refs_per_core\": 400, \"warmup_refs_per_core\": 200}\n"
-        "{\"op\": \"scenario\", \"tenants\": 1, \"cores\": 2, "
-        "\"refs_per_core\": 400, \"warmup_refs_per_core\": 200}\n"
-        "{\"op\": \"stats\"}\n"
-        "{\"op\": \"nonsense\"}\n"
-        "{\"op\": \"shutdown\"}\n",
-        options);
-    std::set<std::string> eventNames;
-    for (const JsonValue &event : events) {
-        collectKeys(event, emitted);
-        eventNames.insert(event.at("event").asString());
-    }
-    // The scripted session above must have produced every event
-    // kind the protocol defines.
-    EXPECT_EQ(eventNames,
-              (std::set<std::string>{"ready", "pong", "catalog",
-                                     "job", "sweep-end",
-                                     "scenario-job", "scenario-end",
-                                     "stats", "error", "bye"}));
-
     // Names that are part of the vocabulary, not JSON keys.
-    for (const char *name :
-         {"ping", "list", "sweep", "run", "scenario", "shutdown",
-          "op", "executed", "cache", "journal", kSweepCacheSchemaV1,
-          kSweepJournalSchemaV1, kSweepServeSchemaV1})
-        emitted.insert(name);
-    for (const std::string &name : eventNames)
+    for (const char *name : {"executed", "cache", "journal",
+                             kSweepCacheSchemaV1, kSweepJournalSchemaV1})
         emitted.insert(name);
 
     ASSERT_GT(emitted.size(), 80u);

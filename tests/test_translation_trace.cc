@@ -106,7 +106,7 @@ TEST(TranslationTracer, JsonlLinesAreValidJson)
     EXPECT_EQ(line.at("tlb_level").asString(), "miss");
     EXPECT_EQ(line.at("served_by").asString(), "pom_dram");
     EXPECT_EQ(line.at("probes").asUint(), 2u);
-    EXPECT_FALSE(line.at("first_try").asBool());
+    EXPECT_EQ(line.at("first_try"), JsonValue(false));
     // The exact cycle split survives serialisation.
     EXPECT_EQ(line.at("sram_cycles").asUint() +
                   line.at("scheme_cycles").asUint(),

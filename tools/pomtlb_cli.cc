@@ -18,11 +18,6 @@
  *   scenario                   multi-tenant consolidation scenario
  *                              (churn, overcommit, shootdown
  *                              storms); emits pomtlb-scenario-v1
- *   serve                      JSONL sweep service loop (requests
- *                              from stdin or a FIFO, streamed
- *                              pomtlb-serve-v1 events on stdout)
- *   cache-gc                   evict sweep-cache entries by age
- *                              and/or total size
  *   trace                      trace-pack front end: `trace pack`
  *                              builds a pomtlb-tracepack-v1 file
  *                              from text traces or from
@@ -36,8 +31,8 @@
  *
  * sweep options:
  *   --jobs N                   worker threads of the campaign, also
- *                              for compare, figures, scenario and
- *                              serve (0 = all hardware threads, the
+ *                              for compare, figures and scenario
+ *                              (0 = all hardware threads, the
  *                              default; never more than the jobs
  *                              left to execute)
  *   --benchmarks a,b,c         comma list (default: all Table 2)
@@ -78,8 +73,9 @@
  *                              (0 = spread evenly)
  *   --resident-per-core N      concurrently resident tenants per
  *                              core under churn (default 4)
- *   --overcommit F             memory overcommit factor; resident
- *                              footprints shrink by F (default 1.0)
+ *   --overcommit F             memory overcommit factor, finite and
+ *                              at least 1; resident footprints
+ *                              shrink by F (default 1.0)
  *   --migrate-pages N          pages migrated (remap + shootdown)
  *                              when a tenant arrives (default 0)
  *   --storm-interval N         TLB-shootdown storm every N refs
@@ -100,31 +96,12 @@
  *                              exactly like sweep
  *   plus the run/compare configuration options below
  *
- * cache-gc options:
- *   --cache-dir DIR            the sweep cache to collect
- *   --max-bytes N              keep at most N bytes of entries
- *                              (0 = no size limit)
- *   --max-age SECONDS          evict entries older than this
- *                              (0 = no age limit)
- *   --dry-run                  report what the eviction would
- *                              delete without removing anything
- *
  * trace options (see docs/trace-format.md for the full grammar):
  *   trace pack --out PACK [--in FILE]...
  *              [--benchmark B --cores N [--count C] [--seed S]]
  *              [--stream-names a,b,...]
  *   trace info PACK [--json]
  *   trace cat PACK [--stream NAME] [--limit N]
- *
- * serve options:
- *   --in FILE                  read requests from FILE (a FIFO
- *                              works; default stdin)
- *   --cache-dir DIR            shared result cache for every
- *                              campaign served
- *   --journal-dir DIR          one checkpoint journal per campaign
- *                              under DIR
- *   --jobs N                   worker threads per campaign (as for
- *                              sweep)
  *
  * Common options (run / compare / sweep / scenario):
  *   --benchmark NAME           workload (default mcf; not sweep)
@@ -189,7 +166,6 @@
 #include "sim/stats_export.hh"
 #include "sim/sweep.hh"
 #include "sim/sweep_cache.hh"
-#include "sim/sweep_serve.hh"
 #include "sim/translation_trace.hh"
 #include "trace/error.hh"
 #include "trace/source.hh"
@@ -238,8 +214,7 @@ struct CliOptions
     // figures
     std::string onlyList;
 
-    // serve (its last --in) and trace pack (every --in)
-    std::string journalDir;
+    // trace pack (every --in)
     std::vector<std::string> inPaths;
 
     // trace pack / info / cat
@@ -262,11 +237,6 @@ struct CliOptions
     unsigned stormPages = 8;
     std::uint64_t timeSlice = 0;
 
-    // cache-gc
-    std::uint64_t maxBytes = 0;
-    std::uint64_t maxAgeSeconds = 0;
-    bool dryRun = false;
-
     // every option named on the command line, in order
     std::vector<std::string> given;
 
@@ -285,7 +255,7 @@ usage()
     std::fprintf(
         stderr,
         "usage: pomtlb <list|list-schemes|show-config|run|compare|"
-        "sweep|figures|scenario|serve|cache-gc|trace> [options]\n"
+        "sweep|figures|scenario|trace> [options]\n"
         "  see the header of tools/pomtlb_cli.cc or the README for "
         "the option list\n");
     std::exit(2);
@@ -402,8 +372,6 @@ parseOptions(int argc, char **argv, int first)
             options.journalPath = next();
         else if (arg == "--only")
             options.onlyList = next();
-        else if (arg == "--journal-dir")
-            options.journalDir = next();
         else if (arg == "--in")
             options.inPaths.push_back(next());
         else if (arg == "--tenants")
@@ -424,12 +392,6 @@ parseOptions(int argc, char **argv, int first)
             options.stormPages = parseUnsigned(next());
         else if (arg == "--time-slice")
             options.timeSlice = parseNumber(next());
-        else if (arg == "--max-bytes")
-            options.maxBytes = parseNumber(next());
-        else if (arg == "--max-age")
-            options.maxAgeSeconds = parseNumber(next());
-        else if (arg == "--dry-run")
-            options.dryRun = true;
         else if (arg == "--count")
             options.count = parseNumber(next());
         else if (arg == "--stream-names")
@@ -504,8 +466,8 @@ printServiceStats(std::FILE *out, const char *label,
 }
 
 /**
- * The campaign options of sweep, figures, scenario and serve:
- * --cache-dir, --journal and --jobs.
+ * The campaign options of sweep, figures and scenario: --cache-dir,
+ * --journal and --jobs.
  */
 SweepServiceOptions
 serviceOptionsFrom(const CliOptions &options)
@@ -1020,65 +982,6 @@ commandScenario(const CliOptions &options)
     return 0;
 }
 
-int
-commandCacheGc(const CliOptions &options)
-{
-    if (options.cacheDir.empty()) {
-        std::fprintf(stderr, "cache-gc needs --cache-dir DIR\n");
-        return 2;
-    }
-    const SweepCacheGcStats stats = sweepCacheGc(
-        options.cacheDir, options.maxBytes, options.maxAgeSeconds,
-        options.dryRun);
-    if (options.dryRun) {
-        std::printf("cache-gc (dry run): scanned=%zu "
-                    "would_evict=%zu bytes_would_free=%llu "
-                    "bytes_kept=%llu\n",
-                    stats.scanned, stats.evicted,
-                    static_cast<unsigned long long>(stats.bytesFreed),
-                    static_cast<unsigned long long>(stats.bytesKept));
-    } else {
-        std::printf("cache-gc: scanned=%zu evicted=%zu "
-                    "bytes_freed=%llu bytes_kept=%llu\n",
-                    stats.scanned, stats.evicted,
-                    static_cast<unsigned long long>(stats.bytesFreed),
-                    static_cast<unsigned long long>(stats.bytesKept));
-    }
-    return 0;
-}
-
-int
-commandServe(const CliOptions &options)
-{
-    const SweepServiceOptions service = serviceOptionsFrom(options);
-    ServeOptions serve_options;
-    serve_options.cacheDir = service.cacheDir;
-    serve_options.journalDir = options.journalDir;
-    serve_options.jobs = service.jobs;
-
-    std::ifstream file_input;
-    if (!options.inPaths.empty()) {
-        // Opening a FIFO blocks until a writer connects, which is
-        // exactly the behaviour a service loop wants.
-        const std::string &path = options.inPaths.back();
-        file_input.open(path);
-        if (!file_input) {
-            std::fprintf(stderr, "cannot open %s for reading\n",
-                         path.c_str());
-            return 1;
-        }
-    }
-    std::istream &input =
-        options.inPaths.empty()
-            ? static_cast<std::istream &>(std::cin)
-            : static_cast<std::istream &>(file_input);
-
-    ServeSession session(input, std::cout, serve_options);
-    const std::size_t handled = session.runToCompletion();
-    std::fprintf(stderr, "serve: handled %zu request(s)\n", handled);
-    return 0;
-}
-
 [[noreturn]] void
 traceUsage()
 {
@@ -1348,11 +1251,6 @@ main(int argc, char **argv)
                       "--storm-pages", "--time-slice", "--trace-in",
                       "--trace-record", "--out", "--stats-out",
                       "--jobs", "--cache-dir", "--journal"})}},
-        {"serve",
-         {commandServe, {"--in", "--cache-dir", "--journal-dir", "--jobs"}}},
-        {"cache-gc",
-         {commandCacheGc,
-          {"--cache-dir", "--max-bytes", "--max-age", "--dry-run"}}},
         {"trace pack",
          {commandTracePack,
           {"--out", "--in", "--benchmark", "--cores", "--count",
